@@ -1,27 +1,22 @@
-"""E14 — tiled bit kernels: zero-tile skipping and worker scaling.
+"""E14 — tiled bit kernels: zero-tile skipping.
 
 The tentpole claim: viewing the flat bit matrix as a grid of 256-bit
 tiles with a presence bitmap lets the multiply skip empty tile pairs,
 so block-structured operands (the shape closure fixpoints settle into)
-pay for their occupied tiles, not the dense grid.  Two axes:
+pay for their occupied tiles, not the dense grid.
 
-* **Density sweep** — block-diagonal operands at n≥2048, four kernels
-  (flat blocked, flat Four-Russians, tiled blocked, tiled
-  Four-Russians), measured at the format level so each row is one
-  kernel, not a routing decision.  A side table records which kernel
-  the hybrid cost model actually picks at each density.
-* **Core scaling** — the tiled kernels at 1/2/4/8 workers.  The thread
-  pool parallelizes disjoint output tile row-strips under NumPy's
-  GIL-releasing word kernels; hosts with one core will honestly report
-  ~1.0x (the table carries the host core count).
+**Density sweep** — block-diagonal operands at n≥2048, four kernels
+(flat blocked, flat Four-Russians, tiled blocked, tiled Four-Russians),
+measured at the format level so each row is one kernel, not a routing
+decision.  A side column records which kernel the hybrid cost model
+actually picks at each density.
 
-Acceptance: tiled ≥ 2x over flat blocked at the sweep's low densities,
-and 1→4 worker scaling ≥ 1.5x when the host has ≥ 4 cores.
+Acceptance: tiled ≥ 2x over flat blocked at the sweep's low densities.
+(The worker-scaling axis went with the worker pool; EXPERIMENTS.md E14
+records the 2-core measurement that retired it.)
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -34,7 +29,6 @@ from repro.formats.tiled import TiledBitMatrix
 from .conftest import BENCH_SCALE, add_report, defer_report, timed_runs
 
 TILED_SPEEDUP_FLOOR = 2.0
-SCALING_FLOOR = 1.5
 BLOCKS = 8
 DENSITIES = (0.01, 0.05, 0.15, 0.4)  # in-block density; overall is /BLOCKS
 
@@ -71,12 +65,10 @@ def _kernels(dense):
         out.mxm_four_russians_into(flat_a, flat_a)
         return out.words
 
-    def tiled(workers=1, four_russians=False):
+    def tiled(four_russians=False):
         def run():
             out = TiledBitMatrix(BitMatrix.empty((n, n)), scan=False)
-            out.mxm_into(
-                tiled_a, tiled_a, four_russians=four_russians, workers=workers
-            )
+            out.mxm_into(tiled_a, tiled_a, four_russians=four_russians)
             return out.flat.words
 
         return run
@@ -86,14 +78,14 @@ def _kernels(dense):
         "flat 4-russians": flat_fr,
         "tiled blocked": tiled(),
         "tiled 4-russians": tiled(four_russians=True),
-    }, tiled
+    }
 
 
 class TestDensitySweep:
     @pytest.mark.parametrize("density", DENSITIES)
     def test_kernels_agree_and_time(self, benchmark, density):
         dense = _block_diag(_n(), density)
-        runners, _ = _kernels(dense)
+        runners = _kernels(dense)
         reference = None
         row: dict = {"occupancy": None}
         for name, run in runners.items():
@@ -111,7 +103,7 @@ class TestDensitySweep:
         rows, cols = np.nonzero(dense)
         a = hb.matrix_from_coo(rows, cols, dense.shape)
         hb._ensure_bit(a)
-        row["routed"], _ = hb._bit_mxm_plan(a, a)
+        row["routed"] = hb._bit_mxm_plan(a, a)
         _RESULTS.setdefault("sweep", {})[density] = row
         benchmark(runners["tiled blocked"])
 
@@ -130,32 +122,6 @@ class TestDensitySweep:
             assert speedup >= TILED_SPEEDUP_FLOOR, (
                 f"tiled {speedup:.2f}x over flat at block density {density}"
             )
-
-
-class TestCoreScaling:
-    WORKER_AXIS = (1, 2, 4, 8)
-
-    @pytest.mark.parametrize("workers", WORKER_AXIS)
-    def test_worker_axis(self, benchmark, workers):
-        dense = _block_diag(_n(), 0.1)
-        _, tiled = _kernels(dense)
-        for four_russians, label in ((False, "blocked"), (True, "4-russians")):
-            run = tiled(workers=workers, four_russians=four_russians)
-            mean, best = timed_runs(run, runs=3)
-            _RESULTS.setdefault(f"scaling/{label}", {})[workers] = {
-                "mean": mean, "best": best,
-            }
-        benchmark(tiled(workers=workers))
-
-    def test_scaling_when_cores_available(self):
-        scaling = _RESULTS.get("scaling/blocked", {})
-        if len(scaling) < len(self.WORKER_AXIS):
-            pytest.skip("run the full worker axis first")
-        cores = os.cpu_count() or 1
-        if cores < 4:
-            pytest.skip(f"host has {cores} core(s); scaling gate needs >= 4")
-        speedup = scaling[1]["best"] / max(scaling[4]["best"], 1e-9)
-        assert speedup >= SCALING_FLOOR, f"1->4 workers {speedup:.2f}x"
 
 
 def _report():
@@ -190,37 +156,6 @@ def _report():
         lines.append(
             "tiled/flat = flat blocked best / best tiled kernel; 'routed' "
             "is the hybrid cost model's pick at that density."
-        )
-        add_report("E14_tiled", "\n".join(lines) + "\n")
-    labels = [k for k in _RESULTS if k.startswith("scaling/")]
-    if labels:
-        cores = os.cpu_count() or 1
-        lines = [
-            f"E14 — tiled mxm worker scaling: block-diagonal n={n}, "
-            f"block d=0.10, host cores={cores}",
-            "",
-            f"{'workers':>8} "
-            + " ".join(f"{lab.split('/')[1] + ' ms':>16}" for lab in labels)
-            + f" {'vs 1 worker':>12}",
-        ]
-        base = _RESULTS[labels[0]].get(1)
-        for w in sorted(_RESULTS[labels[0]]):
-            speedup = (
-                base["best"] / max(_RESULTS[labels[0]][w]["best"], 1e-9)
-                if base else float("nan")
-            )
-            lines.append(
-                f"{w:>8} "
-                + " ".join(
-                    f"{_RESULTS[lab][w]['best'] * 1e3:>16.2f}"
-                    for lab in labels
-                )
-                + f" {speedup:>11.2f}x"
-            )
-        lines.append("")
-        lines.append(
-            "Strips parallelize across threads only while NumPy releases "
-            "the GIL; single-core hosts honestly report ~1.0x."
         )
         add_report("E14_tiled", "\n".join(lines) + "\n")
 

@@ -55,12 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot the current findings to PATH and exit 0",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help="worker threads for the per-module pass (default: auto)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
     return parser
@@ -89,10 +83,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"unknown rule ids: {sorted(unknown)}", file=sys.stderr)
             return 2
 
-    if args.jobs is not None and args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-
     findings = lint_paths(
         args.paths,
         default_rules(None if select is None else select & registry.keys()),
@@ -100,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
         program_rules=default_program_rules(
             None if select is None else select & program_registry.keys()
         ),
-        jobs=args.jobs,
     )
 
     if args.write_baseline:

@@ -19,7 +19,6 @@ importable.
 from __future__ import annotations
 
 import ast
-import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -129,19 +128,19 @@ def lint_paths(
     *,
     respect_suppressions: bool = True,
     program_rules: Iterable | None = None,
-    jobs: int | None = None,
 ) -> list[Finding]:
     """Run per-module ``rules`` plus whole-program ``program_rules``.
 
     With both arguments left at ``None`` the full registries run: every
-    per-module rule over every file (in parallel across ``jobs`` worker
-    threads), then every whole-program rule over the
+    per-module rule over every file, then every whole-program rule over the
     :class:`~repro.analysis.dataflow.Program` built from the same
     modules.  Passing an explicit ``rules`` iterable scopes the run to
     exactly those per-module rules and skips the whole-program pass
     unless ``program_rules`` is also given — a rule-selection call
-    means *those rules and nothing else*.  Output order is always the
-    Finding sort order regardless of ``jobs``.
+    means *those rules and nothing else*.  Files are parsed and linted
+    one after another on the calling thread (the work is pure Python
+    under the GIL, and concurrent ``ast.parse`` trips CPython
+    gh-106905); output is in Finding sort order.
     """
     explicit_rules = rules is not None
     if rules is None:
@@ -187,16 +186,8 @@ def lint_paths(
 
     findings: list[Finding] = []
     modules: list[ModuleContext] = []
-    if jobs is None:
-        jobs = min(8, os.cpu_count() or 1)
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda f: lint_one(*f), files))
-    else:
-        results = [lint_one(path, rel) for path, rel in files]
-    for module_findings, module in results:
+    for path, rel in files:
+        module_findings, module = lint_one(path, rel)
         findings.extend(module_findings)
         if module is not None:
             modules.append(module)

@@ -204,16 +204,11 @@ class ArenaAccounting(Rule):
         # return; the hybrid router charges it against the arena budget
         # before choosing this kernel.
         "formats/bitmatrix.py::BitMatrix.mxm_four_russians_into",
-        # Tiled kernels: per-worker (sel, red) scratch fallback when the
-        # caller passes none (the hybrid route passes arena scratch),
-        # per-present-tile FR tables, and the per-A-column kron B-block
-        # scratch — all bounded and freed before return.
+        # Tiled kernels: the (sel, red) scratch fallback when the caller
+        # passes none (the hybrid route passes arena scratch) and the
+        # per-present-tile FR tables — bounded and freed before return.
         "formats/tiled.py::TiledBitMatrix.mxm_into",
         "formats/tiled.py::_build_fr_tables",
-        "formats/tiled.py::_kron_rows_into",
-        # Tiled-parallel autotune probe: two transient scratch pairs for
-        # a synthetic timing sweep, never adopted.
-        "backends/hybrid.py::autotune_tiled_parallel",
         # Zero-row fallback of the snapshot loader; the mapped path is
         # covered by MEMMAP_FLOW_SITES below.
         "store/container.py::_map_words",

@@ -41,10 +41,8 @@ blocked, flat Four-Russians, or their tiled counterparts over a
 :class:`~repro.formats.tiled.TiledBitMatrix` grid
 (:meth:`HybridBackend._bit_mxm_plan`).  The tiled costs charge only
 present tile pairs — the zero-tile-skipping win on block-structured
-operands — and, past ``tiled_parallel_min_words``, fan output tile
-strips over a worker pool (``HybridPolicy.workers`` /
-``REPRO_BIT_WORKERS``).  Kernel choices and per-kernel wall time land
-in ``kernel_counts`` / ``kernel_times`` (E14 and the service stats).
+operands.  Kernel choices and per-kernel wall time land in
+``kernel_counts`` / ``kernel_times`` (E14 and the service stats).
 
 Semiring routing
 ----------------
@@ -83,17 +81,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.analysis.locktrace import make_lock
 from repro.backends.base import Backend, BackendMatrix, get_backend, register_backend
 from repro.backends.generic import GenericBackend
 from repro.errors import DimensionMismatchError, InvalidArgumentError
-from repro.formats.bitmatrix import _WORD, WORD_BITS, BitMatrix, _words_per_row
-from repro.core.semiring import PLUS_TIMES
-from repro.formats.tiled import (
-    DEFAULT_TILE,
-    TiledBitMatrix,
-    bit_workers_from_env,
-    scratch_shapes,
+from repro.formats.bitmatrix import (
+    _FR_GROUP_ROWS,
+    _FR_TABLE_ENTRIES,
+    _WORD,
+    WORD_BITS,
+    BitMatrix,
+    _words_per_row,
 )
+from repro.core.semiring import PLUS_TIMES
+from repro.formats.tiled import DEFAULT_TILE, TiledBitMatrix, scratch_shapes
 from repro.gpu.device import Device
 
 #: Calibrated per-element sparse-kernel overheads, in word-op units.
@@ -108,15 +109,13 @@ KRON_SPARSE_COST = 6.0
 #: the old dense block-expansion constant was 9.
 KRON_BIT_WORD_COST = 3.0
 
-#: Four-Russians multiply: 8-row groups of B, one 256-entry table of OR
-#: combinations per group.  The table build is a fixed cost amortized
-#: over output rows, so the kernel only wins for tall-enough products —
-#: the break-even row count is what :func:`autotune_four_russians`
-#: measures (``HybridPolicy.four_russians_min_rows``).
-_FR_GROUP_ROWS = 8
-_FR_TABLE_ENTRIES = 1 << _FR_GROUP_ROWS
-#: Hard floor on the reduction dimension: under a word of k the grouped
-#: table never amortizes regardless of output rows.
+#: Four-Russians multiply: the table build (``_FR_TABLE_ENTRIES`` per
+#: ``_FR_GROUP_ROWS``-row group of B) is a fixed cost amortized over
+#: output rows, so the kernel only wins for tall-enough products — the
+#: break-even row count is what :func:`autotune_four_russians` measures
+#: (``HybridPolicy.four_russians_min_rows``).  Hard floor on the
+#: reduction dimension: under a word of k the grouped table never
+#: amortizes regardless of output rows.
 FOUR_RUSSIANS_MIN_K = 64
 
 #: Python dispatch/launch overhead charged per visited tile pair of the
@@ -124,10 +123,6 @@ FOUR_RUSSIANS_MIN_K = 64
 #: kernels, where the per-pair loop overhead would dominate the saved
 #: work; block-structured operands amortize it over skipped tiles.
 TILE_PAIR_OVERHEAD_WORDS = 4096.0
-
-#: Sentinel "never go parallel" threshold written by the autotuner when
-#: the probe finds no 2-worker speedup (e.g. a single-core host).
-TILED_PARALLEL_NEVER = 1 << 62
 
 #: Cost multiplier of the generic (valcsr) route relative to the sparse
 #: boolean kernels: every expanded product drags a value word through
@@ -186,22 +181,13 @@ class HybridPolicy:
         simulated-executor break-even; ``autotune=True`` replaces it
         with a measured one (:func:`autotune_four_russians`).
     tiled:
-        When True (default) the bit route may execute ``mxm`` / ``kron``
-        over a :class:`~repro.formats.tiled.TiledBitMatrix` grid —
-        skipping all-zero tiles and (above ``tiled_parallel_min_words``)
-        fanning output tile strips over a worker pool.  The cost model
-        arbitrates flat vs tiled per call using the exact present-tile
-        pair count; ``False`` pins the flat kernels (ablation baseline).
+        When True (default) the bit route may execute ``mxm`` over a
+        :class:`~repro.formats.tiled.TiledBitMatrix` grid,
+        skipping all-zero tiles.  The cost model arbitrates flat vs
+        tiled per call using the exact present-tile pair count;
+        ``False`` pins the flat kernels (ablation baseline).
     tile_size:
         Tile edge in bits (multiple of 64).
-    workers:
-        Worker-pool width for the parallel tiled kernels; ``0`` (the
-        default) defers to ``REPRO_BIT_WORKERS`` (serial when unset).
-    tiled_parallel_min_words:
-        Smallest predicted kernel cost (word-op units) worth fanning out
-        to the pool — below it thread handoff outweighs the work.
-        ``autotune=True`` replaces the default with a measured value
-        (:func:`autotune_tiled_parallel`), persisted like the crossover.
     """
 
     mode: str = "auto"
@@ -212,8 +198,6 @@ class HybridPolicy:
     four_russians_min_rows: int = 128
     tiled: bool = True
     tile_size: int = DEFAULT_TILE
-    workers: int = 0
-    tiled_parallel_min_words: int = 1 << 22
 
     def __post_init__(self):
         if self.mode not in ("auto", "sparse", "bit"):
@@ -228,10 +212,6 @@ class HybridPolicy:
             raise InvalidArgumentError(
                 f"tile_size {self.tile_size} must be a positive multiple of 64"
             )
-        if self.workers < 0:
-            raise InvalidArgumentError("workers must be >= 0")
-        if self.tiled_parallel_min_words < 0:
-            raise InvalidArgumentError("tiled_parallel_min_words must be >= 0")
 
     @property
     def spgemm_flop_cost(self) -> float:
@@ -383,16 +363,20 @@ class HybridBackend(Backend):
         super().__init__(inner.device)
         self.inner = inner
         self.policy = policy if policy is not None else HybridPolicy()
-        #: op -> Counter of route decisions ("sparse"/"bit"), for the
-        #: ablation benchmark and tests.
-        self.dispatch_counts: dict[str, Counter] = {}
+        #: Leaf lock over the telemetry dicts below: one backend serves
+        #: every scheduler worker of a QueryService, and the counters
+        #: are read-modify-write.  Never held across a kernel call.
+        self._telemetry_lock = make_lock("HybridBackend._telemetry_lock")
+        #: op -> Counter of route decisions ("sparse"/"bit"/"value"),
+        #: for the ablation benchmark and tests.
+        self.dispatch_counts: dict[str, Counter] = {}  # guarded-by: _telemetry_lock
         #: op -> Counter of bit-kernel choices (mxm "blocked" /
         #: "four_russians" / "tiled" / "tiled_four_russians", kron
-        #: "flat" / "tiled"), separate from route decisions.
-        self.kernel_counts: dict[str, Counter] = {}
+        #: "flat"), separate from route decisions.
+        self.kernel_counts: dict[str, Counter] = {}  # guarded-by: _telemetry_lock
         #: op -> kernel -> accumulated wall seconds, the per-route
         #: timing telemetry surfaced by the service tier and selftest.
-        self.kernel_times: dict[str, dict[str, float]] = {}
+        self.kernel_times: dict[str, dict[str, float]] = {}  # guarded-by: _telemetry_lock
         #: value dtype str -> GenericBackend executing value semirings
         #: on this device's arena (created lazily, kept for the session
         #: so value results stay addressable).
@@ -400,19 +384,41 @@ class HybridBackend(Backend):
         #: op -> accumulated predicted word-op cost of value dispatches
         #: (:meth:`estimate_value_cost`) — the value route's half of the
         #: cost-model telemetry.
-        self.value_costs: dict[str, float] = {}
+        self.value_costs: dict[str, float] = {}  # guarded-by: _telemetry_lock
         self._fixpoint_depth = 0
 
-    @property
-    def bit_workers(self) -> int:
-        """Resolved worker-pool width: ``policy.workers``, else
-        ``REPRO_BIT_WORKERS``, else 1 (serial)."""
-        return max(1, self.policy.workers or bit_workers_from_env())
-
     def _record_kernel(self, op: str, kernel: str, seconds: float) -> None:
-        self.kernel_counts.setdefault(op, Counter())[kernel] += 1
-        times = self.kernel_times.setdefault(op, {})
-        times[kernel] = times.get(kernel, 0.0) + seconds
+        with self._telemetry_lock:
+            self.kernel_counts.setdefault(op, Counter())[kernel] += 1
+            times = self.kernel_times.setdefault(op, {})
+            times[kernel] = times.get(kernel, 0.0) + seconds
+
+    def telemetry(self) -> dict:
+        """Consistent copy of ``dispatch_counts`` / ``kernel_counts`` /
+        ``kernel_times`` / ``value_costs``, keyed by those names — the
+        read side for other threads (service stats) while workers are
+        still dispatching."""
+        with self._telemetry_lock:
+            return {
+                "dispatch_counts": {
+                    op: dict(c) for op, c in self.dispatch_counts.items()
+                },
+                "kernel_counts": {
+                    op: dict(c) for op, c in self.kernel_counts.items()
+                },
+                "kernel_times": {
+                    op: dict(t) for op, t in self.kernel_times.items()
+                },
+                "value_costs": dict(self.value_costs),
+            }
+
+    def _record_route(
+        self, op: str, decision: str, value_cost: float | None = None
+    ) -> None:
+        with self._telemetry_lock:
+            self.dispatch_counts.setdefault(op, Counter())[decision] += 1
+            if value_cost is not None:
+                self.value_costs[op] = self.value_costs.get(op, 0.0) + value_cost
 
     # -- residency hint ----------------------------------------------------
 
@@ -529,16 +535,14 @@ class HybridBackend(Backend):
             + float(m * _words_per_row(n))
         )
 
-    def _bit_mxm_plan(self, a: HybridMatrix, b: HybridMatrix) -> tuple[str, int]:
-        """Choose the bit ``mxm`` kernel and worker count.
+    def _bit_mxm_plan(self, a: HybridMatrix, b: HybridMatrix) -> str:
+        """Choose the bit ``mxm`` kernel.
 
         Compares the flat blocked kernel, flat Four-Russians, and their
         tiled counterparts in word-op units.  The tiled costs charge
         only *present* tile pairs (plus a per-pair dispatch overhead and
         the output presence rescan), so block-structured operands route
-        tiled while fully-occupied grids stay flat.  Workers fan out
-        only when the chosen tiled kernel's predicted cost clears
-        ``tiled_parallel_min_words``.
+        tiled while fully-occupied grids stay flat.
         """
         pol = self.policy
         m, k = a.shape
@@ -551,12 +555,12 @@ class HybridBackend(Backend):
             if flat_fr < cost:
                 kernel, cost = "four_russians", flat_fr
         if not (pol.tiled and m and k and n):
-            return kernel, 1
+            return kernel
         tile = pol.tile_size
         ntr, ntk, ntj = -(-m // tile), -(-k // tile), -(-n // tile)
         if ntr * ntk * ntj <= 1:
             # Single-tile grid: same work as flat plus scan overhead.
-            return kernel, 1
+            return kernel
         wpt = tile // WORD_BITS
         pairs, conv = self._tile_pairs(a, b, ntr, ntk, ntj)
         refresh = float(m * wpr)
@@ -584,13 +588,8 @@ class HybridBackend(Backend):
                 + table_words + conv + refresh
             )
             if fr_tiled < cost and self._bit_fits(int(table_words) * 8):
-                kernel, cost = "tiled_four_russians", fr_tiled
-        workers = 1
-        if kernel in ("tiled", "tiled_four_russians"):
-            pool = self.bit_workers
-            if pool > 1 and cost >= pol.tiled_parallel_min_words:
-                workers = pool
-        return kernel, workers
+                kernel = "tiled_four_russians"
+        return kernel
 
     def _run_tiled_mxm(
         self,
@@ -598,16 +597,15 @@ class HybridBackend(Backend):
         a: HybridMatrix,
         b: HybridMatrix,
         kernel: str,
-        workers: int,
         mask: BitMatrix | None = None,
     ) -> TiledBitMatrix:
-        """Execute the tiled multiply with arena-accounted worker scratch.
+        """Execute the tiled multiply with arena-accounted scratch.
 
-        The per-worker ``(sel, red)`` buffers of the blocked path come
-        from the device arena (and are freed before returning), so the
-        parallel route's scratch footprint is visible to the memory
-        experiments; the Four-Russians variant's per-present-tile tables
-        are bounded host scratch charged by :meth:`_bit_mxm_plan`.
+        The ``(sel, red)`` buffers of the blocked path come from the
+        device arena (and are freed before returning), so the tiled
+        route's scratch footprint is visible to the memory experiments;
+        the Four-Russians variant's per-present-tile tables are bounded
+        host scratch charged by :meth:`_bit_mxm_plan`.
         """
         a_t = self._ensure_tiled(a)
         b_t = self._ensure_tiled(b)
@@ -617,41 +615,18 @@ class HybridBackend(Backend):
         scratch_bufs = []
         if not four_russians:
             sel_shape, red_shape = scratch_shapes(self.policy.tile_size)
-            scratch = []
-            for _ in range(workers):
-                sel_buf = self.device.arena.alloc(sel_shape, _WORD)
-                red_buf = self.device.arena.alloc(red_shape, _WORD)
-                scratch_bufs += [sel_buf, red_buf]
-                scratch.append((sel_buf.data, red_buf.data))
+            sel_buf = self.device.arena.alloc(sel_shape, _WORD)
+            red_buf = self.device.arena.alloc(red_shape, _WORD)
+            scratch_bufs = [sel_buf, red_buf]
+            scratch = (sel_buf.data, red_buf.data)
         try:
             out_t.mxm_into(
-                a_t,
-                b_t,
-                four_russians=four_russians,
-                workers=workers,
-                scratch=scratch,
-                mask=mask,
+                a_t, b_t, four_russians=four_russians, scratch=scratch, mask=mask
             )
         finally:
             for sbuf in scratch_bufs:
                 sbuf.free()
         return out_t
-
-    def _bit_kron_plan(
-        self, a: HybridMatrix, out_shape: tuple[int, int]
-    ) -> tuple[str, int]:
-        """Choose flat vs parallel-tiled kron: tiles only pay off here
-        through the worker pool (the flat kernel already skips empty A
-        columns), so go tiled exactly when the pool exists and the
-        output is big enough to amortize the fan-out."""
-        pol = self.policy
-        workers = self.bit_workers
-        if not pol.tiled or workers <= 1 or a.nrows <= 1:
-            return "flat", 1
-        est = KRON_BIT_WORD_COST * self._bit_words(*out_shape)
-        if est < pol.tiled_parallel_min_words:
-            return "flat", 1
-        return "tiled", min(workers, a.nrows)
 
     def _ensure_sparse(self, m: HybridMatrix) -> BackendMatrix:
         if m.sparse is None:
@@ -866,10 +841,9 @@ class HybridBackend(Backend):
     ) -> GenericBackend:
         """Dispatch bookkeeping for a value-semiring op: record the
         decision and the predicted cost, return the executor."""
-        self.value_costs[op] = self.value_costs.get(op, 0.0) + (
-            self.estimate_value_cost(op, a, b, out_shape)
+        self._record_route(
+            op, "value", self.estimate_value_cost(op, a, b, out_shape)
         )
-        self.dispatch_counts.setdefault(op, Counter())["value"] += 1
         return self._value_backend(s)
 
     def _value_result(self, op: str, s, started: float, out) -> HybridMatrix:
@@ -895,7 +869,7 @@ class HybridBackend(Backend):
             decision = est.winner
             if decision == "bit" and not self._bit_fits(est.bit_bytes_needed):
                 decision = "sparse"
-        self.dispatch_counts.setdefault(op, Counter())[decision] += 1
+        self._record_route(op, decision)
         return decision
 
     def _bit_fits(self, extra_bytes: int) -> bool:
@@ -1021,7 +995,7 @@ class HybridBackend(Backend):
             # writes into its operands.  The mask is applied inside the
             # kernel per contribution (AND-NOT distributes over the OR
             # accumulation), so the masked product never materializes.
-            kernel, workers = self._bit_mxm_plan(a, b)
+            kernel = self._bit_mxm_plan(a, b)
             out, buf = self._alloc_bit(out_shape)
             if accumulate is not None:
                 np.copyto(out.words, self._ensure_bit(accumulate).storage.words)
@@ -1030,9 +1004,7 @@ class HybridBackend(Backend):
             started = time.perf_counter()
             out_tiled = None
             if kernel in ("tiled", "tiled_four_russians"):
-                out_tiled = self._run_tiled_mxm(
-                    out, a, b, kernel, workers, mask=mask_bit
-                )
+                out_tiled = self._run_tiled_mxm(out, a, b, kernel, mask=mask_bit)
             elif kernel == "four_russians":
                 out.mxm_four_russians_into(a_bit, b_bit, mask_bit)
             else:
@@ -1101,40 +1073,18 @@ class HybridBackend(Backend):
             a_bit: BitMatrix = self._ensure_bit(a).storage
             b_bit: BitMatrix = self._ensure_bit(b).storage
             # Allocate the product in the arena and scatter into it
-            # directly — no host word array, no adoption copy.
+            # directly — no host word array, no adoption copy.  Always
+            # the flat kernel: it already skips empty A columns, so a
+            # tile grid has nothing further to skip.
             out, buf = self._alloc_bit(out_shape)
             out.words.fill(0)
-            out_tiled = self._run_kron(out, a, b, a_bit, b_bit)
-            return HybridMatrix(
-                self, bit=BackendMatrix(out, self, [buf]), tiled=out_tiled
-            )
+            started = time.perf_counter()
+            out.kron_into(a_bit, b_bit)
+            self._record_kernel("kron", "flat", time.perf_counter() - started)
+            return HybridMatrix(self, bit=BackendMatrix(out, self, [buf]))
         return self._wrap_sparse(
             self.inner.kron(self._ensure_sparse(a), self._ensure_sparse(b))
         )
-
-    def _run_kron(
-        self,
-        out: BitMatrix,
-        a: HybridMatrix,
-        b: HybridMatrix,
-        a_bit: BitMatrix,
-        b_bit: BitMatrix,
-    ) -> TiledBitMatrix | None:
-        """Scatter ``a ⊗ b`` into ``out``, parallel over A-row blocks
-        when the plan engages the pool.  Returns the tiled output view
-        (None on the flat path)."""
-        kernel, workers = self._bit_kron_plan(a, out.shape)
-        started = time.perf_counter()
-        out_tiled = None
-        if kernel == "tiled":
-            out_tiled = TiledBitMatrix(out, self.policy.tile_size, scan=False)
-            out_tiled.kron_into(
-                self._ensure_tiled(a), self._ensure_tiled(b), workers=workers
-            )
-        else:
-            out.kron_into(a_bit, b_bit)
-        self._record_kernel("kron", kernel, time.perf_counter() - started)
-        return out_tiled
 
     def kron_accumulate(self, a, b, accumulate, *, semiring=None):
         s = self._resolve_semiring(semiring)
@@ -1166,10 +1116,10 @@ class HybridBackend(Backend):
             # then OR-scatter the Kronecker blocks over it.
             out, buf = self._alloc_bit(out_shape)
             np.copyto(out.words, acc_bit.words)
-            out_tiled = self._run_kron(out, a, b, a_bit, b_bit)
-            return HybridMatrix(
-                self, bit=BackendMatrix(out, self, [buf]), tiled=out_tiled
-            )
+            started = time.perf_counter()
+            out.kron_into(a_bit, b_bit)
+            self._record_kernel("kron", "flat", time.perf_counter() - started)
+            return HybridMatrix(self, bit=BackendMatrix(out, self, [buf]))
         return self._wrap_sparse(
             self.inner.kron_accumulate(
                 self._ensure_sparse(a),
@@ -1193,7 +1143,7 @@ class HybridBackend(Backend):
 
     def transpose(self, a):
         decision = self._stay_resident(a)
-        self.dispatch_counts.setdefault("transpose", Counter())[decision] += 1
+        self._record_route("transpose", decision)
         if decision == "value":
             return HybridMatrix(self, value=a.value.backend.transpose(a.value))
         if decision == "bit":
@@ -1220,7 +1170,7 @@ class HybridBackend(Backend):
     def extract_submatrix(self, a, i, j, nrows, ncols):
         self._check_submatrix(a, i, j, nrows, ncols)
         decision = self._stay_resident(a)
-        self.dispatch_counts.setdefault("extract", Counter())[decision] += 1
+        self._record_route("extract", decision)
         if decision == "value":
             return HybridMatrix(
                 self,
@@ -1247,14 +1197,14 @@ class HybridBackend(Backend):
                 # Boolean reduce of a value-resident matrix: stay on the
                 # value route, whose reduce has the same pattern
                 # (non-empty rows) — converting would drop the values.
-                self.dispatch_counts.setdefault("reduce", Counter())["value"] += 1
+                self._record_route("reduce", "value")
                 be, ga = a.value.backend, a.value
             started = time.perf_counter()
             return self._value_result(
                 "reduce", s, started, be.reduce_to_column(ga, semiring=s)
             )
         decision = self._stay_resident(a)
-        self.dispatch_counts.setdefault("reduce", Counter())[decision] += 1
+        self._record_route("reduce", decision)
         if decision == "bit":
             # Word-parallel row-OR straight off the packed view; the
             # skinny m x 1 result always lives sparse.
@@ -1300,23 +1250,17 @@ def wrap_backend(
     autotune: bool = False,
     fuse: bool = True,
     tiled: bool = True,
-    workers: int | None = None,
 ) -> HybridBackend:
     """Wrap an existing sparse backend instance in a hybrid dispatcher.
 
     ``autotune=True`` replaces the analytic defaults with measured ones:
     the sparse/bit crossover density (:func:`autotune_crossover`, unless
-    an explicit ``crossover_density`` is given), the Four-Russians row
-    break-even (:func:`autotune_four_russians`), and the tiled parallel
-    threshold (:func:`autotune_tiled_parallel`).  ``fuse=False`` selects
-    the unfused compose-then-merge accumulate path (E13 ablation);
-    ``tiled=False`` pins the flat bit kernels (E14 ablation).
-    ``workers`` overrides the pool width (None defers to
-    ``REPRO_BIT_WORKERS``).
+    an explicit ``crossover_density`` is given) and the Four-Russians
+    row break-even (:func:`autotune_four_russians`).  ``fuse=False``
+    selects the unfused compose-then-merge accumulate path (E13
+    ablation); ``tiled=False`` pins the flat bit kernels (E14 ablation).
     """
     policy = HybridPolicy(mode=mode, fuse=fuse, tiled=tiled)
-    if workers is not None:
-        policy = replace(policy, workers=workers)
     if crossover_density is not None:
         policy = replace(policy, crossover_density=crossover_density)
     elif autotune:
@@ -1325,20 +1269,16 @@ def wrap_backend(
         policy = replace(
             policy, four_russians_min_rows=autotune_four_russians(inner)
         )
-        if tiled:
-            policy = replace(
-                policy,
-                tiled_parallel_min_words=autotune_tiled_parallel(inner),
-            )
     return HybridBackend(inner=inner, policy=policy)
 
 
-# -- crossover auto-tuning ----------------------------------------------------
+# -- auto-tuning ---------------------------------------------------------------
 
-#: (backend name, device name) -> measured crossover density.  The probe
-#: sweep costs tens of milliseconds; contexts are created per test/query
-#: batch, so the measurement is taken once per process and host.
-_AUTOTUNE_CACHE: dict[tuple[str, str], float] = {}
+#: (autotune.json field, backend name, device name) -> measured value.
+#: A probe costs tens of milliseconds; contexts are created per
+#: test/query batch, so each measurement is taken once per process and
+#: host.
+_AUTOTUNE_CACHE: dict[tuple[str, str, str], float | int] = {}
 
 AUTOTUNE_MIN_DENSITY = 1.0 / 1024
 AUTOTUNE_MAX_DENSITY = 0.5
@@ -1350,6 +1290,59 @@ def autotune_from_env(environ=None) -> bool:
         "REPRO_HYBRID_AUTOTUNE", ""
     )
     return raw.strip().lower() in ("1", "on", "true", "yes", "auto")
+
+
+def _measured(field: str, inner: Backend, probe, use_cache: bool):
+    """The one autotune skeleton: process cache, then the value persisted
+    under ``field`` in the ``REPRO_STORE`` metadata directory
+    (``autotune.json``), then ``probe()``.
+
+    ``probe`` returns ``(value, probe-shape fields)``; a fresh
+    measurement is memoized and written back best-effort, so repeat
+    deployments skip the startup probe.  ``use_cache=False`` forces the
+    probe.
+    """
+    from repro.store.metadata import (
+        load_autotune,
+        save_autotune,
+        store_root_from_env,
+    )
+
+    names = (inner.name, inner.device.name)
+    key = (field, *names)
+    root = store_root_from_env()
+    if use_cache:
+        if key in _AUTOTUNE_CACHE:
+            return _AUTOTUNE_CACHE[key]
+        if root is not None:
+            persisted = load_autotune(root, *names, field)
+            if persisted is not None:
+                _AUTOTUNE_CACHE[key] = persisted  # reprolint: disable=R5
+                return persisted
+    value, probe_shape = probe()
+    # Process-level memo of the measurement; keyed by field, backend and
+    # device, write-once per key.
+    _AUTOTUNE_CACHE[key] = value  # reprolint: disable=R5
+    if root is not None:
+        try:
+            save_autotune(root, *names, **{field: value}, **probe_shape)
+        except OSError:
+            # A read-only or missing store root must never break context
+            # creation — the measurement still lives in the process cache.
+            pass
+    return value
+
+
+def _best_time(fn, runs: int) -> float:
+    """Best wall time of ``runs`` calls (device results are freed)."""
+    best = float("inf")
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+        if hasattr(out, "free"):
+            out.free()
+    return best
 
 
 def autotune_crossover(
@@ -1368,69 +1361,48 @@ def autotune_crossover(
     miniature: time the wrapped backend's sparse SpGEMM against the
     packed :meth:`BitMatrix.mxm` on ``n × n`` random squares over a
     short density ladder, then log-interpolate where the ratio crosses
-    1.  Results are cached per (backend, device) for the process.
+    1.  Cached and persisted per (backend, device) by :func:`_measured`.
     """
-    key = (inner.name, inner.device.name)
-    if use_cache and key in _AUTOTUNE_CACHE:
-        return _AUTOTUNE_CACHE[key]
-    if use_cache:
-        persisted = _load_persisted_crossover(*key)
-        if persisted is not None:
-            _AUTOTUNE_CACHE[key] = persisted  # reprolint: disable=R5
-            return persisted
 
-    # Seeded calibration probe: deterministic (fixed seed), used only to
-    # synthesize autotune workloads, never inside a kernel.
-    rng = np.random.default_rng(0xE11)  # reprolint: disable=R5
+    def probe():
+        # Seeded calibration probe: deterministic (fixed seed), used only
+        # to synthesize autotune workloads, never inside a kernel.
+        rng = np.random.default_rng(0xE11)  # reprolint: disable=R5
+        ratios: list[tuple[float, float]] = []  # (density, bit/sparse time)
+        for density in densities:
+            target = max(1, int(round(density * n * n)))
+            rows = rng.integers(0, n, size=target)
+            cols = rng.integers(0, n, size=target)
+            sp = inner.matrix_from_coo(rows, cols, (n, n))
+            bit = BitMatrix.from_coo(rows, cols, (n, n))
+            try:
+                t_sparse = _best_time(lambda: inner.mxm(sp, sp), runs)
+                t_bit = _best_time(lambda: bit.mxm(bit), runs)
+            finally:
+                sp.free()
+            ratios.append((density, t_bit / max(t_sparse, 1e-9)))
 
-    def best_time(fn) -> float:
-        best = float("inf")
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            out = fn()
-            best = min(best, time.perf_counter() - t0)
-            if hasattr(out, "free"):
-                out.free()
-        return best
+        crossover = None
+        for (d0, r0), (d1, r1) in zip(ratios, ratios[1:]):
+            if r0 > 1.0 >= r1:
+                # Log-space interpolation of the ratio crossing 1.
+                f = np.log(r0) / (np.log(r0) - np.log(max(r1, 1e-9)))
+                crossover = float(
+                    np.exp(np.log(d0) + f * (np.log(d1) - np.log(d0)))
+                )
+                break
+        if crossover is None:
+            if ratios[0][1] <= 1.0:  # bit already wins at the sparsest probe
+                crossover = densities[0] / 2
+            else:  # sparse wins across the whole ladder
+                crossover = densities[-1] * 2
+        crossover = float(
+            np.clip(crossover, AUTOTUNE_MIN_DENSITY, AUTOTUNE_MAX_DENSITY)
+        )
+        return crossover, {"probe_n": n}
 
-    ratios: list[tuple[float, float]] = []  # (density, bit/sparse time ratio)
-    for density in densities:
-        target = max(1, int(round(density * n * n)))
-        rows = rng.integers(0, n, size=target)
-        cols = rng.integers(0, n, size=target)
-        sp = inner.matrix_from_coo(rows, cols, (n, n))
-        bit = BitMatrix.from_coo(rows, cols, (n, n))
-        try:
-            t_sparse = best_time(lambda: inner.mxm(sp, sp))
-            t_bit = best_time(lambda: bit.mxm(bit))
-        finally:
-            sp.free()
-        ratios.append((density, t_bit / max(t_sparse, 1e-9)))
+    return _measured("crossover", inner, probe, use_cache)
 
-    crossover = None
-    for (d0, r0), (d1, r1) in zip(ratios, ratios[1:]):
-        if r0 > 1.0 >= r1:
-            # Log-space interpolation of the ratio crossing 1.
-            f = np.log(r0) / (np.log(r0) - np.log(max(r1, 1e-9)))
-            crossover = float(np.exp(np.log(d0) + f * (np.log(d1) - np.log(d0))))
-            break
-    if crossover is None:
-        if ratios[0][1] <= 1.0:      # bit already wins at the sparsest probe
-            crossover = densities[0] / 2
-        else:                        # sparse wins across the whole ladder
-            crossover = densities[-1] * 2
-    crossover = float(
-        np.clip(crossover, AUTOTUNE_MIN_DENSITY, AUTOTUNE_MAX_DENSITY)
-    )
-    # Process-level memo of the measured crossover; keyed by device and
-    # backend, write-once per key.
-    _AUTOTUNE_CACHE[key] = crossover  # reprolint: disable=R5
-    _save_persisted_crossover(key[0], key[1], crossover, probe_n=n)
-    return crossover
-
-
-#: (backend name, device name) -> measured Four-Russians row break-even.
-_FR_AUTOTUNE_CACHE: dict[tuple[str, str], int] = {}
 
 #: Output-row ladder probed by :func:`autotune_four_russians`.
 FOUR_RUSSIANS_ROW_LADDER = (16, 32, 64, 128, 256)
@@ -1453,224 +1425,36 @@ def autotune_four_russians(
     badly.  This times ``mxm_into`` against ``mxm_four_russians_into``
     for an ``m x k · k x k`` ladder of m and returns the smallest m
     where the table kernel wins (doubled past the ladder end when it
-    never does).  Cached per (backend, device) and persisted next to
-    the crossover density.
+    never does).  Cached and persisted per (backend, device) by
+    :func:`_measured`, next to the crossover density.
     """
-    key = (inner.name, inner.device.name)
-    if use_cache and key in _FR_AUTOTUNE_CACHE:
-        return _FR_AUTOTUNE_CACHE[key]
-    if use_cache:
-        persisted = _load_persisted_fr_min_rows(*key)
-        if persisted is not None:
-            _FR_AUTOTUNE_CACHE[key] = persisted  # reprolint: disable=R5
-            return persisted
 
-    # Seeded calibration probe (same contract as the crossover probe).
-    rng = np.random.default_rng(0xE13)  # reprolint: disable=R5
-
-    def best_time(out: BitMatrix, fn) -> float:
-        best = float("inf")
-        for _ in range(runs):
-            out.words.fill(0)
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    nnz_b = max(1, int(round(density * k * k)))
-    b = BitMatrix.from_coo(
-        rng.integers(0, k, size=nnz_b), rng.integers(0, k, size=nnz_b), (k, k)
-    )
-    break_even = rows[-1] * 2
-    for m in rows:
-        nnz_a = max(1, int(round(density * m * k)))
-        a = BitMatrix.from_coo(
-            rng.integers(0, m, size=nnz_a),
-            rng.integers(0, k, size=nnz_a),
-            (m, k),
+    def probe():
+        # Seeded calibration probe (same contract as the crossover probe).
+        rng = np.random.default_rng(0xE13)  # reprolint: disable=R5
+        nnz_b = max(1, int(round(density * k * k)))
+        b = BitMatrix.from_coo(
+            rng.integers(0, k, size=nnz_b), rng.integers(0, k, size=nnz_b), (k, k)
         )
-        out = BitMatrix.empty((m, k))
-        t_blocked = best_time(out, lambda: out.mxm_into(a, b))
-        t_fr = best_time(out, lambda: out.mxm_four_russians_into(a, b))
-        if t_fr <= t_blocked:
-            break_even = m
-            break
-    _FR_AUTOTUNE_CACHE[key] = break_even  # reprolint: disable=R5
-    _save_persisted_fr_min_rows(key[0], key[1], break_even, probe_k=k)
-    return break_even
+        break_even = rows[-1] * 2
+        for m in rows:
+            nnz_a = max(1, int(round(density * m * k)))
+            a = BitMatrix.from_coo(
+                rng.integers(0, m, size=nnz_a),
+                rng.integers(0, k, size=nnz_a),
+                (m, k),
+            )
+            # OR-into kernels cost the same whatever the output already
+            # holds, so one buffer serves every timed run.
+            out = BitMatrix.empty((m, k))
+            t_blocked = _best_time(lambda: out.mxm_into(a, b), runs)
+            t_fr = _best_time(lambda: out.mxm_four_russians_into(a, b), runs)
+            if t_fr <= t_blocked:
+                break_even = m
+                break
+        return break_even, {"fr_probe_k": k}
 
-
-#: (backend name, device name) -> measured tiled parallel threshold.
-_TILED_AUTOTUNE_CACHE: dict[tuple[str, str], int] = {}
-
-
-def autotune_tiled_parallel(
-    inner: Backend,
-    *,
-    tile: int = DEFAULT_TILE,
-    blocks: int = 3,
-    block_density: float = 0.15,
-    runs: int = 2,
-    use_cache: bool = True,
-) -> int:
-    """Measure whether the worker pool pays off on this host.
-
-    Times the tiled multiply of a block-diagonal probe (the structure
-    the tiled route exists for) serially and with two workers.  When
-    two workers win, the threshold is set to half the probe's predicted
-    kernel cost so comparable-and-larger multiplies fan out; when they
-    lose (single-core hosts, GIL-bound kernels), the
-    :data:`TILED_PARALLEL_NEVER` sentinel keeps the route serial.
-    Cached per (backend, device) and persisted next to the crossover.
-    """
-    key = (inner.name, inner.device.name)
-    if use_cache and key in _TILED_AUTOTUNE_CACHE:
-        return _TILED_AUTOTUNE_CACHE[key]
-    if use_cache:
-        persisted = _load_persisted_tiled_min_words(*key)
-        if persisted is not None:
-            _TILED_AUTOTUNE_CACHE[key] = persisted  # reprolint: disable=R5
-            return persisted
-
-    # Seeded calibration probe (same contract as the crossover probe).
-    rng = np.random.default_rng(0xE14)  # reprolint: disable=R5
-    n = blocks * tile
-    per_block = max(1, int(round(block_density * tile * tile)))
-    rows = np.concatenate(
-        [rng.integers(0, tile, size=per_block) + bi * tile for bi in range(blocks)]
-    )
-    cols = np.concatenate(
-        [rng.integers(0, tile, size=per_block) + bi * tile for bi in range(blocks)]
-    )
-    a = TiledBitMatrix(BitMatrix.from_coo(rows, cols, (n, n)), tile)
-    out = TiledBitMatrix(BitMatrix.empty((n, n)), tile, scan=False)
-    sel_shape, red_shape = scratch_shapes(tile)
-    scratch = [
-        (np.empty(sel_shape, dtype=_WORD), np.empty(red_shape, dtype=_WORD))
-        for _ in range(2)
-    ]
-
-    def best_time(workers: int) -> float:
-        best = float("inf")
-        for _ in range(runs):
-            out.flat.words.fill(0)
-            t0 = time.perf_counter()
-            out.mxm_into(a, a, workers=workers, scratch=scratch[:workers])
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t_serial = best_time(1)
-    t_parallel = best_time(2)
-    wpt = tile // WORD_BITS
-    probe_words = a.present_pairs(a) * (tile * tile * wpt)
-    if t_parallel < 0.85 * t_serial:
-        threshold = max(1, probe_words // 2)
-    else:
-        threshold = TILED_PARALLEL_NEVER
-    _TILED_AUTOTUNE_CACHE[key] = threshold  # reprolint: disable=R5
-    _save_persisted_tiled_min_words(key[0], key[1], threshold, probe_n=n)
-    return threshold
-
-
-def _load_persisted_tiled_min_words(
-    backend_name: str, device_name: str
-) -> int | None:
-    """Tiled parallel threshold persisted in the store metadata."""
-    from repro.store.metadata import (
-        load_autotune_tiled_min_words,
-        store_root_from_env,
-    )
-
-    root = store_root_from_env()
-    if root is None:
-        return None
-    return load_autotune_tiled_min_words(root, backend_name, device_name)
-
-
-def _save_persisted_tiled_min_words(
-    backend_name: str, device_name: str, min_words: int, *, probe_n: int
-) -> None:
-    """Best-effort write-back of a fresh measurement to the store."""
-    from repro.store.metadata import (
-        save_autotune_tiled_min_words,
-        store_root_from_env,
-    )
-
-    root = store_root_from_env()
-    if root is None:
-        return
-    try:
-        save_autotune_tiled_min_words(
-            root, backend_name, device_name, min_words, probe_n=probe_n
-        )
-    except OSError:
-        pass
-
-
-def _load_persisted_fr_min_rows(
-    backend_name: str, device_name: str
-) -> int | None:
-    """Four-Russians break-even persisted in the store metadata."""
-    from repro.store.metadata import load_autotune_fr_min_rows, store_root_from_env
-
-    root = store_root_from_env()
-    if root is None:
-        return None
-    return load_autotune_fr_min_rows(root, backend_name, device_name)
-
-
-def _save_persisted_fr_min_rows(
-    backend_name: str, device_name: str, min_rows: int, *, probe_k: int
-) -> None:
-    """Best-effort write-back of a fresh measurement to the store."""
-    from repro.store.metadata import save_autotune_fr_min_rows, store_root_from_env
-
-    root = store_root_from_env()
-    if root is None:
-        return
-    try:
-        save_autotune_fr_min_rows(
-            root, backend_name, device_name, min_rows, probe_k=probe_k
-        )
-    except OSError:
-        pass
-
-
-def _load_persisted_crossover(
-    backend_name: str, device_name: str
-) -> float | None:
-    """Crossover persisted in the ``REPRO_STORE`` metadata directory.
-
-    Consulted before the probe sweep so repeat deployments skip the
-    startup measurement (ROADMAP "Persist autotune measurements").
-    Always best-effort: no store configured, or an unreadable file,
-    just means measuring again.
-    """
-    from repro.store.metadata import load_autotune, store_root_from_env
-
-    root = store_root_from_env()
-    if root is None:
-        return None
-    return load_autotune(root, backend_name, device_name)
-
-
-def _save_persisted_crossover(
-    backend_name: str, device_name: str, crossover: float, *, probe_n: int
-) -> None:
-    """Best-effort write-back of a fresh measurement to the store."""
-    from repro.store.metadata import save_autotune, store_root_from_env
-
-    root = store_root_from_env()
-    if root is None:
-        return
-    try:
-        save_autotune(
-            root, backend_name, device_name, crossover, probe_n=probe_n
-        )
-    except OSError:
-        # A read-only or missing store root must never break context
-        # creation — the measurement still lives in the process cache.
-        pass
+    return _measured("four_russians_min_rows", inner, probe, use_cache)
 
 
 register_backend("hybrid", lambda device=None: HybridBackend(device=device))

@@ -18,9 +18,9 @@ paper's *Implementation Details* section:
   (64 columns per machine word); the classic dense-boolean alternative
   used for ablation and as a small-matrix fast path.
 * :class:`~repro.formats.tiled.TiledBitMatrix` — grid-of-bit-tiles view
-  over a flat bit matrix with a presence bitmap: zero tiles are skipped
-  and independent output tile strips run on a worker pool (the hybrid
-  backend's multi-core bit route).
+  over a flat bit matrix with a presence bitmap: the multiply visits
+  only present tile pairs (the hybrid backend's block-structured bit
+  route).
 
 :mod:`repro.formats.convert` provides conversions among all of them.
 """

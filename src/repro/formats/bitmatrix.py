@@ -32,6 +32,13 @@ _WORD = np.uint64
 #: wpr_b`` intermediate stays under this (default 4 MiB of words).
 _MXM_TEMP_WORDS = 1 << 19
 
+#: Four-Russians geometry: B's rows are grouped 8 at a time (one byte of
+#: an A row selects within a group), one 256-entry table of OR
+#: combinations per group.  The tiled kernel and the hybrid cost model
+#: import these — the byte-view gather only works for 8.
+_FR_GROUP_ROWS = 8
+_FR_TABLE_ENTRIES = 1 << _FR_GROUP_ROWS
+
 
 class BitMatrix(SparseFormat):
     """Dense boolean matrix packed into 64-bit words, row-major."""
@@ -308,15 +315,15 @@ class BitMatrix(SparseFormat):
         if m == 0 or k == 0 or b.ncols == 0:
             return self
         wpr_b = b.words.shape[1]
-        groups = (k + 7) // 8
+        groups = -(-k // _FR_GROUP_ROWS)
         # Group B's word-rows 8 at a time (zero-padded tail group).
-        grouped = np.zeros((groups * 8, wpr_b), dtype=_WORD)
+        grouped = np.zeros((groups * _FR_GROUP_ROWS, wpr_b), dtype=_WORD)
         grouped[:k] = b.words
-        grouped = grouped.reshape(groups, 8, wpr_b)
+        grouped = grouped.reshape(groups, _FR_GROUP_ROWS, wpr_b)
         # table[g, mask] = OR of the group's rows selected by mask's bits,
         # built by doubling: entries [2^t, 2^(t+1)) = entries [0, 2^t) | row t.
-        table = np.zeros((groups, 256, wpr_b), dtype=_WORD)
-        for t in range(8):
+        table = np.zeros((groups, _FR_TABLE_ENTRIES, wpr_b), dtype=_WORD)
+        for t in range(_FR_GROUP_ROWS):
             half = 1 << t
             table[:, half : 2 * half] = table[:, :half] | grouped[:, t : t + 1]
         # A's row bytes select table entries; padding bits are zero, so

@@ -8,20 +8,15 @@ are shared with the flat matrix — wrapping is zero-copy — so the tiled
 view costs ``ceil(m/T) * ceil(n/T)`` bytes of metadata on top of the
 flat storage.
 
-Two things fall out of the grid (the Karppa–Kaski multiple-accelerator
-tiling and Bit-GraphBLAS' hierarchical bit-tile storage, see PAPERS.md):
-
-* **Zero-tile skipping.**  ``C[ti,tj] |= OR_tk A[ti,tk] · B[tk,tj]``
-  only visits pairs where both tiles are present, so block-structured
-  operands (the shape fixpoint closures settle into) pay for their
-  occupied tiles, not the full dense grid.
-* **Multi-core execution.**  Output row-strips of the grid are
-  independent: no two strips share an output word, so a small thread
-  pool runs them concurrently while NumPy releases the GIL inside the
-  word kernels.  The write-partitioning invariant (each worker owns a
-  disjoint set of output tile rows) is what keeps the fused
-  ``accumulate=`` contract intact — the seed already sitting in the
-  output words is only ever OR-extended by its owning worker.
+What falls out of the grid (Bit-GraphBLAS' hierarchical bit-tile
+storage, see PAPERS.md) is **zero-tile skipping**:
+``C[ti,tj] |= OR_tk A[ti,tk] · B[tk,tj]`` only visits pairs where both
+tiles are present, so block-structured operands (the shape fixpoint
+closures settle into) pay for their occupied tiles, not the full dense
+grid.  The kernels are serial by construction: a 256×256-bit tile driven
+by per-tile Python dispatch is too small a task for a thread fan-out to
+beat the GIL (measured in EXPERIMENTS.md E14; Karppa–Kaski's
+multi-worker decomposition pays only at accelerator-sized blocks).
 
 The presence bitmap is *exact* on every publicly observable matrix:
 kernels rescan their output (one word-level ``reduceat`` sweep) before
@@ -32,60 +27,32 @@ exact tile-pair count as the cost input.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from repro.errors import DimensionMismatchError, InvalidArgumentError
 from repro.formats.base import SparseFormat
 from repro.formats.bitmatrix import (
-    _MXM_TEMP_WORDS,
+    _FR_GROUP_ROWS,
+    _FR_TABLE_ENTRIES,
     _WORD,
     WORD_BITS,
     BitMatrix,
-    _words_per_row,
 )
 
 #: Default tile edge in bits.  256 keeps a full output tile row-strip
-#: (tile x wpt words) inside L2 while leaving enough work per strip to
-#: amortize Python dispatch; the hybrid autotuner probes whether the
-#: parallel path pays off on the host (see autotune_tiled_parallel).
+#: (tile x wpt words) inside L2 while leaving enough work per tile pair
+#: to amortize Python dispatch.
 DEFAULT_TILE = 256
-
-#: Rows of Four-Russians grouping (must match the flat kernel).
-_FR_GROUP_ROWS = 8
-_FR_TABLE_ENTRIES = 1 << _FR_GROUP_ROWS
-
-
-def bit_workers_from_env(environ=None) -> int:
-    """Parse ``REPRO_BIT_WORKERS``: 0 (unset — serial default) or >= 1."""
-    raw = (environ if environ is not None else os.environ).get(
-        "REPRO_BIT_WORKERS", ""
-    )
-    raw = raw.strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidArgumentError(
-            f"REPRO_BIT_WORKERS={raw!r} is not an integer"
-        ) from None
-    if value < 0:
-        raise InvalidArgumentError("REPRO_BIT_WORKERS must be >= 0")
-    return value
 
 
 def scratch_shapes(tile: int) -> tuple[tuple[int, int, int], tuple[int, int]]:
-    """Per-worker scratch shapes of the blocked tiled multiply.
+    """Scratch shapes of the blocked tiled multiply.
 
     One ``(tile, wpt, 64)`` select cube plus one ``(tile, wpt)``
     reduction row-strip, both uint64 — the tiled analogue of the flat
     kernel's ``_MXM_TEMP_WORDS``-bounded temporary.  The hybrid backend
-    allocates these from the arena so the parallel path's footprint
-    shows up in the memory experiments.
+    allocates these from the arena so the tiled route's footprint shows
+    up in the memory experiments.
     """
     wpt = tile // WORD_BITS
     return (tile, wpt, WORD_BITS), (tile, wpt)
@@ -190,8 +157,7 @@ class TiledBitMatrix(SparseFormat):
     # -- kernels -----------------------------------------------------------
 
     def mxm(
-        self, other: "TiledBitMatrix", *, four_russians: bool = False,
-        workers: int = 1,
+        self, other: "TiledBitMatrix", *, four_russians: bool = False
     ) -> "TiledBitMatrix":
         """Boolean product; allocates a zeroed result and delegates to
         :meth:`mxm_into`."""
@@ -200,9 +166,7 @@ class TiledBitMatrix(SparseFormat):
         out = TiledBitMatrix(
             BitMatrix.empty((self.nrows, other.ncols)), self.tile, scan=False
         )
-        return out.mxm_into(
-            self, other, four_russians=four_russians, workers=workers
-        )
+        return out.mxm_into(self, other, four_russians=four_russians)
 
     def mxm_into(
         self,
@@ -210,8 +174,7 @@ class TiledBitMatrix(SparseFormat):
         b: "TiledBitMatrix",
         *,
         four_russians: bool = False,
-        workers: int = 1,
-        scratch: list | None = None,
+        scratch: tuple[np.ndarray, np.ndarray] | None = None,
         mask: BitMatrix | None = None,
     ) -> "TiledBitMatrix":
         """OR the boolean product ``a @ b`` into ``self``'s words,
@@ -220,19 +183,15 @@ class TiledBitMatrix(SparseFormat):
         Fused-accumulate contract of the flat ``*_into`` kernels: the
         pattern already in ``self`` is preserved (each output word only
         ever ORs product terms in), ``self`` must not alias an operand.
-        ``workers > 1`` round-robins output tile row-strips over a
-        shared thread pool — strips are disjoint output rows, so no two
-        workers touch the same word (the write-partitioning invariant).
 
-        ``scratch`` supplies the per-worker ``(sel, red)`` uint64 pairs
-        of :func:`scratch_shapes` for the blocked path (the hybrid
-        backend passes arena-accounted buffers); None allocates host
-        scratch.  The Four-Russians variant replaces the scratch with
+        ``scratch`` supplies the ``(sel, red)`` uint64 pair of
+        :func:`scratch_shapes` for the blocked path (the hybrid backend
+        passes arena-accounted buffers); None allocates host scratch.
+        The Four-Russians variant replaces the scratch with
         per-present-B-tile 256-entry OR tables.  ``mask`` is a *flat*
         :class:`BitMatrix` complement filter of the output shape
         (``self ∨= (a·b) ∧ ¬mask``, per-contribution like the flat
-        kernels — read-only, so workers share it safely).  Returns
-        ``self``.
+        kernels).  Returns ``self``.
         """
         if a.ncols != b.nrows:
             raise DimensionMismatchError("mxm_into", a.shape, b.shape)
@@ -243,89 +202,32 @@ class TiledBitMatrix(SparseFormat):
         if m == 0 or k == 0 or b.ncols == 0:
             self.refresh_presence()
             return self
-        strips = [ti for ti in range(a.tiles_rows) if a.present[ti].any()]
-        workers = max(1, min(int(workers), max(1, len(strips))))
         tables = _build_fr_tables(b) if four_russians else None
-        if tables is None:
-            if scratch is None:
-                sel_shape, red_shape = scratch_shapes(self.tile)
-                scratch = [
-                    (
-                        np.empty(sel_shape, dtype=_WORD),
-                        np.empty(red_shape, dtype=_WORD),
-                    )
-                    for _ in range(workers)
-                ]
-            elif len(scratch) < workers:
-                raise InvalidArgumentError(
-                    f"mxm_into needs {workers} scratch pairs, got {len(scratch)}"
-                )
-        else:
-            scratch = [None] * workers
-        if workers == 1:
-            _mxm_strips(self.flat.words, a, b, strips, scratch[0], tables, mask_words)
-        else:
-            pool = _pool(workers)
-            futures = [
-                pool.submit(
-                    _mxm_strips,
-                    self.flat.words,
-                    a,
-                    b,
-                    strips[w::workers],
-                    scratch[w],
-                    tables,
-                    mask_words,
-                )
-                for w in range(workers)
-            ]
-            for future in futures:
-                future.result()
+        if tables is None and scratch is None:
+            sel_shape, red_shape = scratch_shapes(self.tile)
+            scratch = (
+                np.empty(sel_shape, dtype=_WORD),
+                np.empty(red_shape, dtype=_WORD),
+            )
+        _mxm_tiles(self.flat.words, a, b, scratch, tables, mask_words)
         self.refresh_presence()
         return self
 
-    def kron(
-        self, other: "TiledBitMatrix", *, workers: int = 1
-    ) -> "TiledBitMatrix":
+    def kron(self, other: "TiledBitMatrix") -> "TiledBitMatrix":
         """Kronecker product; zeroed result + :meth:`kron_into`."""
         shape = (self.nrows * other.nrows, self.ncols * other.ncols)
         out = TiledBitMatrix(BitMatrix.empty(shape), self.tile, scan=False)
-        return out.kron_into(self, other, workers=workers)
+        return out.kron_into(self, other)
 
     def kron_into(
-        self, a: "TiledBitMatrix", b: "TiledBitMatrix", *, workers: int = 1
+        self, a: "TiledBitMatrix", b: "TiledBitMatrix"
     ) -> "TiledBitMatrix":
-        """OR ``a ⊗ b`` into ``self``, optionally parallel over A rows.
-
-        Each A row ``i`` owns output row block ``[i*p, (i+1)*p)`` —
-        disjoint words again — so the pool partitions A's rows into
-        contiguous ranges and each worker runs the flat word-stride
-        scatter restricted to its range.  Same fused-accumulate and
-        no-alias contract as the flat kernel.  Returns ``self``.
-        """
+        """OR ``a ⊗ b`` into ``self``: the flat word-stride scatter (it
+        already skips empty A columns, so tiles add nothing to skip)
+        plus a presence rescan.  Same fused-accumulate and no-alias
+        contract as the flat kernel.  Returns ``self``."""
         _check_tiles("kron_into", self, a, b)
-        m, n = a.shape
-        p, q = b.shape
-        self.flat._check_into("kron_into", a.flat, b.flat, (m * p, n * q))
-        workers = max(1, min(int(workers), max(1, m)))
-        if (
-            workers == 1
-            or m == 0 or n == 0 or p == 0 or q == 0
-            or not a.flat.words.any()
-            or not b.flat.words.any()
-        ):
-            self.flat.kron_into(a.flat, b.flat)
-        else:
-            bounds = _row_ranges(m, workers)
-            pool = _pool(workers)
-            futures = [
-                pool.submit(
-                    _kron_rows_into, self.flat.words, a.flat, b.flat, lo, hi
-                )
-                for lo, hi in bounds
-            ]
-            for future in futures:
-                future.result()
+        self.flat.kron_into(a.flat, b.flat)
         self.refresh_presence()
         return self
 
@@ -367,32 +269,23 @@ def _check_tiles(
         )
 
 
-def _row_ranges(m: int, workers: int) -> list[tuple[int, int]]:
-    """Split ``range(m)`` into <= workers contiguous non-empty ranges."""
-    step = -(-m // workers)
-    return [(lo, min(m, lo + step)) for lo in range(0, m, step)]
-
-
 # -- tiled multiply bodies -----------------------------------------------------
 
 
-def _mxm_strips(
+def _mxm_tiles(
     out_words: np.ndarray,
     a: TiledBitMatrix,
     b: TiledBitMatrix,
-    strips: list[int],
     scratch: tuple[np.ndarray, np.ndarray] | None,
     tables: dict | None,
     mask_words: np.ndarray | None = None,
 ) -> None:
-    """Run the tiled multiply for the given output row-strips.
+    """Run the tiled multiply over every present tile pair.
 
-    Writes only into rows ``[ti*T, ti*T+T)`` for ``ti in strips`` — the
-    worker-pool partitioning contract.  ``tables`` switches to the
-    Four-Russians byte-gather path (tables built per present B tile);
-    otherwise ``scratch`` is the ``(sel, red)`` pair of
-    :func:`scratch_shapes`.  ``mask_words`` (read-only, shared across
-    workers) AND-NOTs each tile contribution before the output OR.
+    ``tables`` switches to the Four-Russians byte-gather path (tables
+    built per present B tile); otherwise ``scratch`` is the
+    ``(sel, red)`` pair of :func:`scratch_shapes`.  ``mask_words``
+    AND-NOTs each tile contribution before the output OR.
     """
     tile = a.tile
     wpt = tile // WORD_BITS
@@ -403,8 +296,8 @@ def _mxm_strips(
     wpr_b = bw.shape[1]
     if tables is None:
         sel, red = scratch
-    for ti in strips:
-        r0 = ti * tile
+    for ti in np.nonzero(a.present.any(axis=1))[0]:
+        r0 = int(ti) * tile
         r1 = min(m, r0 + tile)
         rt = r1 - r0
         for tk in range(a.tiles_cols):
@@ -520,62 +413,3 @@ def _build_fr_tables(b: TiledBitMatrix) -> dict:
             table[:, half : 2 * half] = table[:, :half] | grouped[:, t : t + 1]
         tables[(int(tk), int(tj))] = table
     return tables
-
-
-def _kron_rows_into(
-    out_words: np.ndarray, a: BitMatrix, b: BitMatrix, lo: int, hi: int
-) -> None:
-    """Flat ``kron_into`` body restricted to A rows ``[lo, hi)``.
-
-    Each A row owns output rows ``[i*p, (i+1)*p)``, so ranges given to
-    different workers write disjoint output words.  Mirrors
-    :meth:`BitMatrix.kron_into` (shift-once, OR-scatter, zero-carry
-    argument included) with the column-any skip computed over the row
-    range only.
-    """
-    m, n = a.shape
-    p, q = b.shape
-    wq = b.words.shape[1]
-    wpr_out = out_words.shape[1]
-    out3 = out_words.reshape(m, p, wpr_out)
-    sub = a.words[lo:hi]
-    col_any = np.bitwise_or.reduce(sub, axis=0)
-    one = _WORD(1)
-    for j in range(n):
-        wa, bit = divmod(j, WORD_BITS)
-        if not (col_any[wa] >> _WORD(bit)) & one:
-            continue
-        rows = np.nonzero((sub[:, wa] >> _WORD(bit)) & one)[0] + lo
-        w0, s = divmod(j * q, WORD_BITS)
-        span = (s + q + WORD_BITS - 1) // WORD_BITS
-        if s == 0:
-            sb = b.words
-        else:
-            sb = np.zeros((p, span), dtype=_WORD)
-            sb[:, :wq] = b.words << _WORD(s)
-            sb[:, 1:span] |= b.words[:, : span - 1] >> _WORD(WORD_BITS - s)
-        target = out3[:, :, w0 : w0 + span]
-        chunk = max(1, _MXM_TEMP_WORDS // (p * span))
-        for r0 in range(0, rows.size, chunk):
-            batch = rows[r0 : r0 + chunk]
-            target[batch] |= sb
-
-
-# -- worker pool ---------------------------------------------------------------
-
-#: worker count -> shared executor.  Pools are tiny (<= core count)
-#: daemon-thread executors reused across kernels; workers hold no repro
-#: locks — they only run NumPy word kernels on disjoint output rows.
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def _pool(workers: int) -> ThreadPoolExecutor:
-    with _POOLS_LOCK:
-        pool = _POOLS.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=f"repro-bit{workers}"
-            )
-            _POOLS[workers] = pool
-        return pool

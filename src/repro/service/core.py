@@ -391,22 +391,15 @@ class QueryService:
         device = getattr(self.ctx, "device", None)
         if device is not None:
             out["arena_peak_bytes"] = device.arena.peak_bytes
-        backend = self.ctx.backend
-        if hasattr(backend, "dispatch_counts"):
-            out["dispatch"] = {
-                op: dict(c) for op, c in backend.dispatch_counts.items()
-            }
-        if hasattr(backend, "kernel_counts"):
-            out["kernels"] = {
-                op: dict(c) for op, c in backend.kernel_counts.items()
-            }
-        if hasattr(backend, "kernel_times"):
+        telemetry = getattr(self.ctx.backend, "telemetry", None)
+        if telemetry is not None:
+            snap = telemetry()
+            out["dispatch"] = snap["dispatch_counts"]
+            out["kernels"] = snap["kernel_counts"]
             out["kernel_times_ms"] = {
                 op: {k: round(s * 1e3, 3) for k, s in times.items()}
-                for op, times in backend.kernel_times.items()
+                for op, times in snap["kernel_times"].items()
             }
-        if hasattr(backend, "bit_workers"):
-            out["bit_workers"] = backend.bit_workers
         return out
 
     # -- lifecycle ---------------------------------------------------------

@@ -281,9 +281,8 @@ def _fused_phase(*, say) -> list[str]:
 
 def _tiled_phase(*, say) -> list[str]:
     """Tiled bit route: the zero-tile-skipping kernels must agree with
-    the flat kernels on a block-diagonal transitive closure, actually
-    engage a tiled mxm kernel, and — when ``REPRO_BIT_WORKERS`` widens
-    the pool — run the worker fan-out under the lock sentinel."""
+    the flat kernels on a block-diagonal transitive closure and
+    actually engage a tiled mxm kernel."""
     import numpy as np
 
     from repro.backends import get_backend
@@ -301,15 +300,6 @@ def _tiled_phase(*, say) -> list[str]:
     def closure_pairs(tiled: bool) -> tuple[set, HybridBackend]:
         policy = HybridPolicy(mode="bit", tiled=tiled, tile_size=tile)
         backend = HybridBackend(inner=get_backend("cubool"), policy=policy)
-        if tiled and backend.bit_workers > 1:
-            # Force the parallel threshold to zero so CI's
-            # REPRO_BIT_WORKERS=2 exercises the pool even on a probe
-            # this small (the autotuned threshold would stay serial).
-            policy = HybridPolicy(
-                mode="bit", tiled=True, tile_size=tile,
-                tiled_parallel_min_words=0,
-            )
-            backend = HybridBackend(inner=get_backend("cubool"), policy=policy)
         rows, cols = np.nonzero(dense)
         cur = backend.matrix_from_coo(
             rows.astype(np.int64), cols.astype(np.int64), (n, n)
@@ -331,21 +321,21 @@ def _tiled_phase(*, say) -> list[str]:
             f"tiled closure disagrees with flat: {len(tiled_pairs)} vs "
             f"{len(flat_pairs)} pairs"
         )
-    mxm_kernels = tiled_backend.kernel_counts.get("mxm", {})
+    telemetry = tiled_backend.telemetry()
+    mxm_kernels = telemetry["kernel_counts"].get("mxm", {})
     if not any(k.startswith("tiled") for k in mxm_kernels):
         failures.append(
             f"block-diagonal closure never engaged a tiled mxm kernel "
-            f"(kernels: {dict(mxm_kernels)})"
+            f"(kernels: {mxm_kernels})"
         )
     if not failures:
         times = {
             op: {k: f"{s * 1e3:.1f}ms" for k, s in ts.items()}
-            for op, ts in tiled_backend.kernel_times.items()
+            for op, ts in telemetry["kernel_times"].items()
         }
         say(
             f"tiled phase ok: closure matches flat over {len(tiled_pairs)} "
-            f"pairs, kernels {dict(mxm_kernels)}, "
-            f"workers={tiled_backend.bit_workers}, times {times}"
+            f"pairs, kernels {mxm_kernels}, times {times}"
         )
     return failures
 
@@ -444,14 +434,12 @@ def _incremental_phase(*, say) -> list[str]:
     out = backend.mxm(a, a, mask=a)
     out.free()
     a.free()
-    masked = [
-        k for k in backend.kernel_counts.get("mxm", {})
-        if k.endswith("_masked")
-    ]
+    mxm_kernels = backend.telemetry()["kernel_counts"].get("mxm", {})
+    masked = [k for k in mxm_kernels if k.endswith("_masked")]
     if not masked:
         failures.append(
             f"masked mxm on the bit route recorded no _masked kernel "
-            f"(kernels: {dict(backend.kernel_counts.get('mxm', {}))})"
+            f"(kernels: {mxm_kernels})"
         )
 
     if not failures:

@@ -133,10 +133,7 @@ class StatsSnapshot:
                 f"kernels {be.get('kernels', {})}"
             )
             if be.get("kernel_times_ms"):
-                lines.append(
-                    f"  kernel times (ms): {be['kernel_times_ms']}, "
-                    f"bit workers {be.get('bit_workers', 1)}"
-                )
+                lines.append(f"  kernel times (ms): {be['kernel_times_ms']}")
         if self.replication:
             rep = self.replication
             rc = rep.get("counters", {})

@@ -21,9 +21,12 @@ The file is versioned JSON, rewritten atomically on every update::
       }
     }
 
-Each entry key may carry any subset of the measurements — the crossover
-sweep and the Four-Russians row-break-even probe write their fields
-independently (read-modify-write, so one never clobbers the other).
+Each entry may carry any subset of the measurement fields — every
+probe writes its own (read-modify-write, so one never clobbers the
+other).  There is one accessor pair, :func:`load_autotune` /
+:func:`save_autotune`, keyed by field name; fields this version does not
+know (written by an older or newer build) are never read but are carried
+through every rewrite untouched.
 
 Corrupt or stale files are treated as empty — autotune persistence is a
 warm-start optimisation, never a correctness dependency.
@@ -34,6 +37,8 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+
+from repro.errors import InvalidArgumentError
 
 AUTOTUNE_FORMAT_VERSION = 1
 
@@ -67,88 +72,60 @@ def _read(path: Path) -> dict:
     return entries if isinstance(entries, dict) else {}
 
 
+def _density(value) -> float | None:
+    if isinstance(value, (int, float)) and 0.0 < value <= 1.0:
+        return float(value)
+    return None
+
+
+def _count(value) -> int | None:
+    return value if isinstance(value, int) and value >= 0 else None
+
+
+#: Measurement field -> validator returning the typed value, or None for
+#: anything a probe could not have written (hand-edited or damaged file).
+_FIELDS = {
+    "crossover": _density,
+    "probe_n": _count,
+    "four_russians_min_rows": _count,
+    "fr_probe_k": _count,
+}
+
+
+def _validator(field: str):
+    try:
+        return _FIELDS[field]
+    except KeyError:
+        raise InvalidArgumentError(
+            f"unknown autotune field {field!r} (known: {sorted(_FIELDS)})"
+        ) from None
+
+
 def load_autotune(
-    store_root: str | Path, backend_name: str, device_name: str
-) -> float | None:
-    """Persisted crossover for (backend, device), or None."""
+    store_root: str | Path, backend_name: str, device_name: str, field: str
+):
+    """Persisted ``field`` measurement for (backend, device), or None
+    when absent or malformed."""
+    validate = _validator(field)
     entry = _read(autotune_path(store_root)).get(_key(backend_name, device_name))
     if not isinstance(entry, dict):
         return None
-    crossover = entry.get("crossover")
-    if isinstance(crossover, (int, float)) and 0.0 < crossover <= 1.0:
-        return float(crossover)
-    return None
+    return validate(entry.get(field))
 
 
 def save_autotune(
-    store_root: str | Path,
-    backend_name: str,
-    device_name: str,
-    crossover: float,
-    *,
-    probe_n: int | None = None,
+    store_root: str | Path, backend_name: str, device_name: str, **fields
 ) -> None:
-    """Record a measured crossover (read-modify-write, atomic rename)."""
-    fields: dict = {"crossover": float(crossover)}
-    if probe_n is not None:
-        fields["probe_n"] = int(probe_n)
-    _merge_entry(store_root, backend_name, device_name, fields)
-
-
-def load_autotune_fr_min_rows(
-    store_root: str | Path, backend_name: str, device_name: str
-) -> int | None:
-    """Persisted Four-Russians row break-even, or None."""
-    entry = _read(autotune_path(store_root)).get(_key(backend_name, device_name))
-    if not isinstance(entry, dict):
-        return None
-    min_rows = entry.get("four_russians_min_rows")
-    if isinstance(min_rows, int) and min_rows >= 0:
-        return min_rows
-    return None
-
-
-def save_autotune_fr_min_rows(
-    store_root: str | Path,
-    backend_name: str,
-    device_name: str,
-    min_rows: int,
-    *,
-    probe_k: int | None = None,
-) -> None:
-    """Record a measured Four-Russians break-even (atomic rename)."""
-    fields: dict = {"four_russians_min_rows": int(min_rows)}
-    if probe_k is not None:
-        fields["fr_probe_k"] = int(probe_k)
-    _merge_entry(store_root, backend_name, device_name, fields)
-
-
-def load_autotune_tiled_min_words(
-    store_root: str | Path, backend_name: str, device_name: str
-) -> int | None:
-    """Persisted tiled-parallel word threshold, or None."""
-    entry = _read(autotune_path(store_root)).get(_key(backend_name, device_name))
-    if not isinstance(entry, dict):
-        return None
-    min_words = entry.get("tiled_parallel_min_words")
-    if isinstance(min_words, int) and min_words >= 0:
-        return min_words
-    return None
-
-
-def save_autotune_tiled_min_words(
-    store_root: str | Path,
-    backend_name: str,
-    device_name: str,
-    min_words: int,
-    *,
-    probe_n: int | None = None,
-) -> None:
-    """Record a measured tiled-parallel threshold (atomic rename)."""
-    fields: dict = {"tiled_parallel_min_words": int(min_words)}
-    if probe_n is not None:
-        fields["tiled_probe_n"] = int(probe_n)
-    _merge_entry(store_root, backend_name, device_name, fields)
+    """Record measurements, e.g. ``crossover=0.013, probe_n=192``
+    (read-modify-write of the entry, atomic rename of the file)."""
+    typed = {name: _validator(name)(value) for name, value in fields.items()}
+    bad = sorted(name for name, value in typed.items() if value is None)
+    if bad:
+        raise InvalidArgumentError(
+            "autotune fields out of range: "
+            + ", ".join(f"{name}={fields[name]!r}" for name in bad)
+        )
+    _merge_entry(store_root, backend_name, device_name, typed)
 
 
 def _merge_entry(

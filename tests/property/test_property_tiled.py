@@ -1,10 +1,10 @@
 """Property tests: tiled ≡ flat ≡ sparse across tile boundaries.
 
-For any operands, the tiled kernels (zero-tile skipping, any worker
-count) must be element-identical to the flat bit kernels and the
-sparse reference — including fused ``accumulate=`` with an aliased
-accumulator, and with shapes drawn to straddle tile boundaries (one
-off either side, exact multiples, sub-tile).  A counter test pins the
+For any operands, the tiled kernels (zero-tile skipping) must be
+element-identical to the flat bit kernels and the sparse reference —
+including fused ``accumulate=`` with an aliased accumulator, and with
+shapes drawn to straddle tile boundaries (one off either side, exact
+multiples, sub-tile).  A counter test pins the
 perf claim's memory side: the tiled fixpoint route stays
 allocation-flat per iteration just like the flat route.
 """
@@ -47,10 +47,9 @@ def test_tiled_mxm_matches_flat_and_dense(data):
     b = data.draw(boundary_dense(rows=a.shape[1]))
     tile = data.draw(st.sampled_from([64, 128]))
     fr = data.draw(st.booleans())
-    workers = data.draw(st.sampled_from([1, 2, 5]))
     want = (a.astype(np.int64) @ b.astype(np.int64)) > 0
     flat = BitMatrix.from_dense(a).mxm(BitMatrix.from_dense(b))
-    got = _tiled(a, tile).mxm(_tiled(b, tile), four_russians=fr, workers=workers)
+    got = _tiled(a, tile).mxm(_tiled(b, tile), four_russians=fr)
     got.validate()
     assert np.array_equal(flat.to_dense(), want)
     assert np.array_equal(got.flat.to_dense(), want)
@@ -64,11 +63,9 @@ def test_tiled_accumulate_preserves_seed(data):
     c = data.draw(boundary_dense(rows=a.shape[0], cols=b.shape[1]))
     tile = data.draw(st.sampled_from([64, 128]))
     fr = data.draw(st.booleans())
-    workers = data.draw(st.sampled_from([1, 3]))
     want = ((a.astype(np.int64) @ b.astype(np.int64)) > 0) | c
     out = _tiled(c, tile)
-    out.mxm_into(_tiled(a, tile), _tiled(b, tile),
-                 four_russians=fr, workers=workers)
+    out.mxm_into(_tiled(a, tile), _tiled(b, tile), four_russians=fr)
     out.validate()
     assert np.array_equal(out.flat.to_dense(), want)
 
@@ -80,8 +77,7 @@ def test_tiled_kron_matches_flat(data):
                                  cols=data.draw(st.integers(0, 9))))
     b = data.draw(boundary_dense(rows=data.draw(st.integers(0, 20)),
                                  cols=data.draw(st.integers(0, 20))))
-    workers = data.draw(st.sampled_from([1, 2, 4]))
-    out = _tiled(a, 64).kron(_tiled(b, 64), workers=workers)
+    out = _tiled(a, 64).kron(_tiled(b, 64))
     out.validate()
     assert np.array_equal(out.flat.to_dense(), np.kron(a, b))
 
@@ -104,19 +100,13 @@ def _to_dense(handle, shape):
 _BACKENDS = {}
 
 
-def _backend(tiled, workers=0):
-    key = (tiled, workers)
-    if key not in _BACKENDS:
-        # Threshold 0 so any worker fan-out the draw requests actually
-        # engages the pool regardless of problem size.
-        policy = HybridPolicy(
-            mode="bit", tiled=tiled, tile_size=64, workers=workers,
-            tiled_parallel_min_words=0,
-        )
-        _BACKENDS[key] = HybridBackend(
+def _backend(tiled):
+    if tiled not in _BACKENDS:
+        policy = HybridPolicy(mode="bit", tiled=tiled, tile_size=64)
+        _BACKENDS[tiled] = HybridBackend(
             inner=get_backend("cubool"), policy=policy
         )
-    return _BACKENDS[key]
+    return _BACKENDS[tiled]
 
 
 @settings(max_examples=25, deadline=None)
@@ -130,13 +120,10 @@ def test_hybrid_tiled_route_matches_flat_and_sparse(data):
         sparse.mxm(_from_dense(sparse, a), _from_dense(sparse, b)), want.shape
     )
     assert np.array_equal(got_sparse, want)
-    for workers in (0, 2):
-        for tiled in (True, False):
-            backend = _backend(tiled, workers)
-            out = backend.mxm(_from_dense(backend, a), _from_dense(backend, b))
-            assert np.array_equal(_to_dense(out, want.shape), want), (
-                tiled, workers,
-            )
+    for tiled in (True, False):
+        backend = _backend(tiled)
+        out = backend.mxm(_from_dense(backend, a), _from_dense(backend, b))
+        assert np.array_equal(_to_dense(out, want.shape), want), tiled
 
 
 @settings(max_examples=20, deadline=None)
@@ -145,11 +132,10 @@ def test_hybrid_tiled_aliased_accumulator(data):
     n = data.draw(st.sampled_from(BOUNDARY_DIMS))
     a = data.draw(boundary_dense(rows=n, cols=n))
     want = ((a.astype(np.int64) @ a.astype(np.int64)) > 0) | a
-    for workers in (0, 2):
-        backend = _backend(True, workers)
-        ma = _from_dense(backend, a)
-        out = backend.mxm(ma, ma, accumulate=ma)  # C <- C OR C*C
-        assert np.array_equal(_to_dense(out, want.shape), want), workers
+    backend = _backend(True)
+    ma = _from_dense(backend, a)
+    out = backend.mxm(ma, ma, accumulate=ma)  # C <- C OR C*C
+    assert np.array_equal(_to_dense(out, want.shape), want)
 
 
 # -- allocation profile of the tiled fixpoint route ---------------------------
@@ -157,7 +143,7 @@ def test_hybrid_tiled_aliased_accumulator(data):
 
 def test_tiled_fixpoint_allocates_one_buffer_per_iteration():
     """The tiled route must stay allocation-flat in fixpoint loops:
-    one output buffer plus the bounded per-worker scratch per mxm, no
+    one output buffer plus the bounded scratch pair per mxm, no
     growth across iterations (the PR's memory acceptance gate)."""
     import repro
 
@@ -186,7 +172,7 @@ def test_tiled_fixpoint_allocates_one_buffer_per_iteration():
         kernels = hybrid.kernel_counts["mxm"]
         assert any(k.startswith("tiled") for k in kernels), dict(kernels)
         # Steady state: every iteration costs the same bounded number
-        # of arena allocations (output buffer + per-worker scratch).
+        # of arena allocations (output buffer + scratch pair).
         assert len(set(allocs[1:])) == 1, allocs
     finally:
         ctx.finalize()

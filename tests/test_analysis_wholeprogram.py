@@ -164,14 +164,18 @@ def test_mapped_container_forwarded_to_mutating_callee_fires(tmp_path):
     assert "mutates parameter 'buf'" in findings[0].message
 
 
-# -- engine: parallelism + determinism ----------------------------------------
+# -- engine: serial + deterministic ------------------------------------------
 
 
-def test_findings_identical_across_job_counts():
-    serial = lint_paths([FIXTURES], jobs=1)
-    threaded = lint_paths([FIXTURES], jobs=4)
-    assert serial == threaded
-    assert serial == sorted(serial)
+def test_lint_runs_on_the_calling_thread_and_sorts(monkeypatch):
+    import concurrent.futures
+
+    def no_pools(*args, **kwargs):
+        raise AssertionError("the linter must not start a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pools)
+    findings = lint_paths([FIXTURES])
+    assert findings and findings == sorted(findings)
 
 
 # -- CLI: selection and baseline gate -----------------------------------------

@@ -276,25 +276,63 @@ class TestAutotune:
         from repro.backends.hybrid import _AUTOTUNE_CACHE, autotune_crossover
 
         inner = get_backend("cubool")
-        key = (inner.name, inner.device.name)
+        key = ("crossover", inner.name, inner.device.name)
         monkeypatch.setitem(_AUTOTUNE_CACHE, key, 0.123)
         assert autotune_crossover(inner) == 0.123
+
+    def test_four_russians_probe_returns_a_ladder_value(self):
+        from repro.backends import get_backend
+        from repro.backends.hybrid import autotune_four_russians
+
+        m = autotune_four_russians(
+            get_backend("cubool"), k=128, rows=(16, 32), runs=1, use_cache=False
+        )
+        assert m in (16, 32, 64)
+
+    def test_measurements_round_trip_through_the_store(self, tmp_path, monkeypatch):
+        from repro.backends import get_backend, hybrid
+        from repro.store import load_autotune, save_autotune
+
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+        monkeypatch.setattr(hybrid, "_AUTOTUNE_CACHE", {})
+        inner = get_backend("cubool")
+        names = (inner.name, inner.device.name)
+        # A fresh probe is written back under its field, probe shape included.
+        measured = hybrid.autotune_crossover(inner, **self._fast_kwargs())
+        assert load_autotune(tmp_path, *names, "crossover") == measured
+        assert load_autotune(tmp_path, *names, "probe_n") == 64
+        # A persisted value is served without probing, each field its own.
+        save_autotune(tmp_path, *names, crossover=0.0421, four_russians_min_rows=48)
+        monkeypatch.setattr(hybrid, "_AUTOTUNE_CACHE", {})
+        assert hybrid.autotune_crossover(inner) == 0.0421
+        assert hybrid.autotune_four_russians(inner) == 48
+        assert hybrid._AUTOTUNE_CACHE == {
+            ("crossover", *names): 0.0421,
+            ("four_russians_min_rows", *names): 48,
+        }
 
     def test_wrap_backend_autotune(self, monkeypatch):
         from repro.backends import get_backend
         from repro.backends.hybrid import _AUTOTUNE_CACHE
 
         inner = get_backend("clbool")
-        monkeypatch.setitem(_AUTOTUNE_CACHE, (inner.name, inner.device.name), 0.031)
+        names = (inner.name, inner.device.name)
+        monkeypatch.setitem(_AUTOTUNE_CACHE, ("crossover", *names), 0.031)
+        monkeypatch.setitem(
+            _AUTOTUNE_CACHE, ("four_russians_min_rows", *names), 64
+        )
         hybrid = wrap_backend(inner, autotune=True)
         assert hybrid.policy.crossover_density == 0.031
+        assert hybrid.policy.four_russians_min_rows == 64
 
     def test_explicit_threshold_beats_autotune(self, monkeypatch):
         from repro.backends import get_backend
         from repro.backends.hybrid import _AUTOTUNE_CACHE
 
         inner = get_backend("clbool")
-        monkeypatch.setitem(_AUTOTUNE_CACHE, (inner.name, inner.device.name), 0.031)
+        monkeypatch.setitem(
+            _AUTOTUNE_CACHE, ("crossover", inner.name, inner.device.name), 0.031
+        )
         hybrid = wrap_backend(inner, crossover_density=0.2, autotune=True)
         assert hybrid.policy.crossover_density == 0.2
 
@@ -304,7 +342,8 @@ class TestAutotune:
         _AUTOTUNE_CACHE.clear()
         ctx = repro.Context(backend="cubool", hybrid=True, hybrid_autotune=True)
         tuned = ctx.backend.policy.crossover_density
-        assert tuned == list(_AUTOTUNE_CACHE.values())[0]
+        (crossover_key,) = [k for k in _AUTOTUNE_CACHE if k[0] == "crossover"]
+        assert tuned == _AUTOTUNE_CACHE[crossover_key]
         ctx.finalize()
         # The second context reuses the process-level measurement.
         ctx = repro.Context(backend="cubool", hybrid=True, hybrid_autotune=True)
@@ -325,7 +364,9 @@ class TestAutotune:
 
         monkeypatch.setenv("REPRO_HYBRID", "1")
         monkeypatch.setenv("REPRO_HYBRID_AUTOTUNE", "1")
-        monkeypatch.setitem(_AUTOTUNE_CACHE, ("cubool", "cubool-dev"), 0.077)
+        monkeypatch.setitem(
+            _AUTOTUNE_CACHE, ("crossover", "cubool", "cubool-dev"), 0.077
+        )
         ctx = repro.Context(backend="cubool")
         assert ctx.backend_name == "hybrid"
         assert ctx.backend.policy.crossover_density == 0.077
@@ -355,7 +396,7 @@ class TestWrap:
 
 
 class TestTiledRoute:
-    """Tiled-kernel arbitration: cost model, worker gating, telemetry."""
+    """Tiled-kernel arbitration: cost model and telemetry."""
 
     @staticmethod
     def _backend(**policy_kwargs):
@@ -380,10 +421,11 @@ class TestTiledRoute:
             HybridPolicy(tile_size=100)
         with pytest.raises(InvalidArgumentError):
             HybridPolicy(tile_size=0)
-        with pytest.raises(InvalidArgumentError):
-            HybridPolicy(workers=-1)
-        with pytest.raises(InvalidArgumentError):
-            HybridPolicy(tiled_parallel_min_words=-1)
+        # The worker-pool knobs are gone, not silently accepted.
+        with pytest.raises(TypeError):
+            HybridPolicy(workers=2)
+        with pytest.raises(TypeError):
+            HybridPolicy(tiled_parallel_min_words=0)
 
     def test_block_diagonal_routes_tiled(self):
         hb = self._backend()
@@ -406,34 +448,7 @@ class TestTiledRoute:
     def test_single_tile_grid_stays_flat(self):
         hb = self._backend()
         a, _ = self._block_diag(hb, 192, 2, 0.2)
-        kernel, workers = hb._bit_mxm_plan(a, a)
-        assert not kernel.startswith("tiled")
-        assert workers == 1
-
-    def test_worker_threshold_gates_fanout(self):
-        from repro.backends.hybrid import TILED_PARALLEL_NEVER
-
-        hb = self._backend(workers=4, tiled_parallel_min_words=0)
-        a, _ = self._block_diag(hb, 1024, 4, 0.05)
-        hb._ensure_bit(a)
-        kernel, workers = hb._bit_mxm_plan(a, a)
-        assert kernel.startswith("tiled") and workers == 4
-        never = self._backend(
-            workers=4, tiled_parallel_min_words=TILED_PARALLEL_NEVER
-        )
-        b, _ = self._block_diag(never, 1024, 4, 0.05)
-        never._ensure_bit(b)
-        kernel, workers = never._bit_mxm_plan(b, b)
-        assert workers == 1
-
-    def test_bit_workers_resolution(self, monkeypatch):
-        hb = self._backend(workers=3)
-        assert hb.bit_workers == 3
-        monkeypatch.setenv("REPRO_BIT_WORKERS", "2")
-        env_hb = self._backend()  # workers=0 defers to the environment
-        assert env_hb.bit_workers == 2
-        monkeypatch.delenv("REPRO_BIT_WORKERS")
-        assert self._backend().bit_workers == 1
+        assert not hb._bit_mxm_plan(a, a).startswith("tiled")
 
     def test_ensure_resident_tiled(self):
         hb = self._backend()
@@ -457,63 +472,53 @@ class TestTiledRoute:
     def test_wrap_backend_tiled_knobs(self):
         from repro.backends import get_backend
 
-        hb = wrap_backend(get_backend("clbool"), tiled=False, workers=5)
+        hb = wrap_backend(get_backend("clbool"), tiled=False)
         assert hb.policy.tiled is False
-        assert hb.policy.workers == 5
-        assert hb.bit_workers == 5
+        with pytest.raises(TypeError):
+            wrap_backend(get_backend("clbool"), workers=2)
+
+    def test_kron_on_the_bit_route_is_the_flat_kernel(self):
+        hb = self._backend()
+        a, dense = self._block_diag(hb, 512, 2, 0.05)
+        eye = hb.identity(2)
+        out = hb.kron(eye, a)
+        assert dict(hb.kernel_counts["kron"]) == {"flat": 1}
+        assert out.tiled is None
+        rows, cols = out.storage.to_coo_arrays()
+        got = np.zeros((1024, 1024), dtype=bool)
+        got[rows, cols] = True
+        assert np.array_equal(got, np.kron(np.eye(2, dtype=bool), dense))
 
 
-class TestTiledAutotune:
-    def test_probe_returns_threshold_or_never(self):
+class TestTelemetryLock:
+    def test_concurrent_records_sum_exactly(self):
+        import sys
+        import threading
+
         from repro.backends import get_backend
-        from repro.backends.hybrid import (
-            TILED_PARALLEL_NEVER,
-            autotune_tiled_parallel,
-        )
 
-        t = autotune_tiled_parallel(
-            get_backend("cubool"), blocks=2, runs=1, use_cache=False
-        )
-        assert t == TILED_PARALLEL_NEVER or t >= 1
+        hb = HybridBackend(inner=get_backend("cubool"))
+        threads_n, calls = 8, 20_000
 
-    def test_process_cache_hit(self, monkeypatch):
-        from repro.backends import get_backend
-        from repro.backends.hybrid import (
-            _TILED_AUTOTUNE_CACHE,
-            autotune_tiled_parallel,
-        )
+        def hammer():
+            for _ in range(calls):
+                hb._record_kernel("mxm", "blocked", 1.0)
+                hb._record_route("mxm", "bit", 0.5)
 
-        inner = get_backend("cubool")
-        key = (inner.name, inner.device.name)
-        monkeypatch.setitem(_TILED_AUTOTUNE_CACHE, key, 777)
-        assert autotune_tiled_parallel(inner) == 777
-
-    def test_persistence_round_trip(self, tmp_path):
-        from repro.store.metadata import (
-            load_autotune_tiled_min_words,
-            save_autotune_tiled_min_words,
-        )
-
-        assert load_autotune_tiled_min_words(tmp_path, "cubool", "dev") is None
-        save_autotune_tiled_min_words(
-            tmp_path, "cubool", "dev", 4096, probe_n=768
-        )
-        assert (
-            load_autotune_tiled_min_words(tmp_path, "cubool", "dev") == 4096
-        )
-
-    def test_wrap_backend_autotune_sets_threshold(self, monkeypatch):
-        from repro.backends import get_backend
-        from repro.backends.hybrid import (
-            _AUTOTUNE_CACHE,
-            _FR_AUTOTUNE_CACHE,
-            _TILED_AUTOTUNE_CACHE,
-        )
-
-        inner = get_backend("clbool")
-        key = (inner.name, inner.device.name)
-        monkeypatch.setitem(_AUTOTUNE_CACHE, key, 0.02)
-        monkeypatch.setitem(_FR_AUTOTUNE_CACHE, key, 64)
-        monkeypatch.setitem(_TILED_AUTOTUNE_CACHE, key, 31337)
-        hybrid = wrap_backend(inner, autotune=True)
-        assert hybrid.policy.tiled_parallel_min_words == 31337
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        total = threads_n * calls
+        snap = hb.telemetry()
+        assert snap["kernel_counts"]["mxm"]["blocked"] == total
+        assert snap["kernel_times"]["mxm"]["blocked"] == float(total)
+        assert snap["dispatch_counts"]["mxm"]["bit"] == total
+        assert snap["value_costs"]["mxm"] == total * 0.5

@@ -1,4 +1,4 @@
-"""Unit tests for the tiled bit matrix (presence grid + worker pool)."""
+"""Unit tests for the tiled bit matrix (presence grid, zero-tile skipping)."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,6 @@ from repro.formats.tiled import (
     DEFAULT_TILE,
     TiledBitMatrix,
     _block_any,
-    _pool,
-    _row_ranges,
-    bit_workers_from_env,
     scratch_shapes,
 )
 
@@ -114,14 +111,11 @@ class TestKernels:
 
     @pytest.mark.parametrize("shape_a,shape_b", SHAPES)
     @pytest.mark.parametrize("four_russians", [False, True])
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_mxm_matches_dense(self, shape_a, shape_b, four_russians, workers):
+    def test_mxm_matches_dense(self, shape_a, shape_b, four_russians):
         da = random_dense(shape_a, 0.1, seed=10)
         db = random_dense(shape_b, 0.1, seed=11)
         out = tiled_from_dense(da).mxm(
-            tiled_from_dense(db),
-            four_russians=four_russians,
-            workers=workers,
+            tiled_from_dense(db), four_russians=four_russians
         )
         out.validate()
         assert np.array_equal(out.flat.to_dense(), da @ db)
@@ -131,7 +125,7 @@ class TestKernels:
         db = random_dense((100, 100), 0.05, seed=13)
         seed = random_dense((100, 100), 0.05, seed=14)
         out = tiled_from_dense(seed)
-        out.mxm_into(tiled_from_dense(da), tiled_from_dense(db), workers=2)
+        out.mxm_into(tiled_from_dense(da), tiled_from_dense(db))
         out.validate()
         assert np.array_equal(out.flat.to_dense(), seed | (da @ db))
 
@@ -146,23 +140,28 @@ class TestKernels:
         assert out.nnz == 0
         assert not out.present.any()
 
-    def test_mxm_worker_count_equivalence(self):
-        da = random_dense((300, 200), 0.08, seed=16)
-        db = random_dense((200, 260), 0.08, seed=17)
-        base = tiled_from_dense(da).mxm(tiled_from_dense(db), workers=1)
-        for w in (2, 4, 7):
-            got = tiled_from_dense(da).mxm(tiled_from_dense(db), workers=w)
-            assert np.array_equal(got.flat.words, base.flat.words), w
-
-    def test_mxm_into_rejects_short_scratch(self):
-        a = tiled_from_dense(random_dense((128, 128), 0.2, seed=18))
+    def test_mxm_into_uses_the_callers_scratch_pair(self):
+        d = random_dense((128, 128), 0.2, seed=18)
+        a = tiled_from_dense(d)
         out = TiledBitMatrix(BitMatrix.empty((128, 128)), 64, scan=False)
         sel_shape, red_shape = scratch_shapes(64)
-        scratch = [
-            (np.empty(sel_shape, np.uint64), np.empty(red_shape, np.uint64))
-        ]
-        with pytest.raises(InvalidArgumentError):
-            out.mxm_into(a, a, workers=2, scratch=scratch)
+        sel = np.zeros(sel_shape, np.uint64)
+        red = np.zeros(red_shape, np.uint64)
+        out.mxm_into(a, a, scratch=(sel, red))
+        assert np.array_equal(out.flat.to_dense(), d @ d)
+        assert sel.any() and red.any()
+
+    def test_kernels_are_serial_by_signature(self):
+        a = tiled_from_dense(random_dense((64, 64), 0.2, seed=19))
+        out = TiledBitMatrix(BitMatrix.empty((64, 64)), 64, scan=False)
+        for call in (
+            lambda: a.mxm(a, workers=2),
+            lambda: out.mxm_into(a, a, workers=2),
+            lambda: a.kron(a, workers=2),
+            lambda: out.kron_into(a, a, workers=2),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
     def test_mxm_tile_mismatch(self):
         a = tiled_from_dense(np.zeros((64, 64), dtype=bool), tile=64)
@@ -170,11 +169,10 @@ class TestKernels:
         with pytest.raises(InvalidArgumentError):
             a.mxm(b)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_kron_matches_dense(self, workers):
+    def test_kron_matches_dense(self):
         da = random_dense((9, 7), 0.3, seed=20)
         db = random_dense((11, 13), 0.3, seed=21)
-        out = tiled_from_dense(da).kron(tiled_from_dense(db), workers=workers)
+        out = tiled_from_dense(da).kron(tiled_from_dense(db))
         out.validate()
         assert np.array_equal(out.flat.to_dense(), np.kron(da, db))
 
@@ -183,7 +181,7 @@ class TestKernels:
         db = random_dense((16, 16), 0.1, seed=23)
         seed = random_dense((64, 64), 0.02, seed=24)
         out = tiled_from_dense(seed)
-        out.kron_into(tiled_from_dense(da), tiled_from_dense(db), workers=3)
+        out.kron_into(tiled_from_dense(da), tiled_from_dense(db))
         assert np.array_equal(out.flat.to_dense(), seed | np.kron(da, db))
 
     def test_degenerate_dims(self):
@@ -225,27 +223,6 @@ class TestHelpers:
                 blk = words[ti * 128 : (ti + 1) * 128, tc * 2 : (tc + 1) * 2]
                 assert got[ti, tc] == bool((blk != 0).any())
 
-    def test_row_ranges_cover_without_overlap(self):
-        for m in (1, 5, 16, 17):
-            for w in (1, 3, 16, 20):
-                ranges = _row_ranges(m, w)
-                assert len(ranges) <= w
-                flat = [i for lo, hi in ranges for i in range(lo, hi)]
-                assert flat == list(range(m)), (m, w)
-
-    def test_pool_is_shared_per_width(self):
-        assert _pool(2) is _pool(2)
-        assert _pool(2) is not _pool(3)
-
-    def test_bit_workers_from_env(self):
-        assert bit_workers_from_env({}) == 0
-        assert bit_workers_from_env({"REPRO_BIT_WORKERS": ""}) == 0
-        assert bit_workers_from_env({"REPRO_BIT_WORKERS": " 4 "}) == 4
-        with pytest.raises(InvalidArgumentError):
-            bit_workers_from_env({"REPRO_BIT_WORKERS": "many"})
-        with pytest.raises(InvalidArgumentError):
-            bit_workers_from_env({"REPRO_BIT_WORKERS": "-1"})
-
     def test_scratch_shapes(self):
         sel, red = scratch_shapes(DEFAULT_TILE)
         assert sel == (256, 4, 64)
@@ -282,5 +259,5 @@ class TestReadOnlySources:
         a = TiledBitMatrix(self.frozen(da), 64)
         b = TiledBitMatrix(self.frozen(db), 64)
         out = TiledBitMatrix(BitMatrix.empty((128, 128)), 64, scan=False)
-        out.mxm_into(a, b, workers=2)
+        out.mxm_into(a, b)
         assert np.array_equal(out.flat.to_dense(), da @ db)
