@@ -121,6 +121,9 @@ class Backend(abc.ABC):
     name: str = "abstract"
     #: Storage format kind the backend natively operates on.
     format_kind: str = "abstract"
+    #: Pattern-only storage: the backend implements exactly the
+    #: ``(∨, ∧)`` instance and rejects value semirings.
+    boolean_only: bool = False
 
     def __init__(self, device: Device | None = None):
         self.device = device if device is not None else Device(name=f"{self.name}-dev")
@@ -157,20 +160,14 @@ class Backend(abc.ABC):
 
     # -- semiring resolution -------------------------------------------------
 
-    def _resolve_semiring(
-        self,
-        semiring: Semiring | str | None,
-        *,
-        boolean_only: bool = False,
-    ) -> Semiring:
+    def _resolve_semiring(self, semiring: Semiring | str | None) -> Semiring:
         """Normalize an operation's ``semiring=`` argument.
 
         ``None`` means the library's native boolean algebra; strings are
-        registry lookups.  Backends whose storage is pattern-only pass
-        ``boolean_only=True``: they implement exactly the ``(∨, ∧)``
-        instance, and a value semiring must be rejected *before* any
-        kernel runs (callers route value algebras through the generic
-        or hybrid backend instead).
+        registry lookups.  On a :attr:`boolean_only` backend a value
+        semiring is rejected here, *before* any kernel runs (callers
+        route value algebras through the generic or hybrid backend
+        instead).
         """
         if semiring is None:
             return BOOL_OR_AND
@@ -181,7 +178,7 @@ class Backend(abc.ABC):
                 f"semiring must be a Semiring or registered name, "
                 f"got {type(semiring).__name__}"
             )
-        if boolean_only and not semiring.is_boolean:
+        if self.boolean_only and not semiring.is_boolean:
             raise InvalidArgumentError(
                 f"backend {self.name!r} is pattern-only and supports only "
                 f"boolean semirings; {semiring.name!r} needs the generic "
@@ -310,7 +307,6 @@ class Backend(abc.ABC):
         """Kronecker product ``A ⊗ B`` (values multiply under
         ``semiring.mul``)."""
 
-    @abc.abstractmethod
     def kron_accumulate(
         self,
         a: BackendMatrix,
@@ -324,21 +320,13 @@ class Backend(abc.ABC):
 
         Same contract as :meth:`mxm`'s accumulate: a new handle is
         returned, operands are never mutated, ``accumulate`` may alias
-        ``a`` or ``b``, and backends whose format has an in-place kron
-        (the bit path's ``kron_into``) fuse into one result buffer
-        while sparse backends compose ``kron`` + ``ewise_add``.
+        ``a`` or ``b``.  Backends whose format has an in-place kron
+        (the bit path's ``kron_into``) override this to fuse into one
+        result buffer; sparse formats have no in-place output form, so
+        the default composes ``kron`` + ``ewise_add``.
         """
-
-    def _compose_kron_accumulate(
-        self,
-        a: BackendMatrix,
-        b: BackendMatrix,
-        accumulate: BackendMatrix,
-        *,
-        semiring: Semiring | str | None = None,
-    ) -> BackendMatrix:
-        """Shared sparse fallback: product then merge, freeing the
-        temporary.  Callers must have validated shapes."""
+        self._resolve_semiring(semiring)
+        self._check_kron_accumulate(a, b, accumulate)
         product = self.kron(a, b, semiring=semiring)
         try:
             return self.ewise_add(product, accumulate, semiring=semiring)

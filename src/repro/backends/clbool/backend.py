@@ -20,6 +20,7 @@ class ClBoolBackend(Backend):
 
     name = "clbool"
     format_kind = "coo"
+    boolean_only = True
 
     def __init__(self, device: Device | None = None):
         if device is None:
@@ -53,7 +54,7 @@ class ClBoolBackend(Backend):
     # -- operations ------------------------------------------------------
 
     def mxm(self, a, b, accumulate=None, mask=None, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         self._check_mxm_shapes(a, b)
         sa: BoolCoo = a.storage
         sb: BoolCoo = b.storage
@@ -80,7 +81,7 @@ class ClBoolBackend(Backend):
             product.free()
 
     def ewise_add(self, a, b, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         self._check_same_shape("ewise_add", a, b)
         sa: BoolCoo = a.storage
         sb: BoolCoo = b.storage
@@ -92,7 +93,7 @@ class ClBoolBackend(Backend):
     def ewise_mult(self, a, b, *, semiring=None):
         """Element-wise AND: single-pass like the add, but the result is
         bounded by min(nnz) so the up-front buffer is the smaller input."""
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         self._check_same_shape("ewise_mult", a, b)
         sa: BoolCoo = a.storage
         sb: BoolCoo = b.storage
@@ -118,7 +119,7 @@ class ClBoolBackend(Backend):
         return self._adopt_coo(a.shape, rows_buf.data, cols_buf.data, [rows_buf, cols_buf])
 
     def kron(self, a, b, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         sa: BoolCoo = a.storage
         sb: BoolCoo = b.storage
         shape = (a.nrows * b.nrows, a.ncols * b.ncols)
@@ -156,13 +157,6 @@ class ClBoolBackend(Backend):
             b_ptr_buf.free()
         return self._adopt_coo(shape, rows_buf.data, cols_buf.data, [rows_buf, cols_buf])
 
-    def kron_accumulate(self, a, b, accumulate, *, semiring=None):
-        # COO has no in-place output form; compose (contract-sanctioned
-        # sparse fallback — see Backend.kron_accumulate).
-        self._resolve_semiring(semiring, boolean_only=True)
-        self._check_kron_accumulate(a, b, accumulate)
-        return self._compose_kron_accumulate(a, b, accumulate)
-
     def transpose(self, a):
         sa: BoolCoo = a.storage
 
@@ -199,7 +193,7 @@ class ClBoolBackend(Backend):
         )
 
     def reduce_to_column(self, a, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         sa: BoolCoo = a.storage
 
         def _kernel(config):

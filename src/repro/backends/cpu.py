@@ -22,6 +22,7 @@ class CpuBackend(Backend):
 
     name = "cpu"
     format_kind = "csr"
+    boolean_only = True
 
     # -- creation ------------------------------------------------------------
 
@@ -37,7 +38,7 @@ class CpuBackend(Backend):
     # -- operations ------------------------------------------------------
 
     def mxm(self, a, b, accumulate=None, mask=None, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         self._check_mxm_shapes(a, b)
         sa: BoolCsr = a.storage
         sb: BoolCsr = b.storage
@@ -60,7 +61,7 @@ class CpuBackend(Backend):
         return BackendMatrix(BoolCsr.from_coo(c_rows, c_cols, shape), self)
 
     def ewise_add(self, a, b, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         self._check_same_shape("ewise_add", a, b)
         ra, ca = a.storage.to_coo_arrays()
         rb, cb = b.storage.to_coo_arrays()
@@ -69,7 +70,7 @@ class CpuBackend(Backend):
         return BackendMatrix(BoolCsr.from_coo(rows, cols, a.shape), self)
 
     def ewise_mult(self, a, b, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         self._check_same_shape("ewise_mult", a, b)
         ra, ca = a.storage.to_coo_arrays()
         rb, cb = b.storage.to_coo_arrays()
@@ -82,7 +83,7 @@ class CpuBackend(Backend):
         )
 
     def kron(self, a, b, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         sa: BoolCsr = a.storage
         sb: BoolCsr = b.storage
         a_rows, a_cols = sa.to_coo_arrays()
@@ -92,13 +93,6 @@ class CpuBackend(Backend):
         )
         shape = (a.nrows * b.nrows, a.ncols * b.ncols)
         return BackendMatrix(BoolCsr.from_coo(out_rows, out_cols, shape, canonical=True), self)
-
-    def kron_accumulate(self, a, b, accumulate, *, semiring=None):
-        # Sparse COO has no in-place output form; compose (contract
-        # allows the fallback — see Backend.kron_accumulate).
-        self._resolve_semiring(semiring, boolean_only=True)
-        self._check_kron_accumulate(a, b, accumulate)
-        return self._compose_kron_accumulate(a, b, accumulate)
 
     def transpose(self, a):
         rows, cols = a.storage.to_coo_arrays()
@@ -116,7 +110,7 @@ class CpuBackend(Backend):
         )
 
     def reduce_to_column(self, a, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         rows, _ = a.storage.to_coo_arrays()
         nz_rows = common.reduce_rows_coo(rows)
         zeros = np.zeros(nz_rows.size, dtype=INDEX_DTYPE)

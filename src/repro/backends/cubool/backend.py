@@ -28,6 +28,7 @@ class CuBoolBackend(Backend):
 
     name = "cubool"
     format_kind = "csr"
+    boolean_only = True
 
     def __init__(
         self,
@@ -71,7 +72,7 @@ class CuBoolBackend(Backend):
     # -- operations ------------------------------------------------------
 
     def mxm(self, a, b, accumulate=None, mask=None, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         self._check_mxm_shapes(a, b)
         sa: BoolCsr = a.storage
         sb: BoolCsr = b.storage
@@ -106,7 +107,7 @@ class CuBoolBackend(Backend):
         return DEFAULT_BIN_BOUNDS
 
     def ewise_add(self, a, b, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         self._check_same_shape("ewise_add", a, b)
         sa: BoolCsr = a.storage
         sb: BoolCsr = b.storage
@@ -116,7 +117,7 @@ class CuBoolBackend(Backend):
         return self._adopt_csr(a.shape, rowptr, cols, buffers)
 
     def ewise_mult(self, a, b, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         self._check_same_shape("ewise_mult", a, b)
         sa: BoolCsr = a.storage
         sb: BoolCsr = b.storage
@@ -126,7 +127,7 @@ class CuBoolBackend(Backend):
         return self._adopt_csr(a.shape, rowptr, cols, buffers)
 
     def kron(self, a, b, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         sa: BoolCsr = a.storage
         sb: BoolCsr = b.storage
         rowptr, cols, buffers = kernels.kron_csr(
@@ -141,13 +142,6 @@ class CuBoolBackend(Backend):
         )
         shape = (a.nrows * b.nrows, a.ncols * b.ncols)
         return self._adopt_csr(shape, rowptr, cols, buffers)
-
-    def kron_accumulate(self, a, b, accumulate, *, semiring=None):
-        # CSR has no in-place output form; compose (contract-sanctioned
-        # sparse fallback — see Backend.kron_accumulate).
-        self._resolve_semiring(semiring, boolean_only=True)
-        self._check_kron_accumulate(a, b, accumulate)
-        return self._compose_kron_accumulate(a, b, accumulate)
 
     def transpose(self, a):
         sa: BoolCsr = a.storage
@@ -165,7 +159,7 @@ class CuBoolBackend(Backend):
         return self._adopt_csr((nrows, ncols), rowptr, cols, buffers)
 
     def reduce_to_column(self, a, *, semiring=None):
-        self._resolve_semiring(semiring, boolean_only=True)
+        self._resolve_semiring(semiring)
         sa: BoolCsr = a.storage
         rowptr, cols, buffers = kernels.reduce_to_column_csr(
             self.device, self.stream, sa.shape, sa.rowptr

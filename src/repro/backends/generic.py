@@ -409,12 +409,10 @@ class GenericBackend(Backend):
         )
 
     def kron_accumulate(self, a, b, accumulate, *, semiring=None):
-        # Value-carrying CSR composes: contract-sanctioned sparse
-        # fallback (see Backend.kron_accumulate).  Resolve the algebra
-        # up front so an unknown name fails before the kron dispatch.
+        # Value-carrying CSR composes (the Backend default); ``None``
+        # means plus-times here, so resolve through _resolve_ops first.
         s, _, _, _ = self._resolve_ops(semiring)
-        self._check_kron_accumulate(a, b, accumulate)
-        return self._compose_kron_accumulate(a, b, accumulate, semiring=s)
+        return super().kron_accumulate(a, b, accumulate, semiring=s)
 
     def transpose(self, a):
         sa: ValCsr = a.storage

@@ -74,7 +74,9 @@ hybrid_threshold=...)``.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -385,7 +387,14 @@ class HybridBackend(Backend):
         #: (:meth:`estimate_value_cost`) — the value route's half of the
         #: cost-model telemetry.
         self.value_costs: dict[str, float] = {}  # guarded-by: _telemetry_lock
-        self._fixpoint_depth = 0
+        #: A fixpoint region is a property of the calling thread: one
+        #: scheduler worker's closure must not bias another's routing.
+        self._fixpoint = threading.local()
+
+    @property
+    def _fixpoint_depth(self) -> int:
+        """Nesting depth of this thread's :meth:`fixpoint` regions."""
+        return getattr(self._fixpoint, "depth", 0)
 
     def _record_kernel(self, op: str, kernel: str, seconds: float) -> None:
         with self._telemetry_lock:
@@ -422,15 +431,20 @@ class HybridBackend(Backend):
 
     # -- residency hint ----------------------------------------------------
 
+    @contextlib.contextmanager
     def fixpoint(self):
         """Context manager marking an iterative accumulate loop.
 
-        Inside the region the cost model applies ``fixpoint_bias``
-        hysteresis once an operand is bit-resident, so a densifying loop
-        settles into the bit regime instead of thrashing at the
-        crossover.
+        Inside the (re-entrant, per-thread) region the cost model
+        applies ``fixpoint_bias`` hysteresis once an operand is
+        bit-resident, so a densifying loop settles into the bit regime
+        instead of thrashing at the crossover.
         """
-        return _FixpointRegion(self)
+        self._fixpoint.depth = self._fixpoint_depth + 1
+        try:
+            yield self
+        finally:
+            self._fixpoint.depth -= 1
 
     # -- view management ---------------------------------------------------
 
@@ -1223,23 +1237,6 @@ class HybridBackend(Backend):
             f"mode={self.policy.mode!r}, "
             f"crossover={self.policy.crossover_density})"
         )
-
-
-class _FixpointRegion:
-    """Re-entrant marker used by :meth:`HybridBackend.fixpoint`."""
-
-    __slots__ = ("_backend",)
-
-    def __init__(self, backend: HybridBackend):
-        self._backend = backend
-
-    def __enter__(self):
-        self._backend._fixpoint_depth += 1
-        return self._backend
-
-    def __exit__(self, *exc):
-        self._backend._fixpoint_depth -= 1
-        return False
 
 
 def wrap_backend(

@@ -74,6 +74,52 @@ def _pairs_to_keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
+def kron_sum(ctx, shape, r_mats: dict, operands):
+    """``Σ R_sym ⊗ G_sym`` over ``(sym, G_sym)`` pairs.
+
+    Each step is the fused ``product <- product ∨ (R ⊗ G)`` — on the
+    bit path the Kronecker blocks OR-scatter straight into the new
+    sum's words, with no per-symbol product temporary.  Symbols on no
+    RSM edge, and empty or missing operands, contribute nothing.
+    """
+    product = ctx.matrix_empty(shape)
+    for sym, g in operands:
+        r = r_mats.get(sym)
+        if r is None or r.nnz == 0 or g is None or g.nnz == 0:
+            continue
+        merged = r.kron(g, accumulate=product)
+        product.free()
+        product = merged
+    return product
+
+
+def read_new_facts(ctx, rsm: RSM, n: int, closure, facts: dict) -> dict:
+    """One box readout: the (start, final) blocks of each box in
+    ``closure`` are that nonterminal's derivable pairs.  Pairs not yet
+    in ``facts`` (nonterminal → sorted key array) are merged into it;
+    returns nonterminal → matrix of just those Δ-facts (empty dict:
+    fixed point reached)."""
+    delta_mats: dict[str, object] = {}
+    for nt, box in rsm.boxes.items():
+        fresh_keys = []
+        for f in box.finals:
+            block = closure.extract_submatrix(box.start * n, f * n, n, n)
+            try:
+                rows, cols = block.to_arrays()
+            finally:
+                block.free()
+            if rows.size:
+                fresh_keys.append(_pairs_to_keys(rows, cols, n))
+        if not fresh_keys:
+            continue
+        candidate = np.unique(np.concatenate(fresh_keys))
+        new = candidate[~np.isin(candidate, facts[nt])]
+        if new.size:
+            facts[nt] = np.unique(np.concatenate([facts[nt], new]))
+            delta_mats[nt] = ctx.matrix_from_lists((n, n), new // n, new % n)
+    return delta_mats
+
+
 def tensor_cfpq(
     graph: LabeledGraph,
     query,
@@ -112,34 +158,9 @@ def tensor_cfpq(
 
     k = rsm.n_states
 
-    def build_product(symbols, fact_matrices) -> object:
-        """Σ R_sym ⊗ G_sym over the given symbols.
-
-        Each step is the fused ``product <- product ∨ (R ⊗ G)`` — on
-        the bit path the Kronecker blocks OR-scatter straight into the
-        new sum's words, with no per-symbol product temporary.
-        """
-        product = ctx.matrix_empty((k * n, k * n))
-        for sym in symbols:
-            r = r_mats.get(sym)
-            if r is None or r.nnz == 0:
-                # Symbol never appears on an RSM edge (e.g. a nonterminal
-                # no box references) — contributes nothing.
-                continue
-            g = g_term.get(sym) if sym in g_term else fact_matrices.get(sym)
-            if g is None or g.nnz == 0:
-                continue
-            merged = r.kron(g, accumulate=product)
-            product.free()
-            product = merged
-        return product
-
-    def fact_matrix(nt: str) -> object:
-        keys = facts[nt]
-        rows, cols = keys // n, keys % n
-        return ctx.matrix_from_lists((n, n), rows, cols)
-
+    shape = (k * n, k * n)
     closure = None
+    delta_mats: dict[str, object] = {}
     iterations = 0
     # The outer loop is itself a fixpoint: hint the backend so product /
     # closure intermediates stay resident in their winning format.
@@ -147,8 +168,14 @@ def tensor_cfpq(
         while True:
             iterations += 1
             if closure is None or not incremental:
-                fact_mats = {nt: fact_matrix(nt) for nt in rsm.nonterminals}
-                product = build_product(rsm.labels, fact_mats)
+                fact_mats = {
+                    nt: ctx.matrix_from_lists((n, n), facts[nt] // n, facts[nt] % n)
+                    for nt in rsm.nonterminals
+                }
+                operands = {**fact_mats, **g_term}
+                product = kron_sum(
+                    ctx, shape, r_mats, ((sym, operands.get(sym)) for sym in rsm.labels)
+                )
                 for m in fact_mats.values():
                     m.free()
                 if closure is not None:
@@ -157,10 +184,8 @@ def tensor_cfpq(
                 product.free()
             else:
                 # Only the Δ-facts contribute new product edges.
-                delta_mats = {nt: delta_ms for nt, delta_ms in new_fact_mats.items()}
-                delta = build_product(
-                    [nt for nt in rsm.nonterminals if nt in delta_mats], delta_mats
-                )
+                fresh = ((nt, delta_mats[nt]) for nt in rsm.nonterminals if nt in delta_mats)
+                delta = kron_sum(ctx, shape, r_mats, fresh)
                 for m in delta_mats.values():
                     m.free()
                 updated = incremental_transitive_closure(closure, delta)
@@ -168,31 +193,8 @@ def tensor_cfpq(
                 closure.free()
                 closure = updated
 
-            # Extract new facts from the (start, final) blocks of each box.
-            grew = False
-            new_fact_mats: dict[str, object] = {}
-            for nt, box in rsm.boxes.items():
-                start = box.start
-                fresh_keys = []
-                for f in box.finals:
-                    block = closure.extract_submatrix(start * n, f * n, n, n)
-                    try:
-                        rows, cols = block.to_arrays()
-                    finally:
-                        block.free()
-                    if rows.size:
-                        fresh_keys.append(_pairs_to_keys(rows, cols, n))
-                if not fresh_keys:
-                    continue
-                candidate = np.unique(np.concatenate(fresh_keys))
-                known = facts[nt]
-                new = candidate[~np.isin(candidate, known)]
-                if new.size:
-                    grew = True
-                    facts[nt] = np.unique(np.concatenate([known, new]))
-                    rows, cols = new // n, new % n
-                    new_fact_mats[nt] = ctx.matrix_from_lists((n, n), rows, cols)
-            if not grew:
+            delta_mats = read_new_facts(ctx, rsm, n, closure, facts)
+            if not delta_mats:
                 break
 
     elapsed = time.perf_counter() - t0

@@ -33,10 +33,12 @@ from repro.analysis.locktrace import make_lock
 from repro.errors import (
     ClusterError,
     ClusterProtocolError,
+    InvalidArgumentError,
     SpblaError,
     StoreCorruptError,
     StoreError,
 )
+from repro.service.kinds import get_kind
 from repro.store.wal import decode_transaction
 
 from . import protocol
@@ -353,28 +355,14 @@ class ClusterFollower:
             )
             return
         try:
-            query = str(header.get("query"))
-            timeout = header.get("timeout")
-            if kind == "reach":
-                reached = self.service.reach(
-                    name, query, source=int(header.get("source")),
-                    timeout=timeout,
-                )
-                value = sorted(int(v) for v in reached)
-            elif kind == "pairs":
-                value = _pair_list(
-                    self.service.pairs(name, query, timeout=timeout)
-                )
-            elif kind == "cfpq":
-                value = _pair_list(
-                    self.service.cfpq(name, query, timeout=timeout)
-                )
-            else:
-                protocol.send_message(
-                    conn,
-                    {"type": MSG_ERROR, "error": f"unknown query kind {kind!r}"},
-                )
-                return
+            row = get_kind(kind)
+            if row.encode is None:
+                raise InvalidArgumentError(f"{kind} queries have no wire form")
+            query, source, timeout = map(header.get, ("query", "source", "timeout"))
+            ticket = self.service.submit(
+                kind, name, str(query), source=source, timeout=timeout
+            )
+            value = row.encode(ticket.result())
         except SpblaError as exc:
             protocol.send_message(
                 conn,
@@ -442,10 +430,6 @@ class ClusterFollower:
                 "counters": dict(self._counters),
                 "last_error": self._last_error,
             }
-
-
-def _pair_list(pairs) -> list[list[int]]:
-    return sorted([int(u), int(v)] for u, v in pairs)
 
 
 def _close_quietly(sock) -> None:

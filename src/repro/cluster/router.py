@@ -12,7 +12,9 @@ The staleness contract (docs/CLUSTER.md):
   a mutation returned and the answer can never predate it;
 * when no candidate works (none fresh enough, connection errors, a
   replica raced below the floor) the read falls back to local
-  execution on the primary, which is by definition the freshest state.
+  execution on the primary, which is by definition the freshest state;
+* a query with no wire form (a prebuilt automaton, grammar or AST
+  rather than text) is never sent: it executes on the primary.
 
 The router holds no lock across network I/O or query evaluation:
 per-replica connections are checked out under the lock, used outside
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from repro.analysis.locktrace import make_lock
 from repro.errors import ClusterProtocolError, SpblaError
+from repro.service.kinds import CFPQ, PAIRS, REACH
 
 from . import protocol
 from .protocol import MSG_ERROR, MSG_QUERY, MSG_RESULT
@@ -43,18 +46,19 @@ class ReplicaConn:
         """One request/response round trip; reconnects lazily."""
         with self._lock:
             sock, self._sock = self._sock, None
+        msg = None
         try:
             if sock is None:
                 sock = protocol.connect(self.address, timeout=timeout)
             sock.settimeout(timeout)
             protocol.send_message(sock, header)
             msg = protocol.recv_message(sock)
-        except (SpblaError, OSError, TimeoutError):
-            if sock is not None:
+        finally:
+            # Any failure (in or outside the taxonomy) or EOF leaves the
+            # stream in an unknown state: never check it back in.
+            if msg is None and sock is not None:
                 _close_quietly(sock)
-            raise
         if msg is None:
-            _close_quietly(sock)
             raise ClusterProtocolError(
                 f"{self.fid}: replica closed the connection"
             )
@@ -97,27 +101,19 @@ class ReadRouter:
     def route_reach(
         self, graph, query, *, source, timeout=None, min_version=None
     ) -> set[int]:
-        value = self._route(
-            "reach", graph, query,
-            source=source, timeout=timeout, min_version=min_version,
+        return self._route(
+            REACH, graph, query, source=source, timeout=timeout, min_version=min_version
         )
-        return {int(v) for v in value}
 
     def route_pairs(
         self, graph, query, *, timeout=None, min_version=None
     ) -> set[tuple[int, int]]:
-        value = self._route(
-            "pairs", graph, query, timeout=timeout, min_version=min_version
-        )
-        return {(int(u), int(v)) for u, v in value}
+        return self._route(PAIRS, graph, query, timeout=timeout, min_version=min_version)
 
     def route_cfpq(
         self, graph, query, *, timeout=None, min_version=None
     ) -> set[tuple[int, int]]:
-        value = self._route(
-            "cfpq", graph, query, timeout=timeout, min_version=min_version
-        )
-        return {(int(u), int(v)) for u, v in value}
+        return self._route(CFPQ, graph, query, timeout=timeout, min_version=min_version)
 
     def _route(
         self, kind, graph, query, *, source=None, timeout=None, min_version=None
@@ -128,11 +124,14 @@ class ReadRouter:
         else:
             floor = max(0, primary_version - self.max_staleness)
 
+        wire = kind.wire_query(query)
+        # No wire form (prebuilt automaton / AST): nothing to send.
+        candidates = self._candidates(graph, floor) if wire is not None else ()
         header = {
             "type": MSG_QUERY,
-            "kind": kind,
+            "kind": kind.name,
             "graph": graph,
-            "query": query,
+            "query": wire,
             "min_version": floor,
         }
         if source is not None:
@@ -145,7 +144,7 @@ class ReadRouter:
             else self.request_timeout
         )
 
-        for fid, address, acked in self._candidates(graph, floor):
+        for fid, address, acked in candidates:
             conn = self._conn(fid, address)
             try:
                 reply = conn.request(header, timeout=request_timeout)
@@ -156,7 +155,7 @@ class ReadRouter:
             if rtype == MSG_RESULT:
                 self._count("routed_replica")
                 self._note_route(fid, reply.get("applied_version"), floor)
-                return reply.get("value") or []
+                return kind.decode(reply.get("value") or [])
             if rtype == MSG_ERROR and reply.get("error") == "stale":
                 # The router's acked map outran the replica (e.g. it just
                 # restarted); honor the floor and try the next candidate.
@@ -167,17 +166,7 @@ class ReadRouter:
         # Primary fallback: local execution is always fresh enough.
         self._count("routed_primary")
         self._note_route("primary", primary_version, floor)
-        return self._local(kind, graph, query, source=source, timeout=timeout)
-
-    def _local(self, kind, graph, query, *, source=None, timeout=None):
-        if kind == "reach":
-            ticket = self.service.submit_reach(
-                graph, query, source=source, timeout=timeout
-            )
-        elif kind == "pairs":
-            ticket = self.service.submit_pairs(graph, query, timeout=timeout)
-        else:
-            ticket = self.service.submit_cfpq(graph, query, timeout=timeout)
+        ticket = self.service.submit(kind.name, graph, query, source=source, timeout=timeout)
         return ticket.result()
 
     def _candidates(self, graph: str, floor: int) -> list:

@@ -38,6 +38,7 @@ from pathlib import Path
 from repro.analysis import locktrace
 from repro.datasets.random_graphs import uniform_random_graph
 from repro.service.core import QueryService
+from repro.service.kinds import REACH
 
 from .protocol import MSG_QUERY, MSG_RESULT, connect, recv_message, send_message
 from .router import ReadRouter
@@ -347,7 +348,7 @@ def _direct_query(
             sock,
             {
                 "type": MSG_QUERY,
-                "kind": "reach",
+                "kind": REACH.name,
                 "graph": graph,
                 "query": query,
                 "source": source,
@@ -361,6 +362,6 @@ def _direct_query(
         return set(), -1
     header = msg[0]
     return (
-        {int(v) for v in header.get("value") or []},
+        REACH.decode(header.get("value") or []),
         int(header.get("applied_version", -1)),
     )

@@ -30,9 +30,11 @@ from repro.algorithms.closure import incremental_transitive_closure
 from repro.grammar.rsm import RSM
 from repro.incr.state import FixpointState, matrix_coo
 
-# The product-graph builder is shared with the cold path on purpose:
-# warm and cold must disagree only in iteration count, never in algebra.
-from repro.rpq.engine import _product_matrix
+# Product builders and readouts are shared with the cold paths on
+# purpose: warm and cold must disagree only in iteration count, never
+# in algebra.
+from repro.cfpq.tensor_algorithm import _pairs_to_keys, kron_sum, read_new_facts
+from repro.rpq.engine import _product_matrix, closure_pairs
 
 _EMPTY = (np.empty(0, np.int64), np.empty(0, np.int64))
 
@@ -112,22 +114,6 @@ def rpq_reach_incremental(
 # -- RPQ all-pairs (product-closure index) ---------------------------------
 
 
-def _closure_pairs(nfa, n: int, closure) -> set:
-    """(start, final) block readout — mirrors ``RpqIndex.pairs``."""
-    out: set = set()
-    for s in nfa.starts:
-        for f in nfa.finals:
-            block = closure.extract_submatrix(s * n, f * n, n, n)
-            try:
-                rows, cols = block.to_arrays()
-            finally:
-                block.free()
-            out.update(zip(rows.tolist(), cols.tolist()))
-    if nfa.starts & nfa.finals:
-        out.update((v, v) for v in range(n))
-    return out
-
-
 def pairs_state_from_index(index) -> FixpointState:
     """Snapshot a cold :class:`~repro.rpq.engine.RpqIndex` for reuse."""
     return FixpointState(
@@ -169,7 +155,7 @@ def rpq_pairs_incremental(nfa, n: int, ctx, state: FixpointState, adds: dict):
     closure = incremental_transitive_closure(prev, delta)
     prev.free()
     delta.free()
-    pairs = _closure_pairs(nfa, n, closure)
+    pairs = closure_pairs(nfa, n, closure)
     new_state = FixpointState(
         "closure", shape, {"closure": matrix_coo(closure)}, {"n": n, "k": k}
     )
@@ -204,14 +190,12 @@ def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict)
     added terminal edges play the role of the first round's Δ-facts,
     the cached closure absorbs them via
     :func:`~repro.algorithms.closure.incremental_transitive_closure`,
-    and the box readout continues exactly as in
-    :func:`~repro.cfpq.tensor_algorithm.tensor_cfpq`.
+    and the box readout is the cold path's own
+    (:func:`~repro.cfpq.tensor_algorithm.read_new_facts`).
 
     Returns ``(pairs, new_state)`` or None when the state's geometry
     does not match.
     """
-    from repro.cfpq.tensor_algorithm import _pairs_to_keys
-
     rsm = query if isinstance(query, RSM) else RSM.from_cfg(query)
     n = graph.n
     k = rsm.n_states
@@ -226,18 +210,6 @@ def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict)
 
     r_mats = rsm.transition_matrices(ctx)
 
-    def build_delta(delta_mats: dict):
-        """Σ R_sym ⊗ Δ_sym (fused accumulate, as in the cold path)."""
-        product = ctx.matrix_empty(shape)
-        for sym, g in delta_mats.items():
-            r = r_mats.get(sym)
-            if r is None or r.nnz == 0 or g.nnz == 0:
-                continue
-            merged = r.kron(g, accumulate=product)
-            product.free()
-            product = merged
-        return product
-
     # Round 0's Δ-facts are the added *terminal* edges.
     delta_mats = {
         label: ctx.matrix_from_lists((n, n), *pair)
@@ -245,43 +217,18 @@ def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict)
         if label in set(rsm.terminals)
     }
     closure = state.matrix(ctx, "closure")
-    iterations = 0
     with ctx.backend.fixpoint():
         while True:
-            iterations += 1
-            delta = build_delta(delta_mats)
+            delta = kron_sum(ctx, shape, r_mats, delta_mats.items())
             for m in delta_mats.values():
                 m.free()
-            delta_mats = {}
             updated = incremental_transitive_closure(closure, delta)
             delta.free()
             closure.free()
             closure = updated
 
-            # Box readout — identical to the cold path's fact extraction.
-            grew = False
-            for nt, box in rsm.boxes.items():
-                start = box.start
-                fresh_keys = []
-                for f in box.finals:
-                    block = closure.extract_submatrix(start * n, f * n, n, n)
-                    try:
-                        rows, cols = block.to_arrays()
-                    finally:
-                        block.free()
-                    if rows.size:
-                        fresh_keys.append(_pairs_to_keys(rows, cols, n))
-                if not fresh_keys:
-                    continue
-                candidate = np.unique(np.concatenate(fresh_keys))
-                new = candidate[~np.isin(candidate, facts[nt])]
-                if new.size:
-                    grew = True
-                    facts[nt] = np.unique(np.concatenate([facts[nt], new]))
-                    delta_mats[nt] = ctx.matrix_from_lists(
-                        (n, n), new // n, new % n
-                    )
-            if not grew:
+            delta_mats = read_new_facts(ctx, rsm, n, closure, facts)
+            if not delta_mats:
                 break
 
     for m in r_mats.values():
@@ -295,22 +242,3 @@ def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict)
     closure.free()
     new_state = FixpointState("tensor", shape, coo, {"n": n, "k": k})
     return pairs, new_state
-
-
-# -- matrix CFPQ -----------------------------------------------------------
-
-
-def matrix_cfpq_incremental(graph, grammar, ctx, prev_pairs: dict):
-    """Azimov's algorithm warm-started from previous fact matrices.
-
-    ``prev_pairs`` maps nonterminal → host ``(rows, cols)`` of the old
-    fixed point's facts (``MatrixIndex.matrices`` read back).  Seeding
-    the fact matrices with them — valid for adds-only deltas, since the
-    old facts still derive — leaves the fixpoint loop only the facts the
-    new edges enable; the loop itself is unchanged
-    (:func:`~repro.cfpq.matrix_algorithm.matrix_cfpq` with
-    ``warm_start``).
-    """
-    from repro.cfpq.matrix_algorithm import matrix_cfpq
-
-    return matrix_cfpq(graph, grammar, ctx, warm_start=prev_pairs)

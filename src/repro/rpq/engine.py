@@ -52,19 +52,7 @@ class RpqIndex:
         Nonempty-word matches come from closure blocks; if the query
         language contains ε, every vertex matches itself as well.
         """
-        out: set[tuple[int, int]] = set()
-        n = self.n
-        for s in self.nfa.starts:
-            for f in self.nfa.finals:
-                block = self.closure.extract_submatrix(s * n, f * n, n, n)
-                try:
-                    rows, cols = block.to_arrays()
-                finally:
-                    block.free()
-                out.update(zip(rows.tolist(), cols.tolist()))
-        if self.matches_epsilon:
-            out.update((v, v) for v in range(n))
-        return out
+        return closure_pairs(self.nfa, self.n, self.closure)
 
     @property
     def matches_epsilon(self) -> bool:
@@ -76,6 +64,22 @@ class RpqIndex:
 
     def free(self) -> None:
         self.closure.free()
+
+
+def closure_pairs(nfa: NFA, n: int, closure) -> set[tuple[int, int]]:
+    """(start, final) block readout of a product closure ``M⁺``."""
+    out: set[tuple[int, int]] = set()
+    for s in nfa.starts:
+        for f in nfa.finals:
+            block = closure.extract_submatrix(s * n, f * n, n, n)
+            try:
+                rows, cols = block.to_arrays()
+            finally:
+                block.free()
+            out.update(zip(rows.tolist(), cols.tolist()))
+    if nfa.starts & nfa.finals:
+        out.update((v, v) for v in range(n))
+    return out
 
 
 def _compile(query, automaton: str = "glushkov") -> NFA:

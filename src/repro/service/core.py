@@ -27,16 +27,10 @@ from __future__ import annotations
 from repro.errors import InvalidArgumentError
 from repro.graph import LabeledGraph
 from repro.service.graph_store import GraphStore
-from repro.service.plan_cache import PlanCache
-from repro.service.scheduler import (
-    KIND_CFPQ,
-    KIND_DIST,
-    KIND_PAIRS,
-    KIND_REACH,
-    QueryScheduler,
-    QueryTicket,
-)
+from repro.service.kinds import CFPQ, DIST, PAIRS, REACH, get_kind
+from repro.service.plan_cache import PlanCache, dist_query
 from repro.service.result_cache import ResultCache
+from repro.service.scheduler import QueryScheduler, QueryTicket
 from repro.service.stats import ServiceStats, StatsSnapshot
 
 
@@ -203,47 +197,51 @@ class QueryService:
 
     # -- async surface -----------------------------------------------------
 
-    def submit_reach(
+    def submit(
         self,
+        kind: str,
         graph: str,
         query,
         *,
-        source: int,
+        source: int | None = None,
         timeout: float | None = None,
     ) -> QueryTicket:
-        """Single-source RPQ reachability (the batchable kind)."""
-        handle = self.graphs.get(graph)  # validate early, pre-admission
-        if not 0 <= int(source) < handle.n:
-            raise InvalidArgumentError(
-                f"source {source} outside [0, {handle.n})"
-            )
-        return self.scheduler.submit(
-            QueryTicket(
-                kind=KIND_REACH,
-                graph=graph,
-                query=query,
-                source=int(source),
-                timeout=timeout,
-            )
+        """Admit one query of any kind in :data:`repro.service.kinds.KINDS`.
+
+        Validates the kind, the graph and the source before admission,
+        so bad requests never reach the scheduler; every other entry
+        point reduces to this one.
+        """
+        row = get_kind(kind)
+        handle = self.graphs.get(graph)
+        if row.needs_source:
+            if source is None or not 0 <= int(source) < handle.n:
+                raise InvalidArgumentError(f"source {source} outside [0, {handle.n})")
+            source = int(source)
+        elif source is not None:
+            raise InvalidArgumentError(f"{kind} queries take no source")
+        ticket = QueryTicket(
+            kind=kind, graph=graph, query=query, source=source, timeout=timeout
         )
+        return self.scheduler.submit(ticket)
+
+    def submit_reach(
+        self, graph: str, query, *, source: int, timeout: float | None = None
+    ) -> QueryTicket:
+        """Single-source RPQ reachability (the batchable kind)."""
+        return self.submit(REACH.name, graph, query, source=source, timeout=timeout)
 
     def submit_pairs(
         self, graph: str, query, *, timeout: float | None = None
     ) -> QueryTicket:
         """All-pairs RPQ (closure of the product graph)."""
-        self.graphs.get(graph)
-        return self.scheduler.submit(
-            QueryTicket(kind=KIND_PAIRS, graph=graph, query=query, timeout=timeout)
-        )
+        return self.submit(PAIRS.name, graph, query, timeout=timeout)
 
     def submit_cfpq(
         self, graph: str, grammar, *, timeout: float | None = None
     ) -> QueryTicket:
         """All-pairs CFPQ on the tensor engine."""
-        self.graphs.get(graph)
-        return self.scheduler.submit(
-            QueryTicket(kind=KIND_CFPQ, graph=graph, query=grammar, timeout=timeout)
-        )
+        return self.submit(CFPQ.name, graph, grammar, timeout=timeout)
 
     def submit_distances(
         self,
@@ -258,37 +256,11 @@ class QueryService:
 
         ``weights`` optionally maps edge labels to weights (unlisted
         labels weigh 1); ``semiring`` names the algebra (only
-        ``"min-plus"`` is evaluable today — the name is validated here
-        so bad requests never reach the scheduler).  The answer is a
-        set of ``(vertex, distance)`` pairs over reachable vertices.
+        ``"min-plus"`` is evaluable today).  The answer is a set of
+        ``(vertex, distance)`` pairs over reachable vertices.
         """
-        from repro.core.semiring import get_semiring
-
-        handle = self.graphs.get(graph)  # validate early, pre-admission
-        if not 0 <= int(source) < handle.n:
-            raise InvalidArgumentError(
-                f"source {source} outside [0, {handle.n})"
-            )
-        s = get_semiring(semiring)
-        if s.name != "min-plus":
-            raise InvalidArgumentError(
-                "distance queries require the min-plus semiring, "
-                f"got {s.name!r}"
-            )
-        norm = (
-            tuple(sorted((str(k), float(v)) for k, v in weights.items()))
-            if weights
-            else None
-        )
-        return self.scheduler.submit(
-            QueryTicket(
-                kind=KIND_DIST,
-                graph=graph,
-                query=(s.name, norm),
-                source=int(source),
-                timeout=timeout,
-            )
-        )
+        query = dist_query(semiring, weights)
+        return self.submit(DIST.name, graph, query, source=source, timeout=timeout)
 
     # -- sync convenience --------------------------------------------------
     #
@@ -310,12 +282,9 @@ class QueryService:
         router = self._router
         if router is not None and route != "primary":
             return router.route_reach(
-                graph, query,
-                source=source, timeout=timeout, min_version=min_version,
+                graph, query, source=source, timeout=timeout, min_version=min_version
             )
-        return self.submit_reach(
-            graph, query, source=source, timeout=timeout
-        ).result()
+        return self.submit_reach(graph, query, source=source, timeout=timeout).result()
 
     def pairs(
         self,
@@ -361,11 +330,7 @@ class QueryService:
         """Sync :meth:`submit_distances` (always evaluated locally —
         distance answers carry no replication path yet)."""
         return self.submit_distances(
-            graph,
-            source=source,
-            weights=weights,
-            semiring=semiring,
-            timeout=timeout,
+            graph, source=source, weights=weights, semiring=semiring, timeout=timeout
         ).result()
 
     # -- observability -----------------------------------------------------

@@ -1,0 +1,163 @@
+"""The query-kind table: one row per kind of query the service answers.
+
+RPQ and CFPQ are one pipeline in the paper (product → closure → block
+readout); what differs between ``reach``, ``pairs``, ``cfpq`` and
+``dist`` is a handful of facts, written down here and nowhere else.
+The scheduler, both caches, the service facade, the read router and
+the follower are generic over a row; none of them names a kind.
+
+Engine entry points are resolved through their *module* at call time
+(``_rpq.rpq_index(...)``, never ``from ... import rpq_index``): tools
+that wrap a module attribute — the benchmark's span tracer — must see
+every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import repro.algorithms.shortest_paths as _sssp
+import repro.cfpq.tensor_algorithm as _tns
+import repro.incr.engine as _incr
+import repro.rpq.engine as _rpq
+from repro.errors import InvalidArgumentError
+
+
+@dataclass(frozen=True)
+class QueryKind:
+    """Everything that varies by query kind."""
+
+    name: str
+    #: :class:`~repro.service.plan_cache.PlanCache` kind; rows sharing
+    #: one share compiled plans.
+    plan_kind: str
+    needs_source: bool
+    #: ``(ctx, handle, plan, source, warm, cancel, want_state) ->
+    #: (result, state, used_warm)``.  ``warm`` is the scheduler's
+    #: ``(FixpointState, adds)`` offer or None; ``state`` the resumable
+    #: fixed point (None unless ``want_state``).
+    evaluate: Callable
+    #: The query's text on the replica wire, or None: run on the primary.
+    wire_query: Callable
+    #: Answer to / from its JSON wire value.
+    encode: Callable | None = None
+    decode: Callable | None = None
+    #: ``(ctx, handle, plans, sources, cancel) -> [result, ...]``: one
+    #: fixpoint for a coalesced same-graph group (None: never coalesces).
+    batch: Callable | None = None
+    #: False: no FixpointState lineage, never offered a warm start.
+    warm_starts: bool = True
+
+
+def _eval_reach(ctx, handle, plan, source, warm, cancel, want_state):
+    # The frontier engine, not a batch of one: same answer, but it can
+    # warm-start from (and snapshot) the final frontier.
+    seed = warm[0] if warm is not None else None
+    targets, state, used, _ = _incr.rpq_reach_incremental(
+        plan.nfa, handle.n, source, ctx, handle.query_matrices(), seed, cancel
+    )
+    return targets, state if want_state else None, used
+
+
+def _batch_reach(ctx, handle, plans, sources, cancel):
+    # Plans may differ; the evaluator deduplicates identical NFA objects.
+    nfas = [plan.nfa for plan in plans]
+    return _rpq.rpq_reach_batch(
+        handle.graph, nfas, sources, ctx, adjacency=handle.query_matrices(), cancel=cancel
+    )
+
+
+def _warm_or_cold(restart, build_index, snapshot):
+    """Index-building kinds: try the delta restart, else build the
+    index cold, snapshot its fixed point, and read the pairs out."""
+
+    def evaluate(ctx, handle, plan, source, warm, cancel, want_state):
+        out = restart(ctx, handle, plan, *warm) if warm is not None else None
+        if out is not None:  # None: state geometry did not match
+            return (*out, True)
+        index = build_index(ctx, handle, plan)
+        try:
+            state = snapshot(index) if want_state else None
+            return index.pairs(), state, False
+        finally:
+            index.free()
+
+    return evaluate
+
+
+def _eval_dist(ctx, handle, plan, source, warm, cancel, want_state):
+    # Value backend; answers ride the result cache tagged by semiring.
+    weights = dict(plan.meta.get("weights") or ())
+    w = _sssp.weight_matrix(handle.graph, weights or None)
+    dist = _sssp.single_source_shortest_paths(w, source)
+    return {(int(v), float(d)) for v, d in enumerate(dist) if d < float("inf")}, None, False
+
+
+def _text_query(query) -> str | None:
+    """Prebuilt automata / grammar objects have no wire form."""
+    return query if isinstance(query, str) else None
+
+
+def _encode_pairs(pairs) -> list[list[int]]:
+    return sorted([int(u), int(v)] for u, v in pairs)
+
+
+def _decode_pairs(value) -> set[tuple[int, int]]:
+    return {(int(u), int(v)) for u, v in value}
+
+
+REACH = QueryKind(
+    name="reach",
+    plan_kind="rpq",
+    needs_source=True,
+    evaluate=_eval_reach,
+    batch=_batch_reach,
+    wire_query=_text_query,
+    encode=lambda reached: sorted(int(v) for v in reached),
+    decode=lambda value: {int(v) for v in value},
+)
+PAIRS = QueryKind(
+    name="pairs",
+    plan_kind="rpq",
+    needs_source=False,
+    evaluate=_warm_or_cold(
+        lambda ctx, h, plan, *warm: _incr.rpq_pairs_incremental(plan.nfa, h.n, ctx, *warm),
+        lambda ctx, h, plan: _rpq.rpq_index(
+            h.graph, plan.nfa, ctx, adjacency=h.query_matrices()
+        ),
+        lambda index: _incr.pairs_state_from_index(index),
+    ),
+    wire_query=_text_query,
+    encode=_encode_pairs,
+    decode=_decode_pairs,
+)
+CFPQ = QueryKind(
+    name="cfpq",
+    plan_kind="cfpq",
+    needs_source=False,
+    evaluate=_warm_or_cold(
+        lambda ctx, h, plan, *warm: _incr.tensor_cfpq_incremental(h.graph, plan.rsm, ctx, *warm),
+        lambda ctx, h, plan: _tns.tensor_cfpq(h.graph, plan.rsm, ctx),
+        lambda index: _incr.tensor_state_from_index(index),
+    ),
+    wire_query=_text_query,
+    encode=_encode_pairs,
+    decode=_decode_pairs,
+)
+DIST = QueryKind(
+    name="dist",
+    plan_kind="dist",
+    needs_source=True,
+    evaluate=_eval_dist,
+    wire_query=lambda query: None,  # no replication path for value answers
+    warm_starts=False,
+)
+
+KINDS: dict[str, QueryKind] = {k.name: k for k in (REACH, PAIRS, CFPQ, DIST)}
+
+
+def get_kind(name: str) -> QueryKind:
+    if name not in KINDS:
+        raise InvalidArgumentError(f"unknown query kind {name!r}; available: {sorted(KINDS)}")
+    return KINDS[name]

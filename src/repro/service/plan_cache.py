@@ -92,14 +92,29 @@ def canonical_cfpq_key(query) -> str | None:
     )
 
 
-def canonical_dist_key(query) -> str:
-    """Canonical cache key for a distance (semiring) query.
+def dist_query(semiring, weights) -> tuple:
+    """Canonical ``(semiring name, weights)`` distance query.
 
-    ``query`` is ``(semiring_name, weights)`` where ``weights`` is a
-    sorted tuple of ``(label, weight)`` pairs or ``None``; both arrive
-    pre-normalized from :meth:`QueryService.submit_distances`, so the
-    repr is already canonical.
+    Resolves ``semiring`` through the registry (unknown algebras raise)
+    and normalizes ``weights`` — a label → weight dict, or normalized
+    pairs — to a sorted tuple of ``(label, weight)`` pairs or None.
+    Only min-plus is evaluable, and only this function says so: it runs
+    pre-admission (``submit_distances``) and again at plan compile.
     """
+    from repro.core.semiring import get_semiring
+
+    s = get_semiring(semiring)
+    if s.name != "min-plus":
+        raise InvalidArgumentError(
+            f"distance queries require the min-plus semiring, got {s.name!r}"
+        )
+    pairs = weights.items() if isinstance(weights, dict) else weights or ()
+    return s.name, tuple(sorted((str(k), float(v)) for k, v in pairs)) or None
+
+
+def canonical_dist_key(query) -> str:
+    """Canonical cache key for a distance query — a :func:`dist_query`
+    tuple, whose repr is already canonical."""
     if (
         not isinstance(query, tuple)
         or len(query) != 2
@@ -115,26 +130,17 @@ def canonical_dist_key(query) -> str:
 def compile_dist_plan(query, *, key: str | None = None) -> QueryPlan:
     """Validate a distance query into a plan.
 
-    There is no automaton to build — "compilation" is resolving the
-    semiring name through the registry (rejecting unknown algebras
-    before the ticket ever reaches the scheduler) and pinning the
-    normalized weight assignment in ``meta`` so the result cache can
-    tag entries by algebra.
+    There is no automaton to build: the plan pins the resolved semiring
+    name and normalized weights in ``meta`` so the result cache can tag
+    entries by algebra.
     """
-    from repro.core.semiring import get_semiring
-
     t0 = time.perf_counter()
-    name, weights = query
-    s = get_semiring(name)
-    if s.name != "min-plus":
-        raise InvalidArgumentError(
-            f"distance queries require the min-plus semiring, got {s.name!r}"
-        )
+    name, weights = dist_query(*query)
     return QueryPlan(
         kind="dist",
         key=key,
         compile_time_s=time.perf_counter() - t0,
-        meta={"semiring": s.name, "weights": weights},
+        meta={"semiring": name, "weights": weights},
     )
 
 
@@ -189,6 +195,14 @@ def compile_cfpq_plan(query, *, key: str | None = None) -> QueryPlan:
     )
 
 
+#: plan kind -> (canonical key, compile).
+PLAN_KINDS = {
+    "rpq": (canonical_rpq_key, compile_rpq_plan),
+    "cfpq": (canonical_cfpq_key, compile_cfpq_plan),
+    "dist": (canonical_dist_key, compile_dist_plan),
+}
+
+
 class PlanCache:
     """Thread-safe LRU cache of :class:`QueryPlan` objects.
 
@@ -220,14 +234,10 @@ class PlanCache:
         fresh each call and never stored; they count as neither hit nor
         miss.
         """
-        if kind == "rpq":
-            key = canonical_rpq_key(query)
-        elif kind == "cfpq":
-            key = canonical_cfpq_key(query)
-        elif kind == "dist":
-            key = canonical_dist_key(query)
-        else:
+        if kind not in PLAN_KINDS:
             raise InvalidArgumentError(f"unknown plan kind {kind!r}")
+        canonical_key, compile_fn = PLAN_KINDS[kind]
+        key = canonical_key(query)
 
         if key is not None:
             with self._lock:
@@ -238,11 +248,6 @@ class PlanCache:
                     return plan
                 self.misses += 1
 
-        compile_fn = {
-            "rpq": compile_rpq_plan,
-            "cfpq": compile_cfpq_plan,
-            "dist": compile_dist_plan,
-        }[kind]
         plan = compile_fn(query, key=key)
 
         if key is not None:

@@ -10,9 +10,9 @@ The scheduler is the concurrency heart of the service tier:
   owns no state, so any worker can serve any request (the backends and
   the device arena are already thread-safe);
 * **multi-query batching** — a worker dequeues up to ``max_batch``
-  requests at once and coalesces same-graph RPQ reachability queries
-  into a single :func:`~repro.rpq.engine.rpq_reach_batch` evaluation:
-  one product build and one fixpoint answer the whole group;
+  requests at once and coalesces same-graph queries of a kind whose
+  :mod:`~repro.service.kinds` row has a ``batch`` evaluator (RPQ
+  reachability): one product build and one fixpoint answer the group;
 * **deadlines + cooperative cancellation** — each request may carry a
   deadline; requests expire in the queue, are re-checked before and
   during evaluation (the fixpoint polls a cancel hook every
@@ -38,18 +38,13 @@ from repro.errors import (
     ServiceOverloadedError,
     SpblaError,
 )
+from repro.service.kinds import KINDS, get_kind
 
 if TYPE_CHECKING:  # typed collaborators feed the static lock analysis
     from repro.service.graph_store import GraphStore
     from repro.service.plan_cache import PlanCache
     from repro.service.result_cache import ResultCache
     from repro.service.stats import ServiceStats
-
-#: Batch group keys by query kind.
-KIND_REACH = "rpq-reach"
-KIND_PAIRS = "rpq-pairs"
-KIND_CFPQ = "cfpq"
-KIND_DIST = "dist"
 
 _SHUTDOWN = object()
 
@@ -77,7 +72,7 @@ class QueryTicket:
         timeout: float | None = None,
     ):
         self.id = next(_TICKET_IDS)
-        self.kind = kind
+        self.kind = get_kind(kind).name  # raises on an unknown kind
         self.graph = graph
         self.query = query
         self.source = source
@@ -260,35 +255,28 @@ class QueryScheduler:
                             ticket._finish(error=exc)
 
     def _group(self, batch: list) -> list[list]:
-        """Coalescible groups: reach queries by graph; others singleton."""
-        reach: dict[str, list] = {}
+        """Coalescible groups: batchable kinds by graph; others singleton."""
+        coalesced: dict[tuple, list] = {}
         groups: list[list] = []
         for ticket in batch:
-            if ticket.kind == KIND_REACH:
-                reach.setdefault(ticket.graph, []).append(ticket)
+            if KINDS[ticket.kind].batch is not None:
+                coalesced.setdefault((ticket.kind, ticket.graph), []).append(ticket)
             else:
                 groups.append([ticket])
-        groups.extend(reach.values())
+        groups.extend(coalesced.values())
         return groups
 
-    def _prune(self, group: list) -> list:
-        """Drop members already expired or cancelled; finish their tickets."""
-        live = []
-        now = time.monotonic()
-        for ticket in group:
-            if ticket.cancelled:
-                self.stats.count("cancelled")
-                ticket._finish(error=QueryCancelledError("cancelled by caller"))
-            elif ticket._expired(now):
-                self.stats.count("expired")
-                ticket._finish(
-                    error=DeadlineExceededError(
-                        "deadline passed before evaluation started"
-                    )
-                )
-            else:
-                live.append(ticket)
-        return live
+    def _settle_dead(self, ticket, now: float, when: str) -> bool:
+        """Finish ``ticket`` if it was cancelled or its deadline passed."""
+        if ticket.cancelled:
+            self.stats.count("cancelled")
+            ticket._finish(error=QueryCancelledError("cancelled by caller"))
+        elif ticket._expired(now):
+            self.stats.count("expired")
+            ticket._finish(error=DeadlineExceededError(f"deadline passed {when}"))
+        else:
+            return False
+        return True
 
     def _make_cancel_hook(self, group: list):
         """Cooperative cancellation polled between fixpoint iterations.
@@ -308,34 +296,34 @@ class QueryScheduler:
         return check
 
     def _run_group(self, group: list) -> None:
-        group = self._prune(group)
+        now = time.monotonic()
+        group = [
+            t for t in group
+            if not self._settle_dead(t, now, "before evaluation started")
+        ]
         if not group:
             return
-        kind = group[0].kind
+        row = KINDS[group[0].kind]
 
         # Resolve graph + plan per member (plan-cache hits are counted
-        # here; a repeated query does zero recompilation).
-        resolved = []
+        # here; a repeated query does zero recompilation), then try the
+        # cross-request result cache: exact repeats against an unchanged
+        # graph version short-circuit — no fixpoint, no batch slot.
+        resolved = []  # (ticket, handle, plan, result-cache key | None)
         for ticket in group:
             try:
                 handle = self.graphs.get(ticket.graph)
                 t0 = time.perf_counter()
-                if kind == KIND_CFPQ:
-                    plan_kind = "cfpq"
-                elif kind == KIND_DIST:
-                    plan_kind = "dist"
-                else:
-                    plan_kind = "rpq"
-                plan = self.plans.get(plan_kind, ticket.query)
+                plan = self.plans.get(row.plan_kind, ticket.query)
                 dt = time.perf_counter() - t0
                 ticket.timings["compile"] = dt
                 self.stats.record_stage("compile", dt)
-                resolved.append((ticket, handle, plan))
             except SpblaError as exc:
                 # Expected failure modes (unknown graph, bad query, ...)
                 # already speak the taxonomy: deliver as-is.
                 self.stats.count("failed")
                 ticket._finish(error=exc)
+                continue
             except Exception as exc:
                 # Outside the taxonomy = internal invariant broken.
                 # Deliver with query context, then escalate to the
@@ -344,21 +332,10 @@ class QueryScheduler:
                 wrapped = QueryExecutionError((ticket.id,), exc)
                 ticket._finish(error=wrapped)
                 raise wrapped from exc
-        if not resolved:
-            return
-
-        # Cross-request result cache: exact repeats against an unchanged
-        # graph version short-circuit here — no fixpoint, no batch slot.
-        keys: list = [None] * len(resolved)
-        if self.results is not None:
-            remaining = []
-            for ticket, handle, plan in resolved:
+            key = None
+            if self.results is not None:
                 key = self.results.make_key(
-                    kind,
-                    ticket.graph,
-                    handle.current_version(),
-                    plan,
-                    ticket.source,
+                    row.name, ticket.graph, handle.current_version(), plan, ticket.source
                 )
                 hit, value = self.results.get(key)
                 if hit:
@@ -371,36 +348,36 @@ class QueryScheduler:
                     self.stats.record_stage(
                         "total", time.monotonic() - ticket.submitted_at
                     )
-                else:
-                    remaining.append((ticket, handle, plan, key))
-            if not remaining:
-                return
-            resolved = [(t, h, p) for t, h, p, _ in remaining]
-            keys = [k for _, _, _, k in remaining]
+                    continue
+            resolved.append((ticket, handle, plan, key))
+        if not resolved:
+            return
 
-        tickets = [t for t, _, _ in resolved]
-        handle = resolved[0][1]
+        tickets, handles, plans, keys = (list(col) for col in zip(*resolved))
+        handle = handles[0]  # one group, one graph
         cancel = self._make_cancel_hook(tickets)
         # Under REPRO_CHECK_LOCKS: a traced lock held past this point
         # would serialize the whole pool on the evaluation.
         kernel_boundary("QueryScheduler.evaluate")
         t0 = time.perf_counter()
         try:
-            if kind == KIND_REACH:
-                results, states = self._eval_reach(resolved, keys, cancel)
-            elif kind == KIND_PAIRS:
-                result, state = self._eval_pairs(handle, resolved[0][2], keys[0])
-                results, states = [result], [state]
-            elif kind == KIND_CFPQ:
-                result, state = self._eval_cfpq(handle, resolved[0][2], keys[0])
-                results, states = [result], [state]
-            elif kind == KIND_DIST:
-                result, state = self._eval_distances(
-                    handle, resolved[0][2], resolved[0][0].source
+            if len(tickets) > 1:
+                # Coalesced batches share one frontier matrix; its final
+                # state is not attributable to a single cache key, so
+                # no state rides.
+                sources = [ticket.source for ticket in tickets]
+                results = row.batch(self.ctx, handle, plans, sources, cancel)
+                states = [None] * len(tickets)
+                self.stats.count("full_evals", len(tickets))
+            else:
+                key, source = keys[0], tickets[0].source
+                warm = self._warm_start(handle, key) if row.warm_starts else None
+                # A fixpoint state is only worth capturing if cacheable.
+                result, state, used_warm = row.evaluate(
+                    self.ctx, handle, plans[0], source, warm, cancel, key is not None
                 )
                 results, states = [result], [state]
-            else:  # pragma: no cover - submit() validates kinds
-                raise QueryCancelledError(f"unknown query kind {kind!r}")
+                self.stats.count("incremental_evals" if used_warm else "full_evals")
         except QueryCancelledError as exc:
             for ticket in tickets:
                 if ticket._expired():
@@ -428,33 +405,20 @@ class QueryScheduler:
         self.stats.record_batch(len(tickets))
         handle.record_served(len(tickets))
         now = time.monotonic()
-        for (ticket, result), key, state in zip(zip(tickets, results), keys, states):
+        for ticket, result, key, state in zip(tickets, results, keys, states):
             ticket.timings["evaluate"] = eval_time
             self.stats.record_stage("evaluate", eval_time)
             ticket.batch_size = len(tickets)
-            if ticket.cancelled:
-                self.stats.count("cancelled")
-                ticket._finish(error=QueryCancelledError("cancelled by caller"))
-            elif ticket._expired(now):
-                self.stats.count("expired")
-                ticket._finish(
-                    error=DeadlineExceededError("deadline passed during evaluation")
-                )
-            else:
-                self.stats.count("completed")
-                ticket._finish(result=result)
-                self.stats.record_stage(
-                    "total", now - ticket.submitted_at
-                )
-                # Publish only if no delta raced the evaluation: the key
-                # embeds the pre-eval version (index 2); a mismatch means
-                # the answer may reflect newer matrices than it names.
-                if (
-                    self.results is not None
-                    and key is not None
-                    and handle.current_version() == key[2]
-                ):
-                    self.results.put(key, result, state=state)
+            if self._settle_dead(ticket, now, "during evaluation"):
+                continue
+            self.stats.count("completed")
+            ticket._finish(result=result)
+            self.stats.record_stage("total", now - ticket.submitted_at)
+            # Publish only if no delta raced the evaluation: the key
+            # embeds the pre-eval version (index 2); a mismatch means
+            # the answer may reflect newer matrices than it names.
+            if key is not None and handle.current_version() == key[2]:
+                self.results.put(key, result, state=state)
 
     # -- incremental arbitration ------------------------------------------
 
@@ -486,123 +450,3 @@ class QueryScheduler:
             self.stats.count("incremental_declined")
             return None
         return state, summary.adds
-
-    def _wants_state(self, key) -> bool:
-        """Capture fixpoint state only when it can be cached at all."""
-        return self.results is not None and key is not None
-
-    # -- evaluation backends ----------------------------------------------
-
-    def _eval_reach(self, resolved: list, keys: list, cancel):
-        from repro.rpq.engine import rpq_reach_batch
-
-        # All members share one graph (grouping key); plans may differ —
-        # the batch evaluator deduplicates identical plan objects.
-        handle = resolved[0][1]
-        adjacency = handle.query_matrices()
-        if len(resolved) == 1:
-            # Singleton groups run the frontier engine directly: same
-            # answer as a batch of one, but it can warm-start from (and
-            # snapshot) the final frontier.
-            from repro.incr.engine import rpq_reach_incremental
-
-            ticket, handle, plan = resolved[0]
-            warm = self._warm_start(handle, keys[0])
-            targets, state, used, _ = rpq_reach_incremental(
-                plan.nfa,
-                handle.n,
-                ticket.source,
-                self.ctx,
-                adjacency,
-                warm[0] if warm is not None else None,
-                cancel,
-            )
-            self.stats.count("incremental_evals" if used else "full_evals")
-            if not self._wants_state(keys[0]):
-                state = None
-            return [targets], [state]
-        # Coalesced batches share one frontier matrix; its final state
-        # is not attributable to a single cache key, so no state rides.
-        self.stats.count("full_evals", len(resolved))
-        results = rpq_reach_batch(
-            handle.graph,
-            [plan.nfa for _, _, plan in resolved],
-            [ticket.source for ticket, _, _ in resolved],
-            self.ctx,
-            adjacency=adjacency,
-            cancel=cancel,
-        )
-        return results, [None] * len(resolved)
-
-    def _eval_pairs(self, handle, plan, key):
-        from repro.rpq.engine import rpq_index
-
-        warm = self._warm_start(handle, key)
-        if warm is not None:
-            from repro.incr.engine import rpq_pairs_incremental
-
-            out = rpq_pairs_incremental(
-                plan.nfa, handle.n, self.ctx, warm[0], warm[1]
-            )
-            if out is not None:
-                self.stats.count("incremental_evals")
-                return out
-        self.stats.count("full_evals")
-        from repro.incr.engine import pairs_state_from_index
-
-        index = rpq_index(
-            handle.graph, plan.nfa, self.ctx, adjacency=handle.query_matrices()
-        )
-        try:
-            state = (
-                pairs_state_from_index(index) if self._wants_state(key) else None
-            )
-            return index.pairs(), state
-        finally:
-            index.free()
-
-    def _eval_distances(self, handle, plan, source):
-        """Single-source min-plus distances as a reachability-style set.
-
-        No warm start: distance fixpoints run on the value backend and
-        have no boolean FixpointState lineage to resume from — results
-        ride the ordinary result cache instead (tagged by semiring).
-        """
-        from repro.algorithms.shortest_paths import (
-            single_source_shortest_paths,
-            weight_matrix,
-        )
-
-        self.stats.count("full_evals")
-        weights = dict(plan.meta.get("weights") or ())
-        w = weight_matrix(handle.graph, weights or None)
-        dist = single_source_shortest_paths(w, source)
-        result = {
-            (int(v), float(d)) for v, d in enumerate(dist) if d < float("inf")
-        }
-        return result, None
-
-    def _eval_cfpq(self, handle, plan, key):
-        from repro.cfpq.tensor_algorithm import tensor_cfpq
-
-        warm = self._warm_start(handle, key)
-        if warm is not None:
-            from repro.incr.engine import tensor_cfpq_incremental
-
-            out = tensor_cfpq_incremental(
-                handle.graph, plan.rsm, self.ctx, warm[0], warm[1]
-            )
-            if out is not None:
-                self.stats.count("incremental_evals")
-                return out
-        self.stats.count("full_evals")
-        from repro.incr.engine import tensor_state_from_index
-
-        index = tensor_cfpq(handle.graph, plan.rsm, self.ctx)
-        try:
-            state = (
-                tensor_state_from_index(index) if self._wants_state(key) else None
-            )
-            return index.pairs(), state
-        finally:
-            index.free()

@@ -9,11 +9,10 @@ deltas → tear the log tail → stop → warm-restart a fresh service from
 disk, asserting recovery to the last committed version, result
 agreement, and — under the hybrid backend — that BitMatrix snapshots
 came back as zero-copy mmap views (arena ``mapped_bytes``, not heap
-copies).  Later phases cover the fused-accumulate allocation profile,
-the tiled bit kernels, and incremental evaluation (interleaved
+copies).  Later phases cover incremental evaluation (interleaved
 mutations must warm-start, removals must recompute, answers must track
-the oracle).  Exercised by CI under both ``REPRO_HYBRID`` settings;
-exit status is the install check.
+the oracle) and min-plus distance queries.  Exercised by CI under both
+``REPRO_HYBRID`` settings; exit status is the install check.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from repro.analysis import locktrace
 from repro.datasets.random_graphs import uniform_random_graph
 from repro.errors import SpblaError
 from repro.service.core import QueryService
+from repro.service.kinds import CFPQ, PAIRS
 
 #: Regex templates instantiated over the demo graph's labels.
 SELFTEST_QUERIES = (
@@ -120,13 +120,14 @@ def run_selftest(
         for t in clients:
             t.join()
 
-        # One all-pairs and one CFPQ request through the same service.
-        pairs_got = service.pairs("selftest", SELFTEST_QUERIES[0], timeout=60.0)
-        if pairs_got != oracle[SELFTEST_QUERIES[0]]:
-            failures.append("all-pairs result mismatch")
-        cfpq_got = service.cfpq("selftest", SELFTEST_GRAMMAR, timeout=60.0)
-        if cfpq_got != cfpq_oracle:
-            failures.append("cfpq result mismatch")
+        # One request of each index-building kind through the same service.
+        for row, query, want in (
+            (PAIRS, SELFTEST_QUERIES[0], oracle[SELFTEST_QUERIES[0]]),
+            (CFPQ, SELFTEST_GRAMMAR, cfpq_oracle),
+        ):
+            ticket = service.submit(row.name, "selftest", query, timeout=60.0)
+            if ticket.result() != want:
+                failures.append(f"{row.name} result mismatch")
 
         snapshot = service.stats()
         say("")
@@ -172,16 +173,10 @@ def run_selftest(
     with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp:
         failures.extend(_store_phase(tmp, graph, workers=workers, say=say))
 
-    # -- phase 3: fused fixpoint allocation profile ------------------------
-    failures.extend(_fused_phase(say=say))
-
-    # -- phase 4: tiled bit kernels vs flat --------------------------------
-    failures.extend(_tiled_phase(say=say))
-
-    # -- phase 5: incremental evaluation over live deltas ------------------
+    # -- phase 3: incremental evaluation over live deltas ------------------
     failures.extend(_incremental_phase(say=say))
 
-    # -- phase 6: value-semiring queries through the service ---------------
+    # -- phase 4: value-semiring queries through the service ---------------
     failures.extend(_semiring_phase(say=say))
 
     # -- runtime vs static lock graph --------------------------------------
@@ -198,8 +193,7 @@ def run_selftest(
     say(
         f"selftest ok: {4 * queries} concurrent reach queries + all-pairs "
         f"+ cfpq match the sequential engines; store warm-restart "
-        f"(mmap snapshots + WAL recovery) verified; fused bit fixpoint "
-        f"holds arena peak flat; tiled kernels agree with flat; "
+        f"(mmap snapshots + WAL recovery) verified; "
         f"incremental warm starts track interleaved mutations; min-plus "
         f"distance queries match the dense oracle"
     )
@@ -239,105 +233,6 @@ def _lock_graph_crosscheck(tracer, *, say) -> list[str]:
         f"is absent from the static lock graph"
         for held, acquired in missing
     ]
-
-
-def _fused_phase(*, say) -> list[str]:
-    """Fused accumulate contract: a bit-path fixpoint must allocate
-    exactly one output buffer per iteration — arena ``peak_bytes`` over
-    the live set stays constant from the second iteration on."""
-    import repro
-
-    failures: list[str] = []
-    ctx = repro.Context(backend="cubool", hybrid="bit")
-    try:
-        backend = ctx.backend
-        arena = ctx.device.arena
-        cur = ctx.matrix_random((128, 128), 0.05, seed=11)
-        peaks: list[int] = []
-        with backend.fixpoint():
-            # Iteration 0 pays the one-time sparse->bit packing of the
-            # operand; steady-state iterations must be allocation-flat.
-            for _ in range(5):
-                arena.reset_peak()
-                step = cur.mxm(cur, accumulate=cur)
-                peaks.append(arena.peak_bytes)
-                cur.free()
-                cur = step
-        cur.free()
-        if len(set(peaks[1:])) != 1:
-            failures.append(
-                f"fused bit fixpoint arena peak not flat across "
-                f"iterations: {peaks}"
-            )
-        else:
-            say(
-                f"fused phase ok: arena peak flat at {peaks[-1]} "
-                f"bytes/iteration over {len(peaks)} fixpoint steps"
-            )
-    finally:
-        ctx.finalize()
-    return failures
-
-
-def _tiled_phase(*, say) -> list[str]:
-    """Tiled bit route: the zero-tile-skipping kernels must agree with
-    the flat kernels on a block-diagonal transitive closure and
-    actually engage a tiled mxm kernel."""
-    import numpy as np
-
-    from repro.backends import get_backend
-    from repro.backends.hybrid import HybridBackend, HybridPolicy
-
-    failures: list[str] = []
-    n, blocks, tile = 1024, 4, 256
-    rng = np.random.default_rng(0x20210705)
-    dense = np.zeros((n, n), dtype=bool)
-    bs = n // blocks
-    for b in range(blocks):
-        lo = b * bs
-        dense[lo:lo + bs, lo:lo + bs] = rng.random((bs, bs)) < 0.04
-
-    def closure_pairs(tiled: bool) -> tuple[set, HybridBackend]:
-        policy = HybridPolicy(mode="bit", tiled=tiled, tile_size=tile)
-        backend = HybridBackend(inner=get_backend("cubool"), policy=policy)
-        rows, cols = np.nonzero(dense)
-        cur = backend.matrix_from_coo(
-            rows.astype(np.int64), cols.astype(np.int64), (n, n)
-        )
-        with backend.fixpoint():
-            for _ in range(4):
-                step = backend.mxm(cur, cur, accumulate=cur)
-                cur.free()
-                cur = step
-        r, c = cur.storage.to_coo_arrays()
-        pairs = set(zip(r.tolist(), c.tolist()))
-        cur.free()
-        return pairs, backend
-
-    tiled_pairs, tiled_backend = closure_pairs(tiled=True)
-    flat_pairs, _ = closure_pairs(tiled=False)
-    if tiled_pairs != flat_pairs:
-        failures.append(
-            f"tiled closure disagrees with flat: {len(tiled_pairs)} vs "
-            f"{len(flat_pairs)} pairs"
-        )
-    telemetry = tiled_backend.telemetry()
-    mxm_kernels = telemetry["kernel_counts"].get("mxm", {})
-    if not any(k.startswith("tiled") for k in mxm_kernels):
-        failures.append(
-            f"block-diagonal closure never engaged a tiled mxm kernel "
-            f"(kernels: {mxm_kernels})"
-        )
-    if not failures:
-        times = {
-            op: {k: f"{s * 1e3:.1f}ms" for k, s in ts.items()}
-            for op, ts in telemetry["kernel_times"].items()
-        }
-        say(
-            f"tiled phase ok: closure matches flat over {len(tiled_pairs)} "
-            f"pairs, kernels {mxm_kernels}, times {times}"
-        )
-    return failures
 
 
 def _incremental_phase(*, say) -> list[str]:

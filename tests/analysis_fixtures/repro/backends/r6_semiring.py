@@ -20,7 +20,7 @@ class SemiringFixtureBackend(Backend):
 
     def kron(self, a, b, *, semiring=None):
         """Clean: resolves the algebra through the registry first."""
-        s = self._resolve_semiring(semiring, boolean_only=True)
+        s = self._resolve_semiring(semiring)
         return a.kron(b, s)
 
     def ewise_add(self, a, b, *, semiring=None):  # reprolint: disable=R6

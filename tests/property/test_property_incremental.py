@@ -26,7 +26,6 @@ from repro.cfpq import matrix_cfpq, tensor_cfpq
 from repro.grammar import CFG
 from repro.graph import LabeledGraph
 from repro.incr.engine import (
-    matrix_cfpq_incremental,
     pairs_state_from_index,
     rpq_pairs_incremental,
     rpq_reach_incremental,
@@ -239,7 +238,7 @@ def test_incremental_matrix_cfpq_matches_scratch(graph, data):
     }
     cold_base.free()
     merged = _merged(graph, adds)
-    warm = matrix_cfpq_incremental(merged, GRAMMAR, CTX, prev)
+    warm = matrix_cfpq(merged, GRAMMAR, CTX, warm_start=prev)
     cold = matrix_cfpq(merged, GRAMMAR, CTX)
     assert warm.stats["warm_started"]
     assert warm.pairs() == cold.pairs()

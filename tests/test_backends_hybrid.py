@@ -247,6 +247,34 @@ class TestDispatchModel:
             biased = backend.estimate_costs("mxm", h, h)
         assert biased.bit < plain.bit
 
+    def test_fixpoint_region_is_per_thread(self, hybrid_ctx):
+        # One scheduler worker's closure must not bias another worker's
+        # routing: a region held open on thread A is invisible here.
+        import threading
+
+        backend = _hb(hybrid_ctx)
+        m = hybrid_ctx.matrix_random((200, 200), 0.015, seed=16)
+        h = m.handle
+        backend._ensure_bit(h)
+        plain = backend.estimate_costs("mxm", h, h)
+        inside, release = threading.Event(), threading.Event()
+
+        def hold_region():
+            with backend.fixpoint():
+                inside.set()
+                release.wait(10.0)
+
+        worker = threading.Thread(target=hold_region)
+        worker.start()
+        try:
+            assert inside.wait(10.0)
+            assert backend._fixpoint_depth == 0
+            assert backend.estimate_costs("mxm", h, h).bit == plain.bit
+        finally:
+            release.set()
+            worker.join(10.0)
+        assert not worker.is_alive()
+
     def test_base_backend_fixpoint_noop(self):
         ctx = repro.Context(backend="cubool")
         with ctx.backend.fixpoint():

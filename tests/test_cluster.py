@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import repro
+from repro.automata.glushkov import glushkov_nfa
+from repro.automata.regex_parse import parse_regex
 from repro.cluster import (
     DEFAULT_MAX_STALENESS,
     ClusterFollower,
@@ -22,8 +24,11 @@ from repro.errors import (
     StoreCorruptError,
     StoreError,
 )
+from repro.grammar.cfg import CFG
+from repro.grammar.rsm import RSM
 from repro.rpq import rpq_pairs
 from repro.service import QueryService
+from repro.service.kinds import KINDS
 from repro.store.volume import GraphVolume, volume_root
 from repro.store.wal import (
     WalCursor,
@@ -33,6 +38,7 @@ from repro.store.wal import (
 )
 
 QUERY = "(a | b)+"
+GRAMMAR = "S -> a S b | a b"
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +53,15 @@ def wait_for(predicate, *, timeout=20.0, poll=0.02):
             return True
         time.sleep(poll)
     return bool(predicate())
+
+
+def wait_acked(primary, version, graph="g"):
+    """Some follower has acked ``graph`` at ``version`` or later."""
+    return wait_for(
+        lambda: any(
+            f["acked"].get(graph, -1) >= version for f in primary.followers()
+        )
+    )
 
 
 def restart_primary(svc, port, *, timeout=30.0):
@@ -353,6 +368,44 @@ class TestClusterEndToEnd:
         assert rep["counters"].get("routed_replica", 0) >= 1
         assert "replication:" in svc.stats().render()
 
+    @pytest.mark.parametrize(
+        "kind", sorted(k for k, row in KINDS.items() if row.encode is not None)
+    )
+    def test_routed_matches_primary(self, cluster, kind):
+        svc, primary, router, follower = cluster
+        row = KINDS[kind]
+        v = svc.add_edges("g", "a", [(2, 38)])
+        assert wait_acked(primary, v)
+        query = GRAMMAR if row.plan_kind == KINDS["cfpq"].plan_kind else QUERY
+        source = 1 if row.needs_source else None
+        got = router._route(row, "g", query, source=source, min_version=v)
+        assert router.last_route["target"] != "primary"
+        assert got == svc.submit(kind, "g", query, source=source).result()
+
+    @pytest.mark.parametrize(
+        "read, build, text",
+        [
+            ("reach", lambda: parse_regex(QUERY), QUERY),
+            ("pairs", lambda: glushkov_nfa(parse_regex(QUERY)), QUERY),
+            ("cfpq", lambda: CFG.from_text(GRAMMAR), GRAMMAR),
+            ("cfpq", lambda: RSM.from_cfg(CFG.from_text(GRAMMAR)), GRAMMAR),
+        ],
+        ids=["ast", "nfa", "cfg", "rsm"],
+    )
+    def test_query_without_wire_form_runs_on_primary(
+        self, cluster, read, build, text
+    ):
+        # A prebuilt automaton / grammar / AST cannot cross the JSON
+        # wire: it must answer locally, not raise out of send_message.
+        svc, primary, router, follower = cluster
+        assert wait_acked(primary, 0)
+        read = getattr(svc, read)
+        kwargs = {"source": 0} if read == svc.reach else {}
+        got = read("g", build(), **kwargs)
+        assert router.last_route["target"] == "primary"
+        assert router.stats()["counters"] == {"routed_primary": 1}
+        assert got == read("g", text, route="primary", **kwargs)
+
     def test_future_floor_falls_back_to_primary(self, cluster):
         svc, primary, router, follower = cluster
         current = svc.graphs.get("g").current_version()
@@ -467,6 +520,31 @@ class TestClusterEndToEnd:
             follower.close()
             primary.close()
             svc.close()
+
+
+class TestReplicaConn:
+    def test_request_closes_the_socket_on_any_exception(self, monkeypatch):
+        # An error outside the taxonomy (here: a header json cannot
+        # encode) must not strand the checked-out socket.
+        from repro.cluster.router import ReplicaConn
+
+        opened = []
+        real_connect = protocol.connect
+
+        def connect(address, *, timeout):
+            opened.append(real_connect(address, timeout=timeout))
+            return opened[-1]
+
+        monkeypatch.setattr(protocol, "connect", connect)
+        listener = protocol.listener("127.0.0.1", 0)
+        try:
+            conn = ReplicaConn("f1", listener.getsockname())
+            with pytest.raises(TypeError):
+                conn.request({"type": protocol.MSG_QUERY, "query": object()}, timeout=5.0)
+            assert len(opened) == 1 and opened[0].fileno() == -1
+            assert conn._sock is None
+        finally:
+            listener.close()
 
 
 class TestFollowerQuerySurface:

@@ -23,6 +23,7 @@ from repro.service import (
     PlanCache,
     QueryService,
 )
+from repro.service.kinds import KINDS, REACH
 
 QUERIES = ("a b* c", "(a | b)+", "a (b c)*", "(a | c) b? c")
 
@@ -42,6 +43,137 @@ def oracle(graph):
 
 def reach_oracle(oracle, q, src):
     return {v for u, v in oracle[q] if u == src}
+
+
+GRAMMAR = "S -> a S b | a b"
+SOURCE = 5
+
+
+def _direct_cfpq(graph, ctx):
+    from repro.cfpq.engine import cfpq
+    from repro.grammar.cfg import CFG
+
+    index = cfpq(graph, CFG.from_text(GRAMMAR), ctx)
+    try:
+        return index.pairs()
+    finally:
+        index.free()
+
+
+def _direct_dist(graph, ctx):
+    from repro.algorithms.shortest_paths import (
+        single_source_shortest_paths,
+        weight_matrix,
+    )
+
+    dist = single_source_shortest_paths(weight_matrix(graph), SOURCE)
+    return {(v, float(d)) for v, d in enumerate(dist) if d < float("inf")}
+
+
+#: One case per table row: the query as ``submit`` takes it, and the
+#: engine called directly — no service in between — as the oracle.
+KIND_CASES = {
+    "reach": dict(
+        query=QUERIES[1],
+        direct=lambda g, ctx: rpq_reach_batch(g, [QUERIES[1]], [SOURCE], ctx)[0],
+    ),
+    "pairs": dict(query=QUERIES[1], direct=lambda g, ctx: rpq_pairs(g, QUERIES[1], ctx)),
+    "cfpq": dict(query=GRAMMAR, direct=_direct_cfpq),
+    "dist": dict(query=("min-plus", None), direct=_direct_dist),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestQueryKinds:
+    """Every row of the kind table, through the one generic path."""
+
+    def _submit(self, service, kind):
+        source = SOURCE if KINDS[kind].needs_source else None
+        return service.submit(
+            kind, "g", KIND_CASES[kind]["query"], source=source
+        ).result(timeout=60.0)
+
+    def test_submit_matches_direct_engine(self, kind, graph, cubool_ctx):
+        with QueryService(workers=1) as service:
+            service.register_graph("g", graph)
+            got = self._submit(service, kind)
+        assert got == KIND_CASES[kind]["direct"](graph, cubool_ctx)
+
+    def test_repeat_is_result_cache_hit(self, kind, graph):
+        with QueryService(workers=1) as service:
+            service.register_graph("g", graph)
+            assert self._submit(service, kind) == self._submit(service, kind)
+            snap = service.stats()
+        assert snap.counters["result_cache_hits"] == 1
+        assert snap.counters["full_evals"] == 1
+        assert (snap.plan_cache["misses"], snap.plan_cache["hits"]) == (1, 1)
+
+    def test_adds_only_delta_warm_starts_where_supported(self, kind, graph, cubool_ctx):
+        from repro.graph import LabeledGraph
+
+        delta = [(0, 9), (4, 17)]
+        with QueryService(workers=1) as service:
+            service.register_graph(
+                "g", LabeledGraph.from_triples(graph.triples(), n=graph.n)
+            )
+            self._submit(service, kind)
+            service.add_edges("g", "a", delta)
+            got = self._submit(service, kind)
+            counters = service.stats().counters
+        mutated = LabeledGraph.from_triples(graph.triples(), n=graph.n)
+        for u, v in delta:
+            mutated.add_edge(u, "a", v)
+        assert got == KIND_CASES[kind]["direct"](mutated, cubool_ctx)
+        warm = 1 if KINDS[kind].warm_starts else 0
+        assert counters.get("incremental_evals", 0) == warm
+        assert counters["full_evals"] == 2 - warm
+
+
+def test_every_kind_has_a_case():
+    assert set(KIND_CASES) == set(KINDS)
+
+
+def test_generic_modules_name_no_kind():
+    """The property the kind table exists to establish: outside
+    ``kinds.py`` (and the plan-kind table), no service or cluster
+    module spells a query kind."""
+    import ast
+    from pathlib import Path
+
+    import repro.cluster.follower
+    import repro.cluster.router
+    import repro.service.core
+    import repro.service.plan_cache
+    import repro.service.result_cache
+    import repro.service.scheduler
+
+    names = set(KINDS) | {row.plan_kind for row in KINDS.values()}
+    names |= {"rpq-reach", "rpq-pairs"}
+
+    def literals(node):
+        return {
+            n.value
+            for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        }
+
+    def tree(module):
+        return ast.parse(Path(module.__file__).read_text())
+
+    for module in (
+        repro.service.scheduler,
+        repro.service.result_cache,
+        repro.service.core,
+        repro.cluster.router,
+        repro.cluster.follower,
+    ):
+        assert not literals(tree(module)) & names, module.__name__
+    (plan_cache_class,) = (
+        node
+        for node in tree(repro.service.plan_cache).body
+        if isinstance(node, ast.ClassDef) and node.name == "PlanCache"
+    )
+    assert not literals(plan_cache_class) & names
 
 
 class TestBatchEvaluator:
@@ -230,32 +362,23 @@ class TestServiceLifecycle:
             assert snap.graph_store["graphs"] == 1
             assert "service stats" in snap.render()
 
-    def test_pairs_and_cfpq_through_service(self, graph, oracle):
-        with QueryService(workers=1) as service:
-            service.register_graph("g", graph)
-            assert service.pairs("g", QUERIES[1]) == oracle[QUERIES[1]]
-
-            from repro.cfpq.engine import cfpq
-            from repro.grammar.cfg import CFG
-
-            grammar = "S -> a S b | a b"
-            octx = repro.Context(backend="cubool")
-            index = cfpq(graph, CFG.from_text(grammar), octx)
-            want = index.pairs()
-            index.free()
-            octx.finalize()
-            assert service.cfpq("g", grammar) == want
-
     def test_submit_validates_before_admission(self, graph):
         with QueryService(workers=0) as service:
             service.register_graph("g", graph)
             with pytest.raises(UnknownGraphError):
                 service.submit_reach("missing", QUERIES[0], source=0)
             with pytest.raises(InvalidArgumentError):
-                service.submit_reach("g", QUERIES[0], source=graph.n)
+                service.submit("no-such-kind", "g", QUERIES[0])
+            for row in KINDS.values():
+                query = KIND_CASES[row.name]["query"]
+                # A source where one is required, and only there.
+                for bad in (None, graph.n) if row.needs_source else (0,):
+                    with pytest.raises(InvalidArgumentError):
+                        service.submit(row.name, "g", query, source=bad)
+            assert service.stats().counters.get("submitted", 0) == 0
 
     def test_submit_after_close_raises(self, graph):
-        from repro.service.scheduler import KIND_REACH, QueryTicket
+        from repro.service.scheduler import QueryTicket
 
         service = QueryService(workers=0)
         service.register_graph("g", graph)
@@ -266,7 +389,7 @@ class TestServiceLifecycle:
             service.submit_reach("g", QUERIES[0], source=0)
         with pytest.raises(QueryCancelledError):
             service.scheduler.submit(
-                QueryTicket(kind=KIND_REACH, graph="g", query=QUERIES[0], source=0)
+                QueryTicket(kind=REACH.name, graph="g", query=QUERIES[0], source=0)
             )
 
     def test_close_cancels_queued(self, graph):
@@ -316,11 +439,11 @@ class TestDeadlinesAndCancellation:
                 ticket.result(timeout=30.0)
 
     def test_cancel_hook_spares_live_members(self, graph):
-        from repro.service.scheduler import QueryTicket, KIND_REACH
+        from repro.service.scheduler import QueryTicket
 
         def mk():
             return QueryTicket(
-                kind=KIND_REACH, graph="g", query=QUERIES[0], source=0
+                kind=REACH.name, graph="g", query=QUERIES[0], source=0
             )
 
         with QueryService(workers=0) as service:
