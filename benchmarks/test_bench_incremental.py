@@ -138,7 +138,9 @@ class TestIncrementalRefresh:
 
 class TestServiceFreshness:
     """End-to-end: mutation-to-fresh-answer through the service tier,
-    overlay + warm start vs the eager/recompute configuration."""
+    warm start from the cached fixpoint state vs a service that keeps
+    none (``result_capacity=0``: every re-query is cold, same overlay-
+    merged operands)."""
 
     @staticmethod
     def _labeled_block_graph(n, blocks=8, density=0.04, seed=0xE15):
@@ -167,8 +169,11 @@ class TestServiceFreshness:
         graph = self._labeled_block_graph(n)
         query = "(a | b)+"
         rows = {}
-        for mode, overlay in (("incremental", True), ("recompute", False)):
-            with QueryService(workers=1, overlay=overlay) as svc:
+        for mode, options in (
+            ("incremental", {}),
+            ("recompute", {"result_capacity": 0}),
+        ):
+            with QueryService(workers=1, **options) as svc:
                 svc.register_graph("g", graph)
                 svc.pairs("g", query)  # populate cache + fixpoint state
                 rng = np.random.default_rng(7)
@@ -237,7 +242,7 @@ def _report() -> None:
         lines = [
             "E15 — service tier: mutation-to-fresh-answer "
             f"(1-edge delta + all-pairs re-query, n={service['n']}, "
-            "overlay/warm-start vs eager rebuild/recompute)",
+            "warm start vs no cached state / cold recompute)",
             "",
             f"{'mode':<14} {'best ms':>9} {'mean ms':>9} "
             f"{'incremental':>12} {'full':>6}",

@@ -115,7 +115,7 @@ class ClusterPrimary:
     # -- commit wake-up ----------------------------------------------------
 
     def _on_mutate(self, name: str, version: int) -> None:
-        # Called by GraphStore.apply_batch outside its locks.
+        # Called by GraphStore._commit outside its locks.
         with self._wake:
             self._wake.notify_all()
 

@@ -130,16 +130,20 @@ class Vector:
     def vxm(self, matrix) -> "Vector":
         """Row-vector × matrix: reachability step ``vᵀ · M``.
 
-        Implemented as ``(Mᵀ · v)`` to keep the vector a column.
+        Implemented as ``(vᵀ · M)ᵀ``: keeping the vector a column costs
+        two transposes of an n×1 operand, O(nnz(v)), never one of ``M``.
         """
         if matrix.context is not self._ctx:
             raise InvalidArgumentError("vxm: operands from different contexts")
-        mt = matrix.transpose()
+        row = self._mat.transpose()
         try:
-            out = mt.mxm(self._mat)
+            product = row.mxm(matrix)
         finally:
-            mt.free()
-        return Vector(out, self._ctx)
+            row.free()
+        try:
+            return Vector(product.transpose(), self._ctx)
+        finally:
+            product.free()
 
     def mxv(self, matrix) -> "Vector":
         """Matrix × column-vector: ``M · v``."""

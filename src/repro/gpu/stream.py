@@ -12,11 +12,17 @@ stream followed by a sync, which is exactly how SPbLA uses streams.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import DeviceError
 from repro.gpu.launch import LaunchConfig
+
+#: Launch records a stream retains (the newest).  The default stream
+#: lives as long as its context, so an unbounded log leaks under service
+#: traffic; ``launch_count`` and ``total_kernel_time`` stay exact.
+LAUNCH_LOG_LIMIT = 4096
 
 
 @dataclass
@@ -46,7 +52,9 @@ class Stream:
     def __init__(self, device: "Any", name: str = "stream"):
         self.device = device
         self.name = name
-        self.launches: list[LaunchRecord] = []
+        self.launches: deque[LaunchRecord] = deque(maxlen=LAUNCH_LOG_LIMIT)
+        self._launch_count = 0
+        self._kernel_time = 0.0
         self._events: list[StreamEvent] = []
         self._closed = False
 
@@ -71,6 +79,8 @@ class Stream:
         duration = time.perf_counter() - start
         name = getattr(kernel, "__name__", repr(kernel))
         self.launches.append(LaunchRecord(name, config, duration))
+        self._launch_count += 1
+        self._kernel_time += duration
         self.device.counters.note_launch(config, duration)
         return result
 
@@ -103,8 +113,8 @@ class Stream:
 
     @property
     def launch_count(self) -> int:
-        return len(self.launches)
+        return self._launch_count
 
     def total_kernel_time(self) -> float:
         """Sum of kernel durations on this stream, in seconds."""
-        return sum(rec.duration_s for rec in self.launches)
+        return self._kernel_time

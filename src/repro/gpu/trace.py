@@ -4,7 +4,10 @@ Every :class:`~repro.gpu.stream.Stream` records its launches (kernel
 name, grid/block, duration); this module renders them in the Chrome
 ``chrome://tracing`` / Perfetto JSON event format so a profiling session
 on the simulated device can be inspected with the same tools one would
-use for a real GPU timeline.
+use for a real GPU timeline.  A stream keeps only its newest
+:data:`~repro.gpu.stream.LAUNCH_LOG_LIMIT` records, so a trace of a
+long-running context covers its most recent launches, not all of them
+(``device.counters`` has the exact totals).
 
 Events are complete-events (``"ph": "X"``) on one row per stream;
 launch arguments carry the grid/block geometry and occupancy.

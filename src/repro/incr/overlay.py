@@ -1,13 +1,11 @@
 """Per-(graph, label) COO delta overlay over base adjacency matrices.
 
-Before this overlay existed, every ``add_edges``/``remove_edges`` batch
-rebuilt the touched label's full adjacency matrix from the host edge
-list — an O(graph) device upload to acknowledge an O(Δ) write.  The
-overlay inverts that: a mutation records its batch here (the WAL has
-already made it durable), the base matrix stays untouched, and query
-operands merge ``base ∨ adds ∖ removes`` lazily at plan time.  Merged
-operands are cached per overlay stamp, so a read-heavy interval between
-two writes builds the merge once.
+Acknowledging an O(Δ) write must not cost an O(graph) device upload, so
+a mutation records its batch here (the WAL has already made it
+durable), the base matrix stays untouched, and query operands merge
+``base ∨ adds ∖ removes`` lazily at plan time.  Merged operands are
+cached per overlay stamp, so a read-heavy interval between two writes
+builds the merge once.
 
 The overlay keeps two structures:
 
@@ -83,7 +81,7 @@ class DeltaOverlay:
         self._stamp = 0  # guarded-by: _lock
         self.folds = 0  # guarded-by: _lock
 
-    # -- recording (called by GraphStore._mutate, WAL already fsynced) -----
+    # -- recording (called by GraphStore._commit, WAL already fsynced) -----
 
     def record(self, op: str, label: str, batch, version: int) -> None:
         """Absorb one committed delta batch into the overlay."""
@@ -104,16 +102,6 @@ class DeltaOverlay:
                 del self._net[label]
             self._merged.pop(label, None)
             self._stamp += 1
-
-    def record_delta(self, delta) -> None:
-        """Absorb one WAL-shipped :class:`~repro.store.wal.EdgeDelta`.
-
-        The replica-side twin of :meth:`record` (:mod:`repro.cluster`):
-        shipped deltas carry the primary's version stamps, so a
-        follower's overlay journal stays aligned with the primary's and
-        ``delta_since`` arbitration behaves identically on both sides.
-        """
-        self.record(delta.op, delta.label, delta.edges, delta.version)
 
     # -- introspection -----------------------------------------------------
 

@@ -67,13 +67,6 @@ class QueryService:
         :meth:`persist_graph` / :meth:`restore_graph` /
         :meth:`restore_all` round-trip named graphs to disk and edge
         mutations are WAL-logged.
-    overlay:
-        Incremental mutation path (default on): edge deltas land in a
-        per-graph :class:`~repro.incr.overlay.DeltaOverlay` instead of
-        rebuilding label matrices, queries merge them at plan time, and
-        repeat queries after small adds-only deltas warm-start from
-        their cached fixed points (:mod:`repro.incr`).  ``False``
-        restores the eager rebuild-on-every-mutation behavior.
     """
 
     def __init__(
@@ -89,7 +82,6 @@ class QueryService:
         plan_capacity: int = 128,
         result_capacity: int = 256,
         store_root=None,
-        overlay: bool = True,
     ):
         if ctx is None:
             from repro.core.context import Context
@@ -105,7 +97,7 @@ class QueryService:
 
             store_root = store_root_from_env()
         self.ctx = ctx
-        self.graphs = GraphStore(ctx, store_root=store_root, overlay=overlay)
+        self.graphs = GraphStore(ctx, store_root=store_root)
         self.plans = PlanCache(plan_capacity)
         self.results = (
             ResultCache(result_capacity) if result_capacity else None
@@ -191,8 +183,8 @@ class QueryService:
 
     def apply_batch(self, name: str, deltas) -> int:
         """Apply a heterogeneous ``(op, label, edges)`` mutation batch
-        under one lock acquisition; touched labels are rebuilt at most
-        once (see :meth:`GraphStore.apply_batch`)."""
+        under one lock acquisition, one version per triple (see
+        :meth:`GraphStore.apply_batch`)."""
         return self.graphs.apply_batch(name, deltas)
 
     # -- async surface -----------------------------------------------------

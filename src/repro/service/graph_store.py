@@ -13,7 +13,7 @@ labels start word-parallel instead of paying the packing cost per query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -27,12 +27,16 @@ from repro.errors import (
     UnknownGraphError,
 )
 from repro.graph import LabeledGraph
+from repro.incr.overlay import DeltaOverlay
 
 if TYPE_CHECKING:  # typed slots below feed the static lock analysis
-    from repro.incr.overlay import DeltaOverlay
     from repro.store.volume import GraphVolume
 
 RESIDENCY_MODES = ("auto", "bit", "tiled", "sparse")
+
+#: Pending edges per label at which a commit folds the label's overlay
+#: back into its base matrix (every persist folds regardless).
+OVERLAY_FOLD_LIMIT = 8192
 
 
 @dataclass
@@ -52,11 +56,10 @@ class GraphHandle:
     #: Attached :class:`~repro.store.volume.GraphVolume` (or None for a
     #: purely in-memory graph); deltas are WAL-logged through it.
     volume: "GraphVolume | None" = field(default=None, repr=False, compare=False)
-    #: :class:`~repro.incr.overlay.DeltaOverlay` of pending edge deltas
-    #: (None when the store runs with ``overlay=False``): mutations
-    #: record here instead of rebuilding label matrices, and
+    #: :class:`~repro.incr.overlay.DeltaOverlay` of pending edge deltas:
+    #: mutations record here instead of rebuilding label matrices, and
     #: :meth:`query_matrices` merges it into the operands.
-    overlay: "DeltaOverlay | None" = field(default=None, repr=False, compare=False)
+    overlay: "DeltaOverlay" = field(kw_only=True, repr=False, compare=False)
     queries_served: int = 0  # guarded-by: _lock
     _lock: object = field(
         default_factory=lambda: make_lock("GraphHandle._lock"),
@@ -92,14 +95,11 @@ class GraphHandle:
     def query_matrices(self) -> dict:
         """Label → operand matrix, with pending deltas merged in.
 
-        Without an overlay this is ``matrices`` itself (always rebuilt
-        eagerly).  With one, labels carrying pending deltas are replaced
-        by the overlay's merged view (cached per overlay stamp), and
-        labels born purely from deltas appear even though no base matrix
-        exists yet.  Borrowed either way — callers must not free.
+        Labels carrying pending deltas are replaced by the overlay's
+        merged view (cached per overlay stamp), and labels born purely
+        from deltas appear even though no base matrix exists yet.
+        Borrowed either way — callers must not free.
         """
-        if self.overlay is None:
-            return self.matrices
         out = dict(self.matrices)
         for label in self.overlay.touched_labels():
             merged = self.overlay.operand(label, out.get(label))
@@ -107,19 +107,11 @@ class GraphHandle:
                 out[label] = merged
         return out
 
-    def delta_since(self, version: int):
-        """Overlay journal summary after ``version`` (None = unknowable);
-        the scheduler's warm-start arbitration input."""
-        if self.overlay is None:
-            return None
-        return self.overlay.delta_since(version)
-
     def free(self) -> None:
         for m in self.matrices.values():
             m.free()
         self.matrices = {}
-        if self.overlay is not None:
-            self.overlay.free()
+        self.overlay.free()
         if self.volume is not None:
             self.volume.close()
 
@@ -135,23 +127,9 @@ class GraphStore:
     :meth:`remove_edges` WAL-log every mutation before applying it.
     """
 
-    def __init__(
-        self,
-        ctx,
-        *,
-        store_root: str | Path | None = None,
-        overlay: bool = True,
-        overlay_fold_limit: int = 8192,
-    ):
+    def __init__(self, ctx, *, store_root: str | Path | None = None):
         self.ctx = ctx
         self.store_root = Path(store_root) if store_root is not None else None
-        #: With ``overlay=True`` (default) mutations record into a
-        #: :class:`~repro.incr.overlay.DeltaOverlay` instead of
-        #: rebuilding label matrices; a label folds back into its base
-        #: matrix once its pending set reaches ``overlay_fold_limit``
-        #: edges (and on every persist).
-        self.use_overlay = bool(overlay)
-        self.overlay_fold_limit = int(overlay_fold_limit)
         self._lock = make_lock("GraphStore._lock")
         self._graphs: dict[str, GraphHandle] = {}  # guarded-by: _lock
         #: Replication hook (:mod:`repro.cluster`): called as
@@ -160,12 +138,46 @@ class GraphStore:
         #: traffic starts (the primary's shipper wake-up); not guarded.
         self.on_mutate = None
 
-    def _make_overlay(self, graph: LabeledGraph, version: int):
-        if not self.use_overlay:
-            return None
-        from repro.incr.overlay import DeltaOverlay
-
-        return DeltaOverlay(self.ctx, (graph.n, graph.n), version)
+    def _install(
+        self,
+        name: str,
+        graph: LabeledGraph,
+        residency: str,
+        *,
+        version: int = 0,
+        volume: "GraphVolume | None" = None,
+        bit_paths: dict | None = None,
+    ) -> GraphHandle:
+        """Make ``graph`` resident under ``name``: the one way a handle
+        comes to exist.  Validates ``residency``, lowers every label,
+        attaches snapshot bit containers, runs the residency pass, starts
+        an empty overlay at ``version``, then swaps the handle in and
+        frees the one it replaced."""
+        if residency not in RESIDENCY_MODES:
+            raise InvalidArgumentError(
+                f"residency {residency!r} not in {RESIDENCY_MODES}"
+            )
+        matrices = graph.adjacency_matrices(self.ctx)
+        self._adopt_bit_views(matrices, bit_paths)
+        handle = GraphHandle(
+            name=name,
+            graph=graph,
+            matrices=matrices,
+            residency=residency,
+            formats={
+                label: self._label_residency(matrix, residency)
+                for label, matrix in matrices.items()
+            },
+            version=version,
+            volume=volume,
+            overlay=DeltaOverlay(self.ctx, (graph.n, graph.n), version),
+        )
+        with self._lock:
+            old = self._graphs.get(name)
+            self._graphs[name] = handle
+        if old is not None:
+            old.free()
+        return handle
 
     def register(
         self,
@@ -188,32 +200,7 @@ class GraphStore:
 
         Re-registering a name replaces (and frees) the previous entry.
         """
-        if residency not in RESIDENCY_MODES:
-            raise InvalidArgumentError(
-                f"residency {residency!r} not in {RESIDENCY_MODES}"
-            )
-        matrices = graph.adjacency_matrices(self.ctx)
-        formats = self._apply_residency(matrices, residency)
-        handle = GraphHandle(
-            name=name,
-            graph=graph,
-            matrices=matrices,
-            residency=residency,
-            formats=formats,
-            overlay=self._make_overlay(graph, 0),
-        )
-        with self._lock:
-            old = self._graphs.get(name)
-            self._graphs[name] = handle
-        if old is not None:
-            old.free()
-        return handle
-
-    def _apply_residency(self, matrices: dict, residency: str) -> dict:
-        return {
-            label: self._label_residency(matrix, residency)
-            for label, matrix in matrices.items()
-        }
+        return self._install(name, graph, residency)
 
     def _label_residency(self, matrix, residency: str) -> str:
         from repro.backends.hybrid import HybridBackend
@@ -296,10 +283,9 @@ class GraphStore:
             # Compaction point: fold pending overlay deltas into the base
             # matrices so the snapshotted formats and the resident state
             # agree, and the overlay restarts empty.
-            if handle.overlay is not None:
-                for label in handle.overlay.touched_labels():
-                    self._rebuild_label(handle, label)
-                handle.overlay.fold()
+            for label in handle.overlay.touched_labels():
+                self._rebuild_label(handle, label)
+            handle.overlay.fold()
             volume = handle.volume
             if volume is None:
                 volume = self.open_volume(name, create=True)
@@ -347,50 +333,34 @@ class GraphStore:
         packed words are *mapped*, not copied to the heap (visible as
         arena ``mapped_bytes``, not ``live_bytes``).
         """
-        if residency not in RESIDENCY_MODES:
-            raise InvalidArgumentError(
-                f"residency {residency!r} not in {RESIDENCY_MODES}"
-            )
         # A registered handle already holds the volume's writer lock;
         # take over its GraphVolume instead of re-opening (a second
         # writer open would conflict with our own advisory lock).
         with self._lock:
             prior = self._graphs.get(name)
         volume = None
-        handed_off = False
         if prior is not None:
             with prior._lock:
                 volume, prior.volume = prior.volume, None
-            handed_off = volume is not None
-        if volume is None:
+        handed_off = volume is not None
+        if not handed_off:
             volume = self.open_volume(name, create=False)
         try:
             state = volume.load(mmap=mmap)
-            matrices = state.graph.adjacency_matrices(self.ctx)
-            self._adopt_bit_views(matrices, state.bit_paths)
+            return self._install(
+                name,
+                state.graph,
+                residency,
+                version=state.version,
+                volume=volume,
+                bit_paths=state.bit_paths,
+            )
         except Exception:
             if handed_off:
                 prior.volume = volume  # hand the lease back
             else:
                 volume.close()
             raise
-        formats = self._apply_residency(matrices, residency)
-        handle = GraphHandle(
-            name=name,
-            graph=state.graph,
-            matrices=matrices,
-            residency=residency,
-            formats=formats,
-            version=state.version,
-            volume=volume,
-            overlay=self._make_overlay(state.graph, state.version),
-        )
-        with self._lock:
-            old = self._graphs.get(name)
-            self._graphs[name] = handle
-        if old is not None:
-            old.free()
-        return handle
 
     def restore_all(
         self, *, residency: str = "auto", mmap: bool = True
@@ -427,32 +397,18 @@ class GraphStore:
         """
         from repro.store.volume import GraphVolume, volume_root
 
-        if residency not in RESIDENCY_MODES:
-            raise InvalidArgumentError(
-                f"residency {residency!r} not in {RESIDENCY_MODES}"
-            )
         volume = GraphVolume.open(volume_root(self._require_store()) / name)
         try:
             state = volume.load_snapshot(generation=generation, mmap=mmap)
         finally:
             volume.close()
-        matrices = state.graph.adjacency_matrices(self.ctx)
-        self._adopt_bit_views(matrices, state.bit_paths)
-        formats = self._apply_residency(matrices, residency)
-        handle = GraphHandle(
-            name=name,
-            graph=state.graph,
-            matrices=matrices,
-            residency=residency,
-            formats=formats,
+        handle = self._install(
+            name,
+            state.graph,
+            residency,
             version=state.version,
-            overlay=self._make_overlay(state.graph, state.version),
+            bit_paths=state.bit_paths,
         )
-        with self._lock:
-            old = self._graphs.get(name)
-            self._graphs[name] = handle
-        if old is not None:
-            old.free()
         return handle, state.generation
 
     # -- mutation (edge deltas) -------------------------------------------
@@ -460,12 +416,12 @@ class GraphStore:
     def add_edges(self, name: str, label: str, edges) -> int:
         """Apply (and WAL-log) an edge-addition batch; returns the new
         graph version."""
-        return self._mutate(name, "add", label, edges)
+        return self.apply_batch(name, [("add", label, edges)])
 
     def remove_edges(self, name: str, label: str, edges) -> int:
         """Apply (and WAL-log) an edge-removal batch; returns the new
         graph version."""
-        return self._mutate(name, "remove", label, edges)
+        return self.apply_batch(name, [("remove", label, edges)])
 
     @staticmethod
     def _edge_batch(handle: GraphHandle, edges) -> np.ndarray:
@@ -482,24 +438,14 @@ class GraphStore:
 
     def _rebuild_label(self, handle: GraphHandle, label: str) -> None:
         """Rebuild one label's base matrix from the authoritative host
-        edge list — the O(label) conversion the overlay path defers to
-        fold time.  Caller holds ``handle._lock``."""
-        n = handle.n
-        pairs = handle.graph.edges.get(label, [])
-        if pairs:
-            arr = np.asarray(pairs, dtype=np.int64)
-            matrix = self.ctx.matrix_from_lists((n, n), arr[:, 0], arr[:, 1])
-        else:
-            matrix = self.ctx.matrix_empty((n, n))
-        fmt = self._label_residency(matrix, handle.residency)
+        edge list — the O(label) conversion the overlay defers to fold
+        time.  Caller holds ``handle._lock``."""
+        matrix = handle.graph.adjacency_matrices(self.ctx, [label])[label]
         # The previous matrix is dereferenced, not freed: in-flight
         # evaluations may still read it; the arena reclaims its
         # buffers when the last reference drops.
         handle.matrices[label] = matrix
-        handle.formats[label] = fmt
-
-    def _mutate(self, name: str, op: str, label: str, edges) -> int:
-        return self.apply_batch(name, [(op, label, edges)])
+        handle.formats[label] = self._label_residency(matrix, handle.residency)
 
     def apply_batch(self, name: str, deltas) -> int:
         """Apply (and WAL-log) a heterogeneous mutation batch.
@@ -509,16 +455,12 @@ class GraphStore:
         record and version bump (matching :meth:`add_edges` semantics),
         all applied under one handle lock acquisition.
 
-        On the overlay path no matrix is rebuilt at all — batches land
-        in the :class:`~repro.incr.overlay.DeltaOverlay` and labels fold
-        only once their pending set reaches ``overlay_fold_limit``.
-        Without an overlay, each *touched label* is rebuilt exactly once
-        at the end — not once per batch element, which is what made
-        multi-delta ingest O(batch · graph) before.
+        No matrix is rebuilt — batches land in the
+        :class:`~repro.incr.overlay.DeltaOverlay` and labels fold only
+        once their pending set reaches :data:`OVERLAY_FOLD_LIMIT`.
 
         Returns the final graph version.
         """
-        from repro.store.volume import apply_deltas
         from repro.store.wal import EdgeDelta
 
         handle = self.get(name)
@@ -528,36 +470,9 @@ class GraphStore:
                 raise InvalidArgumentError(
                     f"unknown delta op {op!r} (add / remove)"
                 )
-            items.append((op, str(label), self._edge_batch(handle, edges)))
-        with handle._lock:
-            version = handle.version
-            touched: set[str] = set()
-            for op, label, batch in items:
-                version += 1
-                # WAL before state: once append_delta returns, the batch
-                # is fsynced; a crash after this point replays it on
-                # restore.
-                if handle.volume is not None:
-                    handle.volume.append_delta(op, label, batch, version=version)
-                delta = EdgeDelta(op, label, batch.astype(np.uint32), version)
-                apply_deltas(handle.graph, [delta])
-                if handle.overlay is not None:
-                    handle.overlay.record(op, label, batch, version)
-                touched.add(label)
-            for label in sorted(touched):
-                if handle.overlay is None:
-                    self._rebuild_label(handle, label)
-                elif (
-                    handle.overlay.pending_edges(label)
-                    >= self.overlay_fold_limit
-                ):
-                    self._rebuild_label(handle, label)
-                    handle.overlay.fold(label)
-            handle.version = version
-        hook = self.on_mutate
-        if hook is not None:
-            hook(name, version)
-        return version
+            batch = self._edge_batch(handle, edges).astype(np.uint32)
+            items.append(EdgeDelta(op, str(label), batch, 0))
+        return self._commit(handle, items, mint=True)
 
     def apply_replicated(self, name: str, deltas) -> int:
         """Apply WAL-shipped deltas on a read replica; returns the version.
@@ -574,31 +489,75 @@ class GraphStore:
         one lock acquisition: every state a concurrent reader observes
         is a whole prefix of the primary's committed history.
         """
+        return self._commit(self.get(name), deltas, mint=False)
+
+    def _commit(self, handle: GraphHandle, deltas, *, mint: bool) -> int:
+        """Commit :class:`~repro.store.wal.EdgeDelta` records to a
+        resident graph — the one way a delta changes one.
+
+        * One version and (on a volume) one WAL transaction per delta.
+          With ``mint`` each delta is stamped ``handle.version + 1, …``
+          and logged; otherwise it keeps the stamp it was shipped with,
+          nothing is logged, and deltas at or below the handle version
+          are skipped.
+        * Every delta is fsynced before any state it changes is visible.
+          When an append fails, the deltas logged before it are still
+          applied and their version published — a later batch must not
+          re-mint a version the log already holds — and the failure
+          surfaces as :class:`~repro.errors.StoreError`; the log has cut
+          the failed transaction's bytes back off.
+        * All deltas of a call land under one ``handle._lock``
+          acquisition, through one ``apply_deltas`` call.
+        * A label folds into its base matrix when its pending set
+          reaches :data:`OVERLAY_FOLD_LIMIT`.
+        * ``on_mutate`` runs outside every store lock, for whatever
+          prefix was committed.
+        """
         from repro.store.volume import apply_deltas
 
-        handle = self.get(name)
-        with handle._lock:
-            version = handle.version
-            touched: set[str] = set()
-            for delta in deltas:
-                if delta.version <= version:
-                    continue
-                apply_deltas(handle.graph, [delta])
-                if handle.overlay is not None:
-                    handle.overlay.record_delta(delta)
-                version = delta.version
-                touched.add(delta.label)
-            for label in sorted(touched):
-                if handle.overlay is None:
-                    self._rebuild_label(handle, label)
-                elif (
-                    handle.overlay.pending_edges(label)
-                    >= self.overlay_fold_limit
-                ):
-                    self._rebuild_label(handle, label)
-                    handle.overlay.fold(label)
-            handle.version = version
+        committed = []
+        try:
+            with handle._lock:
+                version = handle.version
+                try:
+                    for delta in deltas:
+                        if mint:
+                            delta = replace(delta, version=version + 1)
+                            self._log(handle, delta)
+                        elif delta.version <= version:
+                            continue
+                        committed.append(delta)
+                        version = delta.version
+                finally:
+                    touched = apply_deltas(handle.graph, committed)
+                    for d in committed:
+                        handle.overlay.record(d.op, d.label, d.edges, d.version)
+                    for label in sorted(touched):
+                        if handle.overlay.pending_edges(label) >= OVERLAY_FOLD_LIMIT:
+                            self._rebuild_label(handle, label)
+                            handle.overlay.fold(label)
+                    handle.version = version
+        finally:
+            hook = self.on_mutate
+            if committed and hook is not None:
+                hook(handle.name, committed[-1].version)
         return version
+
+    @staticmethod
+    def _log(handle: GraphHandle, delta) -> None:
+        """WAL before state: once this returns the delta is fsynced, and
+        a crash after this point replays it on restore."""
+        if handle.volume is None:
+            return
+        try:
+            handle.volume.append_delta(
+                delta.op, delta.label, delta.edges, version=delta.version
+            )
+        except OSError as exc:
+            raise StoreError(
+                f"graph {handle.name!r}: WAL append of version "
+                f"{delta.version} failed, earlier versions stand: {exc}"
+            ) from exc
 
     def stats(self) -> dict:
         with self._lock:
@@ -619,9 +578,7 @@ class GraphStore:
                     "version": h.current_version(),
                     "persistent": h.volume is not None,
                     "queries_served": h.served(),
-                    "overlay": (
-                        h.overlay.stats() if h.overlay is not None else None
-                    ),
+                    "overlay": h.overlay.stats(),
                 }
                 for h in handles
             },

@@ -428,8 +428,8 @@ class QueryScheduler:
         Requires an ancestor cache entry carrying a fixpoint state AND
         an overlay journal proving the delta since that version was
         adds-only and small.  Removals, oversized deltas, and unknowable
-        spans (overlay disabled, journal pruned) all return None — the
-        from-scratch path is the only safe answer there.
+        spans (journal pruned) all return None — the from-scratch path
+        is the only safe answer there.
         """
         if self.results is None or key is None:
             return None
@@ -439,7 +439,7 @@ class QueryScheduler:
         version, _value, state = ancestor
         if state is None:
             return None
-        summary = handle.delta_since(version)
+        summary = handle.overlay.delta_since(version)
         if summary is None or not summary.adds_only or summary.count == 0:
             return None
         budget = max(

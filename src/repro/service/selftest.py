@@ -3,21 +3,16 @@
 Spins up a real :class:`~repro.service.core.QueryService` (worker
 threads, plan cache, batching — everything), fires a concurrent mixed
 workload at it from client threads, and verifies every answer against
-the sequential single-query engines.  A second phase exercises the
-persistent store (:mod:`repro.store`): persist → mutate via WAL-logged
-deltas → tear the log tail → stop → warm-restart a fresh service from
-disk, asserting recovery to the last committed version, result
-agreement, and — under the hybrid backend — that BitMatrix snapshots
-came back as zero-copy mmap views (arena ``mapped_bytes``, not heap
-copies).  Later phases cover incremental evaluation (interleaved
-mutations must warm-start, removals must recompute, answers must track
-the oracle) and min-plus distance queries.  Exercised by CI under both
+the sequential single-query engines.  Phase 2 covers incremental
+evaluation (interleaved mutations must warm-start, removals must
+recompute, answers must track the oracle) and phase 3 min-plus distance
+queries.  Persistence is pytest's job (``tests/test_service_store.py``,
+``scripts/crash_recovery_check.py``).  Exercised by CI under both
 ``REPRO_HYBRID`` settings; exit status is the install check.
 """
 
 from __future__ import annotations
 
-import tempfile
 import threading
 from pathlib import Path
 
@@ -169,14 +164,10 @@ def run_selftest(
 
         oracle_ctx.finalize()
 
-    # -- phase 2: persistent store round-trip ------------------------------
-    with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp:
-        failures.extend(_store_phase(tmp, graph, workers=workers, say=say))
-
-    # -- phase 3: incremental evaluation over live deltas ------------------
+    # -- phase 2: incremental evaluation over live deltas ------------------
     failures.extend(_incremental_phase(say=say))
 
-    # -- phase 4: value-semiring queries through the service ---------------
+    # -- phase 3: value-semiring queries through the service ---------------
     failures.extend(_semiring_phase(say=say))
 
     # -- runtime vs static lock graph --------------------------------------
@@ -192,8 +183,7 @@ def run_selftest(
     say("")
     say(
         f"selftest ok: {4 * queries} concurrent reach queries + all-pairs "
-        f"+ cfpq match the sequential engines; store warm-restart "
-        f"(mmap snapshots + WAL recovery) verified; "
+        f"+ cfpq match the sequential engines; "
         f"incremental warm starts track interleaved mutations; min-plus "
         f"distance queries match the dense oracle"
     )
@@ -309,8 +299,8 @@ def _incremental_phase(*, say) -> list[str]:
             failures.append(
                 "removal delta did not force a full re-evaluation"
             )
-        overlay = svc.stats().graph_store["per_graph"]["incr"].get("overlay")
-        if not overlay or overlay["journal_entries"] < rounds + 1:
+        overlay = svc.stats().graph_store["per_graph"]["incr"]["overlay"]
+        if overlay["journal_entries"] < rounds + 1:
             failures.append(
                 f"overlay journal missing mutation history: {overlay}"
             )
@@ -422,101 +412,5 @@ def _semiring_phase(*, say) -> list[str]:
             f"semiring phase ok: min-plus distances to {len(want)} vertices "
             f"match the dense oracle; plan + result caches hit on repeat; "
             f"bad algebras rejected pre-admission"
-        )
-    return failures
-
-
-def _store_phase(store_root: str, graph, *, workers: int, say) -> list[str]:
-    """Persist → mutate → tear the WAL → warm-restart → verify."""
-    import repro
-    from repro.backends.hybrid import HybridBackend
-    from repro.graph import LabeledGraph
-    from repro.rpq import rpq_pairs
-
-    failures: list[str] = []
-    name = "persisted"
-    probe_q = SELFTEST_QUERIES[0]
-    probe_src = 1
-    delta_edges = [(0, graph.n - 1), (1, graph.n - 2)]
-
-    # Service A: register, snapshot, then mutate past the snapshot so
-    # the restart must replay the WAL suffix on top of generation 1.
-    with QueryService(workers=workers, store_root=store_root) as svc:
-        hybrid = isinstance(svc.ctx.backend, HybridBackend)
-        # "bit" residency pins packed views, so the snapshot carries bit
-        # containers for the mmap warm start (hybrid runs only).
-        svc.register_graph(
-            name, graph, residency="bit" if hybrid else "auto"
-        )
-        svc.persist_graph(name)
-        version = svc.add_edges(name, "a", delta_edges)
-        answer_before = svc.reach(name, probe_q, source=probe_src)
-
-    # Crash simulation: a torn, uncommitted record at the log tail.
-    wal_path = Path(store_root) / "volumes" / name / "wal.log"
-    with open(wal_path, "ab") as f:
-        f.write(b"RWAL\x01\x01\x00\x00torn-tail-garbage")
-
-    # Service B: a fresh process-equivalent, warm-started from disk.
-    with QueryService(workers=workers, store_root=store_root) as svc:
-        arena = svc.ctx.device.arena
-        mapped_before = arena.stats().mapped_bytes
-        restored = svc.restore_all()
-        if name not in restored:
-            failures.append(f"restore_all() did not surface {name!r}")
-            return failures
-        handle = svc.graphs.get(name)
-        if handle.current_version() != version:
-            failures.append(
-                f"warm restart recovered version {handle.current_version()}, "
-                f"want {version} (torn tail must not lose committed deltas)"
-            )
-        hybrid = isinstance(svc.ctx.backend, HybridBackend)
-        if hybrid:
-            mapped = arena.stats().mapped_bytes - mapped_before
-            if mapped <= 0:
-                failures.append(
-                    "no arena mapped_bytes after restore — bit snapshots "
-                    "were heap-copied instead of mmapped"
-                )
-            # Labels untouched by the delta must be file-backed views:
-            # no-copy means the words array does not own its data.
-            for label in ("b", "c"):
-                m = handle.matrices[label].handle
-                if m.bit is None:
-                    failures.append(f"label {label!r} lost its bit view")
-                    continue
-                words = m.bit.storage.words
-                if words.flags["OWNDATA"] or words.flags["WRITEABLE"]:
-                    failures.append(
-                        f"label {label!r} words are a heap copy, not a "
-                        f"read-only mmap view"
-                    )
-        answer_after = svc.reach(name, probe_q, source=probe_src)
-        if answer_after != answer_before:
-            failures.append(
-                "warm-restarted service disagrees with pre-restart answers"
-            )
-        # Independent oracle over the mutated graph.
-        mutated = LabeledGraph(n=graph.n)
-        for label, pairs in graph.edges.items():
-            mutated.edges[label].extend(pairs)
-        for u, v in delta_edges:
-            mutated.add_edge(u, "a", v)
-        oracle_ctx = repro.Context(backend="cubool")
-        want = {
-            t for s, t in rpq_pairs(mutated, probe_q, oracle_ctx)
-            if s == probe_src
-        }
-        oracle_ctx.finalize()
-        if answer_after != want:
-            failures.append(
-                f"restored graph answers diverge from the oracle "
-                f"({len(answer_after)} vs {len(want)} targets)"
-            )
-        say(
-            f"store phase ok: gen 1 + WAL replay to v{version}, "
-            + ("mmap-backed bit views, " if hybrid else "")
-            + "answers match"
         )
     return failures

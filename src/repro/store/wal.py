@@ -42,6 +42,7 @@ import os
 import struct
 import warnings
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -218,30 +219,57 @@ class WriteAheadLog:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._file = None
+        #: Committed length, tracked while the append handle is open.
+        #: Set with the handle gone, a failed append still owes its cut.
+        self._end: int | None = None
 
     # -- append side -------------------------------------------------------
 
     def _handle(self):
         if self._file is None or self._file.closed:
+            if self._end is not None:  # no append lands behind a tear
+                self._truncate(self._end)
             self._file = open(self.path, "ab")
+            self._end = self._file.tell()
         return self._file
+
+    def _truncate(self, end: int) -> None:
+        """Durably cut the log back to ``end`` bytes."""
+        with suppress(OSError):  # an unflushed tail is being cut anyway
+            self.close()
+        self._end = end  # owed until the cut below succeeds
+        with open(self.path, "r+b") as f:
+            f.truncate(end)
+            f.flush()
+            os.fsync(f.fileno())
+        self._end = None
 
     def append(self, op: str, label: str, edges, *, version: int) -> None:
         """Append one committed edge-delta transaction and fsync.
 
         Writes a delta record followed by its commit marker; both land
         in one ``write`` + ``fsync`` pair, so the commit marker is never
-        durable without its delta.
+        durable without its delta.  If either fails, the transaction's
+        bytes are cut back off before the ``OSError`` propagates (or, if
+        that fails too, before the next append is accepted): a commit
+        behind torn bytes would replay as mid-log corruption.
         """
         f = self._handle()
-        f.write(encode_transaction(op, label, edges, version=version))
-        f.flush()
-        os.fsync(f.fileno())
+        data = encode_transaction(op, label, edges, version=version)
+        try:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        except OSError:
+            self._truncate(self._end)
+            raise
+        self._end += len(data)
 
     def close(self) -> None:
         if self._file is not None and not self._file.closed:
             self._file.close()
         self._file = None
+        self._end = None
 
     # -- replay side -------------------------------------------------------
 
@@ -323,11 +351,7 @@ class WriteAheadLog:
             pos += _FRAME.size + length
 
         if (torn or pending) and repair and committed_end < len(data):
-            self.close()
-            with open(self.path, "r+b") as f:
-                f.truncate(committed_end)
-                f.flush()
-                os.fsync(f.fileno())
+            self._truncate(committed_end)
         return committed, last_version
 
     def reset(self) -> None:

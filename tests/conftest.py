@@ -6,11 +6,25 @@ import numpy as np
 import pytest
 
 import repro
+from repro.analysis import locktrace
 
 #: All registered backends (generic64 shares the generic code path and is
 #: covered by its dedicated tests; "hybrid" is the adaptive sparse/bit
 #: dispatcher over cubool).
 BACKENDS = ("cpu", "cubool", "clbool", "generic", "hybrid")
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Under ``REPRO_CHECK_LOCKS=1`` any hazard the process-wide lock
+    sentinel recorded fails the run.  (Tests that seed hazards install
+    their own tracer, so the global one only ever sees product code.)"""
+    tracer = locktrace.tracer()
+    hazards = tracer.hazards() if tracer is not None else []
+    if hazards:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        for hazard in hazards:
+            reporter.write_line(f"lock sentinel: {hazard.render()}", red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(params=BACKENDS)

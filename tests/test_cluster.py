@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import time
 
 import numpy as np
@@ -436,6 +437,43 @@ class TestClusterEndToEnd:
         assert svc.reach("g", QUERY, source=2, min_version=v) == svc.reach(
             "g", QUERY, source=2, route="primary"
         )
+
+    def test_follower_matches_primary_after_failed_batch(
+        self, cluster, monkeypatch
+    ):
+        """A WAL append failing mid-batch must not fork the replica: the
+        logged prefix is version 1 on both sides, the failed triple is
+        on neither, and the next batch ships as version 2 (a re-minted
+        version 1 would be dropped by the shipper as already sent)."""
+        svc, primary, router, follower = cluster
+        handle = svc.graphs.get("g")
+        # Three edges no earlier test put into the shared graph.
+        have = set(handle.graph.edges["a"])
+        kept, lost, later = [
+            e for e in ((u, u + 1) for u in range(39)) if e not in have
+        ][:3]
+        real, calls = handle.volume.append_delta, []
+
+        def failing(op, label, edges, *, version):
+            calls.append(version)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(op, label, edges, version=version)
+
+        monkeypatch.setattr(handle.volume, "append_delta", failing)
+        with pytest.raises(StoreError) as exc:
+            svc.apply_batch("g", [("add", "a", [kept]), ("add", "a", [lost])])
+        assert isinstance(exc.value.__cause__, OSError)
+        assert handle.current_version() == 1
+        assert svc.apply_batch("g", [("add", "a", [later])]) == 2
+        assert [d.version for d in handle.volume.wal.replay()[0]] == [1, 2]
+        assert follower.wait_applied("g", 2, timeout=20)
+        assert wait_acked(primary, 2)
+        replica = follower.service.graphs.get("g").graph.edges
+        for label in ("a", "b"):
+            assert set(replica[label]) == set(handle.graph.edges[label])
+        assert {kept, later} <= set(replica["a"])
+        assert lost not in replica["a"]
 
     def test_follower_killed_mid_catchup_rejoins(self, cluster, tmp_path):
         svc, primary, router, follower = cluster

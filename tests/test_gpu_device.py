@@ -84,6 +84,20 @@ class TestStream:
         assert s.launches[0].kernel_name == "kernel"
         assert dev.counters.kernel_launches == 1
 
+    def test_launch_log_is_bounded_and_counts_stay_exact(self, monkeypatch):
+        from repro.gpu import stream as stream_mod
+
+        monkeypatch.setattr(stream_mod, "LAUNCH_LOG_LIMIT", 4)
+        dev = Device()
+        s = dev.stream()
+        for i in range(10):
+            s.launch(lambda c, x: x, grid_1d(1, 32), i)
+        assert len(s.launches) == 4  # the newest four
+        assert s.launch_count == dev.counters.kernel_launches == 10
+        assert s.total_kernel_time() == pytest.approx(
+            dev.counters.kernel_time_s
+        )
+
     def test_events_elapsed(self):
         dev = Device()
         s = dev.stream()

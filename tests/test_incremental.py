@@ -1,10 +1,9 @@
 """Incremental evaluation (repro.incr): overlay, state, warm starts.
 
 Covers the delta subsystem end to end: the :class:`DeltaOverlay` merge
-semantics and journal arbitration, the per-label rebuild batching in
-``GraphStore.apply_batch`` (conversion-count regressions for both the
-overlay and the eager path), the resumable :class:`FixpointState` +
-``ResultCache.get_ancestor`` lineage, the scheduler's incremental-vs-
+semantics and journal arbitration, the deferred rebuilds of
+``GraphStore.apply_batch`` (conversion-count regressions), the
+resumable :class:`FixpointState` + ``ResultCache.get_ancestor`` lineage, the scheduler's incremental-vs-
 recompute arbitration, and the remove_edges crash/recovery story
 through the persistent store.
 """
@@ -20,7 +19,7 @@ from repro.graph import LabeledGraph
 from repro.incr.overlay import DeltaOverlay, DeltaSummary
 from repro.incr.state import FixpointState, matrix_coo
 from repro.rpq import rpq_pairs
-from repro.service import QueryService
+from repro.service import QueryService, graph_store
 from repro.service.graph_store import GraphStore
 from repro.service.result_cache import ResultCache
 
@@ -154,31 +153,8 @@ class TestApplyBatch:
         monkeypatch.setattr(ctx, "matrix_from_lists", counting)
         return calls
 
-    def test_eager_path_rebuilds_once_per_label(self, mctx, monkeypatch):
-        store = GraphStore(mctx, overlay=False)
-        store.register("g", _graph())
-        calls = self._count_conversions(monkeypatch, mctx)
-        version = store.apply_batch(
-            "g",
-            [
-                ("add", "a", [(0, 1)]),
-                ("add", "a", [(1, 2)]),
-                ("remove", "a", [(0, 1)]),
-                ("add", "b", [(2, 3)]),
-            ],
-        )
-        assert version == 4  # one version bump per triple
-        # Two touched labels -> exactly two rebuilds, not four.
-        assert len(calls) == 2
-        handle = store.get("g")
-        assert (1, 2) in _to_set(handle.matrices["a"])
-        assert (0, 1) not in {
-            e for e in handle.graph.edges["a"] if e == (0, 1)
-        }
-        store.clear()
-
     def test_overlay_path_defers_all_rebuilds(self, mctx, monkeypatch):
-        store = GraphStore(mctx, overlay=True)
+        store = GraphStore(mctx)
         store.register("g", _graph())
         calls = self._count_conversions(monkeypatch, mctx)
         store.apply_batch(
@@ -198,8 +174,9 @@ class TestApplyBatch:
         assert (0, 1) in _to_set(operands["a"])
         store.clear()
 
-    def test_overlay_folds_at_limit(self, mctx):
-        store = GraphStore(mctx, overlay=True, overlay_fold_limit=4)
+    def test_overlay_folds_at_limit(self, mctx, monkeypatch):
+        monkeypatch.setattr(graph_store, "OVERLAY_FOLD_LIMIT", 4)
+        store = GraphStore(mctx)
         store.register("g", _graph())
         handle = store.get("g")
         store.apply_batch("g", [("add", "a", [(0, 1), (1, 2), (2, 3)])])
@@ -338,23 +315,6 @@ class TestServiceArbitration:
             counters = svc.stats().counters
             assert counters.get("incremental_evals", 0) == 0
             assert counters.get("incremental_declined", 0) == 1
-
-    def test_overlay_off_still_correct(self):
-        graph = _graph(n=24, edges=90)
-        current = self._mirror(graph)
-        with QueryService(backend="cpu", workers=1, overlay=False) as svc:
-            svc.register_graph("g", graph)
-            svc.pairs("g", self.QUERY)
-            svc.add_edges("g", "a", [(0, 5)])
-            current.add_edge(0, "a", 5)
-            got = svc.pairs("g", self.QUERY)
-            counters = svc.stats().counters
-            assert counters.get("incremental_evals", 0) == 0
-        oracle_ctx = repro.Context(backend="cpu")
-        try:
-            assert got == rpq_pairs(current, self.QUERY, oracle_ctx)
-        finally:
-            oracle_ctx.finalize()
 
 
 # -- remove_edges through the persistent store -------------------------------

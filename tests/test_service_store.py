@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.errors import (
 )
 from repro.rpq import rpq_pairs
 from repro.service import QueryService
+from repro.service.graph_store import GraphStore
 from repro.service.result_cache import ResultCache
 from repro.store import load_autotune, save_autotune
 from repro.store.cli import main as store_main
@@ -23,9 +26,13 @@ from repro.store.cli import main as store_main
 QUERY = "a b* c"
 
 
+def fresh_graph():
+    return uniform_random_graph(40, 170, labels=("a", "b", "c"), seed=11)
+
+
 @pytest.fixture(scope="module")
 def graph():
-    return uniform_random_graph(40, 170, labels=("a", "b", "c"), seed=11)
+    return fresh_graph()
 
 
 def reach_oracle(graph, query, src, ctx):
@@ -123,6 +130,174 @@ class TestPersistRestore:
         with QueryService(workers=1, store_root=tmp_path) as svc:
             with pytest.raises(StoreError):
                 svc.restore_graph("ghost")
+
+
+class TestInstall:
+    """``register`` / ``restore`` / ``restore_replica`` differ in where
+    the graph comes from; what makes it resident is one ``_install``."""
+
+    # entry -> (version the handle lands at, whether it holds the
+    #           volume's writer lease)
+    ENTRIES = {
+        "register": (0, False),
+        # snapshot at v1 + the one WAL delta behind it
+        "restore": (2, True),
+        # the snapshot only: a replica is shipped the WAL suffix
+        "restore_replica": (1, False),
+    }
+
+    @staticmethod
+    def call(store, entry, residency):
+        """Invoke ``entry`` for graph "g"; returns the installed handle."""
+        args = (fresh_graph(),) if entry == "register" else ()
+        got = getattr(store, entry)("g", *args, residency=residency)
+        return got[0] if entry == "restore_replica" else got
+
+    @pytest.fixture()
+    def seeded(self, tmp_path):
+        """A volume holding a v1 snapshot with bit containers and one
+        WAL delta (v2) behind it."""
+        with QueryService(workers=0, store_root=tmp_path, hybrid="auto") as svc:
+            svc.register_graph("g", fresh_graph(), residency="bit")
+            svc.add_edges("g", "a", [(0, 39)])
+            svc.persist_graph("g")
+            svc.add_edges("g", "b", [(1, 38)])
+        return tmp_path
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_entry_point(self, seeded, entry):
+        version, holds_lease = self.ENTRIES[entry]
+        with QueryService(workers=0, store_root=seeded, hybrid="auto") as svc:
+            store = svc.graphs
+            old = store.register("g", fresh_graph())
+            handle = self.call(store, entry, "bit")
+            assert store.get("g") is handle
+            assert old.matrices == {}  # the replaced handle was freed
+            assert handle.current_version() == version
+            assert (handle.volume is not None) == holds_lease
+            assert sorted(handle.matrices) == ["a", "b", "c"]
+            assert handle.formats == {
+                label: m.handle.resident for label, m in handle.matrices.items()
+            }
+            assert set(handle.formats.values()) <= {"bit", "both"}
+            overlay = handle.overlay.stats()
+            assert overlay["floor_version"] == version
+            assert overlay["pending_edges"] == overlay["journal_entries"] == 0
+            assert ((0, 39) in handle.graph.edges["a"]) == (version >= 1)
+            assert ((1, 38) in handle.graph.edges["b"]) == (version >= 2)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_bad_residency_installs_nothing(self, seeded, entry):
+        with QueryService(workers=0, store_root=seeded) as svc:
+            with pytest.raises(InvalidArgumentError, match="residency"):
+                self.call(svc.graphs, entry, "dense")
+            assert "g" not in svc.graphs
+
+    def test_restore_hands_the_lease_back_when_loading_fails(
+        self, tmp_path, monkeypatch
+    ):
+        with QueryService(workers=0, store_root=tmp_path) as svc:
+            svc.register_graph("g", fresh_graph())
+            svc.persist_graph("g")
+            handle = svc.graphs.get("g")
+            volume = handle.volume
+
+            def boom(matrices, bit_paths):
+                raise StoreError("injected load failure")
+
+            monkeypatch.setattr(svc.graphs, "_adopt_bit_views", boom)
+            with pytest.raises(StoreError, match="injected"):
+                svc.restore_graph("g")
+            assert svc.graphs.get("g") is handle and handle.volume is volume
+            # The lease still works: the next mutation is WAL-logged.
+            assert svc.add_edges("g", "a", [(1, 0)]) == 1
+            assert [d.version for d in volume.wal.replay()[0]] == [1]
+
+    def test_removed_overlay_options_are_rejected(self):
+        # The eager-rebuild mode is gone, not silently accepted.
+        with pytest.raises(TypeError):
+            QueryService(overlay=False)
+        ctx = repro.Context(backend="cpu")
+        try:
+            with pytest.raises(TypeError):
+                GraphStore(ctx, overlay_fold_limit=4)
+            store = GraphStore(ctx)
+            assert not hasattr(store, "use_overlay")
+            assert not hasattr(store, "overlay_fold_limit")
+        finally:
+            ctx.finalize()
+
+
+class TestTornBatch:
+    """A WAL append that fails mid-batch must leave one consistent
+    history: the logged prefix committed, the failed triple gone from
+    both state and log, and the next batch minted after the prefix."""
+
+    BATCH = [("add", "a", [(2, 3)]), ("add", "a", [(3, 4)])]
+
+    @staticmethod
+    def fail_append_delta(monkeypatch, volume):
+        """Fault before ``write``: the second append never reaches the log."""
+        real, calls = volume.append_delta, []
+
+        def failing(op, label, edges, *, version):
+            calls.append(version)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(op, label, edges, version=version)
+
+        monkeypatch.setattr(volume, "append_delta", failing)
+
+    @staticmethod
+    def fail_fsync(monkeypatch, volume):
+        """Fault at ``os.fsync``: the second transaction's bytes are in
+        the file but were never made durable."""
+        real, calls = os.fsync, []
+
+        def failing(fd):
+            calls.append(fd)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, "Input/output error")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", failing)
+
+    @pytest.mark.parametrize("fault", ["fail_append_delta", "fail_fsync"])
+    def test_failed_append_commits_the_logged_prefix(
+        self, tmp_path, monkeypatch, fault
+    ):
+        graph = fresh_graph()
+        edges = set(graph.edges["a"])
+        assert not edges & {(2, 3), (3, 4), (4, 5)}
+        with QueryService(workers=1, store_root=tmp_path) as svc:
+            svc.register_graph("g", graph)
+            svc.persist_graph("g")
+            handle = svc.graphs.get("g")
+            seen = []
+            svc.graphs.on_mutate = lambda name, version: seen.append(version)
+            getattr(self, fault)(monkeypatch, handle.volume)
+            with pytest.raises(StoreError, match="version 2") as exc:
+                svc.apply_batch("g", self.BATCH)
+            assert isinstance(exc.value.__cause__, OSError)
+            monkeypatch.undo()
+            assert handle.current_version() == 1
+            assert seen == [1]  # the committed prefix was announced
+            assert (2, 3) in handle.graph.edges["a"]
+            assert (3, 4) not in handle.graph.edges["a"]
+            assert handle.overlay.pending_edges("a") == 1
+            # The failed transaction left no bytes behind ...
+            assert [d.version for d in handle.volume.wal.replay()[0]] == [1]
+            # ... so the next batch is version 2, logged exactly once.
+            assert svc.apply_batch("g", [("add", "a", [(4, 5)])]) == 2
+            deltas, last = handle.volume.wal.replay()
+            assert [d.version for d in deltas] == [1, 2] and last == 2
+            assert [tuple(d.edges[0]) for d in deltas] == [(2, 3), (4, 5)]
+            want = svc.reach("g", "a+", source=2)
+        with QueryService(workers=1, store_root=tmp_path) as svc:
+            restored = svc.graphs.restore("g")
+            assert restored.current_version() == 2
+            assert set(restored.graph.edges["a"]) == edges | {(2, 3), (4, 5)}
+            assert svc.reach("g", "a+", source=2) == want
 
 
 class TestResultCache:

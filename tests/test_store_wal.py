@@ -63,6 +63,35 @@ def test_reset_empties_the_log(tmp_path):
     assert log.replay() == ([], 0)
 
 
+def test_failed_append_leaves_no_bytes_even_when_the_cut_fails(
+    tmp_path, monkeypatch
+):
+    """A failed fsync cuts the transaction back off; if the cut's own
+    fsync fails too, the log refuses appends until the cut succeeds, so
+    no commit ever lands behind torn bytes."""
+    import os
+
+    log = wal(tmp_path)
+    log.append("add", "a", [(0, 1)], version=1)
+    committed = log.size()
+
+    def broken(fd):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(os, "fsync", broken)
+    for _ in range(2):  # the append, then the retry of the pending cut
+        with pytest.raises(OSError):
+            log.append("add", "a", [(2, 3)], version=2)
+    monkeypatch.undo()
+    log.append("add", "a", [(4, 5)], version=2)
+    deltas, version = log.replay()
+    assert [(d.version, d.edges.tolist()) for d in deltas] == [
+        (1, [[0, 1]]),
+        (2, [[4, 5]]),
+    ]
+    assert version == 2 and log.size() == 2 * committed
+
+
 def test_torn_tail_truncated_at_every_byte_boundary(tmp_path):
     """Crash matrix: cut the log inside the *last* transaction at every
     byte offset.  Recovery must always land on the previous commit."""
