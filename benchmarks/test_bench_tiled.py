@@ -103,7 +103,7 @@ class TestDensitySweep:
         rows, cols = np.nonzero(dense)
         a = hb.matrix_from_coo(rows, cols, dense.shape)
         hb._ensure_bit(a)
-        row["routed"] = hb._bit_mxm_plan(a, a)
+        row["routed"] = hb.estimate_costs("mxm", a, a).kernel
         _RESULTS.setdefault("sweep", {})[density] = row
         benchmark(runners["tiled blocked"])
 

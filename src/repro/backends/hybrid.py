@@ -31,18 +31,25 @@ device).  For ``C = A·B`` with ``A: m x k``, ``B: k x n``:
 
 ``alpha`` is derived from the configured crossover density ``d*`` so the
 two costs break even for a square equal-density multiply exactly at
-``d*``: ``alpha = 1 / (64 * d*^2)``.  The crossover benchmark
-(``benchmarks/test_bench_hybrid_crossover.py``) measures the real
-crossover and E9 records it; the default ``d* = 0.02`` matches the
-simulated executor.
+``d*``: ``alpha = 1 / (64 * d*^2)``.  ``d* = 0.02`` is a constant of the
+simulated executor, not a per-host measurement: on the layered
+benchmark's calibration grid it misroutes 0 of 10 cells where a
+startup probe's value misrouted 4 of 10 (E11), so there is no probe.
 
-Within the bit route a second arbitration picks the *kernel*: flat
-blocked, flat Four-Russians, or their tiled counterparts over a
-:class:`~repro.formats.tiled.TiledBitMatrix` grid
-(:meth:`HybridBackend._bit_mxm_plan`).  The tiled costs charge only
-present tile pairs — the zero-tile-skipping win on block-structured
-operands.  Kernel choices and per-kernel wall time land in
-``kernel_counts`` / ``kernel_times`` (E14 and the service stats).
+Each product is decided once.  :meth:`HybridBackend._mxm_kernel` builds
+one table of the bit kernels that could run it — flat blocked, flat
+Four-Russians, and their tiled counterparts over a
+:class:`~repro.formats.tiled.TiledBitMatrix` grid, each with its
+word-op cost and scratch bytes — and the :class:`CostEstimate` built
+from it carries both the route price and the kernel, so bit-resident
+operands (every fixpoint iteration after the first) run the kernel the
+route was priced at.  Only when the product first had to pack an
+operand is the table read again at launch: the conversion has just
+replaced the occupancy estimate with the exact tile-presence bitmap.
+The tiled costs charge only present tile pairs — the
+zero-tile-skipping win on block-structured operands.  Kernel choices
+and per-kernel wall time land in ``kernel_counts`` / ``kernel_times``
+(E14 and the service stats).
 
 Semiring routing
 ----------------
@@ -57,13 +64,13 @@ arena, one per value dtype.  Value results stay resident as a third
 cached view on the handle (``HybridMatrix.value``) so fixpoint loops
 (min-plus APSP squaring) never round-trip through a pattern; a pattern
 operand entering a value op converts with every stored entry set to the
-semiring's ⊗-identity.  Value dispatches land in ``dispatch_counts`` as
-``"value"``, their predicted work in ``value_costs``
-(:meth:`HybridBackend.estimate_value_cost`), and their kernel time in
-``kernel_counts`` / ``kernel_times`` keyed ``generic:<semiring name>``.
+semiring's ⊗-identity.  Value semirings have exactly one executor, so
+there is nothing to price: value dispatches land in ``dispatch_counts``
+as ``"value"`` and their kernel time in ``kernel_counts`` /
+``kernel_times`` keyed ``generic:<semiring name>``.
 
-Policy / ablation switches
---------------------------
+Policy switches
+---------------
 ``REPRO_HYBRID`` env var (read at :class:`~repro.core.context.Context`
 creation): ``0``/unset — pure sparse path, byte-identical to the
 wrapped backend; ``1``/``auto`` — adaptive dispatch; ``bit`` /
@@ -75,6 +82,7 @@ hybrid_threshold=...)``.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import threading
 import time
@@ -113,8 +121,7 @@ KRON_BIT_WORD_COST = 3.0
 
 #: Four-Russians multiply: the table build (``_FR_TABLE_ENTRIES`` per
 #: ``_FR_GROUP_ROWS``-row group of B) is a fixed cost amortized over
-#: output rows, so the kernel only wins for tall-enough products — the
-#: break-even row count is what :func:`autotune_four_russians` measures
+#: output rows, so the kernel only wins for tall-enough products
 #: (``HybridPolicy.four_russians_min_rows``).  Hard floor on the
 #: reduction dimension: under a word of k the grouped table never
 #: amortizes regardless of output rows.
@@ -125,11 +132,6 @@ FOUR_RUSSIANS_MIN_K = 64
 #: kernels, where the per-pair loop overhead would dominate the saved
 #: work; block-structured operands amortize it over skipped tiles.
 TILE_PAIR_OVERHEAD_WORDS = 4096.0
-
-#: Cost multiplier of the generic (valcsr) route relative to the sparse
-#: boolean kernels: every expanded product drags a value word through
-#: the gather and the sort-reduce alongside its key.
-VALUE_STREAM_FACTOR = 1.5
 
 
 def hybrid_mode_from_env(environ=None) -> str | None:
@@ -169,19 +171,12 @@ class HybridPolicy:
         push arena live bytes beyond this fraction of device capacity
         (keeps the E0/E8 memory story honest: the dense format must
         never OOM a workload the sparse path can run).
-    fuse:
-        When True (default) the bit path of ``mxm(accumulate=)`` /
-        ``kron_accumulate`` seeds the accumulator into a single
-        arena-resident output buffer and runs the ``*_into`` kernel —
-        zero full-matrix temporaries per call.  ``False`` restores the
-        compose-then-merge path (product temporary + ewise OR), kept as
-        the E13 ablation baseline.
     four_russians_min_rows:
         Smallest output row count for which the table-driven
         Four-Russians multiply is routed instead of the blocked
         broadcast kernel; ``0`` disables the kernel.  The default is the
-        simulated-executor break-even; ``autotune=True`` replaces it
-        with a measured one (:func:`autotune_four_russians`).
+        simulated-executor break-even (a probe of the row ladder
+        returned exactly this value on every run — E11).
     tiled:
         When True (default) the bit route may execute ``mxm`` over a
         :class:`~repro.formats.tiled.TiledBitMatrix` grid,
@@ -196,7 +191,6 @@ class HybridPolicy:
     crossover_density: float = 0.02
     fixpoint_bias: float = 0.5
     max_arena_fraction: float = 0.9
-    fuse: bool = True
     four_russians_min_rows: int = 128
     tiled: bool = True
     tile_size: int = DEFAULT_TILE
@@ -232,12 +226,15 @@ class HybridPolicy:
 
 @dataclass
 class CostEstimate:
-    """Predicted word-op cost of both routes for one operation."""
+    """Predicted word-op cost of both routes for one operation, and the
+    bit ``mxm`` kernel the bit route was priced for (``None`` for the
+    single-kernel ops)."""
 
     op: str
     sparse: float
     bit: float
     bit_bytes_needed: int = 0
+    kernel: str | None = None
 
     @property
     def winner(self) -> str:
@@ -383,10 +380,6 @@ class HybridBackend(Backend):
         #: on this device's arena (created lazily, kept for the session
         #: so value results stay addressable).
         self._value_backends: dict[str, GenericBackend] = {}
-        #: op -> accumulated predicted word-op cost of value dispatches
-        #: (:meth:`estimate_value_cost`) — the value route's half of the
-        #: cost-model telemetry.
-        self.value_costs: dict[str, float] = {}  # guarded-by: _telemetry_lock
         #: A fixpoint region is a property of the calling thread: one
         #: scheduler worker's closure must not bias another's routing.
         self._fixpoint = threading.local()
@@ -404,9 +397,8 @@ class HybridBackend(Backend):
 
     def telemetry(self) -> dict:
         """Consistent copy of ``dispatch_counts`` / ``kernel_counts`` /
-        ``kernel_times`` / ``value_costs``, keyed by those names — the
-        read side for other threads (service stats) while workers are
-        still dispatching."""
+        ``kernel_times``, keyed by those names — the read side for other
+        threads (service stats) while workers are still dispatching."""
         with self._telemetry_lock:
             return {
                 "dispatch_counts": {
@@ -418,16 +410,11 @@ class HybridBackend(Backend):
                 "kernel_times": {
                     op: dict(t) for op, t in self.kernel_times.items()
                 },
-                "value_costs": dict(self.value_costs),
             }
 
-    def _record_route(
-        self, op: str, decision: str, value_cost: float | None = None
-    ) -> None:
+    def _record_route(self, op: str, decision: str) -> None:
         with self._telemetry_lock:
             self.dispatch_counts.setdefault(op, Counter())[decision] += 1
-            if value_cost is not None:
-                self.value_costs[op] = self.value_costs.get(op, 0.0) + value_cost
 
     # -- residency hint ----------------------------------------------------
 
@@ -477,22 +464,7 @@ class HybridBackend(Backend):
         # BitMatrix adopts as-is.
         return BitMatrix(shape, buf.data), buf
 
-    def _fr_eligible(self, m: int, k: int, n: int) -> bool:
-        """Whether Four-Russians may be routed for an m×k · k×n multiply.
-
-        Gates: kernel enabled, output tall enough to amortize the table
-        build, reduction dimension at least a word, and the table
-        scratch (``256 * ceil(k/8)`` word rows — 32× B's words) fits the
-        arena budget alongside the live sets.
-        """
-        min_rows = self.policy.four_russians_min_rows
-        if min_rows <= 0 or m < min_rows or k < FOUR_RUSSIANS_MIN_K:
-            return False
-        groups = -(-k // _FR_GROUP_ROWS)
-        table_bytes = _FR_TABLE_ENTRIES * groups * _words_per_row(n) * 8
-        return self._bit_fits(table_bytes)
-
-    # -- tiled-route arbitration -------------------------------------------
+    # -- bit-kernel arbitration --------------------------------------------
 
     def _occupancy_estimate(self, m: HybridMatrix, ntiles: int) -> float:
         """Expected present-tile fraction for ``m.nnz`` random bits over
@@ -501,109 +473,91 @@ class HybridBackend(Backend):
             return 1.0 if m.nnz else 0.0
         return float(-np.expm1(m.nnz * np.log1p(-1.0 / ntiles)))
 
-    def _tile_pairs(
-        self, a: HybridMatrix, b: HybridMatrix, ntr: int, ntk: int, ntj: int
-    ) -> tuple[float, float]:
-        """(tile-pair count, extra word-op cost to learn it).
+    def _mxm_kernel(self, a: HybridMatrix, b: HybridMatrix) -> tuple[str, float]:
+        """Decide the bit kernel of ``a·b``: (kernel, word-op price of
+        the bit route).
 
-        Exact — the dot product of A's per-column and B's per-row
-        present-tile counts — when both operands are bit-resident (the
-        tiled views are zero-copy wraps, cached on the handle);
-        otherwise an independence estimate from nnz, charged with the
-        presence-scan cost the tiled route would pay.
-        """
-        if a.bit is not None and b.bit is not None:
-            return float(self._ensure_tiled(a).present_pairs(self._ensure_tiled(b))), 0.0
-        occ_a = self._occupancy_estimate(a, ntr * ntk)
-        occ_b = self._occupancy_estimate(b, ntk * ntj)
-        pairs = ntr * ntk * ntj * occ_a * occ_b
-        scan = float(
-            self._bit_words(a.nrows, a.ncols) + self._bit_words(b.nrows, b.ncols)
-        )
-        return pairs, scan
+        One table of ``(kernel, word-op cost, scratch bytes)`` rows —
+        flat blocked, flat Four-Russians, and their tiled counterparts.
+        The tiled rows charge only *present* tile pairs (plus a per-pair
+        dispatch overhead, the presence scan of non-resident operands
+        and the output presence rescan), so block-structured operands go
+        tiled while fully-occupied grids stay flat.  A row whose scratch
+        would push the arena over budget is dropped; the cheapest
+        survivor runs, the earlier row on a tie.
 
-    def _tiled_mxm_estimate(self, a: HybridMatrix, b: HybridMatrix) -> float:
-        """Word-op estimate of the tiled bit ``mxm`` route — ``inf``
-        when the policy disables tiling or the grid is a single tile.
-
-        Present tile pairs × per-pair work, plus the presence-scan cost
-        for non-resident operands and the output presence rescan.  Used
-        both by :meth:`_bit_mxm_plan` (kernel arbitration) and by
-        :meth:`estimate_costs` (route arbitration), so the cost model
-        sees the same tile-skipping win the kernel would realize.
-        """
-        pol = self.policy
-        m, k = a.shape
-        n = b.ncols
-        if not (pol.tiled and m and k and n):
-            return float("inf")
-        tile = pol.tile_size
-        ntr, ntk, ntj = -(-m // tile), -(-k // tile), -(-n // tile)
-        if ntr * ntk * ntj <= 1:
-            return float("inf")
-        pairs, conv = self._tile_pairs(a, b, ntr, ntk, ntj)
-        wpt = tile // WORD_BITS
-        return (
-            pairs * (tile * tile * wpt + TILE_PAIR_OVERHEAD_WORDS)
-            + conv
-            + float(m * _words_per_row(n))
-        )
-
-    def _bit_mxm_plan(self, a: HybridMatrix, b: HybridMatrix) -> str:
-        """Choose the bit ``mxm`` kernel.
-
-        Compares the flat blocked kernel, flat Four-Russians, and their
-        tiled counterparts in word-op units.  The tiled costs charge
-        only *present* tile pairs (plus a per-pair dispatch overhead and
-        the output presence rescan), so block-structured operands route
-        tiled while fully-occupied grids stay flat.
+        The route is priced at the cheapest of the first three rows —
+        the ones the sparse/bit crossover is calibrated against; tiled
+        Four-Russians only refines the kernel once the product is on the
+        bit route.
         """
         pol = self.policy
         m, k = a.shape
         n = b.ncols
         wpr = _words_per_row(n)
-        kernel, cost = "blocked", float(m * k * wpr)
-        if self._fr_eligible(m, k, n):
+        table = [("blocked", float(m * k * wpr), 0)]
+        # The Four-Russians table build (256 entries per 8-row group of
+        # B) amortizes over output rows: tall products only.
+        tall = 0 < pol.four_russians_min_rows <= m
+        if tall and k >= FOUR_RUSSIANS_MIN_K:
             groups = -(-k // _FR_GROUP_ROWS)
-            flat_fr = float((m + _FR_TABLE_ENTRIES) * groups * wpr)
-            if flat_fr < cost:
-                kernel, cost = "four_russians", flat_fr
-        if not (pol.tiled and m and k and n):
-            return kernel
+            table.append((
+                "four_russians",
+                float((m + _FR_TABLE_ENTRIES) * groups * wpr),
+                _FR_TABLE_ENTRIES * groups * wpr * 8,
+            ))
         tile = pol.tile_size
         ntr, ntk, ntj = -(-m // tile), -(-k // tile), -(-n // tile)
-        if ntr * ntk * ntj <= 1:
-            # Single-tile grid: same work as flat plus scan overhead.
-            return kernel
-        wpt = tile // WORD_BITS
-        pairs, conv = self._tile_pairs(a, b, ntr, ntk, ntj)
-        refresh = float(m * wpr)
-        tiled_cost = self._tiled_mxm_estimate(a, b)
-        sel_shape, red_shape = scratch_shapes(tile)
-        scratch_bytes = 8 * (
-            sel_shape[0] * sel_shape[1] * sel_shape[2]
-            + red_shape[0] * red_shape[1]
-        )
-        if tiled_cost < cost and self._bit_fits(scratch_bytes):
-            kernel, cost = "tiled", tiled_cost
-        if (
-            pol.four_russians_min_rows
-            and m >= pol.four_russians_min_rows
-            and tile >= FOUR_RUSSIANS_MIN_K
-        ):
-            if b.bit is not None:
-                b_tiles = float(self._ensure_tiled(b).present.sum())
+        # A single-tile grid is the flat kernel plus scan overhead.
+        if pol.tiled and ntr * ntk * ntj > 1:
+            wpt = tile // WORD_BITS
+            if a.bit is not None and b.bit is not None:
+                # Exact pair count — the dot product of A's per-column
+                # and B's per-row present-tile counts; the tiled views
+                # are zero-copy wraps cached on the handles.
+                pairs = float(
+                    self._ensure_tiled(a).present_pairs(self._ensure_tiled(b))
+                )
+                scan = 0.0
             else:
-                b_tiles = ntk * ntj * self._occupancy_estimate(b, ntk * ntj)
-            groups_t = tile // _FR_GROUP_ROWS
-            table_words = b_tiles * _FR_TABLE_ENTRIES * groups_t * wpt
-            fr_tiled = (
-                pairs * (tile * groups_t * wpt + TILE_PAIR_OVERHEAD_WORDS)
-                + table_words + conv + refresh
-            )
-            if fr_tiled < cost and self._bit_fits(int(table_words) * 8):
-                kernel = "tiled_four_russians"
-        return kernel
+                # Independence estimate from nnz, charged with the
+                # presence scan the tiled route would then pay.
+                occ_b = self._occupancy_estimate(b, ntk * ntj)
+                pairs = (
+                    ntr * ntk * ntj
+                    * self._occupancy_estimate(a, ntr * ntk) * occ_b
+                )
+                scan = float(m * _words_per_row(k) + k * wpr)
+            refresh = float(m * wpr)
+            sel_shape, red_shape = scratch_shapes(tile)
+            table.append((
+                "tiled",
+                pairs * (tile * tile * wpt + TILE_PAIR_OVERHEAD_WORDS)
+                + scan + refresh,
+                8 * (math.prod(sel_shape) + math.prod(red_shape)),
+            ))
+            if tall:
+                if b.bit is not None:
+                    b_tiles = float(np.count_nonzero(self._ensure_tiled(b).present))
+                else:
+                    b_tiles = ntk * ntj * occ_b
+                groups_t = tile // _FR_GROUP_ROWS
+                table_words = b_tiles * _FR_TABLE_ENTRIES * groups_t * wpt
+                table.append((
+                    "tiled_four_russians",
+                    pairs * (tile * groups_t * wpt + TILE_PAIR_OVERHEAD_WORDS)
+                    + table_words + scan + refresh,
+                    int(table_words) * 8,
+                ))
+        kernel, best, price = None, float("inf"), float("inf")
+        for name, cost, scratch in table:
+            if scratch and not self._bit_fits(scratch):
+                continue
+            if cost < best:
+                kernel, best = name, cost
+            if name != "tiled_four_russians":
+                price = min(price, cost)
+        return kernel, price
 
     def _run_tiled_mxm(
         self,
@@ -619,7 +573,7 @@ class HybridBackend(Backend):
         device arena (and are freed before returning), so the tiled
         route's scratch footprint is visible to the memory experiments;
         the Four-Russians variant's per-present-tile tables are bounded
-        host scratch charged by :meth:`_bit_mxm_plan`.
+        host scratch charged by :meth:`_mxm_kernel`.
         """
         a_t = self._ensure_tiled(a)
         b_t = self._ensure_tiled(b)
@@ -757,134 +711,89 @@ class HybridBackend(Backend):
         return float(m.nnz + words), words * 8
 
     def estimate_costs(
-        self,
-        op: str,
-        a: HybridMatrix,
-        b: HybridMatrix | None = None,
-        out_shape: tuple[int, int] | None = None,
+        self, op: str, a: HybridMatrix, b: HybridMatrix | None = None
     ) -> CostEstimate:
         """Predicted cost of both routes for ``op`` (see module doc)."""
+        if op not in ("mxm", "ewise_add", "ewise_mult", "kron"):
+            raise InvalidArgumentError(f"no cost model for op {op!r}")
+        if b is None:
+            raise InvalidArgumentError(f"{op} cost model needs both operands")
         pol = self.policy
         conv_a, bytes_a = self._conversion_cost(a)
-        conv_b, bytes_b = self._conversion_cost(b) if b is not None else (0.0, 0)
-        conv = conv_a + conv_b
-        bytes_needed = bytes_a + bytes_b
-
+        conv_b, bytes_b = self._conversion_cost(b)
+        a_nnz, b_nnz = a.nnz, b.nnz
+        kernel = None
         if op == "mxm":
-            m, k = a.shape
-            n = b.ncols
-            flops = a.nnz * b.nnz / max(1, k)
+            out_words = self._bit_words(a.nrows, b.ncols)
+            flops = a_nnz * b_nnz / max(1, a.ncols)
             # Charge the operand traversal too: the sparse kernel reads
             # every stored element at least once (format prep, column
             # gather), so a huge-closure × one-edge-frontier product is
             # O(nnz(closure)), not O(flops) — without this term the
             # incremental fixpoints' asymmetric products misroute sparse.
-            sparse = pol.spgemm_flop_cost * (flops + a.nnz + b.nnz)
-            wpr = _words_per_row(n)
-            bit_kernel = m * k * wpr
-            if self._fr_eligible(m, k, n):
-                # Table build (256 entries/group) + one gather per
-                # output row per group.
-                groups = -(-k // _FR_GROUP_ROWS)
-                bit_kernel = min(
-                    bit_kernel, (m + _FR_TABLE_ENTRIES) * groups * wpr
-                )
-            # Credit tile skipping before the route is chosen: against a
-            # few-tile operand the tiled kernel visits only present tile
-            # pairs, and pricing the bit route at the flat kernel's full
-            # m*k word count would hand those products to sparse.
-            bit_kernel = min(bit_kernel, self._tiled_mxm_estimate(a, b))
-            bit = bit_kernel + conv
-            bytes_needed += self._bit_words(m, n) * 8
-        elif op in ("ewise_add", "ewise_mult"):
-            m, n = a.shape
-            sparse = EWISE_SPARSE_COST * (a.nnz + b.nnz)
-            bit = self._bit_words(m, n) + conv
-            bytes_needed += self._bit_words(m, n) * 8
+            sparse = pol.spgemm_flop_cost * (flops + a_nnz + b_nnz)
+            # Tile skipping is credited before the route is chosen: at
+            # the flat kernel's full m*k word count a few-tile operand
+            # would be handed to sparse.
+            kernel, bit = self._mxm_kernel(a, b)
         elif op == "kron":
-            rows, cols = out_shape
-            out_words = self._bit_words(rows, cols)
-            sparse = KRON_SPARSE_COST * a.nnz * b.nnz
-            bit = KRON_BIT_WORD_COST * out_words + conv
-            bytes_needed += out_words * 8
+            out_words = self._bit_words(a.nrows * b.nrows, a.ncols * b.ncols)
+            sparse = KRON_SPARSE_COST * a_nnz * b_nnz
+            bit = KRON_BIT_WORD_COST * out_words
         else:
-            raise InvalidArgumentError(f"no cost model for op {op!r}")
-
-        if self._fixpoint_depth and (
-            a.bit is not None or (b is not None and b.bit is not None)
-        ):
+            out_words = self._bit_words(a.nrows, a.ncols)
+            sparse = EWISE_SPARSE_COST * (a_nnz + b_nnz)
+            bit = out_words
+        bit += conv_a + conv_b
+        if self._fixpoint_depth and (a.bit is not None or b.bit is not None):
             bit *= pol.fixpoint_bias
-        return CostEstimate(op=op, sparse=sparse, bit=bit, bit_bytes_needed=bytes_needed)
-
-    def estimate_value_cost(
-        self,
-        op: str,
-        a: HybridMatrix,
-        b: HybridMatrix | None = None,
-        out_shape: tuple[int, int] | None = None,
-    ) -> float:
-        """Predicted word-op cost of the generic (valcsr) route.
-
-        Value semirings have exactly one executor — the bit kernels are
-        pattern-only — so this arbitrates nothing; it keeps the value
-        route's dispatches comparable with the boolean cost model in the
-        service stats.  Same shape as the sparse boolean estimates with
-        :data:`VALUE_STREAM_FACTOR` charging the extra value stream.
-        """
-        pol = self.policy
-        if op == "mxm":
-            flops = a.nnz * b.nnz / max(1, a.ncols)
-            return VALUE_STREAM_FACTOR * pol.spgemm_flop_cost * (
-                flops + a.nnz + b.nnz
-            )
-        if op in ("ewise_add", "ewise_mult"):
-            return VALUE_STREAM_FACTOR * EWISE_SPARSE_COST * (a.nnz + b.nnz)
-        if op == "kron":
-            return VALUE_STREAM_FACTOR * KRON_SPARSE_COST * a.nnz * b.nnz
-        if op == "reduce":
-            return VALUE_STREAM_FACTOR * float(a.nnz)
-        raise InvalidArgumentError(f"no value cost model for op {op!r}")
-
-    def _route_value(
-        self,
-        op: str,
-        s,
-        a: HybridMatrix,
-        b: HybridMatrix | None = None,
-        out_shape: tuple[int, int] | None = None,
-    ) -> GenericBackend:
-        """Dispatch bookkeeping for a value-semiring op: record the
-        decision and the predicted cost, return the executor."""
-        self._record_route(
-            op, "value", self.estimate_value_cost(op, a, b, out_shape)
+        return CostEstimate(
+            op=op,
+            sparse=sparse,
+            bit=bit,
+            bit_bytes_needed=bytes_a + bytes_b + out_words * 8,
+            kernel=kernel,
         )
-        return self._value_backend(s)
-
-    def _value_result(self, op: str, s, started: float, out) -> HybridMatrix:
-        """Wrap a generic-backend result, charging its wall time to the
-        ``generic:<semiring>`` kernel bucket."""
-        self._record_kernel(op, f"generic:{s.name}", time.perf_counter() - started)
-        return HybridMatrix(self, value=out)
 
     def _route(
-        self,
-        op: str,
-        a: HybridMatrix,
-        b: HybridMatrix | None = None,
-        out_shape: tuple[int, int] | None = None,
-    ) -> str:
+        self, op: str, a: HybridMatrix, b: HybridMatrix
+    ) -> tuple[str, str | None]:
+        """Decide a boolean op: ``(route, bit mxm kernel the cost model
+        priced it at)`` — no kernel when the mode is forced."""
         pol = self.policy
-        if pol.mode == "sparse":
-            decision = "sparse"
-        elif pol.mode == "bit":
-            decision = "bit"
-        else:
-            est = self.estimate_costs(op, a, b, out_shape)
-            decision = est.winner
+        if pol.mode == "auto":
+            est = self.estimate_costs(op, a, b)
+            decision, kernel = est.winner, est.kernel
             if decision == "bit" and not self._bit_fits(est.bit_bytes_needed):
                 decision = "sparse"
+        else:
+            decision, kernel = pol.mode, None
         self._record_route(op, decision)
-        return decision
+        return decision, kernel
+
+    def _value_op(
+        self, method: str, s, *operands, op: str | None = None, be=None
+    ) -> HybridMatrix:
+        """Run a value-semiring op on the generic executor.
+
+        ``method`` of ``be`` (default: the executor for ``s``'s dtype)
+        is called on the cached valcsr views of ``operands`` (``None``
+        stays ``None``); the dispatch is recorded as ``"value"`` under
+        ``op`` (default ``method``) and the wall time under the
+        ``generic:<semiring>`` kernel bucket.  The result stays
+        value-resident.
+        """
+        op = op or method
+        self._record_route(op, "value")
+        if be is None:
+            be = self._value_backend(s)
+        views = [
+            None if m is None else self._ensure_value(m, be, s) for m in operands
+        ]
+        started = time.perf_counter()
+        out = getattr(be, method)(*views, semiring=s)
+        self._record_kernel(op, f"generic:{s.name}", time.perf_counter() - started)
+        return HybridMatrix(self, value=out)
 
     def _bit_fits(self, extra_bytes: int) -> bool:
         arena = self.device.arena
@@ -954,23 +863,12 @@ class HybridBackend(Backend):
         if mask is not None and mask.shape != out_shape:
             raise DimensionMismatchError("mxm-mask", mask.shape, out_shape)
         if not s.is_boolean:
-            be = self._route_value("mxm", s, a, b)
-            ga = self._ensure_value(a, be, s)
-            gb = self._ensure_value(b, be, s)
-            gacc = (
-                self._ensure_value(accumulate, be, s)
-                if accumulate is not None
-                else None
-            )
-            # Caches a value *view* on the wrapper; the mask pattern
+            # Caches a value *view* on the mask wrapper; the mask pattern
             # itself stays untouched (same idiom as _ensure_bit below).
-            gmask = (
-                self._ensure_value(mask, be, s) if mask is not None else None  # reprolint: disable=R5
-            )
-            started = time.perf_counter()
-            out = be.mxm(ga, gb, gacc, gmask, semiring=s)
-            return self._value_result("mxm", s, started, out)
-        if self._route("mxm", a, b) == "bit":
+            return self._value_op("mxm", s, a, b, accumulate, mask)
+        route, kernel = self._route("mxm", a, b)
+        if route == "bit":
+            resident = a.bit is not None and b.bit is not None
             a_bit: BitMatrix = self._ensure_bit(a).storage
             b_bit: BitMatrix = self._ensure_bit(b).storage
             mask_bit: BitMatrix | None = (
@@ -978,38 +876,20 @@ class HybridBackend(Backend):
                 # mask's boolean contents stay untouched.
                 self._ensure_bit(mask).storage if mask is not None else None  # reprolint: disable=R5
             )
-            if not self.policy.fuse:
-                # E13 ablation baseline — the pre-fusion pipeline:
-                # blocked kernel into an arena product temporary, then
-                # an OR merge into a second allocation.  (To isolate
-                # fusion from kernel choice, pair this with
-                # four_russians_min_rows=0; E13 reports both contrasts.)
-                tmp, tmp_buf = self._alloc_bit(out_shape)
-                tmp.words.fill(0)
-                tmp.mxm_into(a_bit, b_bit)
-                if mask_bit is not None:
-                    # Post-pass complement on the product temporary —
-                    # the unfused pipeline has a real product to filter.
-                    tmp.words &= ~mask_bit.words
-                if accumulate is None:
-                    return HybridMatrix(
-                        self, bit=BackendMatrix(tmp, self, [tmp_buf])
-                    )
-                out, buf = self._alloc_bit(out_shape)
-                np.copyto(
-                    out.words, self._ensure_bit(accumulate).storage.words
-                )
-                out.or_into(tmp)
-                tmp_buf.free()
-                return HybridMatrix(self, bit=BackendMatrix(out, self, [buf]))
-            # Fused path: one arena allocation that is accumulator seed
-            # and output at once.  The seed copy reads the accumulator
-            # as-of call time, so `accumulate` may alias a or b (the
-            # contract's C <- C OR C*C case) — the *_into kernel never
-            # writes into its operands.  The mask is applied inside the
-            # kernel per contribution (AND-NOT distributes over the OR
+            if kernel is None or not resident:
+                # Forced mode, or the route was priced on occupancy
+                # estimates and the conversion just produced the exact
+                # presence bitmap: read the table now.  Resident
+                # operands — every fixpoint iteration after the first —
+                # run the kernel the route was priced at.
+                kernel, _ = self._mxm_kernel(a, b)
+            # One arena allocation that is accumulator seed and output
+            # at once.  The seed copy reads the accumulator as-of call
+            # time, so `accumulate` may alias a or b (the contract's
+            # C <- C OR C*C case) — the *_into kernel never writes into
+            # its operands.  The mask is applied inside the kernel per
+            # contribution (AND-NOT distributes over the OR
             # accumulation), so the masked product never materializes.
-            kernel = self._bit_mxm_plan(a, b)
             out, buf = self._alloc_bit(out_shape)
             if accumulate is not None:
                 np.copyto(out.words, self._ensure_bit(accumulate).storage.words)
@@ -1041,13 +921,8 @@ class HybridBackend(Backend):
         s = self._resolve_semiring(semiring)
         self._check_same_shape("ewise_add", a, b)
         if not s.is_boolean:
-            be = self._route_value("ewise_add", s, a, b)
-            ga, gb = self._ensure_value(a, be, s), self._ensure_value(b, be, s)
-            started = time.perf_counter()
-            return self._value_result(
-                "ewise_add", s, started, be.ewise_add(ga, gb, semiring=s)
-            )
-        if self._route("ewise_add", a, b) == "bit":
+            return self._value_op("ewise_add", s, a, b)
+        if self._route("ewise_add", a, b)[0] == "bit":
             return self._wrap_bit(
                 self._ensure_bit(a).storage.ewise_or(self._ensure_bit(b).storage)
             )
@@ -1059,13 +934,8 @@ class HybridBackend(Backend):
         s = self._resolve_semiring(semiring)
         self._check_same_shape("ewise_mult", a, b)
         if not s.is_boolean:
-            be = self._route_value("ewise_mult", s, a, b)
-            ga, gb = self._ensure_value(a, be, s), self._ensure_value(b, be, s)
-            started = time.perf_counter()
-            return self._value_result(
-                "ewise_mult", s, started, be.ewise_mult(ga, gb, semiring=s)
-            )
-        if self._route("ewise_mult", a, b) == "bit":
+            return self._value_op("ewise_mult", s, a, b)
+        if self._route("ewise_mult", a, b)[0] == "bit":
             return self._wrap_bit(
                 self._ensure_bit(a).storage.ewise_and(self._ensure_bit(b).storage)
             )
@@ -1073,29 +943,33 @@ class HybridBackend(Backend):
             self.inner.ewise_mult(self._ensure_sparse(a), self._ensure_sparse(b))
         )
 
+    def _bit_kron(self, a, b, accumulate=None) -> HybridMatrix:
+        """Bit-route Kronecker product, OR-scattered over ``accumulate``.
+
+        The product is allocated in the arena and scattered into
+        directly — no host word array, no adoption copy.  Always the
+        flat kernel: it already skips empty A columns, so a tile grid
+        has nothing further to skip.
+        """
+        a_bit: BitMatrix = self._ensure_bit(a).storage
+        b_bit: BitMatrix = self._ensure_bit(b).storage
+        seed = self._ensure_bit(accumulate).storage if accumulate is not None else None
+        out, buf = self._alloc_bit((a.nrows * b.nrows, a.ncols * b.ncols))
+        if seed is not None:
+            np.copyto(out.words, seed.words)
+        else:
+            out.words.fill(0)
+        started = time.perf_counter()
+        out.kron_into(a_bit, b_bit)
+        self._record_kernel("kron", "flat", time.perf_counter() - started)
+        return HybridMatrix(self, bit=BackendMatrix(out, self, [buf]))
+
     def kron(self, a, b, *, semiring=None):
         s = self._resolve_semiring(semiring)
-        out_shape = (a.nrows * b.nrows, a.ncols * b.ncols)
         if not s.is_boolean:
-            be = self._route_value("kron", s, a, b, out_shape)
-            ga, gb = self._ensure_value(a, be, s), self._ensure_value(b, be, s)
-            started = time.perf_counter()
-            return self._value_result(
-                "kron", s, started, be.kron(ga, gb, semiring=s)
-            )
-        if self._route("kron", a, b, out_shape) == "bit":
-            a_bit: BitMatrix = self._ensure_bit(a).storage
-            b_bit: BitMatrix = self._ensure_bit(b).storage
-            # Allocate the product in the arena and scatter into it
-            # directly — no host word array, no adoption copy.  Always
-            # the flat kernel: it already skips empty A columns, so a
-            # tile grid has nothing further to skip.
-            out, buf = self._alloc_bit(out_shape)
-            out.words.fill(0)
-            started = time.perf_counter()
-            out.kron_into(a_bit, b_bit)
-            self._record_kernel("kron", "flat", time.perf_counter() - started)
-            return HybridMatrix(self, bit=BackendMatrix(out, self, [buf]))
+            return self._value_op("kron", s, a, b)
+        if self._route("kron", a, b)[0] == "bit":
+            return self._bit_kron(a, b)
         return self._wrap_sparse(
             self.inner.kron(self._ensure_sparse(a), self._ensure_sparse(b))
         )
@@ -1103,37 +977,12 @@ class HybridBackend(Backend):
     def kron_accumulate(self, a, b, accumulate, *, semiring=None):
         s = self._resolve_semiring(semiring)
         self._check_kron_accumulate(a, b, accumulate)
-        out_shape = (a.nrows * b.nrows, a.ncols * b.ncols)
         if not s.is_boolean:
-            be = self._route_value("kron", s, a, b, out_shape)
-            ga, gb = self._ensure_value(a, be, s), self._ensure_value(b, be, s)
-            gacc = self._ensure_value(accumulate, be, s)
-            started = time.perf_counter()
-            return self._value_result(
-                "kron", s, started, be.kron_accumulate(ga, gb, gacc, semiring=s)
+            return self._value_op(
+                "kron_accumulate", s, a, b, accumulate, op="kron"
             )
-        if self._route("kron", a, b, out_shape) == "bit":
-            a_bit: BitMatrix = self._ensure_bit(a).storage
-            b_bit: BitMatrix = self._ensure_bit(b).storage
-            acc_bit: BitMatrix = self._ensure_bit(accumulate).storage
-            if not self.policy.fuse:
-                # E13 ablation baseline: product temporary + OR merge.
-                tmp, tmp_buf = self._alloc_bit(out_shape)
-                tmp.words.fill(0)
-                tmp.kron_into(a_bit, b_bit)
-                out, buf = self._alloc_bit(out_shape)
-                np.copyto(out.words, acc_bit.words)
-                out.or_into(tmp)
-                tmp_buf.free()
-                return HybridMatrix(self, bit=BackendMatrix(out, self, [buf]))
-            # Fused: seed the accumulator into the one output buffer,
-            # then OR-scatter the Kronecker blocks over it.
-            out, buf = self._alloc_bit(out_shape)
-            np.copyto(out.words, acc_bit.words)
-            started = time.perf_counter()
-            out.kron_into(a_bit, b_bit)
-            self._record_kernel("kron", "flat", time.perf_counter() - started)
-            return HybridMatrix(self, bit=BackendMatrix(out, self, [buf]))
+        if self._route("kron", a, b)[0] == "bit":
+            return self._bit_kron(a, b, accumulate)
         return self._wrap_sparse(
             self.inner.kron_accumulate(
                 self._ensure_sparse(a),
@@ -1202,20 +1051,14 @@ class HybridBackend(Backend):
 
     def reduce_to_column(self, a, *, semiring=None):
         s = self._resolve_semiring(semiring)
-        value_only = a.sparse is None and a.bit is None
-        if not s.is_boolean or value_only:
-            if not s.is_boolean:
-                be = self._route_value("reduce", s, a)
-                ga = self._ensure_value(a, be, s)
-            else:
-                # Boolean reduce of a value-resident matrix: stay on the
-                # value route, whose reduce has the same pattern
-                # (non-empty rows) — converting would drop the values.
-                self._record_route("reduce", "value")
-                be, ga = a.value.backend, a.value
-            started = time.perf_counter()
-            return self._value_result(
-                "reduce", s, started, be.reduce_to_column(ga, semiring=s)
+        if not s.is_boolean:
+            return self._value_op("reduce_to_column", s, a, op="reduce")
+        if a.sparse is None and a.bit is None:
+            # Boolean reduce of a value-resident matrix: stay on its own
+            # executor, whose reduce has the same pattern (non-empty
+            # rows) — converting would drop the values.
+            return self._value_op(
+                "reduce_to_column", s, a, op="reduce", be=a.value.backend
             )
         decision = self._stay_resident(a)
         self._record_route("reduce", decision)
@@ -1244,214 +1087,17 @@ def wrap_backend(
     *,
     mode: str = "auto",
     crossover_density: float | None = None,
-    autotune: bool = False,
-    fuse: bool = True,
     tiled: bool = True,
 ) -> HybridBackend:
     """Wrap an existing sparse backend instance in a hybrid dispatcher.
 
-    ``autotune=True`` replaces the analytic defaults with measured ones:
-    the sparse/bit crossover density (:func:`autotune_crossover`, unless
-    an explicit ``crossover_density`` is given) and the Four-Russians
-    row break-even (:func:`autotune_four_russians`).  ``fuse=False``
-    selects the unfused compose-then-merge accumulate path (E13
-    ablation); ``tiled=False`` pins the flat bit kernels (E14 ablation).
+    ``crossover_density=None`` keeps the policy default;
+    ``tiled=False`` pins the flat bit kernels (E14 ablation).
     """
-    policy = HybridPolicy(mode=mode, fuse=fuse, tiled=tiled)
+    policy = HybridPolicy(mode=mode, tiled=tiled)
     if crossover_density is not None:
         policy = replace(policy, crossover_density=crossover_density)
-    elif autotune:
-        policy = replace(policy, crossover_density=autotune_crossover(inner))
-    if autotune:
-        policy = replace(
-            policy, four_russians_min_rows=autotune_four_russians(inner)
-        )
     return HybridBackend(inner=inner, policy=policy)
-
-
-# -- auto-tuning ---------------------------------------------------------------
-
-#: (autotune.json field, backend name, device name) -> measured value.
-#: A probe costs tens of milliseconds; contexts are created per
-#: test/query batch, so each measurement is taken once per process and
-#: host.
-_AUTOTUNE_CACHE: dict[tuple[str, str, str], float | int] = {}
-
-AUTOTUNE_MIN_DENSITY = 1.0 / 1024
-AUTOTUNE_MAX_DENSITY = 0.5
-
-
-def autotune_from_env(environ=None) -> bool:
-    """Parse ``REPRO_HYBRID_AUTOTUNE`` (default: off)."""
-    raw = (environ if environ is not None else os.environ).get(
-        "REPRO_HYBRID_AUTOTUNE", ""
-    )
-    return raw.strip().lower() in ("1", "on", "true", "yes", "auto")
-
-
-def _measured(field: str, inner: Backend, probe, use_cache: bool):
-    """The one autotune skeleton: process cache, then the value persisted
-    under ``field`` in the ``REPRO_STORE`` metadata directory
-    (``autotune.json``), then ``probe()``.
-
-    ``probe`` returns ``(value, probe-shape fields)``; a fresh
-    measurement is memoized and written back best-effort, so repeat
-    deployments skip the startup probe.  ``use_cache=False`` forces the
-    probe.
-    """
-    from repro.store.metadata import (
-        load_autotune,
-        save_autotune,
-        store_root_from_env,
-    )
-
-    names = (inner.name, inner.device.name)
-    key = (field, *names)
-    root = store_root_from_env()
-    if use_cache:
-        if key in _AUTOTUNE_CACHE:
-            return _AUTOTUNE_CACHE[key]
-        if root is not None:
-            persisted = load_autotune(root, *names, field)
-            if persisted is not None:
-                _AUTOTUNE_CACHE[key] = persisted  # reprolint: disable=R5
-                return persisted
-    value, probe_shape = probe()
-    # Process-level memo of the measurement; keyed by field, backend and
-    # device, write-once per key.
-    _AUTOTUNE_CACHE[key] = value  # reprolint: disable=R5
-    if root is not None:
-        try:
-            save_autotune(root, *names, **{field: value}, **probe_shape)
-        except OSError:
-            # A read-only or missing store root must never break context
-            # creation — the measurement still lives in the process cache.
-            pass
-    return value
-
-
-def _best_time(fn, runs: int) -> float:
-    """Best wall time of ``runs`` calls (device results are freed)."""
-    best = float("inf")
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-        if hasattr(out, "free"):
-            out.free()
-    return best
-
-
-def autotune_crossover(
-    inner: Backend,
-    *,
-    n: int = 192,
-    densities: tuple[float, ...] = (0.005, 0.01, 0.02, 0.04, 0.08),
-    runs: int = 2,
-    use_cache: bool = True,
-) -> float:
-    """Measure the sparse/bit ``mxm`` crossover density on this host.
-
-    The analytic default (``HybridPolicy.crossover_density``) encodes
-    the *simulated* executor's constants; the real break-even moves with
-    NumPy version, BLAS threading, and CPU.  This runs the E11 sweep in
-    miniature: time the wrapped backend's sparse SpGEMM against the
-    packed :meth:`BitMatrix.mxm` on ``n × n`` random squares over a
-    short density ladder, then log-interpolate where the ratio crosses
-    1.  Cached and persisted per (backend, device) by :func:`_measured`.
-    """
-
-    def probe():
-        # Seeded calibration probe: deterministic (fixed seed), used only
-        # to synthesize autotune workloads, never inside a kernel.
-        rng = np.random.default_rng(0xE11)  # reprolint: disable=R5
-        ratios: list[tuple[float, float]] = []  # (density, bit/sparse time)
-        for density in densities:
-            target = max(1, int(round(density * n * n)))
-            rows = rng.integers(0, n, size=target)
-            cols = rng.integers(0, n, size=target)
-            sp = inner.matrix_from_coo(rows, cols, (n, n))
-            bit = BitMatrix.from_coo(rows, cols, (n, n))
-            try:
-                t_sparse = _best_time(lambda: inner.mxm(sp, sp), runs)
-                t_bit = _best_time(lambda: bit.mxm(bit), runs)
-            finally:
-                sp.free()
-            ratios.append((density, t_bit / max(t_sparse, 1e-9)))
-
-        crossover = None
-        for (d0, r0), (d1, r1) in zip(ratios, ratios[1:]):
-            if r0 > 1.0 >= r1:
-                # Log-space interpolation of the ratio crossing 1.
-                f = np.log(r0) / (np.log(r0) - np.log(max(r1, 1e-9)))
-                crossover = float(
-                    np.exp(np.log(d0) + f * (np.log(d1) - np.log(d0)))
-                )
-                break
-        if crossover is None:
-            if ratios[0][1] <= 1.0:  # bit already wins at the sparsest probe
-                crossover = densities[0] / 2
-            else:  # sparse wins across the whole ladder
-                crossover = densities[-1] * 2
-        crossover = float(
-            np.clip(crossover, AUTOTUNE_MIN_DENSITY, AUTOTUNE_MAX_DENSITY)
-        )
-        return crossover, {"probe_n": n}
-
-    return _measured("crossover", inner, probe, use_cache)
-
-
-#: Output-row ladder probed by :func:`autotune_four_russians`.
-FOUR_RUSSIANS_ROW_LADDER = (16, 32, 64, 128, 256)
-
-
-def autotune_four_russians(
-    inner: Backend,
-    *,
-    k: int = 512,
-    density: float = 0.05,
-    rows: tuple[int, ...] = FOUR_RUSSIANS_ROW_LADDER,
-    runs: int = 2,
-    use_cache: bool = True,
-) -> int:
-    """Measure the Four-Russians row break-even on this host.
-
-    The table-driven multiply pays a fixed 256-entry table build per
-    8-row group of B; that amortizes over *output rows*, so square
-    closure products win big while skinny batched-RPQ frontiers lose
-    badly.  This times ``mxm_into`` against ``mxm_four_russians_into``
-    for an ``m x k · k x k`` ladder of m and returns the smallest m
-    where the table kernel wins (doubled past the ladder end when it
-    never does).  Cached and persisted per (backend, device) by
-    :func:`_measured`, next to the crossover density.
-    """
-
-    def probe():
-        # Seeded calibration probe (same contract as the crossover probe).
-        rng = np.random.default_rng(0xE13)  # reprolint: disable=R5
-        nnz_b = max(1, int(round(density * k * k)))
-        b = BitMatrix.from_coo(
-            rng.integers(0, k, size=nnz_b), rng.integers(0, k, size=nnz_b), (k, k)
-        )
-        break_even = rows[-1] * 2
-        for m in rows:
-            nnz_a = max(1, int(round(density * m * k)))
-            a = BitMatrix.from_coo(
-                rng.integers(0, m, size=nnz_a),
-                rng.integers(0, k, size=nnz_a),
-                (m, k),
-            )
-            # OR-into kernels cost the same whatever the output already
-            # holds, so one buffer serves every timed run.
-            out = BitMatrix.empty((m, k))
-            t_blocked = _best_time(lambda: out.mxm_into(a, b), runs)
-            t_fr = _best_time(lambda: out.mxm_four_russians_into(a, b), runs)
-            if t_fr <= t_blocked:
-                break_even = m
-                break
-        return break_even, {"fr_probe_k": k}
-
-    return _measured("four_russians_min_rows", inner, probe, use_cache)
 
 
 register_backend("hybrid", lambda device=None: HybridBackend(device=device))

@@ -12,6 +12,7 @@ implementation depending on the capabilities of the target device" —
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,20 +53,16 @@ class Context:
         Optional explicit simulated device (benchmarks pass one to read
         its counters); by default the backend creates its own.
     hybrid:
-        Hybrid sparse/bit dispatch policy for the ``cubool``/``clbool``
-        backends: ``None`` (default) consults the ``REPRO_HYBRID`` env
-        var; ``False``/``"off"`` forces the pure sparse path (byte
-        identical to the unwrapped backend); ``True``/``"auto"`` enables
-        cost-model dispatch; ``"bit"``/``"sparse"`` force one regime.
+        Hybrid sparse/bit dispatch policy: ``None`` (default) consults
+        the ``REPRO_HYBRID`` env var, which wraps only the
+        ``cubool``/``clbool`` backends; ``False``/``"off"`` forces the
+        pure sparse path (byte identical to the unwrapped backend);
+        ``True``/``"auto"`` enables cost-model dispatch;
+        ``"bit"``/``"sparse"`` force one regime.  An explicit mode also
+        applies to ``backend="hybrid"``.
     hybrid_threshold:
         Crossover density calibrating the hybrid cost model (see
         :class:`repro.backends.hybrid.HybridPolicy`).
-    hybrid_autotune:
-        Replace the analytic crossover with one measured on this host
-        by a short probe sweep at context creation
-        (:func:`repro.backends.hybrid.autotune_crossover`; cached per
-        process).  ``None`` (default) consults ``REPRO_HYBRID_AUTOTUNE``;
-        an explicit ``hybrid_threshold`` always wins.
     """
 
     def __init__(
@@ -75,37 +72,23 @@ class Context:
         *,
         hybrid: bool | str | None = None,
         hybrid_threshold: float | None = None,
-        hybrid_autotune: bool | None = None,
     ):
+        from repro.backends.hybrid import HybridBackend, wrap_backend
+
         self._backend: Backend = get_backend(backend, device=device)
         mode = _resolve_hybrid_mode(hybrid)
-        if hybrid_autotune is None:
-            from repro.backends.hybrid import autotune_from_env
-
-            hybrid_autotune = autotune_from_env()
         if mode is not None and backend in ("cubool", "clbool"):
-            from repro.backends.hybrid import wrap_backend
-
-            self._backend = wrap_backend(
-                self._backend,
-                mode=mode,
-                crossover_density=hybrid_threshold,
-                autotune=hybrid_autotune,
-            )
-        elif hybrid_threshold is not None or hybrid_autotune:
-            from repro.backends.hybrid import HybridBackend, autotune_crossover
-
-            if isinstance(self._backend, HybridBackend):
-                from dataclasses import replace
-
-                crossover = (
-                    hybrid_threshold
-                    if hybrid_threshold is not None
-                    else autotune_crossover(self._backend.inner)
-                )
-                self._backend.policy = replace(
-                    self._backend.policy, crossover_density=crossover
-                )
+            self._backend = wrap_backend(self._backend, mode=mode)
+        if isinstance(self._backend, HybridBackend):
+            # Only what the caller spelled out overrides the policy: an
+            # env-selected mode must not re-mode an explicit
+            # backend="hybrid" context.
+            explicit = {}
+            if hybrid is not None and mode is not None:
+                explicit["mode"] = mode
+            if hybrid_threshold is not None:
+                explicit["crossover_density"] = hybrid_threshold
+            self._backend.policy = replace(self._backend.policy, **explicit)
         self._live: list = []
         self._finalized = False
         self._lock = threading.Lock()

@@ -29,11 +29,6 @@ class DevicePool:
         density — dense blocks are bit-packed once up front,
         hyper-sparse blocks stay in COO/CSR — so a skewed matrix holds
         mixed representations across devices.
-    autotune:
-        Measure the sparse/bit crossover density on one device with a
-        probe sweep and share the result with the whole pool (the
-        devices are identical simulations, so one measurement is
-        representative).  Only meaningful with ``hybrid``.
     """
 
     def __init__(
@@ -42,7 +37,6 @@ class DevicePool:
         backend: str = "cubool",
         *,
         hybrid: bool | str | None = None,
-        autotune: bool = False,
     ):
         if n_devices < 1:
             raise InvalidArgumentError("pool needs at least one device")
@@ -61,15 +55,9 @@ class DevicePool:
             hybrid = None
         self.hybrid_mode = hybrid
         if hybrid:
-            from repro.backends.hybrid import autotune_crossover, wrap_backend
+            from repro.backends.hybrid import wrap_backend
 
-            # One measured crossover shared pool-wide: the devices are
-            # identical simulations, so the probe sweep runs once.
-            crossover = autotune_crossover(inners[0]) if autotune else None
-            self.backends = [
-                wrap_backend(be, mode=hybrid, crossover_density=crossover)
-                for be in inners
-            ]
+            self.backends = [wrap_backend(be, mode=hybrid) for be in inners]
         else:
             self.backends = inners
         self._finalized = False
@@ -158,8 +146,8 @@ class DevicePool:
 
         Row blocks of a skewed matrix have wildly different densities
         even under nnz balancing (few dense rows vs many sparse ones);
-        deciding per block — against the pool's (possibly autotuned)
-        crossover — gives each device the representation its slice
+        deciding per block — against the policy's crossover density —
+        gives each device the representation its slice
         deserves instead of one global choice.  Hyper-sparse blocks are
         left alone: packing them would waste ``nrows x ncols / 8`` bits
         of arena for no kernel win.

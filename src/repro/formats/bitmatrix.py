@@ -299,8 +299,8 @@ class BitMatrix(SparseFormat):
         instead of ``k`` in the blocked kernel, at the cost of the table
         build (amortized once over all ``m`` rows) and ``32x`` B's words
         of table workspace.  Wins once ``m`` is large enough to amortize
-        the build; the hybrid backend routes here per its autotuned
-        ``four_russians_min_k`` break-even.
+        the build; the hybrid backend routes here from
+        ``HybridPolicy.four_russians_min_rows`` output rows up.
 
         Same contract as :meth:`mxm_into`: fused accumulate, no product
         temporary, ``self`` must not alias an operand, and ``mask``

@@ -49,9 +49,6 @@ class QueryService:
         ``REPRO_HYBRID`` env var, so deployments (and CI) pick the
         dispatch policy without code changes; pass ``"auto"`` to force
         adaptive dispatch on.
-    autotune:
-        Calibrate the hybrid crossover on this host with a probe sweep
-        at startup (cached per process; adds tens of milliseconds once).
     workers:
         Worker threads.  ``0`` is allowed (admission-only; useful for
         tests and manual draining).
@@ -75,7 +72,6 @@ class QueryService:
         *,
         backend: str = "cubool",
         hybrid: bool | str | None = None,
-        autotune: bool = False,
         workers: int = 2,
         queue_limit: int = 64,
         max_batch: int = 8,
@@ -86,14 +82,12 @@ class QueryService:
         if ctx is None:
             from repro.core.context import Context
 
-            ctx = Context(
-                backend=backend, hybrid=hybrid, hybrid_autotune=autotune or None
-            )
+            ctx = Context(backend=backend, hybrid=hybrid)
             self._owns_ctx = True
         else:
             self._owns_ctx = False
         if store_root is None:
-            from repro.store.metadata import store_root_from_env
+            from repro.store.volume import store_root_from_env
 
             store_root = store_root_from_env()
         self.ctx = ctx

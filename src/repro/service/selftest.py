@@ -49,9 +49,7 @@ def run_selftest(
     n = 96
     graph = uniform_random_graph(n, 4 * n, labels=("a", "b", "c"), seed=seed)
 
-    with QueryService(
-        workers=workers, max_batch=8, queue_limit=256, autotune=True
-    ) as service:
+    with QueryService(workers=workers, max_batch=8, queue_limit=256) as service:
         say(
             f"query service up: backend={service.ctx.backend_name}, "
             f"{workers} workers"

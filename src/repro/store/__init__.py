@@ -3,11 +3,9 @@
 On-disk layer for the service tier: stable little-endian containers for
 every matrix format (:mod:`repro.store.container`), per-graph volumes
 with immutable snapshot generations and a CRC-framed edge-delta WAL
-(:mod:`repro.store.volume`, :mod:`repro.store.wal`), and a metadata
-directory persisting autotune measurements
-(:mod:`repro.store.metadata`).  ``python -m repro store
-{ls,info,compact,verify}`` is the operator surface; full design notes
-in ``docs/STORAGE.md``.
+(:mod:`repro.store.volume`, :mod:`repro.store.wal`).  ``python -m
+repro store {ls,info,compact,verify}`` is the operator surface; full
+design notes in ``docs/STORAGE.md``.
 """
 
 from repro.store.container import (
@@ -17,18 +15,14 @@ from repro.store.container import (
     load_matrix,
     verify_container,
 )
-from repro.store.metadata import (
-    STORE_ENV,
-    load_autotune,
-    save_autotune,
-    store_root_from_env,
-)
 from repro.store.volume import (
     BIT_SNAPSHOT_DENSITY,
+    STORE_ENV,
     GraphVolume,
     RestoredGraph,
     apply_deltas,
     list_volumes,
+    store_root_from_env,
     volume_root,
 )
 from repro.store.wal import EdgeDelta, WriteAheadLog
@@ -45,9 +39,7 @@ __all__ = [
     "container_info",
     "dump_matrix",
     "list_volumes",
-    "load_autotune",
     "load_matrix",
-    "save_autotune",
     "store_root_from_env",
     "verify_container",
     "volume_root",

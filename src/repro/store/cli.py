@@ -26,8 +26,13 @@ import json
 import sys
 
 from repro.errors import StoreError
-from repro.store.metadata import STORE_ENV, store_root_from_env
-from repro.store.volume import GraphVolume, list_volumes, volume_root
+from repro.store.volume import (
+    STORE_ENV,
+    GraphVolume,
+    list_volumes,
+    store_root_from_env,
+    volume_root,
+)
 
 
 def _resolve_root(args) -> str:

@@ -64,6 +64,9 @@ from repro.store.wal import EdgeDelta, WriteAheadLog
 
 STORE_VERSION = 1
 
+#: Environment variable naming the default store root.
+STORE_ENV = "REPRO_STORE"
+
 #: Default density at which a label's snapshot also gets a bit container
 #: (matches the hybrid dispatcher's analytic crossover).
 BIT_SNAPSHOT_DENSITY = 0.02
@@ -575,6 +578,13 @@ class GraphVolume:
             "wal_version": wal_version,
             "ok": True,
         }
+
+
+def store_root_from_env(environ=None) -> Path | None:
+    """The ``REPRO_STORE`` root, when configured and non-empty."""
+    raw = (environ if environ is not None else os.environ).get(STORE_ENV, "")
+    raw = raw.strip()
+    return Path(raw) if raw else None
 
 
 def volume_root(store_root: str | Path) -> Path:

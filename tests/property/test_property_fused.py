@@ -2,9 +2,9 @@
 
 For any operands, ``mxm(a, b, accumulate=c)`` and ``kron(a, b,
 accumulate=c)`` must be element-identical to the unfused compose
-(product then OR) — across every backend, both hybrid ``fuse``
-settings, and when ``accumulate`` aliases an operand (the fixpoint's
-``C <- C ∨ C·C`` shape).  A counter test pins the tentpole's memory
+(product then OR) — across every backend, every hybrid mode, and when
+``accumulate`` aliases an operand (the fixpoint's ``C <- C ∨ C·C``
+shape).  A counter test pins the tentpole's memory
 claim: a bit-path fixpoint iteration performs exactly one arena
 allocation — the output buffer — and its peak over the live set stays
 flat across iterations.
@@ -48,11 +48,10 @@ def _to_dense(handle, shape):
 _HYBRIDS = {}
 
 
-def _hybrid(mode, fuse):
-    key = (mode, fuse)
-    if key not in _HYBRIDS:
-        _HYBRIDS[key] = wrap_backend(get_backend("cubool"), mode=mode, fuse=fuse)
-    return _HYBRIDS[key]
+def _hybrid(mode):
+    if mode not in _HYBRIDS:
+        _HYBRIDS[mode] = wrap_backend(get_backend("cubool"), mode=mode)
+    return _HYBRIDS[mode]
 
 
 # -- fused == unfused, every backend ------------------------------------------
@@ -68,11 +67,7 @@ def test_mxm_accumulate_matches_compose_everywhere(a, data):
     )
     want = ((a.astype(np.int64) @ b.astype(np.int64)) > 0) | c
     backends = [get_backend(name) for name in SPARSE_BACKENDS]
-    backends += [
-        _hybrid(mode, fuse)
-        for mode in ("auto", "bit", "sparse")
-        for fuse in (True, False)
-    ]
+    backends += [_hybrid(mode) for mode in ("auto", "bit", "sparse")]
     for backend in backends:
         ma, mb, mc = (_from_dense(backend, d) for d in (a, b, c))
         out = backend.mxm(ma, mb, accumulate=mc)
@@ -92,11 +87,7 @@ def test_kron_accumulate_matches_compose_everywhere(a, b, data):
     c = data.draw(dense_bool(rows=st.just(shape[0]), cols=st.just(shape[1])))
     want = np.kron(a, b) | c
     backends = [get_backend(name) for name in SPARSE_BACKENDS]
-    backends += [
-        _hybrid(mode, fuse)
-        for mode in ("auto", "bit", "sparse")
-        for fuse in (True, False)
-    ]
+    backends += [_hybrid(mode) for mode in ("auto", "bit", "sparse")]
     for backend in backends:
         ma, mb, mc = (_from_dense(backend, d) for d in (a, b, c))
         out = backend.kron_accumulate(ma, mb, mc)
@@ -112,7 +103,7 @@ def test_accumulate_may_alias_operands(a):
     sq = a[: min(a.shape), : min(a.shape)]
     want = ((sq.astype(np.int64) @ sq.astype(np.int64)) > 0) | sq
     backends = [get_backend(name) for name in SPARSE_BACKENDS]
-    backends += [_hybrid("bit", True), _hybrid("bit", False)]
+    backends.append(_hybrid("bit"))
     for backend in backends:
         m = _from_dense(backend, sq)
         out = backend.mxm(m, m, accumulate=m)
@@ -195,25 +186,11 @@ def test_bit_fixpoint_allocates_one_buffer_per_iteration():
     # Iteration 0 may pay one-time packing; steady state is one alloc.
     assert allocs[1:] == [1] * (len(allocs) - 1), allocs
     assert len(set(peaks[1:])) == 1, peaks
-
-
-def test_unfused_ablation_allocates_more():
-    """The fuse=False baseline pays the product temporary the fused
-    path eliminates — the E13 ablation is a real contrast."""
-    rng = np.random.default_rng(6)
-    n = 192
-    dense = rng.random((n, n)) < 0.05
-
-    def steady_allocs(fuse):
-        backend = wrap_backend(get_backend("cubool"), mode="bit", fuse=fuse)
-        cur = _from_dense(backend, dense)
-        backend._ensure_bit(cur)
-        arena = backend.device.arena
-        before = arena.stats().alloc_count
-        out = backend.mxm(cur, cur, accumulate=cur)
-        count = arena.stats().alloc_count - before
-        out.free()
-        cur.free()
-        return count
-
-    assert steady_allocs(fuse=True) < steady_allocs(fuse=False)
+    # The Kronecker accumulate has the same shape: the seeded output
+    # buffer is its only allocation.
+    eye = _from_dense(backend, np.eye(2, dtype=bool))
+    backend._ensure_bit(eye)
+    acc = backend.kron(eye, cur)
+    before = arena.stats().alloc_count
+    backend.kron_accumulate(eye, cur, acc)
+    assert arena.stats().alloc_count - before == 1

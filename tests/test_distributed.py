@@ -169,15 +169,6 @@ class TestHybridPool:
         monkeypatch.setenv("REPRO_HYBRID", "0")
         assert DevicePool(n_devices=2, backend="cubool").hybrid_mode is None
 
-    def test_autotuned_crossover_shared_pool_wide(self):
-        pool = DevicePool(n_devices=3, backend="cubool", hybrid=True, autotune=True)
-        crossovers = {be.policy.crossover_density for be in pool.backends}
-        assert len(crossovers) == 1
-        from repro.backends.hybrid import HybridPolicy
-
-        # The shared value is measured, not the analytic default.
-        assert crossovers != {HybridPolicy().crossover_density}
-
 
 class TestPoolAccounting:
     def test_per_device_memory_isolated(self, rng):

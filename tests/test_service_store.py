@@ -9,6 +9,7 @@ import os
 import pytest
 
 import repro
+from repro.backends.hybrid import HybridPolicy
 from repro.datasets.random_graphs import uniform_random_graph
 from repro.errors import (
     IndexOutOfBoundsError,
@@ -20,7 +21,6 @@ from repro.rpq import rpq_pairs
 from repro.service import QueryService
 from repro.service.graph_store import GraphStore
 from repro.service.result_cache import ResultCache
-from repro.store import load_autotune, save_autotune
 from repro.store.cli import main as store_main
 
 QUERY = "a b* c"
@@ -347,89 +347,60 @@ class TestResultCache:
             )
 
 
+#: Byte-for-byte what the releases that still measured wrote under
+#: ``<root>/metadata/autotune.json`` (format_version 1, indent 2, sorted
+#: keys) — including fields of the worker pool removed before them.
+LEGACY_AUTOTUNE_JSON = (
+    "{\n"
+    '  "entries": {\n'
+    '    "clbool@clbool-dev": {\n'
+    '      "crossover": 0.04,\n'
+    '      "probe_n": 192\n'
+    "    },\n"
+    '    "cubool@cubool-dev": {\n'
+    '      "crossover": 0.0132,\n'
+    '      "four_russians_min_rows": 64,\n'
+    '      "fr_probe_k": 512,\n'
+    '      "probe_n": 192,\n'
+    '      "tiled_parallel_min_words": 4611686018427387904,\n'
+    '      "tiled_probe_n": 768\n'
+    "    }\n"
+    "  },\n"
+    '  "format_version": 1\n'
+    "}\n"
+)
+
+
 class TestAutotuneMetadata:
-    def test_save_load_round_trip(self, tmp_path):
-        assert load_autotune(tmp_path, "hybrid", "sim", "crossover") is None
-        save_autotune(tmp_path, "hybrid", "sim", crossover=0.031, probe_n=256)
-        assert load_autotune(
-            tmp_path, "hybrid", "sim", "crossover"
-        ) == pytest.approx(0.031)
-        assert load_autotune(tmp_path, "hybrid", "other", "crossover") is None
-        assert load_autotune(
-            tmp_path, "hybrid", "sim", "four_russians_min_rows"
-        ) is None
-        payload = json.loads(
-            (tmp_path / "metadata" / "autotune.json").read_text()
-        )
-        assert payload["entries"]["hybrid@sim"]["probe_n"] == 256
+    """The autotuners are gone; what they left in a store root is never
+    read, never rewritten, and never in the way."""
 
-    def test_corrupt_metadata_is_ignored(self, tmp_path):
+    def check_ignored(self, tmp_path, graph, monkeypatch, payload):
+        with QueryService(workers=1, store_root=tmp_path) as svc:
+            svc.register_graph("g", graph)
+            before = svc.reach("g", QUERY, source=0)
+            svc.persist_graph("g")
         path = tmp_path / "metadata" / "autotune.json"
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
-        assert load_autotune(tmp_path, "hybrid", "sim", "crossover") is None
-        save_autotune(tmp_path, "hybrid", "sim", crossover=0.5)
-        assert load_autotune(tmp_path, "hybrid", "sim", "crossover") == 0.5
+        path.parent.mkdir()
+        path.write_text(payload)
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+        with QueryService(workers=1, hybrid="auto") as svc:
+            assert svc.restore_all() == ["g"]
+            assert svc.reach("g", QUERY, source=0) == before
+            # A crossover read back from the file would show up here.
+            assert svc.ctx.backend.policy == HybridPolicy()
+        root = ["--root", str(tmp_path)]
+        assert store_main(root + ["ls"]) == 0
+        assert store_main(root + ["verify"]) == 0
+        assert path.read_text() == payload
 
-    def test_unknown_or_out_of_range_fields_are_rejected(self, tmp_path):
-        with pytest.raises(InvalidArgumentError):
-            load_autotune(tmp_path, "hybrid", "sim", "tiled_parallel_min_words")
-        with pytest.raises(InvalidArgumentError):
-            save_autotune(tmp_path, "hybrid", "sim", crosover=0.5)
-        with pytest.raises(InvalidArgumentError):
-            save_autotune(tmp_path, "hybrid", "sim", crossover=1.5)
-        assert not (tmp_path / "metadata" / "autotune.json").exists()
-        # A damaged value on disk reads as "not measured".
-        path = tmp_path / "metadata" / "autotune.json"
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({
-            "format_version": 1,
-            "entries": {"hybrid@sim": {"crossover": "0.5",
-                                       "four_russians_min_rows": -4}},
-        }))
-        assert load_autotune(tmp_path, "hybrid", "sim", "crossover") is None
-        assert load_autotune(
-            tmp_path, "hybrid", "sim", "four_russians_min_rows"
-        ) is None
+    def test_file_written_before_the_pool_was_removed_still_loads(
+        self, tmp_path, graph, monkeypatch
+    ):
+        self.check_ignored(tmp_path, graph, monkeypatch, LEGACY_AUTOTUNE_JSON)
 
-    def test_file_written_before_the_pool_was_removed_still_loads(self, tmp_path):
-        # Byte-for-byte what the previous release's three savers wrote
-        # (format_version 1, indent 2, sorted keys).
-        path = tmp_path / "metadata" / "autotune.json"
-        path.parent.mkdir(parents=True)
-        path.write_text(
-            "{\n"
-            '  "entries": {\n'
-            '    "clbool@clbool-dev": {\n'
-            '      "crossover": 0.04,\n'
-            '      "probe_n": 192\n'
-            "    },\n"
-            '    "cubool@cubool-dev": {\n'
-            '      "crossover": 0.0132,\n'
-            '      "four_russians_min_rows": 64,\n'
-            '      "fr_probe_k": 512,\n'
-            '      "probe_n": 192,\n'
-            '      "tiled_parallel_min_words": 4611686018427387904,\n'
-            '      "tiled_probe_n": 768\n'
-            "    }\n"
-            "  },\n"
-            '  "format_version": 1\n'
-            "}\n"
-        )
-        key = ("cubool", "cubool-dev")
-        assert load_autotune(tmp_path, *key, "crossover") == 0.0132
-        assert load_autotune(tmp_path, *key, "four_russians_min_rows") == 64
-        save_autotune(tmp_path, *key, four_russians_min_rows=128, fr_probe_k=256)
-        entries = json.loads(path.read_text())["entries"]
-        assert entries["cubool@cubool-dev"] == {
-            "crossover": 0.0132,
-            "four_russians_min_rows": 128,
-            "fr_probe_k": 256,
-            "probe_n": 192,
-            "tiled_parallel_min_words": 4611686018427387904,
-            "tiled_probe_n": 768,
-        }
-        assert entries["clbool@clbool-dev"] == {"crossover": 0.04, "probe_n": 192}
+    def test_corrupt_metadata_is_ignored(self, tmp_path, graph, monkeypatch):
+        self.check_ignored(tmp_path, graph, monkeypatch, "{not json")
 
 
 class TestStoreCli:
