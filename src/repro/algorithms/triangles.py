@@ -19,6 +19,7 @@ from repro.backends import get_backend
 from repro.core.matrix import Matrix
 from repro.core.semiring import PLUS_PAIR
 from repro.errors import InvalidArgumentError
+from repro.utils.arrays import coo_from_keys, keys_from_coo, sort_unique_keys
 
 
 def triangle_count(adjacency: Matrix, *, directed: bool = False) -> int:
@@ -42,7 +43,7 @@ def triangle_count(adjacency: Matrix, *, directed: bool = False) -> int:
         keep = rows != cols
         r = np.concatenate([rows[keep], cols[keep]]).astype(np.int64)
         c = np.concatenate([cols[keep], rows[keep]]).astype(np.int64)
-        r, c = _dedupe(r, c, n)
+        r, c = _dedupe(r, c)
         a = be.matrix_from_coo(r, c, (n, n))
         sq = be.mxm(a, a, semiring=PLUS_PAIR)  # wedge counts
         hits = be.ewise_mult(sq, a)            # ... at actual edges
@@ -53,7 +54,7 @@ def triangle_count(adjacency: Matrix, *, directed: bool = False) -> int:
         # over 3 edges -> divide by 6.
         return int(total // 6)
     else:
-        r, c = _dedupe(rows.astype(np.int64), cols.astype(np.int64), n)
+        r, c = _dedupe(rows, cols)
         a = be.matrix_from_coo(r, c, (n, n))
         sq = be.mxm(a, a, semiring=PLUS_PAIR)  # sq[u, w] = # of u→v→w
         at = be.transpose(a)                   # closing edges w→u, probed at (u, w)
@@ -65,10 +66,9 @@ def triangle_count(adjacency: Matrix, *, directed: bool = False) -> int:
         return int(total // 3)
 
 
-def _dedupe(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _dedupe(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse duplicate coordinates (multi-edges count once)."""
-    keys = np.unique(rows * n + cols)
-    return keys // n, keys % n
+    return coo_from_keys(sort_unique_keys(keys_from_coo(rows, cols)))
 
 
 def _sum_entries(be, m) -> int:

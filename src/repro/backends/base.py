@@ -25,6 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.backends.common import in_sorted
 from repro.core.semiring import BOOL_OR_AND, Semiring, get_semiring
 from repro.errors import (
     DimensionMismatchError,
@@ -34,6 +35,7 @@ from repro.errors import (
 from repro.formats.base import SparseFormat
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceBuffer
+from repro.utils.arrays import keys_from_coo
 
 
 class BackendMatrix:
@@ -250,23 +252,14 @@ class Backend(abc.ABC):
         (freeing) ``product`` and returning a new handle.
 
         Both patterns read back in canonical row-major order, so the
-        mask keys are already sorted for ``searchsorted`` membership.
+        packed mask keys are already sorted for the membership test.
         """
         self._check_same_shape("mxm-mask", product, mask)
         try:
             rows, cols = self.matrix_to_coo(product)
-            mrows, mcols = self.matrix_to_coo(mask)
-            ncols = product.ncols
-            keys = rows.astype(np.int64) * ncols + cols.astype(np.int64)
-            mkeys = mrows.astype(np.int64) * ncols + mcols.astype(np.int64)
-            if mkeys.size and keys.size:
-                pos = np.searchsorted(mkeys, keys)
-                # A key past every mask key cannot match mkeys[0]
-                # (it is strictly greater), so clamping is safe.
-                pos[pos == mkeys.size] = 0
-                keep = mkeys[pos] != keys
-                rows, cols = rows[keep], cols[keep]
-            return self.matrix_from_coo(rows, cols, product.shape)
+            mask_keys = keys_from_coo(*self.matrix_to_coo(mask))
+            keep = ~in_sorted(keys_from_coo(rows, cols), mask_keys)
+            return self.matrix_from_coo(rows[keep], cols[keep], product.shape)
         finally:
             product.free()
 

@@ -12,7 +12,12 @@ from repro.formats.coo import BoolCoo
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
 from repro.gpu.limits import OPENCL_LIKE
-from repro.utils.arrays import INDEX_DTYPE, rowptr_from_sorted_rows
+from repro.utils.arrays import (
+    INDEX_DTYPE,
+    coo_from_keys,
+    keys_from_coo,
+    rowptr_from_sorted_rows,
+)
 
 
 class ClBoolBackend(Backend):
@@ -86,7 +91,7 @@ class ClBoolBackend(Backend):
         sa: BoolCoo = a.storage
         sb: BoolCoo = b.storage
         rows, cols, buffers = merge_add_coo(
-            self.device, self.stream, sa.shape, sa.rows, sa.cols, sb.rows, sb.cols
+            self.device, self.stream, sa.rows, sa.cols, sb.rows, sb.cols
         )
         return self._adopt_coo(a.shape, rows, cols, buffers)
 
@@ -102,18 +107,16 @@ class ClBoolBackend(Backend):
         out_cols_buf = self.device.arena.alloc(bound, INDEX_DTYPE)
 
         def _kernel(config):
-            key_a = common.keys_from_coo(sa.rows, sa.cols, a.ncols)
-            key_b = common.keys_from_coo(sb.rows, sb.cols, a.ncols)
-            return common.merge_intersection(key_a, key_b)
+            return common.merge_intersection(
+                keys_from_coo(sa.rows, sa.cols), keys_from_coo(sb.rows, sb.cols)
+            )
 
         _kernel.__name__ = "merge_path_intersect"
         keys = self.stream.launch(_kernel, grid_1d(max(1, bound or 1), 256))
         rows_buf = self.device.arena.alloc(keys.size, INDEX_DTYPE)
         cols_buf = self.device.arena.alloc(keys.size, INDEX_DTYPE)
         if keys.size:
-            r, c = common.coo_from_keys(keys, a.ncols)
-            rows_buf.data[...] = r
-            cols_buf.data[...] = c
+            rows_buf.data[...], cols_buf.data[...] = coo_from_keys(keys)
         out_rows_buf.free()
         out_cols_buf.free()
         return self._adopt_coo(a.shape, rows_buf.data, cols_buf.data, [rows_buf, cols_buf])
@@ -161,7 +164,7 @@ class ClBoolBackend(Backend):
         sa: BoolCoo = a.storage
 
         def _kernel(config):
-            return common.transpose_coo(sa.rows, sa.cols, a.nrows)
+            return common.transpose_coo(sa.rows, sa.cols)
 
         _kernel.__name__ = "transpose_sort"
         t_rows, t_cols = self.stream.launch(_kernel, grid_1d(max(1, sa.nnz), 256))

@@ -12,73 +12,61 @@ So, unlike cuBool's two-pass add, the full ``nnz(A) + nnz(B)`` merge
 buffer is allocated in device memory up front, the merge runs once, and
 only then does compaction discover how many duplicates could have been
 avoided.  The memory benchmarks (E0/E8/E9) surface this over-allocation.
+
+Coordinates travel as the codec's packed uint64 keys ``row << 32 | col``
+(:func:`repro.utils.arrays.keys_from_coo`).  On this executor a
+run-merge stands in for Merge Path: the two sorted runs are
+concatenated and one stable sort (timsort detects the runs and merges
+them linearly) fills the merge buffer; the compaction kernel then drops
+adjacent duplicates.  The simulation still models one-pass
+over-allocation here versus cuBool's two-pass exact allocation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.common import coo_from_keys, keys_from_coo
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
 from repro.gpu.stream import Stream
-from repro.utils.arrays import INDEX_DTYPE
+from repro.utils.arrays import (
+    INDEX_DTYPE,
+    coo_from_keys,
+    dedupe_sorted_keys,
+    keys_from_coo,
+    merge_sorted_keys,
+)
 
 
 def merge_add_coo(
     device: Device,
     stream: Stream,
-    shape: tuple[int, int],
     a_rows: np.ndarray,
     a_cols: np.ndarray,
     b_rows: np.ndarray,
     b_cols: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Boolean union of two canonical COO matrices (one-pass merge)."""
-    ncols = int(shape[1])
-    na, nb = a_rows.size, b_rows.size
-    total = na + nb
+    total = a_rows.size + b_rows.size
 
     # The single up-front merge buffer (rows + cols planes).
     merge_rows_buf = device.arena.alloc(total, INDEX_DTYPE)
     merge_cols_buf = device.arena.alloc(total, INDEX_DTYPE)
 
     try:
-        key_a = keys_from_coo(a_rows, a_cols, ncols)
-        key_b = keys_from_coo(b_rows, b_cols, ncols)
+        key_a = keys_from_coo(a_rows, a_cols)
+        key_b = keys_from_coo(b_rows, b_cols)
 
         def _merge_kernel(config):
-            """Positioned merge (Merge Path): final index = own rank +
-            rank in the other array; ties put A first."""
-            merged = np.empty(total, dtype=np.int64)
-            if na == 0:
-                merged[:] = key_b
-            elif nb == 0:
-                merged[:] = key_a
-            else:
-                pos_a = np.arange(na, dtype=np.int64) + np.searchsorted(
-                    key_b, key_a, side="left"
-                )
-                pos_b = np.arange(nb, dtype=np.int64) + np.searchsorted(
-                    key_a, key_b, side="right"
-                )
-                merged[pos_a] = key_a
-                merged[pos_b] = key_b
-            r, c = coo_from_keys(merged, ncols)
-            merge_rows_buf.data[...] = r
-            merge_cols_buf.data[...] = c
+            merged = merge_sorted_keys(key_a, key_b)
+            merge_rows_buf.data[...], merge_cols_buf.data[...] = coo_from_keys(merged)
             return merged
 
         _merge_kernel.__name__ = "merge_path_one_pass"
         merged = stream.launch(_merge_kernel, grid_1d(max(1, total), 256))
 
         def _compact_kernel(config):
-            if merged.size == 0:
-                return merged
-            keep = np.empty(merged.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-            return merged[keep]
+            return dedupe_sorted_keys(merged)
 
         _compact_kernel.__name__ = "merge_compact"
         unique = stream.launch(_compact_kernel, grid_1d(max(1, total), 256))
@@ -86,9 +74,7 @@ def merge_add_coo(
         rows_buf = device.arena.alloc(unique.size, INDEX_DTYPE)
         cols_buf = device.arena.alloc(unique.size, INDEX_DTYPE)
         if unique.size:
-            r, c = coo_from_keys(unique, ncols)
-            rows_buf.data[...] = r
-            cols_buf.data[...] = c
+            rows_buf.data[...], cols_buf.data[...] = coo_from_keys(unique)
     finally:
         merge_rows_buf.free()
         merge_cols_buf.free()

@@ -9,7 +9,10 @@ formulation):
    device this buffer lives in global memory, unlike cuBool's
    shared-memory hash tables — the key memory-behaviour difference the
    benchmarks measure).
-2. **Sort** — radix-sort the linearized keys (executor: ``argsort``).
+2. **Sort** — radix-sort the packed ``row << 32 | col`` keys (executor:
+   NumPy's default SIMD sort).  Equal boolean keys are identical pairs,
+   so the sort need not be stable — a boolean specialisation the
+   value-carrying generic backend cannot take.
 3. **Compaction** — boolean saturation collapses duplicates: a
    vectorized adjacent-unique pass; the exact-sized output is then
    allocated and filled.
@@ -23,15 +26,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.common import (
-    coo_from_keys,
-    expand_products,
-    keys_from_coo,
-)
+from repro.backends.common import expand_products
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
 from repro.gpu.stream import Stream
-from repro.utils.arrays import INDEX_DTYPE, rowptr_from_sorted_rows
+from repro.utils.arrays import (
+    INDEX_DTYPE,
+    coo_from_keys,
+    dedupe_sorted_keys,
+    keys_from_coo,
+    rowptr_from_sorted_rows,
+)
 
 
 def spgemm_boolean_coo(
@@ -49,8 +54,6 @@ def spgemm_boolean_coo(
     Returns ``(rows, cols, buffers)``; arrays alias device buffers whose
     ownership passes to the caller.
     """
-    n_out = int(b_shape[1])
-
     # Scratch: B row pointer (histogram + exclusive scan on device).
     b_rowptr_buf = device.arena.alloc(int(b_shape[0]) + 1, INDEX_DTYPE)
 
@@ -75,10 +78,10 @@ def spgemm_boolean_coo(
         exp_cols_buf.data[...] = e_cols
 
     try:
-        # 2. Sort by linearized key.
+        # 2. Sort by packed key.
         def _sort_kernel(config):
-            keys = keys_from_coo(exp_rows_buf.data, exp_cols_buf.data, n_out)
-            keys.sort(kind="stable")
+            keys = keys_from_coo(exp_rows_buf.data, exp_cols_buf.data)
+            keys.sort()
             return keys
 
         _sort_kernel.__name__ = "esc_radix_sort"
@@ -86,12 +89,7 @@ def spgemm_boolean_coo(
 
         # 3. Compaction (adjacent unique).
         def _compact_kernel(config):
-            if keys.size == 0:
-                return keys
-            keep = np.empty(keys.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-            return keys[keep]
+            return dedupe_sorted_keys(keys)
 
         _compact_kernel.__name__ = "esc_compact"
         unique = stream.launch(_compact_kernel, grid_1d(max(1, total), 256))
@@ -99,9 +97,7 @@ def spgemm_boolean_coo(
         rows_buf = device.arena.alloc(unique.size, INDEX_DTYPE)
         cols_buf = device.arena.alloc(unique.size, INDEX_DTYPE)
         if unique.size:
-            r, c = coo_from_keys(unique, n_out)
-            rows_buf.data[...] = r
-            cols_buf.data[...] = c
+            rows_buf.data[...], cols_buf.data[...] = coo_from_keys(unique)
     finally:
         exp_rows_buf.free()
         exp_cols_buf.free()

@@ -7,9 +7,16 @@ these primitives — binned hash tables vs. global sort, two-pass exact
 allocation vs. one-pass over-allocation — which is exactly the design
 space the paper's implementation section discusses.
 
-Coordinate keys: a (row, col) pair is linearized as ``row * ncols + col``
-into int64, which preserves row-major order and makes merge/dedupe a
-1-D problem (the standard GPU trick for pair sorting).
+Coordinate keys: a (row, col) pair packs into the uint64 key
+``row << 32 | col`` (:func:`repro.utils.arrays.keys_from_coo`, the one
+codec every backend and format sorts, merges and dedupes through),
+which preserves row-major order and makes merge/dedupe a 1-D problem
+(the standard GPU trick for pair sorting).  On this executor a
+run-merge — concatenate two sorted runs, one stable sort that timsort
+turns into a linear merge, adjacent dedupe — stands in for GPU Merge
+Path; the backends still model the paper's allocation disciplines
+(cuBool's two-pass exact allocation vs clBool's one-pass
+over-allocated merge buffer) in the device arena.
 """
 
 from __future__ import annotations
@@ -17,88 +24,44 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import InvalidArgumentError
-from repro.utils.arrays import INDEX_DTYPE, concat_ranges, segment_ids
+from repro.utils.arrays import (
+    INDEX_DTYPE,
+    coo_from_keys,
+    concat_ranges,
+    keys_from_coo,
+    segment_ids,
+)
 
 
-def keys_from_coo(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
-    """Linearize coordinates into sortable int64 keys."""
-    return rows.astype(np.int64) * max(1, ncols) + cols.astype(np.int64)
+# -- sorted-key membership ----------------------------------------------------
 
 
-def coo_from_keys(keys: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`keys_from_coo`."""
-    n = max(1, ncols)
-    rows = (keys // n).astype(INDEX_DTYPE)
-    cols = (keys % n).astype(INDEX_DTYPE)
-    return rows, cols
+def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Boolean mask: which ``keys`` occur in the sorted ``sorted_keys``.
 
-
-# -- merge path ---------------------------------------------------------------
-
-
-def merge_union_size(key_a: np.ndarray, key_b: np.ndarray) -> int:
-    """Pass 1 of the two-pass merge: exact size of the sorted union.
-
-    Both inputs must be sorted and duplicate-free.  The intersection is
-    counted with a galloping membership test (``searchsorted``), the
-    vectorized equivalent of the merge-path diagonal search.
+    A galloping membership test (one ``searchsorted``), the vectorized
+    form of the merge-path diagonal search.  Drives the element-wise AND
+    and the structural complement mask.
     """
-    if key_a.size == 0:
-        return int(key_b.size)
-    if key_b.size == 0:
-        return int(key_a.size)
-    pos = np.searchsorted(key_a, key_b)
-    pos[pos == key_a.size] = key_a.size - 1
-    dup = int(np.count_nonzero(key_a[pos] == key_b))
-    return int(key_a.size + key_b.size - dup)
-
-
-def merge_union(key_a: np.ndarray, key_b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Pass 2: merge two sorted duplicate-free key arrays, dropping dups.
-
-    Implements GPU Merge Path positioning: every element's final position
-    in the merged sequence is its own index plus the count of smaller
-    elements in the other array — two ``searchsorted`` calls, no
-    comparison loop.  Returns the sorted unique union (written into
-    ``out`` when given; ``out`` may be over-sized, the filled prefix is
-    returned as a view).
-    """
-    na, nb = key_a.size, key_b.size
-    merged = np.empty(na + nb, dtype=np.int64) if out is None or out.size < na + nb else out
-    if na == 0:
-        merged[:nb] = key_b
-        return merged[:nb]
-    if nb == 0:
-        merged[:na] = key_a
-        return merged[:na]
-    # Stable positions: ties (equal keys) place the A element first and
-    # the B duplicate immediately after, so adjacent-dedupe removes it.
-    pos_a = np.arange(na, dtype=np.int64) + np.searchsorted(key_b, key_a, side="left")
-    pos_b = np.arange(nb, dtype=np.int64) + np.searchsorted(key_a, key_b, side="right")
-    merged_full = merged[: na + nb]
-    merged_full[pos_a] = key_a
-    merged_full[pos_b] = key_b
-    keep = np.empty(na + nb, dtype=bool)
-    keep[0] = True
-    np.not_equal(merged_full[1:], merged_full[:-1], out=keep[1:])
-    unique = merged_full[keep]
-    return unique
+    if keys.size == 0 or sorted_keys.size == 0:
+        return np.zeros(keys.size, dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys)
+    # A key past every sorted key cannot equal sorted_keys[0] (it is
+    # strictly greater), so clamping there is safe.
+    pos[pos == sorted_keys.size] = 0
+    return sorted_keys[pos] == keys
 
 
 def merge_intersection(key_a: np.ndarray, key_b: np.ndarray) -> np.ndarray:
     """Sorted intersection of two sorted duplicate-free key arrays.
 
-    The element-wise AND kernel: a galloping membership test from the
-    smaller array into the larger (same merge-path machinery as the
-    union, with the keep-condition flipped).
+    The element-wise AND kernel: membership of the smaller array in the
+    larger (same machinery as the mask, with the keep-condition
+    flipped).
     """
-    if key_a.size == 0 or key_b.size == 0:
-        return np.empty(0, dtype=np.int64)
     if key_a.size > key_b.size:
         key_a, key_b = key_b, key_a
-    pos = np.searchsorted(key_b, key_a)
-    pos[pos == key_b.size] = key_b.size - 1
-    return key_a[key_b[pos] == key_a]
+    return key_a[in_sorted(key_a, key_b)]
 
 
 # -- SpGEMM expansion ---------------------------------------------------------
@@ -265,20 +228,13 @@ def submatrix_coo(
     return (r[mask] - i).astype(INDEX_DTYPE), (c[mask] - j).astype(INDEX_DTYPE)
 
 
-def transpose_coo(
-    rows: np.ndarray, cols: np.ndarray, ncols_out: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Swap coordinates and re-canonicalize with a stable counting sort.
-
-    Input is canonical row-major; after the swap, entries are already
-    sorted by the *new column* within each new row, so a stable sort on
-    the new row alone (O(n log n) argsort, radix-like) restores
-    canonical order.
-    """
-    if rows.size == 0:
-        return np.empty(0, INDEX_DTYPE), np.empty(0, INDEX_DTYPE)
-    order = np.argsort(cols, kind="stable")
-    return cols[order].astype(INDEX_DTYPE), rows[order].astype(INDEX_DTYPE)
+def transpose_coo(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Swap coordinates and re-canonicalize: one sort of the packed
+    ``col << 32 | row`` keys, then decode (the keys are distinct, so the
+    sort need not be stable)."""
+    keys = keys_from_coo(cols, rows)
+    keys.sort()
+    return coo_from_keys(keys)
 
 
 def reduce_rows_coo(rows: np.ndarray) -> np.ndarray:

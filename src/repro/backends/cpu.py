@@ -14,7 +14,7 @@ import numpy as np
 from repro.backends import common
 from repro.backends.base import Backend, BackendMatrix, register_backend
 from repro.formats.csr import BoolCsr
-from repro.utils.arrays import INDEX_DTYPE
+from repro.utils.arrays import INDEX_DTYPE, coo_from_keys, keys_from_coo
 
 
 class CpuBackend(Backend):
@@ -74,13 +74,9 @@ class CpuBackend(Backend):
         self._check_same_shape("ewise_mult", a, b)
         ra, ca = a.storage.to_coo_arrays()
         rb, cb = b.storage.to_coo_arrays()
-        key_a = common.keys_from_coo(ra, ca, a.ncols)
-        key_b = common.keys_from_coo(rb, cb, a.ncols)
-        keys = common.merge_intersection(key_a, key_b)
-        rows, cols = common.coo_from_keys(keys, a.ncols)
-        return BackendMatrix(
-            BoolCsr.from_coo(rows, cols, a.shape, canonical=True), self
-        )
+        keys = common.merge_intersection(keys_from_coo(ra, ca), keys_from_coo(rb, cb))
+        rows, cols = coo_from_keys(keys)
+        return BackendMatrix(BoolCsr.from_coo(rows, cols, a.shape), self)
 
     def kron(self, a, b, *, semiring=None):
         self._resolve_semiring(semiring)
@@ -92,13 +88,13 @@ class CpuBackend(Backend):
             a_rows, a_cols, sa.rowptr, b_rows, b_cols, sb.shape, sb.rowptr
         )
         shape = (a.nrows * b.nrows, a.ncols * b.ncols)
-        return BackendMatrix(BoolCsr.from_coo(out_rows, out_cols, shape, canonical=True), self)
+        return BackendMatrix(BoolCsr.from_coo(out_rows, out_cols, shape), self)
 
     def transpose(self, a):
         rows, cols = a.storage.to_coo_arrays()
-        t_rows, t_cols = common.transpose_coo(rows, cols, a.nrows)
+        t_rows, t_cols = common.transpose_coo(rows, cols)
         return BackendMatrix(
-            BoolCsr.from_coo(t_rows, t_cols, (a.ncols, a.nrows), canonical=True), self
+            BoolCsr.from_coo(t_rows, t_cols, (a.ncols, a.nrows)), self
         )
 
     def extract_submatrix(self, a, i, j, nrows, ncols):
@@ -106,7 +102,7 @@ class CpuBackend(Backend):
         rows, cols = a.storage.to_coo_arrays()
         s_rows, s_cols = common.submatrix_coo(rows, cols, i, j, nrows, ncols)
         return BackendMatrix(
-            BoolCsr.from_coo(s_rows, s_cols, (nrows, ncols), canonical=True), self
+            BoolCsr.from_coo(s_rows, s_cols, (nrows, ncols)), self
         )
 
     def reduce_to_column(self, a, *, semiring=None):
@@ -115,7 +111,7 @@ class CpuBackend(Backend):
         nz_rows = common.reduce_rows_coo(rows)
         zeros = np.zeros(nz_rows.size, dtype=INDEX_DTYPE)
         return BackendMatrix(
-            BoolCsr.from_coo(nz_rows, zeros, (a.nrows, 1), canonical=True), self
+            BoolCsr.from_coo(nz_rows, zeros, (a.nrows, 1)), self
         )
 
 

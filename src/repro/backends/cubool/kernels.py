@@ -64,20 +64,20 @@ def transpose_csr(
     rowptr: np.ndarray,
     cols: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    """CSR transpose via stable counting sort on the column index
-    (the classic CSR→CSC scatter)."""
-    m, n = int(shape[0]), int(shape[1])
+    """CSR transpose: one sort of the packed ``col << 32 | row`` keys
+    (the executor's stand-in for the classic CSR→CSC scatter)."""
+    n = int(shape[1])
     rows = rows_from_rowptr(rowptr)
 
     def _kernel(config):
-        return common.transpose_coo(rows, cols, m)
+        return common.transpose_coo(rows, cols)
 
     _kernel.__name__ = "transpose_scatter"
     t_rows, t_cols = stream.launch(_kernel, grid_1d(max(1, cols.size), 256))
 
     rowptr_buf = device.arena.alloc(n + 1, INDEX_DTYPE)
     cols_buf = device.arena.alloc(t_cols.size, INDEX_DTYPE)
-    rowptr_buf.data[...] = rowptr_from_sorted_rows(t_rows.astype(np.int64), n)
+    rowptr_buf.data[...] = rowptr_from_sorted_rows(t_rows, n)
     cols_buf.data[...] = t_cols
     return rowptr_buf.data, cols_buf.data, [rowptr_buf, cols_buf]
 

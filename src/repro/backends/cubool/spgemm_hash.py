@@ -40,7 +40,9 @@ from repro.gpu.stream import Stream
 from repro.utils.arrays import (
     INDEX_DTYPE,
     concat_ranges,
+    coo_from_keys,
     exclusive_scan,
+    keys_from_coo,
     segment_ids,
 )
 
@@ -111,8 +113,7 @@ def hash_insert_inplace(
                 # round (same value written twice) — keep one of each.
                 wr, wc = er[won], ec[won]
                 if wr.size > 1:
-                    key = (wr.astype(np.int64) << np.int64(32)) | wc.astype(np.int64)
-                    _, first = np.unique(key, return_index=True)
+                    _, first = np.unique(keys_from_coo(wr, wc), return_index=True)
                     wr, wc = wr[first], wc[first]
                 won_rows.append(wr)
                 won_cols.append(wc)
@@ -188,11 +189,10 @@ def _process_chunk(
     counts = np.bincount(out_rows, minlength=nrows_chunk)
     # Row-group + column-sort via one composite-key sort (the numeric
     # phase of the CUDA kernel sorts each table segment in shared memory).
-    key = (out_rows << np.int64(32)) | out_cols.astype(np.int64)
+    key = keys_from_coo(out_rows, out_cols)
     key.sort()
-    rl_sorted = (key >> np.int64(32)).astype(np.int64)
-    vals_sorted = (key & np.int64(0xFFFFFFFF)).astype(np.uint32)
-    return counts, rl_sorted, vals_sorted
+    rl_sorted, cols_sorted = coo_from_keys(key)
+    return counts, rl_sorted, cols_sorted
 
 
 def spgemm_boolean_csr(

@@ -44,6 +44,9 @@ from repro.gpu.launch import grid_1d
 from repro.gpu.limits import CUDA_LIKE
 from repro.utils.arrays import (
     INDEX_DTYPE,
+    coo_from_keys,
+    keys_from_coo,
+    merge_union,
     rows_from_rowptr,
     rowptr_from_sorted_rows,
 )
@@ -121,11 +124,10 @@ class GenericBackend(Backend):
         self, rows, cols, shape, values, *, semiring=None
     ) -> BackendMatrix:
         """Create a value matrix; duplicate coordinates ⊕-combine."""
-        s, add, _, zero = self._resolve_ops(semiring)
+        _, add, _, _ = self._resolve_ops(semiring)
         combine = add if isinstance(add, np.ufunc) else None
         host = ValCsr.from_coo(
-            rows, cols, shape, values,
-            dtype=self.value_dtype, combine=combine, initial=zero,
+            rows, cols, shape, values, dtype=self.value_dtype, combine=combine
         )
         return self._wrap(shape, host.rowptr, host.cols, host.values)
 
@@ -140,8 +142,7 @@ class GenericBackend(Backend):
             explicit = dense != zero
         rows, cols = np.nonzero(explicit)
         host = ValCsr.from_coo(
-            rows, cols, dense.shape, dense[rows, cols],
-            dtype=self.value_dtype, canonical=True,
+            rows, cols, dense.shape, dense[rows, cols], dtype=self.value_dtype
         )
         return self._wrap(dense.shape, host.rowptr, host.cols, host.values)
 
@@ -160,22 +161,20 @@ class GenericBackend(Backend):
     def duplicate(self, m: BackendMatrix) -> BackendMatrix:
         """Deep copy — values travel with the pattern."""
         rows, cols, values = self.matrix_to_coo_values(m)
-        host = ValCsr.from_coo(
-            rows, cols, m.shape, values, dtype=self.value_dtype, canonical=True
-        )
+        host = ValCsr.from_coo(rows, cols, m.shape, values, dtype=self.value_dtype)
         return self._wrap(m.shape, host.rowptr, host.cols, host.values)
 
     # -- device output assembly ----------------------------------------------
 
-    def _emit(self, shape, rows_i64, cols_i64, values) -> BackendMatrix:
+    def _emit(self, shape, rows, cols, values) -> BackendMatrix:
         """Allocate exact device output from canonical coordinate arrays."""
         m = int(shape[0])
         rowptr_buf = self.device.arena.alloc(m + 1, INDEX_DTYPE)
-        cols_buf = self.device.arena.alloc(cols_i64.size, INDEX_DTYPE)
+        cols_buf = self.device.arena.alloc(cols.size, INDEX_DTYPE)
         vals_buf = self.device.arena.alloc(values.size, self.value_dtype)
-        rowptr_buf.data[...] = rowptr_from_sorted_rows(rows_i64, m)
-        if cols_i64.size:
-            cols_buf.data[...] = cols_i64
+        rowptr_buf.data[...] = rowptr_from_sorted_rows(rows, m)
+        if cols.size:
+            cols_buf.data[...] = cols
             vals_buf.data[...] = values
         return self._adopt(
             shape,
@@ -214,19 +213,9 @@ class GenericBackend(Backend):
         return keys_s[new_seg], reduced
 
     @staticmethod
-    def _mask_filter(keys, vals, mask_keys):
-        """Structural complement mask on a sorted key stream."""
-        if keys.size == 0 or mask_keys.size == 0:
-            return keys, vals
-        pos = np.searchsorted(mask_keys, keys)
-        pos[pos == mask_keys.size] = 0
-        keep = mask_keys[pos] != keys
-        return keys[keep], vals[keep]
-
-    def _keys_values(self, m: BackendMatrix, ncols: int):
+    def _keys_values(m: BackendMatrix):
         s: ValCsr = m.storage
-        keys = common.keys_from_coo(rows_from_rowptr(s.rowptr), s.cols, ncols)
-        return keys, s.values
+        return keys_from_coo(rows_from_rowptr(s.rowptr), s.cols), s.values
 
     # -- operations ------------------------------------------------------
 
@@ -245,10 +234,10 @@ class GenericBackend(Backend):
         # a/b (the fixpoints' C ← C ⊕ C·C) stays safe because nothing
         # below mutates any operand.
         if accumulate is not None:
-            acc_keys, acc_vals = self._keys_values(accumulate, shape[1])
+            acc_keys, acc_vals = self._keys_values(accumulate)
             acc_vals = acc_vals.astype(self.value_dtype, copy=True)
         if mask is not None:
-            mask_keys, _ = self._keys_values(mask, shape[1])
+            mask_keys, _ = self._keys_values(mask)
 
         # Expansion with ⊗-combined values (the generic-semiring cost).
         def _expand_kernel(config):
@@ -274,7 +263,7 @@ class GenericBackend(Backend):
                 exp_vals_buf.data[...] = e_vals.astype(self.value_dtype)
 
             def _sort_reduce_kernel(config):
-                keys = common.keys_from_coo(e_rows, e_cols, shape[1])
+                keys = keys_from_coo(e_rows, e_cols)
                 return self._segment_reduce(keys, e_vals, add, zero)
 
             _sort_reduce_kernel.__name__ = "generic_sort_reduce"
@@ -287,16 +276,15 @@ class GenericBackend(Backend):
             exp_vals_buf.free()
 
         if mask is not None:
-            keys_u, vals_u = self._mask_filter(keys_u, vals_u, mask_keys)
+            # Structural complement mask on the sorted product stream.
+            keep = ~common.in_sorted(keys_u, mask_keys)
+            keys_u, vals_u = keys_u[keep], vals_u[keep]
         if accumulate is None:
-            rows_u, cols_u = common.coo_from_keys(keys_u, shape[1])
-            return self._emit(
-                shape, rows_u.astype(np.int64), cols_u.astype(np.int64), vals_u
-            )
+            return self._emit(shape, *coo_from_keys(keys_u), vals_u)
 
         # Fused merge: one union pass straight into the output buffers
         # (no product handle, no ewise_add temporary).
-        union_keys = common.merge_union(keys_u, acc_keys)
+        union_keys = merge_union(keys_u, acc_keys)
         m = int(shape[0])
         rowptr_buf = self.device.arena.alloc(m + 1, INDEX_DTYPE)
         cols_buf = self.device.arena.alloc(union_keys.size, INDEX_DTYPE)
@@ -311,8 +299,8 @@ class GenericBackend(Backend):
 
         _merge_kernel.__name__ = "generic_merge_accumulate_into"
         self.stream.launch(_merge_kernel, grid_1d(max(1, union_keys.size), 256))
-        rows_u, cols_u = common.coo_from_keys(union_keys, shape[1])
-        rowptr_buf.data[...] = rowptr_from_sorted_rows(rows_u.astype(np.int64), m)
+        rows_u, cols_u = coo_from_keys(union_keys)
+        rowptr_buf.data[...] = rowptr_from_sorted_rows(rows_u, m)
         if union_keys.size:
             cols_buf.data[...] = cols_u
         return self._adopt(
@@ -326,9 +314,8 @@ class GenericBackend(Backend):
     def ewise_add(self, a, b, *, semiring=None):
         s, add, _, zero = self._resolve_ops(semiring)
         self._check_same_shape("ewise_add", a, b)
-        ncols = a.ncols
-        key_a, vals_a = self._keys_values(a, ncols)
-        key_b, vals_b = self._keys_values(b, ncols)
+        key_a, vals_a = self._keys_values(a)
+        key_b, vals_b = self._keys_values(b)
 
         def _merge_kernel(config):
             """Merge with ⊕-combination at coincident coordinates."""
@@ -346,16 +333,14 @@ class GenericBackend(Backend):
         keys_u, vals_u = self.stream.launch(
             _merge_kernel, grid_1d(max(1, key_a.size + key_b.size), 256)
         )
-        rows_u, cols_u = common.coo_from_keys(keys_u, ncols)
-        return self._emit(a.shape, rows_u.astype(np.int64), cols_u.astype(np.int64), vals_u)
+        return self._emit(a.shape, *coo_from_keys(keys_u), vals_u)
 
     def ewise_mult(self, a, b, *, semiring=None):
         """Element-wise ⊗: intersect patterns, combine values."""
         s, _, mul, _ = self._resolve_ops(semiring)
         self._check_same_shape("ewise_mult", a, b)
-        ncols = a.ncols
-        key_a, vals_a = self._keys_values(a, ncols)
-        key_b, vals_b = self._keys_values(b, ncols)
+        key_a, vals_a = self._keys_values(a)
+        key_b, vals_b = self._keys_values(b)
 
         def _kernel(config):
             keys = common.merge_intersection(key_a, key_b)
@@ -373,10 +358,7 @@ class GenericBackend(Backend):
         keys, vals = self.stream.launch(
             _kernel, grid_1d(max(1, min(key_a.size, key_b.size) or 1), 256)
         )
-        rows_u, cols_u = common.coo_from_keys(keys, ncols)
-        return self._emit(
-            a.shape, rows_u.astype(np.int64), cols_u.astype(np.int64), vals
-        )
+        return self._emit(a.shape, *coo_from_keys(keys), vals)
 
     def kron(self, a, b, *, semiring=None):
         s, _, mul, _ = self._resolve_ops(semiring)
@@ -419,12 +401,11 @@ class GenericBackend(Backend):
         rows = rows_from_rowptr(sa.rowptr)
 
         def _kernel(config):
-            order = np.argsort(sa.cols, kind="stable")
-            return (
-                sa.cols[order].astype(np.int64),
-                rows[order].astype(np.int64),
-                sa.values[order],
-            )
+            # Packed col << 32 | row keys are distinct: the permutation
+            # is unique without a stable sort.
+            keys = keys_from_coo(sa.cols, rows)
+            order = np.argsort(keys)
+            return (*coo_from_keys(keys[order]), sa.values[order])
 
         _kernel.__name__ = "generic_transpose"
         t_rows, t_cols, t_vals = self.stream.launch(

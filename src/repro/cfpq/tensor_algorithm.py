@@ -36,11 +36,17 @@ from repro.algorithms.closure import (
     incremental_transitive_closure,
     transitive_closure,
 )
-from repro.backends.common import keys_from_coo
 from repro.errors import InvalidArgumentError
 from repro.grammar.cfg import CFG
 from repro.grammar.rsm import RSM
 from repro.graph import LabeledGraph
+from repro.utils.arrays import (
+    KEY_DTYPE,
+    coo_from_keys,
+    keys_from_coo,
+    merge_union,
+    sort_unique_keys,
+)
 
 
 @dataclass
@@ -66,12 +72,6 @@ class TensorIndex:
         if self.closure is not None:
             self.closure.free()
             self.closure = None
-
-
-def _pairs_to_keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    keys = keys_from_coo(rows.astype(np.int64), cols.astype(np.int64), n)
-    keys.sort()
-    return keys
 
 
 def kron_sum(ctx, shape, r_mats: dict, operands):
@@ -109,14 +109,14 @@ def read_new_facts(ctx, rsm: RSM, n: int, closure, facts: dict) -> dict:
             finally:
                 block.free()
             if rows.size:
-                fresh_keys.append(_pairs_to_keys(rows, cols, n))
+                fresh_keys.append(keys_from_coo(rows, cols))
         if not fresh_keys:
             continue
-        candidate = np.unique(np.concatenate(fresh_keys))
+        candidate = sort_unique_keys(np.concatenate(fresh_keys))
         new = candidate[~np.isin(candidate, facts[nt])]
         if new.size:
-            facts[nt] = np.unique(np.concatenate([facts[nt], new]))
-            delta_mats[nt] = ctx.matrix_from_lists((n, n), new // n, new % n)
+            facts[nt] = merge_union(facts[nt], new)
+            delta_mats[nt] = ctx.matrix_from_lists((n, n), *coo_from_keys(new))
     return delta_mats
 
 
@@ -144,12 +144,12 @@ def tensor_cfpq(
 
     # Host-side fact sets per nonterminal (sorted key arrays) + seeds.
     facts: dict[str, np.ndarray] = {}
-    eye = np.arange(n, dtype=np.int64)
+    eye = np.arange(n)
     for nt in rsm.nonterminals:
         if nt in rsm.nullable_nonterminals():
-            facts[nt] = _pairs_to_keys(eye, eye, n)
+            facts[nt] = keys_from_coo(eye, eye)
         else:
-            facts[nt] = np.empty(0, dtype=np.int64)
+            facts[nt] = np.empty(0, dtype=KEY_DTYPE)
 
     # Graph matrices for terminals (device), built once.
     terminals = sorted(set(rsm.terminals) & set(graph.labels))
@@ -169,7 +169,7 @@ def tensor_cfpq(
             iterations += 1
             if closure is None or not incremental:
                 fact_mats = {
-                    nt: ctx.matrix_from_lists((n, n), facts[nt] // n, facts[nt] % n)
+                    nt: ctx.matrix_from_lists((n, n), *coo_from_keys(facts[nt]))
                     for nt in rsm.nonterminals
                 }
                 operands = {**fact_mats, **g_term}
@@ -199,7 +199,7 @@ def tensor_cfpq(
 
     elapsed = time.perf_counter() - t0
 
-    fact_pairs = {nt: (keys // n, keys % n) for nt, keys in facts.items()}
+    fact_pairs = {nt: coo_from_keys(keys) for nt, keys in facts.items()}
     graph_edges = {}
     for label, m in g_term.items():
         rows, cols = m.to_arrays()

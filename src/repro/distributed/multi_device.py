@@ -7,7 +7,7 @@ import numpy as np
 from repro.backends import get_backend
 from repro.errors import DimensionMismatchError, InvalidArgumentError, InvalidStateError
 from repro.gpu.device import Device
-from repro.utils.arrays import INDEX_DTYPE
+from repro.utils.arrays import INDEX_DTYPE, coo_from_keys, keys_from_coo, sort_unique_keys
 
 
 class DevicePool:
@@ -115,10 +115,8 @@ class DevicePool:
         # Dedupe before partitioning so the nnz balance reflects what the
         # devices will actually store (duplicates collapse under OR).
         if rows.size:
-            keys = rows * max(1, ncols) + cols
-            keys = np.unique(keys)
-            rows = keys // max(1, ncols)
-            cols = keys % max(1, ncols)
+            keys = sort_unique_keys(keys_from_coo(rows, cols))
+            rows, cols = (a.astype(np.int64) for a in coo_from_keys(keys))
         bounds = self.partition_rows(rows, nrows)
         blocks = []
         for i, be in enumerate(self.backends):

@@ -6,8 +6,45 @@ import abc
 
 import numpy as np
 
-from repro.errors import DimensionMismatchError, InvalidArgumentError
-from repro.utils.arrays import INDEX_DTYPE
+from repro.errors import DimensionMismatchError, IndexOutOfBoundsError, InvalidArgumentError
+from repro.utils.arrays import (
+    INDEX_DTYPE,
+    as_index_array,
+    coo_from_keys,
+    keys_from_coo,
+    sort_unique_keys,
+)
+
+
+def checked_coo(rows, cols, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Validate coordinate input for a matrix of ``shape``: equal-length
+    uint32 index arrays, every coordinate in bounds.  The returned arrays
+    never alias the caller's."""
+    r = as_index_array(rows, "rows")
+    c = as_index_array(cols, "cols")
+    if r.shape != c.shape:
+        raise InvalidArgumentError("rows and cols must have equal length")
+    if r.size:
+        nrows, ncols = int(shape[0]), int(shape[1])
+        rmax, cmax = int(r.max()), int(c.max())
+        if rmax >= nrows:
+            raise IndexOutOfBoundsError("row", rmax, nrows)
+        if cmax >= ncols:
+            raise IndexOutOfBoundsError("column", cmax, ncols)
+    return (r.copy() if r is rows else r), (c.copy() if c is cols else c)
+
+
+def canonical_coo(rows, cols, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Validated coordinates in canonical order: row-major sorted,
+    duplicates collapsed (boolean OR saturation).
+
+    Already-canonical input — what every kernel emits — passes through
+    after one O(n) check on its packed keys; anything else is sorted.
+    """
+    rows, cols = checked_coo(rows, cols, shape)
+    keys = keys_from_coo(rows, cols)
+    unique = sort_unique_keys(keys)
+    return (rows, cols) if unique is keys else coo_from_keys(unique)
 
 
 class SparseFormat(abc.ABC):

@@ -45,7 +45,7 @@ def valcsr_to_csr(m: ValCsr, *, drop_zeros: bool = True) -> BoolCsr:
     if bool(keep.all()):
         return BoolCsr(m.shape, m.rowptr.copy(), m.cols.copy())
     rows = rows_from_rowptr(m.rowptr)[keep]
-    return BoolCsr.from_coo(rows, m.cols[keep], m.shape, canonical=True)
+    return BoolCsr.from_coo(rows, m.cols[keep], m.shape)
 
 
 def to_bitmatrix(m: SparseFormat) -> BitMatrix:
@@ -56,12 +56,12 @@ def to_bitmatrix(m: SparseFormat) -> BitMatrix:
 
 def bitmatrix_to_csr(m: BitMatrix) -> BoolCsr:
     rows, cols = m.to_coo_arrays()
-    return BoolCsr.from_coo(rows, cols, m.shape, canonical=True)
+    return BoolCsr.from_coo(rows, cols, m.shape)
 
 
 def bitmatrix_to_coo(m: BitMatrix) -> BoolCoo:
     rows, cols = m.to_coo_arrays()
-    return BoolCoo.from_coo(rows, cols, m.shape, canonical=True)
+    return BoolCoo.from_coo(rows, cols, m.shape)
 
 
 def bitmatrix_to_tiled(m: BitMatrix) -> TiledBitMatrix:
@@ -108,15 +108,15 @@ def convert(m: SparseFormat, kind: str) -> SparseFormat:
     # Generic route through coordinates.
     rows, cols = m.to_coo_arrays()
     if kind == "csr":
-        return BoolCsr.from_coo(rows, cols, m.shape, canonical=True)
+        return BoolCsr.from_coo(rows, cols, m.shape)
     if kind == "coo":
-        return BoolCoo.from_coo(rows, cols, m.shape, canonical=True)
+        return BoolCoo.from_coo(rows, cols, m.shape)
     if kind == "valcsr":
-        return ValCsr.from_coo(rows, cols, m.shape, canonical=True)
+        return ValCsr.from_coo(rows, cols, m.shape)
     if kind == "bit":
         return BitMatrix.from_coo(rows, cols, m.shape)
     if kind == "tiled":
         return TiledBitMatrix(BitMatrix.from_coo(rows, cols, m.shape))
     if kind == "dcsr":
-        return BoolDcsr.from_coo(rows, cols, m.shape, canonical=True)
+        return BoolDcsr.from_coo(rows, cols, m.shape)
     raise InvalidArgumentError(f"unknown format kind {kind!r}")

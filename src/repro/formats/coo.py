@@ -18,13 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import IndexOutOfBoundsError, InvalidArgumentError
-from repro.formats.base import SparseFormat
-from repro.utils.arrays import (
-    INDEX_DTYPE,
-    as_index_array,
-    dedupe_sorted_pairs,
-    lexsort_pairs,
-)
+from repro.formats.base import SparseFormat, canonical_coo
+from repro.utils.arrays import INDEX_DTYPE, is_sorted_unique, keys_from_coo
 
 
 class BoolCoo(SparseFormat):
@@ -49,30 +44,9 @@ class BoolCoo(SparseFormat):
         return cls((n, n), idx, idx.copy())
 
     @classmethod
-    def from_coo(
-        cls,
-        rows,
-        cols,
-        shape: tuple[int, int],
-        *,
-        canonical: bool = False,
-    ) -> "BoolCoo":
+    def from_coo(cls, rows, cols, shape: tuple[int, int]) -> "BoolCoo":
         """Build from coordinate pairs; duplicates collapse under OR."""
-        rows = as_index_array(rows, "rows")
-        cols = as_index_array(cols, "cols")
-        if rows.shape != cols.shape:
-            raise InvalidArgumentError("rows and cols must have equal length")
-        nrows, ncols = int(shape[0]), int(shape[1])
-        if rows.size:
-            rmax, cmax = int(rows.max()), int(cols.max())
-            if rmax >= nrows:
-                raise IndexOutOfBoundsError("row", rmax, nrows)
-            if cmax >= ncols:
-                raise IndexOutOfBoundsError("column", cmax, ncols)
-        if not canonical and rows.size:
-            order = lexsort_pairs(rows, cols)
-            rows, cols = rows[order], cols[order]
-            rows, cols = dedupe_sorted_pairs(rows, cols)
+        rows, cols = canonical_coo(rows, cols, shape)
         return cls(shape, rows, cols)
 
     @classmethod
@@ -81,7 +55,7 @@ class BoolCoo(SparseFormat):
         if dense.ndim != 2:
             raise InvalidArgumentError("dense input must be 2-D")
         rows, cols = np.nonzero(dense)
-        return cls.from_coo(rows, cols, dense.shape, canonical=True)
+        return cls.from_coo(rows, cols, dense.shape)
 
     # -- SparseFormat ------------------------------------------------------
 
@@ -105,11 +79,7 @@ class BoolCoo(SparseFormat):
             raise IndexOutOfBoundsError("row", int(self.rows.max()), self.nrows)
         if int(self.cols.max()) >= self.ncols:
             raise IndexOutOfBoundsError("column", int(self.cols.max()), self.ncols)
-        r = self.rows.astype(np.int64)
-        c = self.cols.astype(np.int64)
-        keys = r[1:] * (self.ncols + 1) + c[1:]
-        prev = r[:-1] * (self.ncols + 1) + c[:-1]
-        if np.any(keys <= prev):
+        if not is_sorted_unique(keys_from_coo(self.rows, self.cols)):
             raise InvalidArgumentError("coordinates not strictly row-major sorted")
 
     # -- access ----------------------------------------------------------

@@ -19,15 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import IndexOutOfBoundsError, InvalidArgumentError
-from repro.formats.base import SparseFormat
-from repro.utils.arrays import (
-    INDEX_DTYPE,
-    as_index_array,
-    dedupe_sorted_pairs,
-    lexsort_pairs,
-    rows_from_rowptr,
-    rowptr_from_sorted_rows,
-)
+from repro.formats.base import SparseFormat, canonical_coo
+from repro.utils.arrays import INDEX_DTYPE, rows_from_rowptr, rowptr_from_sorted_rows
 
 
 class BoolCsr(SparseFormat):
@@ -56,38 +49,11 @@ class BoolCsr(SparseFormat):
         return cls((n, n), rowptr, idx)
 
     @classmethod
-    def from_coo(
-        cls,
-        rows,
-        cols,
-        shape: tuple[int, int],
-        *,
-        canonical: bool = False,
-    ) -> "BoolCsr":
-        """Build from coordinate pairs.
-
-        Duplicates collapse (boolean OR saturation).  Pass
-        ``canonical=True`` when the input is already row-major sorted and
-        duplicate-free to skip the sort — the fast path used by kernels
-        that emit canonical output.
-        """
-        rows = as_index_array(rows, "rows")
-        cols = as_index_array(cols, "cols")
-        if rows.shape != cols.shape:
-            raise InvalidArgumentError("rows and cols must have equal length")
-        nrows, ncols = int(shape[0]), int(shape[1])
-        if rows.size:
-            rmax, cmax = int(rows.max()), int(cols.max())
-            if rmax >= nrows:
-                raise IndexOutOfBoundsError("row", rmax, nrows)
-            if cmax >= ncols:
-                raise IndexOutOfBoundsError("column", cmax, ncols)
-        if not canonical and rows.size:
-            order = lexsort_pairs(rows, cols)
-            rows, cols = rows[order], cols[order]
-            rows, cols = dedupe_sorted_pairs(rows, cols)
-        rowptr = rowptr_from_sorted_rows(rows, nrows)
-        return cls(shape, rowptr, cols)
+    def from_coo(cls, rows, cols, shape: tuple[int, int]) -> "BoolCsr":
+        """Build from coordinate pairs; duplicates collapse (boolean OR
+        saturation), canonical input skips the sort."""
+        rows, cols = canonical_coo(rows, cols, shape)
+        return cls(shape, rowptr_from_sorted_rows(rows, int(shape[0])), cols)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BoolCsr":
@@ -96,7 +62,7 @@ class BoolCsr(SparseFormat):
         if dense.ndim != 2:
             raise InvalidArgumentError("dense input must be 2-D")
         rows, cols = np.nonzero(dense)
-        return cls.from_coo(rows, cols, dense.shape, canonical=True)
+        return cls.from_coo(rows, cols, dense.shape)
 
     # -- SparseFormat ------------------------------------------------------
 

@@ -22,13 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import IndexOutOfBoundsError, InvalidArgumentError
-from repro.formats.base import SparseFormat
-from repro.utils.arrays import (
-    INDEX_DTYPE,
-    as_index_array,
-    dedupe_sorted_pairs,
-    lexsort_pairs,
-)
+from repro.formats.base import SparseFormat, canonical_coo
+from repro.utils.arrays import INDEX_DTYPE
 
 
 class BoolDcsr(SparseFormat):
@@ -65,24 +60,8 @@ class BoolDcsr(SparseFormat):
         return cls((n, n), idx, np.arange(n + 1, dtype=INDEX_DTYPE), idx.copy())
 
     @classmethod
-    def from_coo(
-        cls, rows, cols, shape: tuple[int, int], *, canonical: bool = False
-    ) -> "BoolDcsr":
-        rows = as_index_array(rows, "rows")
-        cols = as_index_array(cols, "cols")
-        if rows.shape != cols.shape:
-            raise InvalidArgumentError("rows and cols must have equal length")
-        nrows, ncols = int(shape[0]), int(shape[1])
-        if rows.size:
-            rmax, cmax = int(rows.max()), int(cols.max())
-            if rmax >= nrows:
-                raise IndexOutOfBoundsError("row", rmax, nrows)
-            if cmax >= ncols:
-                raise IndexOutOfBoundsError("column", cmax, ncols)
-        if not canonical and rows.size:
-            order = lexsort_pairs(rows, cols)
-            rows, cols = rows[order], cols[order]
-            rows, cols = dedupe_sorted_pairs(rows, cols)
+    def from_coo(cls, rows, cols, shape: tuple[int, int]) -> "BoolDcsr":
+        rows, cols = canonical_coo(rows, cols, shape)
         if rows.size == 0:
             return cls.empty(shape)
         active, counts = np.unique(rows, return_counts=True)
@@ -96,7 +75,7 @@ class BoolDcsr(SparseFormat):
         if dense.ndim != 2:
             raise InvalidArgumentError("dense input must be 2-D")
         rows, cols = np.nonzero(dense)
-        return cls.from_coo(rows, cols, dense.shape, canonical=True)
+        return cls.from_coo(rows, cols, dense.shape)
 
     # -- SparseFormat ------------------------------------------------------
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import IndexOutOfBoundsError, InvalidArgumentError
-from repro.formats.base import SparseFormat
+from repro.formats.base import SparseFormat, checked_coo
 from repro.utils.arrays import (
     INDEX_DTYPE,
-    as_index_array,
-    lexsort_pairs,
+    coo_from_keys,
+    is_sorted_unique,
+    keys_from_coo,
     rows_from_rowptr,
     rowptr_from_sorted_rows,
 )
@@ -68,48 +69,43 @@ class ValCsr(SparseFormat):
         values=None,
         *,
         dtype=VALUE_DTYPE,
-        canonical: bool = False,
         combine: np.ufunc | None = None,
-        initial=None,
     ) -> "ValCsr":
         """Build from coordinates; duplicate coordinates combine their
         values with ``combine`` (default ``np.add`` — the plus-times
         behaviour; booleans never exercise it with saturating inputs but
         the baseline must pay for supporting it).  ``combine`` must be a
-        ufunc (its ``.at`` scatter form does the segment reduction) and
-        ``initial`` its identity — min-plus passes ``np.minimum`` /
-        ``inf`` so duplicate edges keep the lightest weight."""
-        rows = as_index_array(rows, "rows")
-        cols = as_index_array(cols, "cols")
-        if rows.shape != cols.shape:
-            raise InvalidArgumentError("rows and cols must have equal length")
+        ufunc (its ``.at`` scatter form does the segment reduction); a
+        duplicate run folds left to right in input order — min-plus
+        passes ``np.minimum`` so duplicate edges keep the lightest
+        weight.  Canonical input keeps its values untouched.
+
+        Non-canonical input is ordered by a *stable* argsort of the
+        packed pair keys, so coincident values fold in the same order a
+        stable lexsort of the pairs would give."""
+        rows, cols = checked_coo(rows, cols, shape)
         if values is None:
             values = np.ones(rows.size, dtype=dtype)
         else:
-            values = np.asarray(values, dtype=dtype)
+            values = np.array(values, dtype=dtype)
             if values.shape != rows.shape:
                 raise InvalidArgumentError("values must match coordinate count")
-        nrows, ncols = int(shape[0]), int(shape[1])
-        if rows.size:
-            rmax, cmax = int(rows.max()), int(cols.max())
-            if rmax >= nrows:
-                raise IndexOutOfBoundsError("row", rmax, nrows)
-            if cmax >= ncols:
-                raise IndexOutOfBoundsError("column", cmax, ncols)
-        if not canonical and rows.size:
-            order = lexsort_pairs(rows, cols)
-            rows, cols, values = rows[order], cols[order], values[order]
-            # Combine duplicates segment-wise (scatter-reduce).
-            new_seg = np.empty(rows.size, dtype=bool)
-            new_seg[0] = True
-            new_seg[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            seg_idx = np.cumsum(new_seg) - 1
-            op = np.add if combine is None else combine
-            fill = 0 if initial is None else initial
-            summed = np.full(int(seg_idx[-1]) + 1, fill, dtype=values.dtype)
-            op.at(summed, seg_idx, values)
-            rows, cols, values = rows[new_seg], cols[new_seg], summed
-        rowptr = rowptr_from_sorted_rows(rows, nrows)
+        keys = keys_from_coo(rows, cols)
+        if not is_sorted_unique(keys):
+            order = np.argsort(keys, kind="stable")
+            keys, values = keys[order], values[order]
+            # Fold each run of equal keys into its first value (scatter-reduce).
+            first = np.empty(keys.size, dtype=bool)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            seg_idx = np.cumsum(first) - 1
+            folded = values[first]
+            (np.add if combine is None else combine).at(
+                folded, seg_idx[~first], values[~first]
+            )
+            rows, cols = coo_from_keys(keys[first])
+            values = folded
+        rowptr = rowptr_from_sorted_rows(rows, int(shape[0]))
         return cls(shape, rowptr, cols, values)
 
     @classmethod
@@ -119,7 +115,7 @@ class ValCsr(SparseFormat):
             raise InvalidArgumentError("dense input must be 2-D")
         rows, cols = np.nonzero(dense)
         vals = dense[rows, cols].astype(dtype)
-        return cls.from_coo(rows, cols, dense.shape, vals, dtype=dtype, canonical=True)
+        return cls.from_coo(rows, cols, dense.shape, vals, dtype=dtype)
 
     # -- SparseFormat ------------------------------------------------------
 

@@ -33,8 +33,9 @@ from repro.incr.state import FixpointState, matrix_coo
 # Product builders and readouts are shared with the cold paths on
 # purpose: warm and cold must disagree only in iteration count, never
 # in algebra.
-from repro.cfpq.tensor_algorithm import _pairs_to_keys, kron_sum, read_new_facts
+from repro.cfpq.tensor_algorithm import kron_sum, read_new_facts
 from repro.rpq.engine import _product_matrix, closure_pairs
+from repro.utils.arrays import coo_from_keys, keys_from_coo, sort_unique_keys
 
 _EMPTY = (np.empty(0, np.int64), np.empty(0, np.int64))
 
@@ -206,7 +207,7 @@ def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict)
     facts: dict[str, np.ndarray] = {}
     for nt in rsm.nonterminals:
         rows, cols = state.coo.get("fact:" + nt, _EMPTY)
-        facts[nt] = _pairs_to_keys(rows, cols, n)
+        facts[nt] = sort_unique_keys(keys_from_coo(rows, cols))
 
     r_mats = rsm.transition_matrices(ctx)
 
@@ -234,11 +235,11 @@ def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict)
     for m in r_mats.values():
         m.free()
 
-    start_keys = facts[rsm.start_nonterminal]
-    pairs = set(zip((start_keys // n).tolist(), (start_keys % n).tolist()))
+    start_rows, start_cols = coo_from_keys(facts[rsm.start_nonterminal])
+    pairs = set(zip(start_rows.tolist(), start_cols.tolist()))
     coo = {"closure": matrix_coo(closure)}
     for nt, keys in facts.items():
-        coo["fact:" + nt] = (keys // n, keys % n)
+        coo["fact:" + nt] = tuple(a.astype(np.int64) for a in coo_from_keys(keys))
     closure.free()
     new_state = FixpointState("tensor", shape, coo, {"n": n, "k": k})
     return pairs, new_state

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.locktrace import make_lock
+from repro.utils.arrays import keys_from_coo
 
 #: Journal entries kept before the floor rises (bounds host memory).
 JOURNAL_LIMIT = 1024
@@ -165,7 +166,6 @@ class DeltaOverlay:
 
     def _build(self, base, items):
         ctx = self._ctx
-        nrows, ncols = self._shape
         add_rows = np.array([u for (u, _), s in items if s > 0], dtype=np.int64)
         add_cols = np.array([v for (_, v), s in items if s > 0], dtype=np.int64)
         removes = [(u, v) for (u, v), s in items if s < 0]
@@ -180,9 +180,8 @@ class DeltaOverlay:
             finally:
                 adds.free()
         brows, bcols = base.to_arrays()
-        bkeys = brows.astype(np.int64) * ncols + bcols.astype(np.int64)
-        rkeys = np.array([u * ncols + v for u, v in removes], dtype=np.int64)
-        keep = ~np.isin(bkeys, rkeys)
+        rkeys = keys_from_coo(*np.array(removes, dtype=np.int64).T)
+        keep = ~np.isin(keys_from_coo(brows, bcols), rkeys)
         return ctx.matrix_from_lists(
             self._shape,
             np.concatenate([brows[keep].astype(np.int64), add_rows]),

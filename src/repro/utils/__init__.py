@@ -4,9 +4,7 @@ from repro.utils.arrays import (
     INDEX_DTYPE,
     as_index_array,
     concat_ranges,
-    dedupe_sorted_pairs,
     exclusive_scan,
-    lexsort_pairs,
     row_lengths_from_ptr,
     rowptr_from_sorted_rows,
     rows_from_rowptr,
@@ -17,9 +15,7 @@ __all__ = [
     "INDEX_DTYPE",
     "as_index_array",
     "concat_ranges",
-    "dedupe_sorted_pairs",
     "exclusive_scan",
-    "lexsort_pairs",
     "row_lengths_from_ptr",
     "rowptr_from_sorted_rows",
     "rows_from_rowptr",

@@ -70,26 +70,79 @@ def row_lengths_from_ptr(rowptr: np.ndarray) -> np.ndarray:
     return np.diff(rowptr).astype(np.int64)
 
 
-def lexsort_pairs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Permutation sorting (row, col) pairs row-major (stable)."""
-    if rows.shape != cols.shape:
-        raise InvalidArgumentError("rows and cols must have equal length")
-    return np.lexsort((cols, rows))
+# -- packed pair keys -----------------------------------------------------
+#
+# The one codec for (row, col) pairs: every sort, merge and dedupe over
+# coordinates in the backends and formats packs each pair into the
+# uint64 key ``row << 32 | col``.  Numeric order on keys is row-major
+# order on pairs for every pair of uint32 coordinates — independent of
+# the matrix width, so ``nrows * ncols`` may exceed 2**63 (a
+# width-linearized ``row * ncols + col`` overflows there).
+
+#: Dtype of a packed pair key.
+KEY_DTYPE = np.dtype(np.uint64)
 
 
-def dedupe_sorted_pairs(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop duplicate (row, col) pairs from row-major-sorted input.
+def keys_from_coo(rows, cols) -> np.ndarray:
+    """Pack coordinate pairs into uint64 keys ``row << 32 | col``."""
+    keys = np.asarray(rows).astype(KEY_DTYPE)
+    keys <<= 32
+    keys |= np.asarray(cols).astype(KEY_DTYPE, copy=False)
+    return keys
+
+
+def coo_from_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unpack keys into uint32 ``(rows, cols)``: a shift and a mask."""
+    return (keys >> 32).astype(INDEX_DTYPE), (keys & 0xFFFFFFFF).astype(INDEX_DTYPE)
+
+
+def is_sorted_unique(keys: np.ndarray) -> bool:
+    """True when ``keys`` is strictly increasing (canonical: sorted and
+    duplicate-free) — one O(n) comparison pass."""
+    return keys.size < 2 or bool((keys[1:] > keys[:-1]).all())
+
+
+def dedupe_sorted_keys(keys: np.ndarray) -> np.ndarray:
+    """Drop adjacent duplicates from sorted keys.
 
     Boolean matrices saturate under OR, so duplicate coordinates simply
-    collapse — this is the "compression" step of ESC SpGEMM.
+    collapse — this is the "compaction" step of ESC SpGEMM and of the
+    one-pass merge.
     """
-    if rows.size == 0:
-        return rows, cols
-    keep = np.empty(rows.size, dtype=bool)
+    if keys.size < 2:
+        return keys
+    keep = np.empty(keys.size, dtype=bool)
     keep[0] = True
-    np.not_equal(rows[1:], rows[:-1], out=keep[1:])
-    keep[1:] |= cols[1:] != cols[:-1]
-    return rows[keep], cols[keep]
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def sort_unique_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys.
+
+    Canonical input is returned untouched after the O(n) check; anything
+    else takes NumPy's default (SIMD) sort and an adjacent dedupe.  Equal
+    keys are identical pairs, so the sort need not be stable.
+    """
+    if is_sorted_unique(keys):
+        return keys
+    return dedupe_sorted_keys(np.sort(keys))
+
+
+def merge_sorted_keys(key_a: np.ndarray, key_b: np.ndarray) -> np.ndarray:
+    """Merge two sorted key runs, keeping duplicates.
+
+    Concatenate, then a stable sort: timsort detects the two runs and
+    merges them in one linear pass.
+    """
+    merged = np.concatenate((key_a, key_b))
+    merged.sort(kind="stable")
+    return merged
+
+
+def merge_union(key_a: np.ndarray, key_b: np.ndarray) -> np.ndarray:
+    """Sorted distinct union of two sorted key runs."""
+    return dedupe_sorted_keys(merge_sorted_keys(key_a, key_b))
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.backends.clbool.backend import ClBoolBackend
 
 from .conftest import bool_mxm, random_dense
@@ -98,3 +99,19 @@ class TestCooStorage:
             out = op()
             out.free()
             assert be.device.arena.live_bytes == live
+
+    @pytest.mark.parametrize(
+        "op, b_cols, expected",
+        [
+            ("ewise_add", [6, 1], [(3, 2**32 - 3), (7, 1), (2**32 - 2, 5), (2**32 - 2, 6)]),
+            ("ewise_mult", [5, 1], [(2**32 - 2, 5)]),
+        ],
+    )
+    def test_elementwise_beyond_int64_cells(self, op, b_cols, expected):
+        """COO memory is 2·nnz, so a (2**32 - 1)² matrix is legal although
+        nrows·ncols > 2**63; the pair key must not depend on the width."""
+        n = 2**32 - 1
+        with repro.Context(backend="clbool") as ctx:
+            a = ctx.matrix_from_lists((n, n), [n - 1, 3], [5, n - 2])
+            b = ctx.matrix_from_lists((n, n), [n - 1, 7], b_cols)
+            assert list(getattr(a, op)(b)) == expected

@@ -8,13 +8,16 @@ from repro.utils.arrays import (
     INDEX_DTYPE,
     as_index_array,
     concat_ranges,
-    dedupe_sorted_pairs,
+    coo_from_keys,
+    dedupe_sorted_keys,
     exclusive_scan,
-    lexsort_pairs,
+    is_sorted_unique,
+    keys_from_coo,
     row_lengths_from_ptr,
     rows_from_rowptr,
     rowptr_from_sorted_rows,
     segment_ids,
+    sort_unique_keys,
 )
 
 
@@ -69,27 +72,22 @@ class TestRowptr:
 
 
 class TestPairs:
-    def test_lexsort_row_major(self):
-        rows = np.array([1, 0, 1, 0], dtype=INDEX_DTYPE)
-        cols = np.array([0, 5, 2, 1], dtype=INDEX_DTYPE)
-        order = lexsort_pairs(rows, cols)
-        assert rows[order].tolist() == [0, 0, 1, 1]
-        assert cols[order].tolist() == [1, 5, 0, 2]
-
-    def test_lexsort_length_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            lexsort_pairs(np.zeros(2, INDEX_DTYPE), np.zeros(3, INDEX_DTYPE))
-
     def test_dedupe(self):
         rows = np.array([0, 0, 0, 1, 1], dtype=INDEX_DTYPE)
         cols = np.array([1, 1, 2, 0, 0], dtype=INDEX_DTYPE)
-        r, c = dedupe_sorted_pairs(rows, cols)
+        r, c = coo_from_keys(dedupe_sorted_keys(keys_from_coo(rows, cols)))
         assert r.tolist() == [0, 0, 1]
         assert c.tolist() == [1, 2, 0]
 
     def test_dedupe_empty(self):
-        r, c = dedupe_sorted_pairs(np.empty(0, INDEX_DTYPE), np.empty(0, INDEX_DTYPE))
+        keys = keys_from_coo(np.empty(0, INDEX_DTYPE), np.empty(0, INDEX_DTYPE))
+        r, c = coo_from_keys(dedupe_sorted_keys(keys))
         assert r.size == 0 and c.size == 0
+
+    def test_sort_unique_returns_canonical_input_untouched(self):
+        keys = keys_from_coo([0, 0, 5], [3, 9, 0])
+        assert is_sorted_unique(keys)
+        assert sort_unique_keys(keys) is keys
 
 
 class TestConcatRanges:
