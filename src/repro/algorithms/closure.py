@@ -1,11 +1,10 @@
 """Transitive closure over the boolean semiring.
 
-Two strategies, selectable per call:
-
-* ``"naive"`` — iterate ``C ← C ∨ C·A`` until the entry count stops
-  growing: one relational-join step per iteration, O(diameter) products.
-* ``"squaring"`` — iterate ``C ← C ∨ C·C``: path lengths double each
-  round, O(log diameter) products at the cost of denser intermediates.
+:func:`transitive_closure` iterates ``C ← C ∨ C·C``: path lengths
+double each round, O(log diameter) products at the cost of denser
+intermediates.  :func:`seminaive` is the one masked frontier loop (the
+GraphBLAS complement-mask pattern) that RPQ reachability — single,
+batched and warm — and the incremental closure below all run on.
 
 The paper identifies *incremental* transitive closure as the bottleneck
 for subcubic CFPQ: the tensor algorithm repeatedly adds edge batches to
@@ -30,7 +29,6 @@ def _check_square(m: Matrix, op: str) -> None:
 def transitive_closure(
     adjacency: Matrix,
     *,
-    method: str = "squaring",
     reflexive: bool = False,
 ) -> Matrix:
     """Closure of a boolean adjacency matrix.
@@ -49,26 +47,43 @@ def transitive_closure(
 
     # The fixpoint hint lets the hybrid backend keep densifying
     # intermediates resident in bit-packed form across iterations.
-    if method == "squaring":
-        with ctx.backend.fixpoint():
-            while True:
-                step = current.mxm(current, accumulate=current)
-                if step.nnz == current.nnz:
-                    step.free()
-                    return current
-                current.free()
-                current = step
-    elif method == "naive":
-        with ctx.backend.fixpoint():
-            while True:
-                step = current.mxm(adjacency, accumulate=current)
-                if step.nnz == current.nnz:
-                    step.free()
-                    return current
-                current.free()
-                current = step
-    else:
-        raise InvalidArgumentError(f"unknown closure method {method!r}")
+    with ctx.backend.fixpoint():
+        while True:
+            step = current.mxm(current, accumulate=current)
+            if step.nnz == current.nnz:
+                step.free()
+                return current
+            current.free()
+            current = step
+
+
+def seminaive(total: Matrix, step, *, frontier: Matrix | None = None, cancel=None):
+    """Run the masked semi-naive loop to its fixed point.
+
+    Each round computes ``new = step(total, frontier)``, which must
+    return only facts outside ``total`` (a product under the ``¬total``
+    mask; ``frontier`` is None in a first round that expands all of
+    ``total``), and stops when ``new.nnz == 0`` — the size of the
+    *change*, never a full-matrix comparison.  Otherwise ``total ←
+    total ∨ new`` and ``new`` is the next frontier.  Takes ownership of
+    ``total`` and ``frontier``; ``cancel`` is called before every round
+    and may raise to abort.  Returns ``(total, rounds)``.
+    """
+    rounds = 0
+    with total.context.backend.fixpoint():
+        while True:
+            if cancel is not None:
+                cancel()
+            rounds += 1
+            new = step(total, frontier)
+            if frontier is not None:
+                frontier.free()
+            if new.nnz == 0:
+                new.free()
+                return total, rounds
+            grown = total.ewise_add(new)
+            total.free()
+            total, frontier = grown, new
 
 
 def incremental_transitive_closure(closure: Matrix, delta: Matrix) -> Matrix:
@@ -76,18 +91,16 @@ def incremental_transitive_closure(closure: Matrix, delta: Matrix) -> Matrix:
 
     Given ``closure`` already transitively closed and ``delta`` a batch
     of new edges, returns the closure of their union.  Every genuinely
-    new path crosses at least one new edge, so the loop is semi-naive:
-    a *frontier* of newly discovered pairs (initially the delta itself)
-    is multiplied against the bulk state from both sides under the
-    structural complement mask
+    new path crosses at least one new edge, so the :func:`seminaive`
+    frontier (initially the delta itself) is multiplied against the
+    bulk state from both sides under the structural complement mask
 
         ``new ← (total·frontier ∨ frontier·total) ∧ ¬total``
 
-    so each round's products return only genuinely new pairs.  The
-    fixpoint test is ``new.nnz == 0`` — the size of the *change*, not a
-    full-matrix entry-count comparison — and each round's work scales
-    with the shrinking frontier rather than the whole closure (the
-    property the tensor CFPQ algorithm and :mod:`repro.incr` exploit).
+    so each round's products return only genuinely new pairs, and each
+    round's work scales with the shrinking frontier rather than the
+    whole closure (the property the tensor CFPQ algorithm and
+    :mod:`repro.incr` exploit).
     """
     _check_square(closure, "incremental_transitive_closure")
     if closure.shape != delta.shape:
@@ -97,17 +110,12 @@ def incremental_transitive_closure(closure: Matrix, delta: Matrix) -> Matrix:
     total = closure.ewise_add(delta)
     if delta.nnz == 0:
         return total
-    frontier = delta.dup()
-    with closure.context.backend.fixpoint():
-        while True:
-            # Paths gaining one frontier pair, minus everything known:
-            left = total.mxm(frontier, mask=total)
-            new = frontier.mxm(total, accumulate=left, mask=total)
-            left.free()
-            frontier.free()
-            if new.nnz == 0:
-                new.free()
-                return total
-            grown = total.ewise_add(new)
-            total.free()
-            total, frontier = grown, new
+
+    def both_sides(total, frontier):
+        # Paths gaining one frontier pair, minus everything known:
+        left = total.mxm(frontier, mask=total)
+        new = frontier.mxm(total, accumulate=left, mask=total)
+        left.free()
+        return new
+
+    return seminaive(total, both_sides, frontier=delta.dup())[0]

@@ -120,6 +120,29 @@ def read_new_facts(ctx, rsm: RSM, n: int, closure, facts: dict) -> dict:
     return delta_mats
 
 
+def fact_rounds(ctx, rsm: RSM, n: int, r_mats: dict, closure, facts: dict, delta_mats: dict):
+    """The tensor algorithm's round loop, shared by the cold engine and
+    :func:`~repro.incr.engine.tensor_cfpq_incremental`: the Δ-facts'
+    product edges (:func:`kron_sum`) update ``closure`` incrementally,
+    and the box readout (:func:`read_new_facts`, which grows ``facts``)
+    yields the next Δ-facts, until there are none.  Consumes
+    ``closure`` and ``delta_mats``; returns ``(closure, rounds)``.
+    """
+    rounds = 0
+    with ctx.backend.fixpoint():
+        while delta_mats:
+            rounds += 1
+            delta = kron_sum(ctx, closure.shape, r_mats, delta_mats.items())
+            for m in delta_mats.values():
+                m.free()
+            updated = incremental_transitive_closure(closure, delta)
+            delta.free()
+            closure.free()
+            closure = updated
+            delta_mats = read_new_facts(ctx, rsm, n, closure, facts)
+    return closure, rounds
+
+
 def tensor_cfpq(
     graph: LabeledGraph,
     query,
@@ -160,42 +183,31 @@ def tensor_cfpq(
 
     shape = (k * n, k * n)
     closure = None
-    delta_mats: dict[str, object] = {}
     iterations = 0
     # The outer loop is itself a fixpoint: hint the backend so product /
     # closure intermediates stay resident in their winning format.
     with ctx.backend.fixpoint():
-        while True:
+        # Round 1 closes the whole product graph; ``incremental=False``
+        # keeps re-closing it from scratch while facts appear.
+        while closure is None or (delta_mats and not incremental):
             iterations += 1
-            if closure is None or not incremental:
-                fact_mats = {
-                    nt: ctx.matrix_from_lists((n, n), *coo_from_keys(facts[nt]))
-                    for nt in rsm.nonterminals
-                }
-                operands = {**fact_mats, **g_term}
-                product = kron_sum(
-                    ctx, shape, r_mats, ((sym, operands.get(sym)) for sym in rsm.labels)
-                )
-                for m in fact_mats.values():
-                    m.free()
-                if closure is not None:
-                    closure.free()
-                closure = transitive_closure(product)
-                product.free()
-            else:
-                # Only the Δ-facts contribute new product edges.
-                fresh = ((nt, delta_mats[nt]) for nt in rsm.nonterminals if nt in delta_mats)
-                delta = kron_sum(ctx, shape, r_mats, fresh)
-                for m in delta_mats.values():
-                    m.free()
-                updated = incremental_transitive_closure(closure, delta)
-                delta.free()
+            fact_mats = {
+                nt: ctx.matrix_from_lists((n, n), *coo_from_keys(facts[nt]))
+                for nt in rsm.nonterminals
+            }
+            operands = {**fact_mats, **g_term}
+            product = kron_sum(
+                ctx, shape, r_mats, ((sym, operands.get(sym)) for sym in rsm.labels)
+            )
+            for m in fact_mats.values():
+                m.free()
+            if closure is not None:
                 closure.free()
-                closure = updated
-
+            closure = transitive_closure(product)
+            product.free()
             delta_mats = read_new_facts(ctx, rsm, n, closure, facts)
-            if not delta_mats:
-                break
+        closure, rounds = fact_rounds(ctx, rsm, n, r_mats, closure, facts, delta_mats)
+    iterations += rounds
 
     elapsed = time.perf_counter() - t0
 

@@ -17,6 +17,10 @@ fixpoint from scratch.  Three ingredients:
   round) is the only thing multiplied against the bulk state, so each
   round's work is proportional to what changed.
 
+The last two are one loop,
+:func:`~repro.algorithms.closure.seminaive`; a warm engine here is
+"seed from the state, then the cold engine's loop".
+
 Engines return ``(answer, new_state)`` so the service can republish
 both; geometry-incompatible states make the entry point return None and
 the scheduler falls back to the cold path.
@@ -30,11 +34,11 @@ from repro.algorithms.closure import incremental_transitive_closure
 from repro.grammar.rsm import RSM
 from repro.incr.state import FixpointState, matrix_coo
 
-# Product builders and readouts are shared with the cold paths on
-# purpose: warm and cold must disagree only in iteration count, never
-# in algebra.
-from repro.cfpq.tensor_algorithm import kron_sum, read_new_facts
-from repro.rpq.engine import _product_matrix, closure_pairs
+# Product builders, readouts and round loops are shared with the cold
+# paths on purpose: warm and cold must disagree only in iteration
+# count, never in algebra.
+from repro.cfpq.tensor_algorithm import fact_rounds
+from repro.rpq.engine import _product_matrix, _reach, closure_pairs
 from repro.utils.arrays import coo_from_keys, keys_from_coo, sort_unique_keys
 
 _EMPTY = (np.empty(0, np.int64), np.empty(0, np.int64))
@@ -46,70 +50,27 @@ _EMPTY = (np.empty(0, np.int64), np.empty(0, np.int64))
 def rpq_reach_incremental(
     nfa, n: int, source: int, ctx, adjacency: dict, state=None, cancel=None
 ):
-    """Single-source RPQ via a masked frontier fixpoint.
+    """Single-source RPQ via the masked frontier fixpoint.
 
-    Cold (``state=None``): seed the frontier at the automaton's start
-    states over ``source`` and expand — the same answer as
-    :func:`~repro.rpq.engine.rpq_reach_batch` on a batch of one.
+    A stack of one in :func:`~repro.rpq.engine.rpq_reach_batch`'s
+    engine: cold (``state=None``, or a state of another geometry) seeds
+    the frontier at the automaton's start states over ``source``; warm
+    seeds it from the previous *final* frontier, and the first masked
+    product against the current (merged) adjacency reports only
+    reachability the new edges enabled — an irrelevant delta converges
+    in one iteration.
 
-    Warm: seed from the previous *final* frontier instead.  The product
-    matrix is rebuilt against the current (merged) adjacency, so the
-    first masked product immediately reports only reachability the new
-    edges enabled; an irrelevant delta converges in one iteration.
-
-    Returns ``(targets, new_state, warm_used, iterations)``.
+    Returns ``(targets, new_state, warm_used, iterations)``.  A coalesced
+    group passes equal-length lists as ``nfa``, ``source`` and ``state``
+    and gets a list of such tuples from one stacked fixpoint, so every
+    service reach evaluation enters through this one function.
     """
-    k = nfa.n
-    shape = (1, k * n)
-    shared = sorted(set(nfa.labels) & set(adjacency))
-    g_mats = {label: adjacency[label] for label in shared}
-    product = _product_matrix(nfa, g_mats, n, ctx, shared)
-
-    warm = state is not None and state.compatible(
-        "reach", shape, n=n, k=k, source=int(source)
-    )
-    if warm:
-        total = state.matrix(ctx, "frontier")
-    else:
-        cols = [(s0 * n) + int(source) for s0 in nfa.starts]
-        total = ctx.matrix_from_lists(shape, [0] * len(cols), cols)
-
-    iterations = 0
-    frontier = None
-    try:
-        with ctx.backend.fixpoint():
-            while True:
-                if cancel is not None:
-                    cancel()
-                iterations += 1
-                # Round 1 expands the whole (old) frontier — anything
-                # may have grown a new out-edge; later rounds expand
-                # only last round's genuinely-new pairs.
-                src = frontier if frontier is not None else total
-                new = src.mxm(product, mask=total)
-                if frontier is not None:
-                    frontier.free()
-                    frontier = None
-                if new.nnz == 0:
-                    new.free()
-                    break
-                grown = total.ewise_add(new)
-                total.free()
-                total, frontier = grown, new
-    finally:
-        product.free()
-
-    _, cols = total.to_arrays()
-    finals = nfa.finals
-    targets = {c % n for c in cols.tolist() if c // n in finals}
-    new_state = FixpointState(
-        "reach",
-        shape,
-        {"frontier": matrix_coo(total)},
-        {"n": n, "k": k, "source": int(source)},
-    )
-    total.free()
-    return targets, new_state, warm, iterations
+    group = isinstance(nfa, list)
+    if not group:
+        nfa, source, state = [nfa], [source], [state]
+    members, iterations = _reach(nfa, source, n, ctx, adjacency, state, cancel)
+    out = [(*member, iterations) for member in members]
+    return out if group else out[0]
 
 
 # -- RPQ all-pairs (product-closure index) ---------------------------------
@@ -187,12 +148,10 @@ def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict)
     """Tensor CFPQ restarted from a cached product closure + fact sets.
 
     The tensor algorithm is *already* delta-driven across its own
-    iterations; this extends the same machinery across requests: the
-    added terminal edges play the role of the first round's Δ-facts,
-    the cached closure absorbs them via
-    :func:`~repro.algorithms.closure.incremental_transitive_closure`,
-    and the box readout is the cold path's own
-    (:func:`~repro.cfpq.tensor_algorithm.read_new_facts`).
+    iterations; this extends the same machinery across requests: seed
+    the closure and fact sets from the state, let the added terminal
+    edges play the first round's Δ-facts, and run the cold engine's own
+    round loop (:func:`~repro.cfpq.tensor_algorithm.fact_rounds`).
 
     Returns ``(pairs, new_state)`` or None when the state's geometry
     does not match.
@@ -210,28 +169,15 @@ def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict)
         facts[nt] = sort_unique_keys(keys_from_coo(rows, cols))
 
     r_mats = rsm.transition_matrices(ctx)
-
     # Round 0's Δ-facts are the added *terminal* edges.
     delta_mats = {
         label: ctx.matrix_from_lists((n, n), *pair)
         for label, pair in adds.items()
         if label in set(rsm.terminals)
     }
-    closure = state.matrix(ctx, "closure")
-    with ctx.backend.fixpoint():
-        while True:
-            delta = kron_sum(ctx, shape, r_mats, delta_mats.items())
-            for m in delta_mats.values():
-                m.free()
-            updated = incremental_transitive_closure(closure, delta)
-            delta.free()
-            closure.free()
-            closure = updated
-
-            delta_mats = read_new_facts(ctx, rsm, n, closure, facts)
-            if not delta_mats:
-                break
-
+    closure, _ = fact_rounds(
+        ctx, rsm, n, r_mats, state.matrix(ctx, "closure"), facts, delta_mats
+    )
     for m in r_mats.values():
         m.free()
 

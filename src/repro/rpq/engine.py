@@ -20,13 +20,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.algorithms.closure import transitive_closure
+import numpy as np
+
+from repro.algorithms.closure import seminaive, transitive_closure
 from repro.automata.glushkov import glushkov_nfa
 from repro.automata.nfa import NFA
 from repro.automata.regex_ast import Regex
 from repro.automata.regex_parse import parse_regex
 from repro.errors import InvalidArgumentError
 from repro.graph import LabeledGraph
+from repro.incr.state import FixpointState, matrix_coo
 
 
 @dataclass
@@ -129,7 +132,6 @@ def rpq_index(
     query,
     ctx,
     *,
-    closure_method: str = "squaring",
     automaton: str = "glushkov",
     adjacency: dict | None = None,
 ) -> RpqIndex:
@@ -163,7 +165,7 @@ def rpq_index(
     product = _product_matrix(nfa, g_mats, n, ctx, shared)
     t_product = time.perf_counter()
 
-    closure = transitive_closure(product, method=closure_method)
+    closure = transitive_closure(product)
     product.free()
     t_closure = time.perf_counter()
 
@@ -199,6 +201,85 @@ def rpq_pairs(graph: LabeledGraph, query, ctx) -> set[tuple[int, int]]:
         index.free()
 
 
+def _reach(nfas: list, sources: list, n: int, ctx, adjacency: dict, states=None, cancel=None):
+    """Single-source RPQ for a stack of queries in **one** fixpoint.
+
+    Query ``i`` asks for every ``v`` reachable from ``sources[i]`` along
+    a path matching ``nfas[i]``.  The automata (one block per distinct
+    object) are stacked block-diagonally into one union automaton ``R``,
+    ``M = Σ R_label ⊗ G_label`` is built once over the borrowed
+    ``adjacency``, and the frontier holds one row per query; blocks are
+    disconnected in ``M``, so each row's answer is the query's alone.
+    Row ``i`` is seeded from ``states[i]`` (its previous final frontier,
+    if that state fits its geometry) or else at its automaton's start
+    states over its source; one masked
+    :func:`~repro.algorithms.closure.seminaive` loop then expands every
+    seeded row against the current product.
+
+    Returns ``([(targets, state, used_warm), ...], rounds)`` in input
+    order; each ``state`` is that member's own final frontier.
+    """
+    if len(nfas) != len(sources):
+        raise InvalidArgumentError(f"{len(nfas)} queries but {len(sources)} sources")
+    if n == 0:
+        raise InvalidArgumentError("empty graph")
+    for src in sources:
+        if not 0 <= src < n:
+            raise InvalidArgumentError(f"source {src} outside [0, {n})")
+    if not nfas:
+        return [], 0
+
+    blocks = {id(nfa): nfa for nfa in nfas}
+    firsts = np.cumsum([0] + [nfa.n for nfa in blocks.values()]).tolist()
+    offsets, k = dict(zip(blocks, firsts)), firsts[-1]
+    transitions: dict[str, list] = {}
+    for key, nfa in blocks.items():
+        for label, pairs in nfa.renumbered(offsets[key], k).transitions.items():
+            transitions.setdefault(label, []).extend(pairs)
+    union = NFA(k, frozenset(), frozenset(), transitions)
+
+    metas = [{"n": n, "k": nfa.n, "source": int(src)} for nfa, src in zip(nfas, sources)]
+    warm = [
+        state is not None and state.compatible("reach", (1, meta["k"] * n), **meta)
+        for state, meta in zip(states or [None] * len(nfas), metas)
+    ]
+    rows, cols = [], []
+    for i, (nfa, src) in enumerate(zip(nfas, sources)):
+        if warm[i]:
+            seed = states[i].coo["frontier"][1]
+        else:
+            seed = np.array([s0 * n + int(src) for s0 in nfa.starts], np.int64)
+        cols.append(seed + offsets[id(nfa)] * n)
+        rows.append(np.full(seed.size, i, np.int64))
+
+    shared = sorted(set(union.labels) & set(adjacency))
+    product = _product_matrix(union, adjacency, n, ctx, shared)
+    try:
+        total = ctx.matrix_from_lists(
+            (len(nfas), k * n), np.concatenate(rows), np.concatenate(cols)
+        )
+        total, rounds = seminaive(
+            total,
+            lambda total, frontier: (total if frontier is None else frontier).mxm(
+                product, mask=total
+            ),
+            cancel=cancel,
+        )
+    finally:
+        product.free()
+
+    rows, cols = matrix_coo(total)
+    total.free()
+    out = []
+    for i, (nfa, meta) in enumerate(zip(nfas, metas)):
+        own = cols[rows == i] - offsets[id(nfa)] * n
+        targets = {c % n for c in own.tolist() if c // n in nfa.finals}
+        frontier = (np.zeros_like(own), own)
+        state = FixpointState("reach", (1, nfa.n * n), {"frontier": frontier}, meta)
+        out.append((targets, state, warm[i]))
+    return out, rounds
+
+
 def rpq_reach_batch(
     graph: LabeledGraph,
     queries: list,
@@ -211,132 +292,28 @@ def rpq_reach_batch(
 ) -> list[set[int]]:
     """Evaluate many single-source RPQ queries in **one** fixpoint.
 
-    The batched evaluation behind the query service's multi-query
+    The cold, stacked evaluation behind the query service's multi-query
     coalescing: query ``i`` asks for all ``v`` reachable from
-    ``sources[i]`` along a path matching ``queries[i]``.  Instead of
-    ``len(queries)`` separate product-closure runs, the (deduplicated)
-    automata are stacked block-diagonally into one union automaton
-    ``R``, the product ``M = Σ R_label ⊗ G_label`` is built once, and
-    all source vectors are stacked into a single boolean frontier
-    matrix ``F`` (one row per query, seeded at its automaton block's
-    start states).  One BFS-style fixpoint
-
-        ``F ← F ∨ F·M``
-
-    then answers every query simultaneously: automaton blocks are
-    disconnected in ``M``, so row ``i`` only ever walks its own block,
-    and the result is identical to evaluating the queries one at a
-    time — while the per-iteration kernel and dispatch overhead is paid
-    once for the whole batch instead of once per query.
-
-    ``queries`` entries may be regex strings, ASTs, or prebuilt NFAs;
-    identical objects (e.g. a plan-cache hit handed out twice) share
-    one automaton block.  ``adjacency`` borrows pre-lowered graph
-    matrices as in :func:`rpq_index`.  ``cancel``, if given, is invoked
-    between fixpoint iterations and may raise to abort cooperatively.
+    ``sources[i]`` along a path matching ``queries[i]`` (see
+    :func:`_reach` for the stacking).  ``queries`` entries may be regex
+    strings, ASTs, or prebuilt NFAs; identical objects share one
+    automaton block.  ``adjacency`` borrows pre-lowered graph matrices
+    as in :func:`rpq_index`.  ``cancel``, if given, is invoked between
+    fixpoint iterations and may raise to abort cooperatively.
 
     Returns one target set per query, in input order.
     """
-    if len(queries) != len(sources):
-        raise InvalidArgumentError(
-            f"{len(queries)} queries but {len(sources)} sources"
-        )
-    n = graph.n
-    if n == 0:
-        raise InvalidArgumentError("empty graph")
-    for src in sources:
-        if not 0 <= src < n:
-            raise InvalidArgumentError(f"source {src} outside [0, {n})")
-    if not queries:
-        return []
-
-    # Deduplicate compiled automata: repeated plans share one block.
     nfas = [_compile(q, automaton) for q in queries]
-    unique: dict[int, int] = {}          # id(nfa) -> block index
-    blocks: list[NFA] = []
-    block_of: list[int] = []
-    for nfa in nfas:
-        idx = unique.get(id(nfa))
-        if idx is None:
-            idx = len(blocks)
-            unique[id(nfa)] = idx
-            blocks.append(nfa)
-        block_of.append(idx)
-
-    offsets = []
-    total_states = 0
-    for nfa in blocks:
-        offsets.append(total_states)
-        total_states += nfa.n
-    merged_transitions: dict[str, list] = {}
-    for nfa, offset in zip(blocks, offsets):
-        shifted = nfa.renumbered(offset, total_states)
-        for label, pairs in shifted.transitions.items():
-            merged_transitions.setdefault(label, []).extend(pairs)
-    union = NFA(
-        total_states,
-        frozenset(
-            offset + s for nfa, offset in zip(blocks, offsets) for s in nfa.starts
-        ),
-        frozenset(
-            offset + f for nfa, offset in zip(blocks, offsets) for f in nfa.finals
-        ),
-        merged_transitions,
-    )
-
-    shared = sorted(set(union.labels) & set(graph.labels))
+    owned = {}
     if adjacency is None:
-        g_mats = graph.adjacency_matrices(ctx, labels=shared)
-        borrowed = False
-    else:
-        g_mats = {label: adjacency[label] for label in shared}
-        borrowed = True
-
-    product = None
-    frontier = None
+        labels = set(graph.labels) & {label for nfa in nfas for label in nfa.labels}
+        adjacency = owned = graph.adjacency_matrices(ctx, labels=sorted(labels))
     try:
-        product = _product_matrix(union, g_mats, n, ctx, shared)
-
-        rows: list[int] = []
-        cols: list[int] = []
-        for i, (src, b) in enumerate(zip(sources, block_of)):
-            offset = offsets[b]
-            for s0 in blocks[b].starts:
-                rows.append(i)
-                cols.append((offset + s0) * n + src)
-        frontier = ctx.matrix_from_lists(
-            (len(queries), total_states * n), rows, cols
-        )
-
-        with ctx.backend.fixpoint():
-            while True:
-                if cancel is not None:
-                    cancel()
-                step = frontier.mxm(product, accumulate=frontier)
-                if step.nnz == frontier.nnz:
-                    step.free()
-                    break
-                frontier.free()
-                frontier = step
-
-        out: list[set[int]] = [set() for _ in queries]
-        f_rows, f_cols = frontier.to_arrays()
-        final_sets = [
-            frozenset(offsets[b] + f for f in blocks[b].finals)
-            for b in range(len(blocks))
-        ]
-        for i, c in zip(f_rows.tolist(), f_cols.tolist()):
-            if c // n in final_sets[block_of[i]]:
-                out[i].add(c % n)
-        return out
+        out, _ = _reach(nfas, sources, graph.n, ctx, adjacency, cancel=cancel)
     finally:
-        if product is not None:
-            product.free()
-        if frontier is not None:
-            frontier.free()
-        if not borrowed:
-            for mat in g_mats.values():
-                mat.free()
+        for mat in owned.values():
+            mat.free()
+    return [targets for targets, _, _ in out]
 
 
 def rpq_reach(

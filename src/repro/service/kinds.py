@@ -5,6 +5,11 @@ readout); what differs between ``reach``, ``pairs``, ``cfpq`` and
 ``dist`` is a handful of facts, written down here and nowhere else.
 The scheduler, both caches, the service facade, the read router and
 the follower are generic over a row; none of them names a kind.
+``evaluate`` and ``batch`` return the same ``(result, state,
+used_warm)`` per query, so a coalesced ``reach`` member warm-starts and
+publishes its state exactly as a lone one does: both run the one
+frontier engine of :mod:`repro.rpq.engine` (through
+``rpq_reach_incremental``), a group as one row per member.
 
 Engine entry points are resolved through their *module* at call time
 (``_rpq.rpq_index(...)``, never ``from ... import rpq_index``): tools
@@ -43,29 +48,29 @@ class QueryKind:
     #: Answer to / from its JSON wire value.
     encode: Callable | None = None
     decode: Callable | None = None
-    #: ``(ctx, handle, plans, sources, cancel) -> [result, ...]``: one
-    #: fixpoint for a coalesced same-graph group (None: never coalesces).
+    #: ``(ctx, handle, plans, sources, warms, cancel) -> [(result,
+    #: state, used_warm), ...]``: ``evaluate`` for a coalesced same-graph
+    #: group in one fixpoint, one warm offer and one state per member
+    #: (None: never coalesces).
     batch: Callable | None = None
     #: False: no FixpointState lineage, never offered a warm start.
     warm_starts: bool = True
 
 
 def _eval_reach(ctx, handle, plan, source, warm, cancel, want_state):
-    # The frontier engine, not a batch of one: same answer, but it can
-    # warm-start from (and snapshot) the final frontier.
-    seed = warm[0] if warm is not None else None
-    targets, state, used, _ = _incr.rpq_reach_incremental(
-        plan.nfa, handle.n, source, ctx, handle.query_matrices(), seed, cancel
-    )
+    [(targets, state, used)] = _batch_reach(ctx, handle, [plan], [source], [warm], cancel)
     return targets, state if want_state else None, used
 
 
-def _batch_reach(ctx, handle, plans, sources, cancel):
-    # Plans may differ; the evaluator deduplicates identical NFA objects.
-    nfas = [plan.nfa for plan in plans]
-    return _rpq.rpq_reach_batch(
-        handle.graph, nfas, sources, ctx, adjacency=handle.query_matrices(), cancel=cancel
+def _batch_reach(ctx, handle, plans, sources, warms, cancel):
+    # One frontier row per member; plans may differ, identical NFA
+    # objects share one automaton block.
+    seeds = [warm[0] if warm is not None else None for warm in warms]
+    out = _incr.rpq_reach_incremental(
+        [plan.nfa for plan in plans], handle.n, sources, ctx,
+        handle.query_matrices(), seeds, cancel,
     )
+    return [(targets, state, used) for targets, state, used, _ in out]
 
 
 def _warm_or_cold(restart, build_index, snapshot):

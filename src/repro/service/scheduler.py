@@ -12,7 +12,9 @@ The scheduler is the concurrency heart of the service tier:
 * **multi-query batching** — a worker dequeues up to ``max_batch``
   requests at once and coalesces same-graph queries of a kind whose
   :mod:`~repro.service.kinds` row has a ``batch`` evaluator (RPQ
-  reachability): one product build and one fixpoint answer the group;
+  reachability): one product build and one fixpoint answer the group,
+  and each member still warm-starts from, and publishes, its own
+  fixpoint state;
 * **deadlines + cooperative cancellation** — each request may carry a
   deadline; requests expire in the queue, are re-checked before and
   during evaluation (the fixpoint polls a cancel hook every
@@ -355,29 +357,25 @@ class QueryScheduler:
 
         tickets, handles, plans, keys = (list(col) for col in zip(*resolved))
         handle = handles[0]  # one group, one graph
+        sources = [ticket.source for ticket in tickets]
         cancel = self._make_cancel_hook(tickets)
         # Under REPRO_CHECK_LOCKS: a traced lock held past this point
         # would serialize the whole pool on the evaluation.
         kernel_boundary("QueryScheduler.evaluate")
         t0 = time.perf_counter()
         try:
+            # Every member is offered its own warm start; a coalesced
+            # group shares one fixpoint but not one lineage.
+            warms = [
+                self._warm_start(handle, key) if row.warm_starts else None for key in keys
+            ]
             if len(tickets) > 1:
-                # Coalesced batches share one frontier matrix; its final
-                # state is not attributable to a single cache key, so
-                # no state rides.
-                sources = [ticket.source for ticket in tickets]
-                results = row.batch(self.ctx, handle, plans, sources, cancel)
-                states = [None] * len(tickets)
-                self.stats.count("full_evals", len(tickets))
+                outs = row.batch(self.ctx, handle, plans, sources, warms, cancel)
             else:
-                key, source = keys[0], tickets[0].source
-                warm = self._warm_start(handle, key) if row.warm_starts else None
                 # A fixpoint state is only worth capturing if cacheable.
-                result, state, used_warm = row.evaluate(
-                    self.ctx, handle, plans[0], source, warm, cancel, key is not None
-                )
-                results, states = [result], [state]
-                self.stats.count("incremental_evals" if used_warm else "full_evals")
+                outs = [row.evaluate(
+                    self.ctx, handle, plans[0], sources[0], warms[0], cancel, keys[0] is not None
+                )]
         except QueryCancelledError as exc:
             for ticket in tickets:
                 if ticket._expired():
@@ -405,7 +403,8 @@ class QueryScheduler:
         self.stats.record_batch(len(tickets))
         handle.record_served(len(tickets))
         now = time.monotonic()
-        for ticket, result, key, state in zip(tickets, results, keys, states):
+        for ticket, (result, state, used_warm), key in zip(tickets, outs, keys):
+            self.stats.count("incremental_evals" if used_warm else "full_evals")
             ticket.timings["evaluate"] = eval_time
             self.stats.record_stage("evaluate", eval_time)
             ticket.batch_size = len(tickets)

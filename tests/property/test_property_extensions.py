@@ -1,11 +1,8 @@
-"""Property tests for the extension layers: DCSR, distributed, facade."""
+"""Property tests for the DCSR extension format."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
-from repro.distributed import DevicePool
 from repro.formats import BoolCoo, BoolCsr, BoolDcsr
 
 
@@ -49,37 +46,3 @@ def test_dcsr_memory_ordering(data):
         assert dcsr.memory_bytes() < coo.memory_bytes()
     elif 2 * dcsr.nrows_nonempty + 1 > dcsr.nnz:
         assert dcsr.memory_bytes() > coo.memory_bytes()
-
-
-@settings(max_examples=25, deadline=None)
-@given(coo_data(max_dim=20), st.integers(1, 5))
-def test_distributed_matches_gathered(data, n_devices):
-    rows, cols, shape = data
-    pool = DevicePool(n_devices=n_devices, backend="cpu")
-    da = pool.distribute(rows, cols, shape)
-    expected = sorted(set(zip(rows, cols)))
-    got = sorted(zip(*[x.tolist() for x in da.gather()]))
-    assert got == expected
-    da.free()
-    pool.finalize()
-
-
-@settings(max_examples=20, deadline=None)
-@given(coo_data(max_dim=12), st.integers(1, 4))
-def test_distributed_square_equals_local(data, n_devices):
-    rows, cols, shape = data
-    n = max(shape)
-    # Make it square for the product.
-    pool = DevicePool(n_devices=n_devices, backend="cpu")
-    da = pool.distribute(rows, cols, (n, n))
-    dc = da.mxm_replicated(np.asarray(rows), np.asarray(cols), (n, n))
-    ctx = repro.Context(backend="cpu")
-    local = ctx.matrix_from_lists((n, n), rows, cols)
-    ref = local @ local
-    got = sorted(zip(*[x.tolist() for x in dc.gather()]))
-    rr, cc = ref.to_arrays()
-    assert got == sorted(zip(rr.tolist(), cc.tolist()))
-    ctx.finalize()
-    dc.free()
-    da.free()
-    pool.finalize()

@@ -11,6 +11,10 @@ Two families of invariants pin the repro.incr subsystem:
   from-scratch run over the merged graph produces.  The service-level
   test additionally interleaves removals, where the scheduler must fall
   back to recomputation — answers must track the oracle either way.
+
+Reach additionally pins **batched ≡ singleton**: a coalesced group's
+stacked fixpoint gives each member the singleton engine's answer and
+state, so coalescing never changes an answer or a warm-start lineage.
 """
 
 import numpy as np
@@ -189,6 +193,41 @@ def test_incremental_reach_matches_scratch(graph, data):
         v for u, v in rpq_pairs(graph, query, CTX) if u == source
     }
     for m in (*adjacency.values(), *merged_adj.values()):
+        m.free()
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_graph(), st.data())
+def test_batched_reach_matches_singleton(graph, data):
+    """One stacked fixpoint answers every member exactly as the
+    singleton engine does — targets, warm flag and resumable state —
+    with shared or distinct NFA objects, each member cold or warm."""
+    size = data.draw(st.integers(1, 6))
+    queries = [data.draw(st.sampled_from(QUERIES)) for _ in range(size)]
+    sources = [data.draw(st.integers(0, graph.n - 1)) for _ in range(size)]
+    compiled = {q: _compile(q) for q in QUERIES}
+    shared = data.draw(st.booleans())
+    nfas = [compiled[q] if shared else _compile(q) for q in queries]
+    before = graph.adjacency_matrices(CTX)
+    seeds = [
+        rpq_reach_incremental(nfa, graph.n, src, CTX, before)[1]
+        if data.draw(st.booleans()) else None
+        for nfa, src in zip(nfas, sources)
+    ]
+    adjacency = _merged(graph, data.draw(adds_only(graph.n))).adjacency_matrices(CTX)
+    batched = rpq_reach_incremental(nfas, graph.n, sources, CTX, adjacency, seeds)
+    assert len(batched) == size
+    for nfa, src, seed, (targets, state, used, _) in zip(nfas, sources, seeds, batched):
+        want, want_state, want_used, _ = rpq_reach_incremental(
+            nfa, graph.n, src, CTX, adjacency, state=seed
+        )
+        assert (targets, used) == (want, want_used) == (want, seed is not None)
+        assert (state.kind, state.shape, state.meta) == (
+            want_state.kind, want_state.shape, want_state.meta
+        )
+        for got_arr, want_arr in zip(state.coo["frontier"], want_state.coo["frontier"]):
+            assert np.array_equal(got_arr, want_arr)
+    for m in (*before.values(), *adjacency.values()):
         m.free()
 
 

@@ -541,13 +541,10 @@ class TestAutotune:
             HybridPolicy(fuse=False)
 
     def test_service_and_pool_kwargs(self):
-        from repro.distributed.multi_device import DevicePool
         from repro.service import QueryService
 
         with pytest.raises(TypeError):
             QueryService(autotune=True)
-        with pytest.raises(TypeError):
-            DevicePool(2, "cubool", hybrid=True, autotune=True)
 
     def test_env_enables_on_context(self, monkeypatch):
         monkeypatch.setenv("REPRO_HYBRID", "1")

@@ -42,13 +42,6 @@ class TestAutomatonModes:
         with pytest.raises(InvalidArgumentError):
             rpq_index(graph, "a", cubool_ctx, automaton="magic")
 
-    def test_closure_methods_agree(self, cubool_ctx, graph):
-        a = rpq_index(graph, "(a | b)+", cubool_ctx, closure_method="squaring")
-        b = rpq_index(graph, "(a | b)+", cubool_ctx, closure_method="naive")
-        assert a.pairs() == b.pairs()
-        a.free()
-        b.free()
-
     def test_works_on_every_backend(self, ctx, graph):
         pairs = rpq_pairs(graph, "a . b*", ctx)
         assert isinstance(pairs, set)

@@ -217,6 +217,29 @@ class TestBatchEvaluator:
         with pytest.raises(InvalidArgumentError):
             rpq_reach_batch(graph, [QUERIES[0]], [0, 1], cubool_ctx)
 
+    @pytest.mark.parametrize("source", [4, 5, -1])
+    @pytest.mark.parametrize("entry", ["rpq_reach", "rpq_reach_batch", "rpq_reach_incremental"])
+    def test_out_of_range_source_rejected(self, entry, source, cubool_ctx):
+        # On 0 -> 1 -> 2 -> 3 a seed column s0*n + source with source >= n
+        # lands in another automaton state's block: it must be refused,
+        # not answered from there.
+        from repro.datasets import chain_graph
+        from repro.incr.engine import rpq_reach_incremental
+        from repro.rpq import rpq_reach
+        from repro.rpq.engine import _compile
+
+        chain = chain_graph(4)
+        calls = {
+            "rpq_reach": lambda: rpq_reach(chain, "a a", source, cubool_ctx),
+            "rpq_reach_batch": lambda: rpq_reach_batch(chain, ["a a"], [source], cubool_ctx),
+            "rpq_reach_incremental": lambda: rpq_reach_incremental(
+                _compile("a a"), chain.n, source, cubool_ctx,
+                chain.adjacency_matrices(cubool_ctx),
+            ),
+        }
+        with pytest.raises(InvalidArgumentError):
+            calls[entry]()
+
 
 class TestPlanCache:
     def test_hit_shares_plan_object(self):
@@ -518,10 +541,16 @@ class TestConcurrentStress:
             assert snap.plan_cache["misses"] == len(QUERIES)
             assert snap.plan_cache["hits"] == n_clients * per_client - len(QUERIES)
 
-    def test_batching_actually_coalesces(self, graph, oracle):
-        """Concurrent same-graph queries ride shared evaluations."""
+    def test_batching_actually_coalesces(self, graph, oracle, cubool_ctx):
+        """Concurrent same-graph queries ride shared evaluations, and
+        each member keeps its own warm-start lineage."""
+        from repro.graph import LabeledGraph
+        from repro.rpq import rpq_reach
+
         with QueryService(workers=1, max_batch=8, queue_limit=64) as service:
-            service.register_graph("g", graph)
+            service.register_graph(
+                "g", LabeledGraph.from_triples(graph.triples(), n=graph.n)
+            )
             jobs = [
                 (QUERIES[i % len(QUERIES)], (3 * i) % graph.n) for i in range(16)
             ]
@@ -536,3 +565,20 @@ class TestConcurrentStress:
             assert snap.batch_sizes["count"] < len(jobs)
             assert snap.batch_sizes["max"] >= 2
             assert max(t.batch_size for t in tickets) >= 2
+
+            # An adds-only delta: the coalesced re-run warm-starts every
+            # member from the state it published above.
+            delta = [(0, 9), (4, 17)]
+            service.add_edges("g", "a", delta)
+            tickets = [
+                service.submit_reach("g", q, source=src) for q, src in jobs
+            ]
+            answers = [ticket.result(timeout=60.0) for ticket in tickets]
+            counters = service.stats().counters
+        assert max(t.batch_size for t in tickets) >= 2
+        assert counters["incremental_evals"] == len(jobs)
+        mutated = LabeledGraph.from_triples(graph.triples(), n=graph.n)
+        for u, v in delta:
+            mutated.add_edge(u, "a", v)
+        for (q, src), got in zip(jobs, answers):
+            assert got == rpq_reach(mutated, q, src, cubool_ctx), (q, src)
