@@ -121,10 +121,12 @@ KRON_BIT_WORD_COST = 3.0
 
 #: Four-Russians multiply: the table build (``_FR_TABLE_ENTRIES`` per
 #: ``_FR_GROUP_ROWS``-row group of B) is a fixed cost amortized over
-#: output rows, so the kernel only wins for tall-enough products
-#: (``HybridPolicy.four_russians_min_rows``).  Hard floor on the
-#: reduction dimension: under a word of k the grouped table never
-#: amortizes regardless of output rows.
+#: output rows, so the kernel only wins for products of at least
+#: ``FOUR_RUSSIANS_MIN_ROWS`` output rows (the simulated-executor
+#: break-even; a probe of the row ladder returned exactly this value on
+#: every run — E11).  Hard floor on the reduction dimension: under a
+#: word of k the grouped table never amortizes regardless of output rows.
+FOUR_RUSSIANS_MIN_ROWS = 128
 FOUR_RUSSIANS_MIN_K = 64
 
 #: Python dispatch/launch overhead charged per visited tile pair of the
@@ -134,20 +136,32 @@ FOUR_RUSSIANS_MIN_K = 64
 TILE_PAIR_OVERHEAD_WORDS = 4096.0
 
 
-def hybrid_mode_from_env(environ=None) -> str | None:
-    """Parse ``REPRO_HYBRID``: None (off), "auto", "bit" or "sparse"."""
-    raw = (environ if environ is not None else os.environ).get("REPRO_HYBRID", "")
-    value = raw.strip().lower()
-    if value in ("", "0", "off", "false", "no"):
-        return None
-    if value in ("1", "on", "true", "yes", "auto"):
-        return "auto"
-    if value in ("bit", "sparse"):
-        return value
-    raise InvalidArgumentError(
-        f"REPRO_HYBRID={raw!r} not understood "
-        "(use 0/1/auto/bit/sparse)"
-    )
+#: The off/auto/bit/sparse vocabulary (None: pure sparse path).
+_HYBRID_MODES = {
+    **dict.fromkeys(("", "0", "off", "false", "no")),
+    **dict.fromkeys(("1", "on", "true", "yes", "auto"), "auto"),
+    "bit": "bit",
+    "sparse": "sparse",
+}
+
+
+def resolve_hybrid_mode(hybrid: bool | str | None = None, environ=None) -> str | None:
+    """Parse a hybrid mode: None (off), "auto", "bit" or "sparse".
+
+    ``hybrid`` is the ``Context(hybrid=)`` value; None defers to the
+    ``REPRO_HYBRID`` variable of ``environ`` (default ``os.environ``).
+    Both spell the same case-insensitive vocabulary, booleans included.
+    """
+    name = "hybrid"
+    if hybrid is None:
+        name = "REPRO_HYBRID"
+        hybrid = (environ if environ is not None else os.environ).get(name, "")
+    key = str(hybrid).strip().lower()
+    if key not in _HYBRID_MODES:
+        raise InvalidArgumentError(
+            f"{name}={hybrid!r} not understood (use off/auto/bit/sparse)"
+        )
+    return _HYBRID_MODES[key]
 
 
 @dataclass(frozen=True)
@@ -171,29 +185,16 @@ class HybridPolicy:
         push arena live bytes beyond this fraction of device capacity
         (keeps the E0/E8 memory story honest: the dense format must
         never OOM a workload the sparse path can run).
-    four_russians_min_rows:
-        Smallest output row count for which the table-driven
-        Four-Russians multiply is routed instead of the blocked
-        broadcast kernel; ``0`` disables the kernel.  The default is the
-        simulated-executor break-even (a probe of the row ladder
-        returned exactly this value on every run — E11).
-    tiled:
-        When True (default) the bit route may execute ``mxm`` over a
-        :class:`~repro.formats.tiled.TiledBitMatrix` grid,
-        skipping all-zero tiles.  The cost model arbitrates flat vs
-        tiled per call using the exact present-tile pair count;
-        ``False`` pins the flat kernels (ablation baseline).
-    tile_size:
-        Tile edge in bits (multiple of 64).
+
+    The bit kernels themselves are not policy: the cost table always
+    offers the tiled rows (``DEFAULT_TILE``-bit tiles) and Four-Russians
+    from ``FOUR_RUSSIANS_MIN_ROWS`` output rows up.
     """
 
     mode: str = "auto"
     crossover_density: float = 0.02
     fixpoint_bias: float = 0.5
     max_arena_fraction: float = 0.9
-    four_russians_min_rows: int = 128
-    tiled: bool = True
-    tile_size: int = DEFAULT_TILE
 
     def __post_init__(self):
         if self.mode not in ("auto", "sparse", "bit"):
@@ -202,26 +203,12 @@ class HybridPolicy:
             )
         if not 0.0 < self.crossover_density <= 1.0:
             raise InvalidArgumentError("crossover_density must be in (0, 1]")
-        if self.four_russians_min_rows < 0:
-            raise InvalidArgumentError("four_russians_min_rows must be >= 0")
-        if self.tile_size < WORD_BITS or self.tile_size % WORD_BITS:
-            raise InvalidArgumentError(
-                f"tile_size {self.tile_size} must be a positive multiple of 64"
-            )
 
     @property
     def spgemm_flop_cost(self) -> float:
         """Sparse per-product cost (word-op units) implied by the
         crossover density: ``1 / (64 * d*^2)``."""
         return 1.0 / (WORD_BITS * self.crossover_density**2)
-
-    @classmethod
-    def from_env(cls, environ=None) -> "HybridPolicy | None":
-        """Policy selected by ``REPRO_HYBRID`` (None when disabled)."""
-        mode = hybrid_mode_from_env(environ)
-        if mode is None:
-            return None
-        return cls(mode=mode)
 
 
 @dataclass
@@ -491,14 +478,13 @@ class HybridBackend(Backend):
         Four-Russians only refines the kernel once the product is on the
         bit route.
         """
-        pol = self.policy
         m, k = a.shape
         n = b.ncols
         wpr = _words_per_row(n)
         table = [("blocked", float(m * k * wpr), 0)]
         # The Four-Russians table build (256 entries per 8-row group of
         # B) amortizes over output rows: tall products only.
-        tall = 0 < pol.four_russians_min_rows <= m
+        tall = m >= FOUR_RUSSIANS_MIN_ROWS
         if tall and k >= FOUR_RUSSIANS_MIN_K:
             groups = -(-k // _FR_GROUP_ROWS)
             table.append((
@@ -506,10 +492,10 @@ class HybridBackend(Backend):
                 float((m + _FR_TABLE_ENTRIES) * groups * wpr),
                 _FR_TABLE_ENTRIES * groups * wpr * 8,
             ))
-        tile = pol.tile_size
+        tile = DEFAULT_TILE
         ntr, ntk, ntj = -(-m // tile), -(-k // tile), -(-n // tile)
         # A single-tile grid is the flat kernel plus scan overhead.
-        if pol.tiled and ntr * ntk * ntj > 1:
+        if ntr * ntk * ntj > 1:
             wpt = tile // WORD_BITS
             if a.bit is not None and b.bit is not None:
                 # Exact pair count — the dot product of A's per-column
@@ -577,12 +563,12 @@ class HybridBackend(Backend):
         """
         a_t = self._ensure_tiled(a)
         b_t = self._ensure_tiled(b)
-        out_t = TiledBitMatrix(out, self.policy.tile_size, scan=False)
+        out_t = TiledBitMatrix(out, DEFAULT_TILE, scan=False)
         four_russians = kernel == "tiled_four_russians"
         scratch = None
         scratch_bufs = []
         if not four_russians:
-            sel_shape, red_shape = scratch_shapes(self.policy.tile_size)
+            sel_shape, red_shape = scratch_shapes(DEFAULT_TILE)
             sel_buf = self.device.arena.alloc(sel_shape, _WORD)
             red_buf = self.device.arena.alloc(red_shape, _WORD)
             scratch_bufs = [sel_buf, red_buf]
@@ -650,11 +636,9 @@ class HybridBackend(Backend):
 
     def _ensure_tiled(self, m: HybridMatrix) -> TiledBitMatrix:
         """Cached tiled view over ``m``'s bit words (zero-copy wrap plus
-        one presence scan; rebuilt if the policy's tile size changed)."""
-        if m.tiled is None or m.tiled.tile != self.policy.tile_size:
-            m.tiled = TiledBitMatrix(
-                self._ensure_bit(m).storage, self.policy.tile_size
-            )
+        one presence scan)."""
+        if m.tiled is None:
+            m.tiled = TiledBitMatrix(self._ensure_bit(m).storage, DEFAULT_TILE)
         return m.tiled
 
     def adopt_bit_mapped(self, m: HybridMatrix, bit: BitMatrix) -> str:
@@ -1087,14 +1071,12 @@ def wrap_backend(
     *,
     mode: str = "auto",
     crossover_density: float | None = None,
-    tiled: bool = True,
 ) -> HybridBackend:
     """Wrap an existing sparse backend instance in a hybrid dispatcher.
 
-    ``crossover_density=None`` keeps the policy default;
-    ``tiled=False`` pins the flat bit kernels (E14 ablation).
+    ``crossover_density=None`` keeps the policy default.
     """
-    policy = HybridPolicy(mode=mode, tiled=tiled)
+    policy = HybridPolicy(mode=mode)
     if crossover_density is not None:
         policy = replace(policy, crossover_density=crossover_density)
     return HybridBackend(inner=inner, policy=policy)

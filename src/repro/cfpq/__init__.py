@@ -14,8 +14,8 @@ Two engines, matching the paper's Table IV comparison:
   expects Tns ≥ Mtx in time on most graphs while winning on queries
   whose CNF blowup hurts Mtx (go-hierarchy in Table IV).
 
-:mod:`repro.cfpq.naive` is the worklist CFL-reachability oracle used by
-the tests.
+:mod:`repro.cfpq.naive` is the worklist CFL-reachability oracle: the
+``cfpq`` query kind's reference answer (:mod:`repro.service.kinds`).
 """
 
 from repro.cfpq.naive import naive_cfpq

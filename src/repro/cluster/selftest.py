@@ -37,6 +37,7 @@ from pathlib import Path
 
 from repro.analysis import locktrace
 from repro.datasets.random_graphs import uniform_random_graph
+from repro.graph import LabeledGraph
 from repro.service.core import QueryService
 from repro.service.kinds import REACH
 
@@ -139,14 +140,18 @@ def _drive(
         ]
     say(f"{len(procs)} follower(s) connected and caught up to v{version}")
 
-    oracle = _Oracle(graph)
-    oracle.snap(version)
+    # One host graph per version, answered by the reach row's oracle.
+    triples = list(graph.triples())
+    history = {version: LabeledGraph.from_triples(triples, n=graph.n)}
+
+    def oracle(version: int, source: int) -> set[int]:
+        return REACH.oracle(history[version], SELFTEST_QUERY, source)
 
     def mutate() -> int:
-        edge = (int(rng.integers(graph.n)), int(rng.integers(graph.n)))
-        v = service.add_edges(GRAPH, "a", [edge])
-        oracle.add("a", edge)
-        oracle.snap(v)
+        u, w = (int(x) for x in rng.integers(graph.n, size=2))
+        v = service.add_edges(GRAPH, "a", [(u, w)])
+        triples.append((u, "a", w))
+        history[v] = LabeledGraph.from_triples(triples, n=graph.n)
         return v
 
     def check_round(tag: str) -> None:
@@ -157,7 +162,7 @@ def _drive(
         # impossible — v is the newest version, so the answer must be
         # the oracle at exactly v.
         got = service.reach(GRAPH, SELFTEST_QUERY, source=source, min_version=v)
-        if got != oracle.reach(v, source):
+        if got != oracle(v, source):
             failures.append(f"{tag}: min_version=v{v} read is stale or wrong")
         route = router.last_route or {}
         if route.get("floor") != v:
@@ -172,7 +177,7 @@ def _drive(
                 f"{tag}: default read exceeded staleness bound: {route} "
                 f"(primary at v{v})"
             )
-        elif got != oracle.reach(int(applied), source):
+        elif got != oracle(int(applied), source):
             failures.append(
                 f"{tag}: default read at v{applied} does not match the "
                 f"oracle at v{applied}"
@@ -230,7 +235,7 @@ def _drive(
     # with the oracle's newest state — follower ≡ primary at the acked
     # version.
     source = 0
-    want = oracle.reach(version, source)
+    want = oracle(version, source)
     for f in primary.followers():
         addr = f.get("query_address")
         if addr is None:
@@ -245,37 +250,6 @@ def _drive(
                 f"primary at v{version}"
             )
     return failures
-
-
-# -- oracle -------------------------------------------------------------------
-
-
-class _Oracle:
-    """Per-version answer oracle on an independent plain context."""
-
-    def __init__(self, graph):
-        import repro
-        from repro.graph import LabeledGraph
-
-        self.ctx = repro.Context(backend="cubool")
-        self.host = LabeledGraph(n=graph.n)
-        for label, pairs in graph.edges.items():
-            self.host.edges[label] = list(pairs)
-        self.pairs_by_version: dict[int, set] = {}
-
-    def add(self, label: str, edge) -> None:
-        self.host.edges.setdefault(label, []).append(edge)
-
-    def snap(self, version: int) -> None:
-        from repro.rpq import rpq_pairs
-
-        self.pairs_by_version[version] = rpq_pairs(
-            self.host, SELFTEST_QUERY, self.ctx
-        )
-
-    def reach(self, version: int, source: int) -> set[int]:
-        pairs = self.pairs_by_version[version]
-        return {v for u, v in pairs if u == source}
 
 
 # -- plumbing -----------------------------------------------------------------

@@ -22,23 +22,6 @@ from repro.errors import InvalidArgumentError, InvalidStateError
 from repro.gpu.device import Device
 
 
-def _resolve_hybrid_mode(hybrid: bool | str | None) -> str | None:
-    """Normalize the ``hybrid=`` kwarg; ``None`` defers to ``REPRO_HYBRID``."""
-    if hybrid is None:
-        from repro.backends.hybrid import hybrid_mode_from_env
-
-        return hybrid_mode_from_env()
-    if hybrid is False or hybrid == "off":
-        return None
-    if hybrid is True or hybrid == "auto":
-        return "auto"
-    if hybrid in ("bit", "sparse"):
-        return hybrid
-    raise InvalidArgumentError(
-        f"hybrid={hybrid!r} not understood (use off/auto/bit/sparse)"
-    )
-
-
 class Context:
     """An initialized library instance bound to one backend.
 
@@ -73,10 +56,10 @@ class Context:
         hybrid: bool | str | None = None,
         hybrid_threshold: float | None = None,
     ):
-        from repro.backends.hybrid import HybridBackend, wrap_backend
+        from repro.backends.hybrid import HybridBackend, resolve_hybrid_mode, wrap_backend
 
         self._backend: Backend = get_backend(backend, device=device)
-        mode = _resolve_hybrid_mode(hybrid)
+        mode = resolve_hybrid_mode(hybrid)
         if mode is not None and backend in ("cubool", "clbool"):
             self._backend = wrap_backend(self._backend, mode=mode)
         if isinstance(self._backend, HybridBackend):

@@ -10,8 +10,7 @@ bit-packed fast path reserved for it (``is_boolean``).
 Every other registered semiring is a *value* semiring: the generic
 backend evaluates it natively over ``valcsr`` storage, and the dense
 methods here (:meth:`Semiring.mxm_dense` and friends) are the reference
-oracle used by tests, the dense algorithm fallbacks, and the service
-selftest.
+oracle used by tests and the dense algorithm fallbacks.
 
 Registry
 --------

@@ -300,7 +300,7 @@ class BitMatrix(SparseFormat):
         build (amortized once over all ``m`` rows) and ``32x`` B's words
         of table workspace.  Wins once ``m`` is large enough to amortize
         the build; the hybrid backend routes here from
-        ``HybridPolicy.four_russians_min_rows`` output rows up.
+        ``repro.backends.hybrid.FOUR_RUSSIANS_MIN_ROWS`` output rows up.
 
         Same contract as :meth:`mxm_into`: fused accumulate, no product
         temporary, ``self`` must not alias an operand, and ``mask``

@@ -15,6 +15,11 @@ Engine entry points are resolved through their *module* at call time
 (``_rpq.rpq_index(...)``, never ``from ... import rpq_index``): tools
 that wrap a module attribute — the benchmark's span tracer — must see
 every call.
+
+Each row also carries its ``oracle``: the answer from host data alone
+(product BFS, worklist CFL-reachability, dense Bellman-Ford), compiled
+without the plan cache.  The selftests and the test suite check every
+answer against it; nothing on the serving path calls it.
 """
 
 from __future__ import annotations
@@ -22,11 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 import repro.algorithms.shortest_paths as _sssp
 import repro.cfpq.tensor_algorithm as _tns
 import repro.incr.engine as _incr
 import repro.rpq.engine as _rpq
+from repro.cfpq.naive import naive_cfpq
 from repro.errors import InvalidArgumentError
+from repro.grammar.cfg import CFG
+from repro.rpq.naive import naive_rpq
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,9 @@ class QueryKind:
     evaluate: Callable
     #: The query's text on the replica wire, or None: run on the primary.
     wire_query: Callable
+    #: ``(graph, query, source) -> answer`` over a host
+    #: :class:`~repro.graph.LabeledGraph`: the reference answer.
+    oracle: Callable
     #: Answer to / from its JSON wire value.
     encode: Callable | None = None
     decode: Callable | None = None
@@ -99,6 +112,28 @@ def _eval_dist(ctx, handle, plan, source, warm, cancel, want_state):
     return {(int(v), float(d)) for v, d in enumerate(dist) if d < float("inf")}, None, False
 
 
+def _oracle_cfpq(graph, query, source):
+    grammar = CFG.from_text(query) if isinstance(query, str) else query
+    return naive_cfpq(graph, grammar)[grammar.start]
+
+
+def _oracle_dist(graph, query, source):
+    # Dense Bellman-Ford; unlisted labels weigh 1, parallel edges the least.
+    weights = dict(query[1] or ())
+    w = np.full((graph.n, graph.n), np.inf)
+    for label, pairs in graph.edges.items():
+        for u, v in pairs:
+            w[u, v] = min(w[u, v], float(weights.get(label, 1.0)))
+    dist = np.full(graph.n, np.inf)
+    dist[source] = 0.0
+    for _ in range(graph.n):
+        relaxed = np.minimum(dist, (dist[:, None] + w).min(axis=0))
+        if np.array_equal(relaxed, dist):
+            break
+        dist = relaxed
+    return {(v, float(d)) for v, d in enumerate(dist) if d < np.inf}
+
+
 def _text_query(query) -> str | None:
     """Prebuilt automata / grammar objects have no wire form."""
     return query if isinstance(query, str) else None
@@ -119,6 +154,9 @@ REACH = QueryKind(
     evaluate=_eval_reach,
     batch=_batch_reach,
     wire_query=_text_query,
+    oracle=lambda graph, query, source: {
+        v for _, v in naive_rpq(graph, query, sources=[source])
+    },
     encode=lambda reached: sorted(int(v) for v in reached),
     decode=lambda value: {int(v) for v in value},
 )
@@ -134,6 +172,7 @@ PAIRS = QueryKind(
         lambda index: _incr.pairs_state_from_index(index),
     ),
     wire_query=_text_query,
+    oracle=lambda graph, query, source: naive_rpq(graph, query),
     encode=_encode_pairs,
     decode=_decode_pairs,
 )
@@ -147,6 +186,7 @@ CFPQ = QueryKind(
         lambda index: _incr.tensor_state_from_index(index),
     ),
     wire_query=_text_query,
+    oracle=_oracle_cfpq,
     encode=_encode_pairs,
     decode=_decode_pairs,
 )
@@ -156,6 +196,7 @@ DIST = QueryKind(
     needs_source=True,
     evaluate=_eval_dist,
     wire_query=lambda query: None,  # no replication path for value answers
+    oracle=_oracle_dist,
     warm_starts=False,
 )
 

@@ -1,14 +1,20 @@
-"""Service self-test: the `python -m repro serve --selftest` entry.
+"""Service self-test: the ``python -m repro serve --selftest`` entry.
 
-Spins up a real :class:`~repro.service.core.QueryService` (worker
-threads, plan cache, batching — everything), fires a concurrent mixed
-workload at it from client threads, and verifies every answer against
-the sequential single-query engines.  Phase 2 covers incremental
-evaluation (interleaved mutations must warm-start, removals must
-recompute, answers must track the oracle) and phase 3 min-plus distance
-queries.  Persistence is pytest's job (``tests/test_service_store.py``,
-``scripts/crash_recovery_check.py``).  Exercised by CI under both
-``REPRO_HYBRID`` settings; exit status is the install check.
+A thin harness over the query-kind table's oracles that checks what one
+pytest process cannot: a real :class:`~repro.service.core.QueryService`
+(worker threads, batching, plan and result caches) serving concurrent
+readers while a writer commits, with the lock sentinel watching.
+
+Per round, reader threads submit every kind in
+:data:`~repro.service.kinds.KINDS`; between rounds the writer commits a
+small add/remove batch.  Every answer must equal its row's ``oracle``
+over a host mirror of the graph at the round's version.  The plan and
+result caches must have hit, and every submission must complete.
+Under ``REPRO_CHECK_LOCKS=1`` the sentinel must record no hazard, and
+the runtime lock-order edges — the writer's commits take
+``GraphHandle._lock → DeltaOverlay._lock`` — must lie in the static
+lock graph.  CI runs it under every ``REPRO_HYBRID`` ×
+``REPRO_CHECK_LOCKS`` setting; the exit status is the install check.
 """
 
 from __future__ import annotations
@@ -16,21 +22,24 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
+import numpy as np
+
 from repro.analysis import locktrace
 from repro.datasets.random_graphs import uniform_random_graph
 from repro.errors import SpblaError
+from repro.graph import LabeledGraph
 from repro.service.core import QueryService
-from repro.service.kinds import CFPQ, PAIRS
+from repro.service.kinds import KINDS
 
-#: Regex templates instantiated over the demo graph's labels.
-SELFTEST_QUERIES = (
-    "a b* c",
-    "(a | b)+",
-    "a (b c)*",
-    "(a | c) b? c",
-)
-
+#: Regex templates over the demo graph's labels; ``(a | b c)*`` matches
+#: the empty word, so the ε-pair readout is checked too.
+SELFTEST_QUERIES = ("(a | b c)*", "(a | b)+", "a b* c", "(a | c) b? c")
 SELFTEST_GRAMMAR = "S -> a S b | a b"
+SELFTEST_DISTANCES = ("min-plus", (("a", 1.0), ("b", 2.5)))
+LABELS = ("a", "b", "c")
+GRAPH = "selftest"
+ROUNDS = 4
+READERS = 4
 
 
 def run_selftest(
@@ -40,137 +49,67 @@ def run_selftest(
     seed: int = 20210705,
     verbose: bool = True,
 ) -> int:
-    """Run the concurrent self-test; returns a process exit code."""
+    """Run the concurrent self-test; returns a process exit code.
+
+    Every reader submits ``queries`` reach queries plus one query of
+    each other kind per round.
+    """
 
     def say(msg: str) -> None:
         if verbose:
             print(msg)
 
     n = 96
-    graph = uniform_random_graph(n, 4 * n, labels=("a", "b", "c"), seed=seed)
+    graph = uniform_random_graph(n, 4 * n, labels=LABELS, seed=seed)
+    mirror = {label: set(pairs) for label, pairs in graph.edges.items()}
+    rng = np.random.default_rng(seed)
+    failures: list[str] = []
+    submitted = 0
 
     with QueryService(workers=workers, max_batch=8, queue_limit=256) as service:
-        say(
-            f"query service up: backend={service.ctx.backend_name}, "
-            f"{workers} workers"
-        )
-        service.register_graph("selftest", graph, residency="auto")
-
-        # Sequential oracle on an independent plain context.
-        import repro
-        from repro.cfpq.engine import cfpq
-        from repro.rpq import rpq_pairs
-
-        from repro.grammar.cfg import CFG
-
-        oracle_ctx = repro.Context(backend="cubool")
-        oracle = {q: rpq_pairs(graph, q, oracle_ctx) for q in SELFTEST_QUERIES}
-        cfpq_index = cfpq(graph, CFG.from_text(SELFTEST_GRAMMAR), oracle_ctx)
-        cfpq_oracle = cfpq_index.pairs()
-        cfpq_index.free()
-
-        # Concurrent mixed workload: each client thread submits a slice
-        # of reach queries (repeating templates, so the plan cache and
-        # the batcher both get traffic) and checks its own answers.
-        failures: list[str] = []
-        lock = threading.Lock()
-
-        def client(cid: int) -> None:
-            rng_sources = [(cid * 7 + 3 * i) % n for i in range(queries)]
-            tickets = [
-                service.submit_reach(
-                    "selftest",
-                    SELFTEST_QUERIES[(cid + i) % len(SELFTEST_QUERIES)],
-                    source=src,
-                    timeout=30.0,
-                )
-                for i, src in enumerate(rng_sources)
-            ]
-            for i, (src, ticket) in enumerate(zip(rng_sources, tickets)):
-                q = SELFTEST_QUERIES[(cid + i) % len(SELFTEST_QUERIES)]
-                try:
-                    got = ticket.result(timeout=60.0)
-                # The service wraps everything into the taxonomy
-                # (QueryExecutionError for non-taxonomy escapes);
-                # TimeoutError is ticket.result's own still-pending path.
-                except (SpblaError, TimeoutError) as exc:
-                    with lock:
-                        failures.append(f"client {cid} query {q!r}: {exc!r}")
-                    continue
-                want = {v for u, v in oracle[q] if u == src}
-                if got != want:
-                    with lock:
-                        failures.append(
-                            f"client {cid} query {q!r} from {src}: "
-                            f"got {len(got)} targets, want {len(want)}"
-                        )
-
-        clients = [
-            threading.Thread(target=client, args=(cid,)) for cid in range(4)
-        ]
-        for t in clients:
-            t.start()
-        for t in clients:
-            t.join()
-
-        # One request of each index-building kind through the same service.
-        for row, query, want in (
-            (PAIRS, SELFTEST_QUERIES[0], oracle[SELFTEST_QUERIES[0]]),
-            (CFPQ, SELFTEST_GRAMMAR, cfpq_oracle),
-        ):
-            ticket = service.submit(row.name, "selftest", query, timeout=60.0)
-            if ticket.result() != want:
-                failures.append(f"{row.name} result mismatch")
+        say(f"query service up: backend={service.ctx.backend_name}, {workers} workers")
+        service.register_graph(GRAPH, graph, residency="auto")
+        version = 0
+        for rnd in range(ROUNDS):
+            host = LabeledGraph.from_triples(
+                ((u, label, v) for label, pairs in mirror.items() for u, v in sorted(pairs)),
+                n=n,
+            )
+            jobs = _jobs(rnd // 2, queries, n)
+            submitted += READERS * len(jobs)
+            want: dict = {}
+            for job, got in _read_round(service, jobs):
+                if job not in want:
+                    want[job] = KINDS[job[0]].oracle(host, *job[1:])
+                if got != want[job]:
+                    failures.append(f"v{version} {job}: {got!r:.60} differs from the oracle")
+            # The writer: small adds, and a removal every other round.
+            # Rounds come in pairs asking the same queries, so the second
+            # of a pair warm-starts and the next pair re-evaluates cold.
+            label = LABELS[rnd % len(LABELS)]
+            added = set(map(tuple, rng.integers(0, n, size=(3, 2)).tolist()))
+            removed = set(sorted(mirror[label])[rnd::7][:2]) if rnd % 2 else set()
+            deltas = [("add", label, sorted(added)), ("remove", label, sorted(removed))]
+            version = service.apply_batch(GRAPH, [d for d in deltas if d[2]])
+            mirror[label] = (mirror[label] | added) - removed
 
         snapshot = service.stats()
         say("")
         say(snapshot.render())
-
-        # Lock sentinel (REPRO_CHECK_LOCKS=1): the concurrent workload
-        # above exercised every service lock under instrumentation; any
-        # ordering inversion / held-across-kernel / long-hold hazard it
-        # recorded is a failure.
-        tracer = locktrace.tracer()
-        if tracer is not None:
-            say("")
-            say(tracer.report())
-            for hazard in tracer.hazards():
-                failures.append(f"lock sentinel: {hazard.render()}")
-
-        # Structural health checks: the repeated templates must have hit
-        # the plan cache, and everything submitted must be accounted for.
-        pc = snapshot.plan_cache
-        if pc["hits"] == 0:
+        if snapshot.plan_cache["hits"] == 0:
             failures.append("plan cache saw no hits on a repeating workload")
-        if snapshot.counters.get("completed", 0) < 4 * queries:
-            failures.append(
-                f"only {snapshot.counters.get('completed', 0)} of "
-                f"{4 * queries + 2} queries completed"
-            )
-
-        # Cross-request result cache: an exact repeat of an already-
-        # answered (graph version, plan, source) triple must short-
-        # circuit without re-running the fixpoint.
-        repeat_q, repeat_src = SELFTEST_QUERIES[0], 3 % n
-        first = service.reach("selftest", repeat_q, source=repeat_src)
-        second = service.reach("selftest", repeat_q, source=repeat_src)
-        rc = service.stats().result_cache
-        if first != second:
-            failures.append("result cache returned a different answer")
+        rc = snapshot.result_cache
         if rc and rc["hits"] == 0:
-            failures.append("result cache saw no hits on an exact repeat")
+            failures.append("result cache saw no hits on repeated queries")
+        completed = snapshot.counters.get("completed", 0)
+        if completed != submitted:
+            failures.append(f"only {completed} of {submitted} queries completed")
 
-        oracle_ctx.finalize()
-
-    # -- phase 2: incremental evaluation over live deltas ------------------
-    failures.extend(_incremental_phase(say=say))
-
-    # -- phase 3: value-semiring queries through the service ---------------
-    failures.extend(_semiring_phase(say=say))
-
-    # -- runtime vs static lock graph --------------------------------------
     tracer = locktrace.tracer()
     if tracer is not None:
+        say("")
+        say(tracer.report())
+        failures.extend(f"lock sentinel: {h.render()}" for h in tracer.hazards())
         failures.extend(_lock_graph_crosscheck(tracer, say=say))
 
     if failures:
@@ -180,12 +119,53 @@ def run_selftest(
         return 1
     say("")
     say(
-        f"selftest ok: {4 * queries} concurrent reach queries + all-pairs "
-        f"+ cfpq match the sequential engines; "
-        f"incremental warm starts track interleaved mutations; min-plus "
-        f"distance queries match the dense oracle"
+        f"selftest ok: {submitted} concurrent queries of {len(KINDS)} kinds over "
+        f"{ROUNDS} versions match the oracles"
     )
     return 0
+
+
+def _jobs(step: int, queries: int, n: int) -> list[tuple]:
+    """One round's ``(kind, query, source)`` list, shared by every reader."""
+    reach = [
+        ("reach", SELFTEST_QUERIES[i % len(SELFTEST_QUERIES)], (7 * i + step) % n)
+        for i in range(queries)
+    ]
+    return reach + [
+        ("pairs", SELFTEST_QUERIES[step % len(SELFTEST_QUERIES)], None),
+        ("cfpq", SELFTEST_GRAMMAR, None),
+        ("dist", SELFTEST_DISTANCES, step % n),
+    ]
+
+
+def _read_round(service: QueryService, jobs: list[tuple]) -> list[tuple]:
+    """Every reader submits all of ``jobs`` (each from its own offset)
+    and waits; returns ``(job, answer or exception)`` pairs."""
+    answers: list[tuple] = []
+    lock = threading.Lock()
+
+    def reader(rid: int) -> None:
+        mine = jobs[rid:] + jobs[:rid]
+        tickets = [
+            service.submit(kind, GRAPH, query, source=source, timeout=30.0)
+            for kind, query, source in mine
+        ]
+        for job, ticket in zip(mine, tickets):
+            try:
+                got = ticket.result(timeout=60.0)
+            # The service wraps everything into the taxonomy; TimeoutError
+            # is ticket.result's own still-pending path.
+            except (SpblaError, TimeoutError) as exc:
+                got = exc
+            with lock:
+                answers.append((job, got))
+
+    threads = [threading.Thread(target=reader, args=(rid,)) for rid in range(READERS)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return answers
 
 
 def _lock_graph_crosscheck(tracer, *, say) -> list[str]:
@@ -221,194 +201,3 @@ def _lock_graph_crosscheck(tracer, *, say) -> list[str]:
         f"is absent from the static lock graph"
         for held, acquired in missing
     ]
-
-
-def _incremental_phase(*, say) -> list[str]:
-    """Incremental evaluation: interleave mutations with queries and
-    assert (a) small adds-only deltas take the warm-start path, (b)
-    removals force a full recompute, (c) every answer — warm or cold —
-    agrees with a from-scratch oracle over the mutated graph, and (d)
-    the masked-accumulate kernels the warm path relies on record their
-    ``_masked`` telemetry on the hybrid bit route."""
-    import numpy as np
-
-    import repro
-    from repro.graph import LabeledGraph
-    from repro.rpq import rpq_pairs
-
-    failures: list[str] = []
-    n = 96
-    graph = uniform_random_graph(n, 4 * n, labels=("a", "b"), seed=0xE15)
-    query = "(a | b)+"
-    probe_src = 5
-    rng = np.random.default_rng(0xE15)
-
-    def oracle_pairs(g):
-        ctx = repro.Context(backend="cubool")
-        try:
-            return rpq_pairs(g, query, ctx)
-        finally:
-            ctx.finalize()
-
-    with QueryService(workers=2) as svc:
-        svc.register_graph("incr", graph, residency="auto")
-        current = LabeledGraph.from_triples(graph.triples(), n=n)
-        want = oracle_pairs(current)
-        if svc.pairs("incr", query) != want:
-            failures.append("incremental phase: cold all-pairs diverges")
-        if svc.reach("incr", query, source=probe_src) != {
-            v for u, v in want if u == probe_src
-        }:
-            failures.append("incremental phase: cold reach diverges")
-
-        # Rounds of small adds-only deltas; each re-query must be able
-        # to restart from the previous round's cached fixed point.
-        rounds = 3
-        for i in range(rounds):
-            delta = rng.integers(0, n, size=(4, 2))
-            svc.add_edges("incr", "a", delta)
-            for u, v in delta:
-                current.add_edge(int(u), "a", int(v))
-            want = oracle_pairs(current)
-            if svc.pairs("incr", query) != want:
-                failures.append(f"incremental round {i}: pairs diverge")
-            if svc.reach("incr", query, source=probe_src) != {
-                v for u, v in want if u == probe_src
-            }:
-                failures.append(f"incremental round {i}: reach diverges")
-        counters = svc.stats().counters
-        if counters.get("incremental_evals", 0) < rounds:
-            failures.append(
-                f"adds-only re-queries took the full path "
-                f"(incremental_evals="
-                f"{counters.get('incremental_evals', 0)}, want >= {rounds})"
-            )
-
-        # A removal breaks the adds-only precondition: the next query
-        # must recompute from scratch and track the removal.
-        full_before = counters.get("full_evals", 0)
-        u, v = current.edges["a"][0]
-        svc.remove_edges("incr", "a", [(u, v)])
-        current.edges["a"] = [e for e in current.edges["a"] if e != (u, v)]
-        if svc.pairs("incr", query) != oracle_pairs(current):
-            failures.append("post-removal pairs diverge from oracle")
-        counters = svc.stats().counters
-        if counters.get("full_evals", 0) <= full_before:
-            failures.append(
-                "removal delta did not force a full re-evaluation"
-            )
-        overlay = svc.stats().graph_store["per_graph"]["incr"]["overlay"]
-        if overlay["journal_entries"] < rounds + 1:
-            failures.append(
-                f"overlay journal missing mutation history: {overlay}"
-            )
-
-    # Masked-accumulate telemetry: the warm path's mask pushdown must be
-    # visible as `_masked` kernel counts when forced onto the bit route
-    # (deterministic regardless of the REPRO_HYBRID dispatch setting).
-    from repro.backends import get_backend
-    from repro.backends.hybrid import HybridBackend, HybridPolicy
-
-    backend = HybridBackend(
-        inner=get_backend("cubool"), policy=HybridPolicy(mode="bit")
-    )
-    rows = np.arange(64, dtype=np.int64)
-    a = backend.matrix_from_coo(rows, (rows + 1) % 64, (64, 64))
-    out = backend.mxm(a, a, mask=a)
-    out.free()
-    a.free()
-    mxm_kernels = backend.telemetry()["kernel_counts"].get("mxm", {})
-    masked = [k for k in mxm_kernels if k.endswith("_masked")]
-    if not masked:
-        failures.append(
-            f"masked mxm on the bit route recorded no _masked kernel "
-            f"(kernels: {mxm_kernels})"
-        )
-
-    if not failures:
-        say(
-            f"incremental phase ok: {rounds} adds-only rounds warm-"
-            f"started ({counters.get('incremental_evals', 0)} incremental "
-            f"vs {counters.get('full_evals', 0)} full evals), removal "
-            f"forced recompute, masked kernels {masked}"
-        )
-    return failures
-
-
-def _semiring_phase(*, say) -> list[str]:
-    """Min-plus distance queries through the full service stack.
-
-    The ``dist`` query kind rides the same plan cache / result cache /
-    scheduler machinery as the boolean kinds but evaluates on the value
-    backend under the min-plus semiring.  Asserts (a) the answers match
-    a dense Bellman-Ford oracle, (b) repeats hit the plan cache and the
-    result cache, (c) the result-cache key is semiring-tagged so a
-    distance answer can never shadow a boolean one, and (d) unknown or
-    non-tropical semirings are rejected before admission."""
-    import numpy as np
-
-    from repro.errors import InvalidArgumentError
-
-    failures: list[str] = []
-    n = 48
-    graph = uniform_random_graph(n, 3 * n, labels=("a", "b"), seed=0xE17)
-    weights = {"a": 1.0, "b": 2.5}
-
-    # Dense oracle: plain Bellman-Ford over the same weight assignment.
-    dense = np.full((n, n), np.inf)
-    for label, pairs in graph.edges.items():
-        for u, v in pairs:
-            dense[u, v] = min(dense[u, v], weights[label])
-    src = 3
-    want_dist = np.full(n, np.inf)
-    want_dist[src] = 0.0
-    for _ in range(n):
-        relaxed = np.minimum(want_dist, (want_dist[:, None] + dense).min(axis=0))
-        if np.array_equal(relaxed, want_dist):
-            break
-        want_dist = relaxed
-    want = {(int(v), float(d)) for v, d in enumerate(want_dist) if d < np.inf}
-
-    with QueryService(workers=2) as svc:
-        svc.register_graph("weighted", graph, residency="auto")
-        first = svc.distances("weighted", source=src, weights=weights)
-        if first != want:
-            failures.append(
-                f"min-plus distances diverge from the dense oracle "
-                f"({len(first)} vs {len(want)} reachable vertices)"
-            )
-        second = svc.distances("weighted", source=src, weights=weights)
-        if second != first:
-            failures.append("repeated distance query changed its answer")
-        snap = svc.stats()
-        if snap.plan_cache["hits"] == 0:
-            failures.append("distance repeat missed the plan cache")
-        rc = snap.result_cache
-        if rc and rc["hits"] == 0:
-            failures.append("distance repeat missed the result cache")
-        # Semiring tagging: the same graph answers a boolean query
-        # without either side shadowing the other.
-        reach = svc.reach("weighted", "a b*", source=src)
-        if not isinstance(reach, set) or any(
-            isinstance(x, tuple) for x in reach
-        ):
-            failures.append(
-                "boolean reach answer was shadowed by a distance entry"
-            )
-        try:
-            svc.distances("weighted", source=src, semiring="plus-times")
-            failures.append("non-tropical semiring was not rejected")
-        except InvalidArgumentError:
-            pass
-        try:
-            svc.distances("weighted", source=src, semiring="no-such-algebra")
-            failures.append("unknown semiring was not rejected")
-        except InvalidArgumentError:
-            pass
-    if not failures:
-        say(
-            f"semiring phase ok: min-plus distances to {len(want)} vertices "
-            f"match the dense oracle; plan + result caches hit on repeat; "
-            f"bad algebras rejected pre-admission"
-        )
-    return failures

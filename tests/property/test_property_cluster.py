@@ -9,8 +9,8 @@ service bootstrapped via ``restore_replica`` — exactly the follower's
 apply path.  Invariants:
 
 * after applying the transactions for version *v*, the replica's answer
-  set equals an independent host-side oracle of the primary's graph at
-  *v*, for every *v* in the history (not just the final state);
+  set equals the ``pairs`` row's host-only oracle over the primary's
+  graph at *v*, for every *v* in the history (not just the final state);
 * per-label edge sets match the oracle at every version;
 * re-applying an already-acked prefix is a no-op (reconnect replay is
   idempotent).
@@ -21,70 +21,12 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
-from repro.graph import LabeledGraph
-from repro.rpq import rpq_pairs
 from repro.service import QueryService
+from repro.service.kinds import PAIRS
 from repro.store.wal import WalCursor, decode_transaction, encode_transaction
-
-CTX = repro.Context(backend="cpu")
+from tests.property.conftest import Mirror, edge_batches, random_graph
 
 QUERIES = ("(a | b)+", "a b*", "(a b)+ | b")
-LABELS = ("a", "b")
-
-
-@st.composite
-def random_graph(draw, max_n=8):
-    n = draw(st.integers(3, max_n))
-    g = LabeledGraph(n=n)
-    for _ in range(draw(st.integers(0, 2 * n))):
-        g.add_edge(
-            draw(st.integers(0, n - 1)),
-            draw(st.sampled_from(LABELS)),
-            draw(st.integers(0, n - 1)),
-        )
-    return g
-
-
-@st.composite
-def edge_batches(draw, n, max_batches=5, max_batch=3):
-    out = []
-    for _ in range(draw(st.integers(1, max_batches))):
-        op = draw(st.sampled_from(["add", "remove"]))
-        size = draw(st.integers(1, max_batch))
-        batch = [
-            (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
-            for _ in range(size)
-        ]
-        out.append((op, draw(st.sampled_from(LABELS)), batch))
-    return out
-
-
-class _Oracle:
-    """Host-side edge sets tracking the primary, snapshotted per version."""
-
-    def __init__(self, graph):
-        self.n = graph.n
-        self.edges = {
-            label: {(u, v) for u, v in pairs}
-            for label, pairs in graph.edges.items()
-        }
-        self.by_version = {}
-
-    def mutate(self, version, op, label, batch):
-        target = self.edges.setdefault(label, set())
-        for u, v in batch:
-            (target.add if op == "add" else target.discard)((u, v))
-        self.by_version[version] = {
-            label: set(pairs) for label, pairs in self.edges.items()
-        }
-
-    def host_graph(self, version):
-        out = LabeledGraph(n=self.n)
-        for label, pairs in self.by_version[version].items():
-            for u, v in sorted(pairs):
-                out.add_edge(u, label, v)
-        return out
 
 
 def _replica_edge_sets(replica, name):
@@ -98,11 +40,11 @@ def _replica_edge_sets(replica, name):
 
 
 @settings(max_examples=10, deadline=None)
-@given(random_graph(), st.data())
+@given(random_graph(max_n=8), st.data())
 def test_replica_matches_primary_at_every_version(graph, data):
-    deltas = data.draw(edge_batches(graph.n))
+    deltas = data.draw(edge_batches(graph.n, max_batch=3))
     query = data.draw(st.sampled_from(QUERIES))
-    oracle = _Oracle(graph)
+    mirror = Mirror(graph)
     with tempfile.TemporaryDirectory() as root:
         with QueryService(backend="cpu", workers=0, store_root=root) as svc:
             svc.register_graph("g", graph)
@@ -121,7 +63,7 @@ def test_replica_matches_primary_at_every_version(graph, data):
                         version = svc.add_edges("g", label, batch)
                     else:
                         version = svc.remove_edges("g", label, batch)
-                    oracle.mutate(version, op, label, batch)
+                    assert mirror.apply(op, label, batch) == version
                     # The wire format IS the WAL encoding: what the
                     # cursor tails off disk must round-trip the codec.
                     polled = cursor.poll()
@@ -138,13 +80,9 @@ def test_replica_matches_primary_at_every_version(graph, data):
                         shipped.append((v, decoded))
                         replica.graphs.apply_replicated("g", decoded)
                     assert replica.graphs.get("g").version == version
-                    assert _replica_edge_sets(replica, "g") == {
-                        label: pairs
-                        for label, pairs in oracle.by_version[version].items()
-                        if pairs
-                    }
-                    assert replica.pairs("g", query) == rpq_pairs(
-                        oracle.host_graph(version), query, CTX
+                    assert _replica_edge_sets(replica, "g") == mirror.versions[version]
+                    assert replica.pairs("g", query) == PAIRS.oracle(
+                        mirror.graph(version), query, None
                     )
                 # Reconnect replay: re-applying the acked history is a
                 # no-op at every prefix length.

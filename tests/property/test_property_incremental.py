@@ -7,14 +7,17 @@ Two families of invariants pin the repro.incr subsystem:
   from the mutated edge set;
 * **warm-start soundness** — for any adds-only delta, restarting a
   fixpoint from the previous fixed point (closure, single-source reach,
-  all-pairs RPQ, tensor and matrix CFPQ) produces exactly the answer a
-  from-scratch run over the merged graph produces.  The service-level
-  test additionally interleaves removals, where the scheduler must fall
-  back to recomputation — answers must track the oracle either way.
+  all-pairs RPQ, tensor and matrix CFPQ) produces exactly the answer of
+  the merged graph.
 
 Reach additionally pins **batched ≡ singleton**: a coalesced group's
 stacked fixpoint gives each member the singleton engine's answer and
 state, so coalescing never changes an answer or a warm-start lineage.
+
+The last test is the service-level differential test: every query kind
+under every hybrid setting, through random add/remove scripts where the
+scheduler warm-starts or recomputes, answers at every version exactly
+as the kind's host-only ``oracle`` does.
 """
 
 import numpy as np
@@ -28,7 +31,6 @@ from repro.algorithms.closure import (
 )
 from repro.cfpq import matrix_cfpq, tensor_cfpq
 from repro.grammar import CFG
-from repro.graph import LabeledGraph
 from repro.incr.engine import (
     pairs_state_from_index,
     rpq_pairs_incremental,
@@ -37,42 +39,24 @@ from repro.incr.engine import (
     tensor_state_from_index,
 )
 from repro.incr.overlay import DeltaOverlay
-from repro.rpq import rpq_index, rpq_pairs
+from repro.rpq import rpq_index
 from repro.rpq.engine import _compile
 from repro.service import QueryService
+from repro.service.kinds import CFPQ, KINDS, PAIRS, REACH
+from tests.property.conftest import Mirror, adds_script, edge_batches, random_graph
 
 CTX = repro.Context(backend="cpu")
 
-QUERIES = ("(a | b)+", "a b*", "(a b)+ | b")
+QUERIES = ("(a | b)+", "a b*", "(a b)+ | b", "(a b)*")
 GRAMMAR = CFG.from_text("S -> a S b | a b")
-
-
-@st.composite
-def edge_batches(draw, n, max_batches=5, max_batch=4, labels=("a", "b")):
-    """A random interleaving of add/remove batches."""
-    out = []
-    for _ in range(draw(st.integers(1, max_batches))):
-        op = draw(st.sampled_from(["add", "remove"]))
-        size = draw(st.integers(1, max_batch))
-        batch = [
-            (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
-            for _ in range(size)
-        ]
-        out.append((op, draw(st.sampled_from(labels)), batch))
-    return out
-
-
-@st.composite
-def random_graph(draw, max_n=10, labels=("a", "b")):
-    n = draw(st.integers(3, max_n))
-    g = LabeledGraph(n=n)
-    for _ in range(draw(st.integers(0, 3 * n))):
-        g.add_edge(
-            draw(st.integers(0, n - 1)),
-            draw(st.sampled_from(labels)),
-            draw(st.integers(0, n - 1)),
-        )
-    return g
+#: The differential test's query pool, per kind.
+KIND_QUERIES = {
+    "reach": QUERIES,
+    "pairs": QUERIES,
+    "cfpq": ("S -> a S b | a b", "S -> a S b S | eps"),
+    "dist": (("min-plus", None), ("min-plus", (("a", 0.5), ("b", 2.5)))),
+}
+HYBRID_SETTINGS = (False, "sparse", "bit", "auto")
 
 
 @st.composite
@@ -98,31 +82,6 @@ def _to_set(matrix):
     return set(zip(rows.tolist(), cols.tolist()))
 
 
-def _apply(graph, deltas):
-    """Mutated copy of ``graph`` under matrix (set) semantics."""
-    edges = {
-        label: {(u, v) for u, v in pairs}
-        for label, pairs in graph.edges.items()
-    }
-    for op, label, batch in deltas:
-        target = edges.setdefault(label, set())
-        for u, v in batch:
-            (target.add if op == "add" else target.discard)((u, v))
-    out = LabeledGraph(n=graph.n)
-    for label, pairs in edges.items():
-        for u, v in sorted(pairs):
-            out.add_edge(u, label, v)
-    return out
-
-
-def _merged(graph, adds):
-    out = LabeledGraph.from_triples(graph.triples(), n=graph.n)
-    for label, (rows, cols) in adds.items():
-        for u, v in zip(rows.tolist(), cols.tolist()):
-            out.add_edge(u, label, v)
-    return out
-
-
 # -- overlay transparency ----------------------------------------------------
 
 
@@ -134,13 +93,12 @@ def test_overlay_operand_matches_rebuild(graph, data):
     overlay = DeltaOverlay(CTX, (graph.n, graph.n), 0)
     for version, (op, label, batch) in enumerate(deltas, start=1):
         overlay.record(op, label, np.asarray(batch, np.int64), version)
-    want_graph = _apply(graph, deltas)
+    want = Mirror(graph).replay(deltas).versions[-1]
     labels = set(base_mats) | set(overlay.touched_labels())
     for label in labels:
         merged = overlay.operand(label, base_mats.get(label))
         got = _to_set(merged) if merged is not None else set()
-        want = {(u, v) for u, v in want_graph.edges.get(label, ())}
-        assert got == want, (label, deltas)
+        assert got == want.get(label, set()), (label, deltas)
     overlay.free()
     for m in base_mats.values():
         m.free()
@@ -181,17 +139,14 @@ def test_incremental_reach_matches_scratch(graph, data):
         nfa, graph.n, source, CTX, adjacency
     )
     assert not warm
-    merged = _merged(graph, adds)
+    merged = Mirror(graph).replay(adds_script(adds)).graph()
     merged_adj = merged.adjacency_matrices(CTX)
     warm_targets, _, warm_used, _ = rpq_reach_incremental(
         nfa, graph.n, source, CTX, merged_adj, state=state
     )
     assert warm_used
-    want = {v for u, v in rpq_pairs(merged, query, CTX) if u == source}
-    assert warm_targets == want
-    assert targets == {
-        v for u, v in rpq_pairs(graph, query, CTX) if u == source
-    }
+    assert warm_targets == REACH.oracle(merged, query, source)
+    assert targets == REACH.oracle(graph, query, source)
     for m in (*adjacency.values(), *merged_adj.values()):
         m.free()
 
@@ -214,7 +169,8 @@ def test_batched_reach_matches_singleton(graph, data):
         if data.draw(st.booleans()) else None
         for nfa, src in zip(nfas, sources)
     ]
-    adjacency = _merged(graph, data.draw(adds_only(graph.n))).adjacency_matrices(CTX)
+    merged = Mirror(graph).replay(adds_script(data.draw(adds_only(graph.n)))).graph()
+    adjacency = merged.adjacency_matrices(CTX)
     batched = rpq_reach_incremental(nfas, graph.n, sources, CTX, adjacency, seeds)
     assert len(batched) == size
     for nfa, src, seed, (targets, state, used, _) in zip(nfas, sources, seeds, batched):
@@ -243,8 +199,8 @@ def test_incremental_pairs_matches_scratch(graph, data):
     result = rpq_pairs_incremental(nfa, graph.n, CTX, state, adds)
     assert result is not None
     pairs, new_state = result
-    merged = _merged(graph, adds)
-    assert pairs == rpq_pairs(merged, query, CTX)
+    merged = Mirror(graph).replay(adds_script(adds)).graph()
+    assert pairs == PAIRS.oracle(merged, query, None)
     # The republished state must itself be a valid restart point.
     again = rpq_pairs_incremental(nfa, graph.n, CTX, new_state, {})
     assert again is not None and again[0] == pairs
@@ -260,11 +216,8 @@ def test_incremental_tensor_cfpq_matches_scratch(graph, data):
     result = tensor_cfpq_incremental(graph, GRAMMAR, CTX, state, adds)
     assert result is not None
     pairs, _ = result
-    merged = _merged(graph, adds)
-    cold = tensor_cfpq(merged, GRAMMAR, CTX)
-    want = cold.pairs()
-    cold.free()
-    assert pairs == want
+    merged = Mirror(graph).replay(adds_script(adds)).graph()
+    assert pairs == CFPQ.oracle(merged, GRAMMAR, None)
 
 
 @settings(max_examples=15, deadline=None)
@@ -276,34 +229,38 @@ def test_incremental_matrix_cfpq_matches_scratch(graph, data):
         nt: m.to_arrays() for nt, m in cold_base.matrices.items()
     }
     cold_base.free()
-    merged = _merged(graph, adds)
+    merged = Mirror(graph).replay(adds_script(adds)).graph()
     warm = matrix_cfpq(merged, GRAMMAR, CTX, warm_start=prev)
-    cold = matrix_cfpq(merged, GRAMMAR, CTX)
     assert warm.stats["warm_started"]
-    assert warm.pairs() == cold.pairs()
+    assert warm.pairs() == CFPQ.oracle(merged, GRAMMAR, None)
     warm.free()
-    cold.free()
 
 
-# -- service level: random add/remove interleavings --------------------------
+# -- service level: the differential test ------------------------------------
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(random_graph(max_n=8), st.data())
 def test_service_tracks_interleaved_mutations(graph, data):
-    query = data.draw(st.sampled_from(QUERIES))
-    deltas = data.draw(edge_batches(graph.n, max_batches=4, max_batch=3))
-    current = LabeledGraph.from_triples(graph.triples(), n=graph.n)
-    with QueryService(backend="cpu", workers=1) as svc:
-        svc.register_graph("g", graph)
-        assert svc.pairs("g", query) == rpq_pairs(current, query, CTX)
-        applied = []
-        for op, label, batch in deltas:
-            if op == "add":
-                svc.add_edges("g", label, batch)
-            else:
-                svc.remove_edges("g", label, batch)
-            applied.append((op, label, batch))
-            want = _apply(graph, applied)
-            got = svc.pairs("g", query)
-            assert got == rpq_pairs(want, query, CTX), (op, label, batch)
+    """Every kind × every hybrid setting × a random add/remove script:
+    each answer at each version equals the kind's oracle.  Answers
+    only — whether an evaluation ran warm or cold is not asserted."""
+    script = data.draw(edge_batches(graph.n, max_batches=4, max_batch=3))
+    queries = {kind: data.draw(st.sampled_from(pool)) for kind, pool in KIND_QUERIES.items()}
+    source = data.draw(st.integers(0, graph.n - 1))
+    for hybrid in HYBRID_SETTINGS:
+        mirror = Mirror(graph)
+        with QueryService(hybrid=hybrid, workers=1) as svc:
+            svc.register_graph("g", graph)
+            for step in [None, *script]:
+                if step is not None:
+                    op, label, batch = step
+                    version = (svc.add_edges if op == "add" else svc.remove_edges)(
+                        "g", label, batch
+                    )
+                    assert version == mirror.apply(op, label, batch)
+                host = mirror.graph()
+                for kind, row in KINDS.items():
+                    src = source if row.needs_source else None
+                    got = svc.submit(kind, "g", queries[kind], source=src).result(timeout=60.0)
+                    assert got == row.oracle(host, queries[kind], src), (hybrid, kind, step)

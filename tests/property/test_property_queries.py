@@ -1,10 +1,5 @@
 """Property-based tests: query engines vs. independent oracles."""
 
-import itertools
-from collections import deque
-
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,23 +7,11 @@ import repro
 from repro.automata import glushkov_nfa, parse_regex, thompson_nfa
 from repro.cfpq import matrix_cfpq, naive_cfpq, tensor_cfpq
 from repro.grammar import CFG
-from repro.graph import LabeledGraph
 from repro.rpq import rpq_pairs
+from repro.service.kinds import PAIRS
+from tests.property.conftest import random_graph
 
 CTX = repro.Context(backend="cubool")
-
-
-@st.composite
-def labeled_graph(draw, max_n=8, labels=("a", "b")):
-    n = draw(st.integers(2, max_n))
-    count = draw(st.integers(0, 3 * n))
-    g = LabeledGraph(n=n)
-    for _ in range(count):
-        u = draw(st.integers(0, n - 1))
-        v = draw(st.integers(0, n - 1))
-        lab = draw(st.sampled_from(labels))
-        g.add_edge(u, lab, v)
-    return g
 
 
 @st.composite
@@ -48,36 +31,10 @@ def regex_ast_text(draw, depth=3):
     return f"({inner}){op}"
 
 
-def brute_rpq(graph, nfa):
-    adj = {}
-    for label, pairs in graph.edges.items():
-        for u, v in pairs:
-            adj.setdefault((label, u), []).append(v)
-    out = set()
-    for u in range(graph.n):
-        seen = set()
-        dq = deque((s, u) for s in nfa.starts)
-        while dq:
-            s, v = dq.popleft()
-            if (s, v) in seen:
-                continue
-            seen.add((s, v))
-            if s in nfa.finals:
-                out.add((u, v))
-            for label, pairs in nfa.transitions.items():
-                for ss, tt in pairs:
-                    if ss == s:
-                        for w in adj.get((label, v), ()):
-                            if (tt, w) not in seen:
-                                dq.append((tt, w))
-    return out
-
-
 @settings(max_examples=25, deadline=None)
-@given(labeled_graph(), regex_ast_text())
+@given(random_graph(max_n=8), regex_ast_text())
 def test_rpq_matches_product_bfs(graph, regex):
-    nfa = glushkov_nfa(parse_regex(regex))
-    assert rpq_pairs(graph, regex, CTX) == brute_rpq(graph, nfa)
+    assert rpq_pairs(graph, regex, CTX) == PAIRS.oracle(graph, regex, None)
 
 
 @settings(max_examples=25, deadline=None)
@@ -96,7 +53,7 @@ GRAMMARS = [
 
 
 @settings(max_examples=20, deadline=None)
-@given(labeled_graph(max_n=6), st.sampled_from(GRAMMARS))
+@given(random_graph(max_n=6), st.sampled_from(GRAMMARS))
 def test_cfpq_engines_match_oracle(graph, grammar):
     ref = naive_cfpq(graph, grammar)[grammar.start]
     mi = matrix_cfpq(graph, grammar, CTX)
@@ -110,7 +67,7 @@ def test_cfpq_engines_match_oracle(graph, grammar):
 
 
 @settings(max_examples=15, deadline=None)
-@given(labeled_graph(max_n=6))
+@given(random_graph(max_n=6))
 def test_rpq_as_cfpq_is_consistent(graph):
     """A regular query evaluated by the CFPQ tensor engine must equal
     the RPQ engine's answer minus nothing (the unification property)."""
@@ -120,13 +77,13 @@ def test_rpq_as_cfpq_is_consistent(graph):
     rsm = RSM.from_regex_rules("S", {"S": regex})
     ti = tensor_cfpq(graph, rsm, CTX)
     try:
-        assert ti.pairs() == rpq_pairs(graph, regex, CTX)
+        assert ti.pairs() == PAIRS.oracle(graph, regex, None)
     finally:
         ti.free()
 
 
 @settings(max_examples=20, deadline=None)
-@given(labeled_graph(max_n=6))
+@given(random_graph(max_n=6))
 def test_closure_is_idempotent(graph):
     from repro.algorithms import transitive_closure
 

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import functools
 import re
 from pathlib import Path
@@ -10,12 +11,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backends import get_backend
+from repro.backends import get_backend, hybrid
 from repro.backends.hybrid import (
     HybridBackend,
     HybridMatrix,
     HybridPolicy,
-    hybrid_mode_from_env,
+    resolve_hybrid_mode,
     wrap_backend,
 )
 from repro.errors import InvalidArgumentError
@@ -39,18 +40,26 @@ def _hb(ctx) -> HybridBackend:
 class TestEnvParsing:
     def test_off_values(self):
         for raw in ("", "0", "off", "false", "no", "OFF"):
-            assert hybrid_mode_from_env({"REPRO_HYBRID": raw}) is None
-        assert hybrid_mode_from_env({}) is None
+            assert resolve_hybrid_mode(None, {"REPRO_HYBRID": raw}) is None
+            assert resolve_hybrid_mode(raw) is None
+        assert resolve_hybrid_mode(None, {}) is None
+        assert resolve_hybrid_mode(False) is None
 
     def test_on_values(self):
+        # One vocabulary for the variable and the keyword.
         for raw in ("1", "on", "true", "auto", "AUTO", "yes"):
-            assert hybrid_mode_from_env({"REPRO_HYBRID": raw}) == "auto"
-        assert hybrid_mode_from_env({"REPRO_HYBRID": "bit"}) == "bit"
-        assert hybrid_mode_from_env({"REPRO_HYBRID": "sparse"}) == "sparse"
+            assert resolve_hybrid_mode(None, {"REPRO_HYBRID": raw}) == "auto"
+            assert resolve_hybrid_mode(raw) == "auto"
+        assert resolve_hybrid_mode(True) == "auto"
+        for mode in ("bit", "sparse"):
+            assert resolve_hybrid_mode(None, {"REPRO_HYBRID": mode}) == mode
+            assert resolve_hybrid_mode(mode) == mode
 
     def test_garbage_raises(self):
-        with pytest.raises(InvalidArgumentError):
-            hybrid_mode_from_env({"REPRO_HYBRID": "maybe"})
+        with pytest.raises(InvalidArgumentError, match="REPRO_HYBRID"):
+            resolve_hybrid_mode(None, {"REPRO_HYBRID": "maybe"})
+        with pytest.raises(InvalidArgumentError, match="hybrid="):
+            repro.Context(backend="cubool", hybrid="dense")
 
     def test_env_wraps_context(self, monkeypatch):
         monkeypatch.setenv("REPRO_HYBRID", "1")
@@ -125,13 +134,13 @@ class TestPolicy:
         with pytest.raises(InvalidArgumentError):
             HybridPolicy(crossover_density=0.0)
 
-    def test_spgemm_cost_calibration(self):
+    def test_spgemm_cost_calibration(self, monkeypatch):
         # At the crossover density the two mxm cost estimates must tie
         # (square, equal-density operands, no conversion charge).  The
         # crossover calibrates alpha against the *blocked* bit kernel;
-        # Four-Russians has its own break-even, so pin it off here.
-        pol = HybridPolicy(crossover_density=0.05, four_russians_min_rows=0)
-        backend = HybridBackend(policy=pol)
+        # Four-Russians has its own break-even, so lift it out of reach.
+        monkeypatch.setattr(hybrid, "FOUR_RUSSIANS_MIN_ROWS", 10**9)
+        backend = HybridBackend(policy=HybridPolicy(crossover_density=0.05))
         n = 640
         d = 0.05
         nnz = int(d * n * n)
@@ -177,6 +186,14 @@ class TestForcedModes:
         for op_counter in counts.values():
             assert set(op_counter) == {mode}
         ctx.finalize()
+
+    def test_masked_mxm_on_bit_route_records_masked_kernel(self):
+        hb = HybridBackend(inner=get_backend("cubool"), policy=HybridPolicy(mode="bit"))
+        rows = np.arange(64, dtype=np.int64)
+        a = hb.matrix_from_coo(rows, (rows + 1) % 64, (64, 64))
+        hb.mxm(a, a, mask=a)
+        kernels = hb.telemetry()["kernel_counts"]["mxm"]
+        assert any(k.endswith("_masked") for k in kernels), dict(kernels)
 
     def test_mxm_accumulate_bit(self):
         ctx = repro.Context(backend="cubool", hybrid="bit")
@@ -369,7 +386,7 @@ _GOLDEN = {
 }
 _SQUARE_ROWS = [
     pytest.param(
-        ((n, n), density, structure), None, residency, in_fixpoint, {}, None,
+        ((n, n), density, structure), None, residency, in_fixpoint, None,
         {"s": "sparse", "b": "bit"}[routes[i]], kernel,
         id=f"{n}-{density}-{structure}-{residency}-{'fix' if in_fixpoint else 'nofix'}",
     )
@@ -377,34 +394,30 @@ _SQUARE_ROWS = [
     for i, (residency, in_fixpoint) in enumerate(_GOLDEN_CELLS)
 ]
 _BLOCKS_1024 = ((1024, 1024), 0.01, "blockdiag")
+_BLOCKS_2048 = ((2048, 2048), 0.01, "blockdiag")
+_SHORT_BLOCKS = ((96, 2048), 0.01, "blockdiag")
 _DENSE_256 = ((256, 256), 0.3, "uniform")
-#: (a, b or None for a·a, residency, in fixpoint, policy overrides,
+#: (a, b or None for a·a, residency, in fixpoint,
 #: (arena MiB, fill fraction) or None, route, kernel)
 _EXTRA_ROWS = [
     # A skinny frontier never amortizes the Four-Russians table build.
     *(
         pytest.param(
             ((8, 2048), 0.05, "uniform"), ((2048, 2048), 0.05, "uniform"),
-            residency, False, {}, None, "bit", "blocked", id=f"skinny-{residency}",
+            residency, False, None, "bit", "blocked", id=f"skinny-{residency}",
         )
         for residency in ("sparse", "bit", "both")
     ),
     # max_arena_fraction exceeded: the product goes sparse, and a forced
     # bit product cannot afford the Four-Russians table either.
-    pytest.param(_DENSE_256, None, "sparse", False, {}, (4, 0.0),
+    pytest.param(_DENSE_256, None, "sparse", False, (4, 0.0),
                  "bit", "four_russians", id="arena-empty"),
-    pytest.param(_DENSE_256, None, "sparse", False, {}, (4, 0.895),
+    pytest.param(_DENSE_256, None, "sparse", False, (4, 0.895),
                  "sparse", "blocked", id="arena-near-full"),
-    # The ablation switches take rows off the same table.
-    pytest.param(_BLOCKS_1024, None, "sparse", False, {"four_russians_min_rows": 0},
-                 None, "sparse", "tiled", id="no-fr-sparse"),
-    pytest.param(_BLOCKS_1024, None, "both", False, {"four_russians_min_rows": 0},
-                 None, "bit", "tiled", id="no-fr-both"),
-    pytest.param(_BLOCKS_1024, None, "both", False, {"tiled": False},
-                 None, "bit", "four_russians", id="no-tiled-both"),
-    pytest.param(_BLOCKS_1024, None, "both", False,
-                 {"tiled": False, "four_russians_min_rows": 0},
-                 None, "sparse", "blocked", id="flat-blocked-both"),
+    # Under FOUR_RUSSIANS_MIN_ROWS output rows a block-structured product
+    # runs the plain tiled kernel (64-120 rows do; 32 stay blocked).
+    pytest.param(_SHORT_BLOCKS, _BLOCKS_2048, "bit", False, None,
+                 "bit", "tiled", id="short-blockdiag-bit"),
 ]
 
 
@@ -416,9 +429,10 @@ def _golden_coo(shape, density, structure):
         nnz = int(density * m * n)
         return rng.integers(0, m, nnz), rng.integers(0, n, nnz)
     # 8 diagonal blocks holding the same nnz
-    bs, nnz = n // 8, int(density * m * n) // 8
-    lo = np.repeat(np.arange(8) * bs, nnz)
-    return lo + rng.integers(0, bs, 8 * nnz), lo + rng.integers(0, bs, 8 * nnz)
+    rbs, cbs, nnz = m // 8, n // 8, int(density * m * n) // 8
+    rows = np.repeat(np.arange(8) * rbs, nnz) + rng.integers(0, rbs, 8 * nnz)
+    cols = np.repeat(np.arange(8) * cbs, nnz) + rng.integers(0, cbs, 8 * nnz)
+    return rows, cols
 
 
 def _golden_operand(hb, spec, residency):
@@ -437,7 +451,7 @@ class TestRoutingPinned:
     the bit route runs are pinned product by product."""
 
     @staticmethod
-    def _run(mode, a_spec, b_spec, residency, in_fixpoint, policy, arena):
+    def _run(mode, a_spec, b_spec, residency, in_fixpoint, arena):
         """Run the product for real; (route taken, kernel that ran, kernel
         the cost estimate named beforehand)."""
         device = None
@@ -447,7 +461,7 @@ class TestRoutingPinned:
             )
         hb = HybridBackend(
             inner=get_backend("cubool", device=device),
-            policy=HybridPolicy(mode=mode, **policy),
+            policy=HybridPolicy(mode=mode),
         )
         a = _golden_operand(hb, a_spec, residency)
         b = a if b_spec is None else _golden_operand(hb, b_spec, residency)
@@ -465,13 +479,13 @@ class TestRoutingPinned:
         return route, ran, named
 
     @pytest.mark.parametrize(
-        "a_spec, b_spec, residency, in_fixpoint, policy, arena, route, kernel",
+        "a_spec, b_spec, residency, in_fixpoint, arena, route, kernel",
         _SQUARE_ROWS + _EXTRA_ROWS,
     )
     def test_golden_route_and_kernel(
-        self, a_spec, b_spec, residency, in_fixpoint, policy, arena, route, kernel
+        self, a_spec, b_spec, residency, in_fixpoint, arena, route, kernel
     ):
-        case = (a_spec, b_spec, residency, in_fixpoint, policy, arena)
+        case = (a_spec, b_spec, residency, in_fixpoint, arena)
         got_route, ran, _ = self._run("auto", *case)
         assert got_route == route
         if route == "bit":
@@ -483,6 +497,21 @@ class TestRoutingPinned:
             # estimate named; a conversion may refine it (exact tile
             # presence replaces the occupancy estimate).
             assert named == kernel
+
+    def test_plain_tiled_product_matches_dense(self):
+        hb = HybridBackend(inner=get_backend("cubool"))
+        a = _golden_operand(hb, _SHORT_BLOCKS, "bit")
+        b = _golden_operand(hb, _BLOCKS_2048, "bit")
+        out = hb.mxm(a, b)
+        assert dict(hb.kernel_counts["mxm"]) == {"tiled": 1}
+        dense = []
+        for spec in (_SHORT_BLOCKS, _BLOCKS_2048):
+            d = np.zeros(spec[0], np.float32)
+            d[_golden_coo(*spec)] = 1.0
+            dense.append(d)
+        got = np.zeros((96, 2048), bool)
+        got[out.storage.to_coo_arrays()] = True
+        assert np.array_equal(got, dense[0] @ dense[1] > 0)
 
     @pytest.mark.parametrize("mode", ["auto", "bit"])
     @pytest.mark.parametrize("residency", ["sparse", "both"])
@@ -579,11 +608,8 @@ class TestTiledRoute:
     """Tiled-kernel arbitration: cost model and telemetry."""
 
     @staticmethod
-    def _backend(**policy_kwargs):
-        from repro.backends import get_backend
-
-        policy = HybridPolicy(mode="bit", **policy_kwargs)
-        return HybridBackend(inner=get_backend("cubool"), policy=policy)
+    def _backend():
+        return HybridBackend(inner=get_backend("cubool"), policy=HybridPolicy(mode="bit"))
 
     @staticmethod
     def _block_diag(backend, n, blocks, density, seed=5):
@@ -597,15 +623,15 @@ class TestTiledRoute:
         return backend.matrix_from_coo(rows, cols, (n, n)), dense
 
     def test_policy_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            HybridPolicy(tile_size=100)
-        with pytest.raises(InvalidArgumentError):
-            HybridPolicy(tile_size=0)
-        # The worker-pool knobs are gone, not silently accepted.
-        with pytest.raises(TypeError):
-            HybridPolicy(workers=2)
-        with pytest.raises(TypeError):
-            HybridPolicy(tiled_parallel_min_words=0)
+        # The kernel knobs are module constants and the worker-pool knobs
+        # are gone: every old spelling is a TypeError, not ignored.
+        assert [f.name for f in dataclasses.fields(HybridPolicy)] == [
+            "mode", "crossover_density", "fixpoint_bias", "max_arena_fraction",
+        ]
+        for knob in ("tiled", "tile_size", "four_russians_min_rows", "workers",
+                     "tiled_parallel_min_words"):
+            with pytest.raises(TypeError):
+                HybridPolicy(**{knob: 0})
 
     def test_block_diagonal_routes_tiled(self):
         hb = self._backend()
@@ -617,13 +643,6 @@ class TestTiledRoute:
         got = np.zeros((1024, 1024), dtype=bool)
         got[rows, cols] = True
         assert np.array_equal(got, dense @ dense)
-
-    def test_tiled_disabled_stays_flat(self):
-        hb = self._backend(tiled=False)
-        a, _ = self._block_diag(hb, 1024, 4, 0.05)
-        hb.mxm(a, a)
-        kernels = hb.kernel_counts["mxm"]
-        assert not any(k.startswith("tiled") for k in kernels), dict(kernels)
 
     def test_single_tile_grid_stays_flat(self):
         hb = self._backend()
@@ -650,12 +669,9 @@ class TestTiledRoute:
         assert all(t >= 0.0 for t in times.values())
 
     def test_wrap_backend_tiled_knobs(self):
-        from repro.backends import get_backend
-
-        hb = wrap_backend(get_backend("clbool"), tiled=False)
-        assert hb.policy.tiled is False
-        with pytest.raises(TypeError):
-            wrap_backend(get_backend("clbool"), workers=2)
+        for knob in ("tiled", "workers"):
+            with pytest.raises(TypeError):
+                wrap_backend(get_backend("clbool"), **{knob: 2})
 
     def test_kron_on_the_bit_route_is_the_flat_kernel(self):
         hb = self._backend()

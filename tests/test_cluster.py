@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-import repro
 from repro.automata.glushkov import glushkov_nfa
 from repro.automata.regex_parse import parse_regex
 from repro.cluster import (
@@ -27,9 +26,8 @@ from repro.errors import (
 )
 from repro.grammar.cfg import CFG
 from repro.grammar.rsm import RSM
-from repro.rpq import rpq_pairs
 from repro.service import QueryService
-from repro.service.kinds import KINDS
+from repro.service.kinds import KINDS, REACH
 from repro.store.volume import GraphVolume, volume_root
 from repro.store.wal import (
     WalCursor,
@@ -250,7 +248,6 @@ class TestApplyReplicated:
             assert len(svc.graphs.get("g").graph.edges["a"]) == count
 
     def test_matches_direct_mutation(self, tmp_path, graph):
-        ctx = repro.Context(backend="cubool")
         with QueryService(workers=1, store_root=tmp_path) as svc:
             svc.register_graph("g", graph)
             edits = [
@@ -269,9 +266,7 @@ class TestApplyReplicated:
                 if e != (0, 10)
             ]
             direct.edges["b"] = list(direct.edges["b"]) + [(20, 30)]
-            assert svc.reach("g", QUERY, source=0) == {
-                v for u, v in rpq_pairs(direct, QUERY, ctx) if u == 0
-            }
+            assert svc.reach("g", QUERY, source=0) == REACH.oracle(direct, QUERY, 0)
 
 
 # -- wire protocol edges ------------------------------------------------------

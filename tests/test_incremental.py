@@ -18,9 +18,9 @@ from repro.datasets.random_graphs import uniform_random_graph
 from repro.graph import LabeledGraph
 from repro.incr.overlay import DeltaOverlay, DeltaSummary
 from repro.incr.state import FixpointState, matrix_coo
-from repro.rpq import rpq_pairs
 from repro.service import QueryService, graph_store
 from repro.service.graph_store import GraphStore
+from repro.service.kinds import CFPQ, PAIRS, REACH
 from repro.service.result_cache import ResultCache
 
 
@@ -276,20 +276,9 @@ class TestServiceArbitration:
             counters = svc.stats().counters
             assert counters.get("incremental_evals", 0) == 3
             assert counters.get("incremental_declined", 0) == 0
-        oracle_ctx = repro.Context(backend="cpu")
-        try:
-            want = rpq_pairs(current, self.QUERY, oracle_ctx)
-            from repro.cfpq.engine import cfpq
-            from repro.grammar.cfg import CFG
-
-            index = cfpq(current, CFG.from_text(grammar), oracle_ctx)
-            want_cfpq = index.pairs()
-            index.free()
-        finally:
-            oracle_ctx.finalize()
-        assert got_pairs == want
-        assert got_reach == {v for u, v in want if u == 3}
-        assert got_cfpq == want_cfpq
+        assert got_pairs == PAIRS.oracle(current, self.QUERY, None)
+        assert got_reach == REACH.oracle(current, self.QUERY, 3)
+        assert got_cfpq == CFPQ.oracle(current, grammar, None)
 
     def test_removal_declines_warm_start(self):
         graph = _graph(n=24, edges=90)
@@ -302,6 +291,16 @@ class TestServiceArbitration:
             counters = svc.stats().counters
             assert counters.get("incremental_evals", 0) == 0
             assert counters.get("full_evals", 0) == 2
+
+    def test_journal_keeps_one_entry_per_batch(self):
+        graph = _graph(n=24, edges=90)
+        with QueryService(backend="cpu", workers=1) as svc:
+            svc.register_graph("g", graph)
+            for edge in [(0, 1), (1, 2), (2, 3)]:
+                svc.add_edges("g", "a", [edge])
+            svc.remove_edges("g", "a", [graph.edges["a"][0]])
+            overlay = svc.stats().graph_store["per_graph"]["g"]["overlay"]
+        assert overlay["journal_entries"] == 4
 
     def test_oversized_delta_declined(self):
         graph = _graph(n=24, edges=40)
@@ -363,16 +362,7 @@ class TestRemoveEdgesRecovery:
                 n=n,
             )
             mirror.add_edge(0, "b", n - 1)
-            oracle_ctx = repro.Context(backend="cpu")
-            try:
-                want = {
-                    t
-                    for s, t in rpq_pairs(mirror, query, oracle_ctx)
-                    if s == probe[0]
-                }
-            finally:
-                oracle_ctx.finalize()
-            assert after == want
+            assert after == REACH.oracle(mirror, query, probe[0])
 
     def test_persist_folds_overlay(self, tmp_path):
         graph = _graph()

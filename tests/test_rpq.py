@@ -1,47 +1,13 @@
-"""RPQ engine tests: Kronecker index vs. brute-force product search."""
+"""RPQ engine tests: Kronecker index vs. the product-BFS oracle."""
 
-from collections import deque
-
-import numpy as np
 import pytest
 
-import repro
 from repro.automata import glushkov_nfa, parse_regex
 from repro.datasets import RPQ_TEMPLATES, generate_rpq_queries, instantiate_template
 from repro.errors import InvalidArgumentError
 from repro.graph import LabeledGraph
 from repro.rpq import extract_paths, rpq_index, rpq_pairs
-
-
-def brute_pairs(graph: LabeledGraph, nfa, max_len: int) -> set:
-    """BFS over (state, vertex) product states."""
-    adj = {}
-    for label, pairs in graph.edges.items():
-        for u, v in pairs:
-            adj.setdefault((label, u), []).append(v)
-    out = set()
-    for u in range(graph.n):
-        seen = set()
-        dq = deque((s, u) for s in nfa.starts)
-        depth = {(s, u): 0 for s in nfa.starts}
-        while dq:
-            s, v = dq.popleft()
-            if (s, v) in seen:
-                continue
-            seen.add((s, v))
-            if s in nfa.finals:
-                out.add((u, v))
-            if depth[(s, v)] >= max_len:
-                continue
-            for label, pairs in nfa.transitions.items():
-                for ss, tt in pairs:
-                    if ss != s:
-                        continue
-                    for w in adj.get((label, v), ()):
-                        if (tt, w) not in depth:
-                            depth[(tt, w)] = depth[(s, v)] + 1
-                            dq.append((tt, w))
-    return out
+from repro.service.kinds import PAIRS
 
 
 @pytest.fixture
@@ -58,9 +24,7 @@ class TestPairs:
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_matches_brute_force(self, ctx, small_graph, query):
-        nfa = glushkov_nfa(parse_regex(query))
-        expected = brute_pairs(small_graph, nfa, max_len=nfa.n * small_graph.n + 1)
-        assert rpq_pairs(small_graph, query, ctx) == expected
+        assert rpq_pairs(small_graph, query, ctx) == PAIRS.oracle(small_graph, query, None)
 
     def test_epsilon_query_matches_identity(self, cubool_ctx, small_graph):
         pairs = rpq_pairs(small_graph, "a*", cubool_ctx)

@@ -16,14 +16,14 @@ from repro.errors import (
     ServiceOverloadedError,
     UnknownGraphError,
 )
-from repro.rpq import rpq_pairs, rpq_reach_batch
+from repro.rpq import rpq_reach_batch
 from repro.service import (
     GraphStore,
     LatencySummary,
     PlanCache,
     QueryService,
 )
-from repro.service.kinds import KINDS, REACH
+from repro.service.kinds import DIST, KINDS, REACH
 
 QUERIES = ("a b* c", "(a | b)+", "a (b c)*", "(a | c) b? c")
 
@@ -33,53 +33,16 @@ def graph():
     return uniform_random_graph(48, 200, labels=("a", "b", "c"), seed=7)
 
 
-@pytest.fixture(scope="module")
-def oracle(graph):
-    ctx = repro.Context(backend="cubool")
-    pairs = {q: rpq_pairs(graph, q, ctx) for q in QUERIES}
-    yield pairs
-    ctx.finalize()
-
-
-def reach_oracle(oracle, q, src):
-    return {v for u, v in oracle[q] if u == src}
-
-
 GRAMMAR = "S -> a S b | a b"
 SOURCE = 5
 
-
-def _direct_cfpq(graph, ctx):
-    from repro.cfpq.engine import cfpq
-    from repro.grammar.cfg import CFG
-
-    index = cfpq(graph, CFG.from_text(GRAMMAR), ctx)
-    try:
-        return index.pairs()
-    finally:
-        index.free()
-
-
-def _direct_dist(graph, ctx):
-    from repro.algorithms.shortest_paths import (
-        single_source_shortest_paths,
-        weight_matrix,
-    )
-
-    dist = single_source_shortest_paths(weight_matrix(graph), SOURCE)
-    return {(v, float(d)) for v, d in enumerate(dist) if d < float("inf")}
-
-
-#: One case per table row: the query as ``submit`` takes it, and the
-#: engine called directly — no service in between — as the oracle.
+#: One query per table row, as ``submit`` takes it; the row's own
+#: ``oracle`` is the reference answer.
 KIND_CASES = {
-    "reach": dict(
-        query=QUERIES[1],
-        direct=lambda g, ctx: rpq_reach_batch(g, [QUERIES[1]], [SOURCE], ctx)[0],
-    ),
-    "pairs": dict(query=QUERIES[1], direct=lambda g, ctx: rpq_pairs(g, QUERIES[1], ctx)),
-    "cfpq": dict(query=GRAMMAR, direct=_direct_cfpq),
-    "dist": dict(query=("min-plus", None), direct=_direct_dist),
+    "reach": QUERIES[1],
+    "pairs": QUERIES[1],
+    "cfpq": GRAMMAR,
+    "dist": ("min-plus", None),
 }
 
 
@@ -89,15 +52,18 @@ class TestQueryKinds:
 
     def _submit(self, service, kind):
         source = SOURCE if KINDS[kind].needs_source else None
-        return service.submit(
-            kind, "g", KIND_CASES[kind]["query"], source=source
-        ).result(timeout=60.0)
+        return service.submit(kind, "g", KIND_CASES[kind], source=source).result(timeout=60.0)
 
-    def test_submit_matches_direct_engine(self, kind, graph, cubool_ctx):
+    @staticmethod
+    def _oracle(kind, graph):
+        row = KINDS[kind]
+        return row.oracle(graph, KIND_CASES[kind], SOURCE if row.needs_source else None)
+
+    def test_submit_matches_direct_engine(self, kind, graph):
         with QueryService(workers=1) as service:
             service.register_graph("g", graph)
             got = self._submit(service, kind)
-        assert got == KIND_CASES[kind]["direct"](graph, cubool_ctx)
+        assert got == self._oracle(kind, graph)
 
     def test_repeat_is_result_cache_hit(self, kind, graph):
         with QueryService(workers=1) as service:
@@ -108,7 +74,7 @@ class TestQueryKinds:
         assert snap.counters["full_evals"] == 1
         assert (snap.plan_cache["misses"], snap.plan_cache["hits"]) == (1, 1)
 
-    def test_adds_only_delta_warm_starts_where_supported(self, kind, graph, cubool_ctx):
+    def test_adds_only_delta_warm_starts_where_supported(self, kind, graph):
         from repro.graph import LabeledGraph
 
         delta = [(0, 9), (4, 17)]
@@ -123,7 +89,7 @@ class TestQueryKinds:
         mutated = LabeledGraph.from_triples(graph.triples(), n=graph.n)
         for u, v in delta:
             mutated.add_edge(u, "a", v)
-        assert got == KIND_CASES[kind]["direct"](mutated, cubool_ctx)
+        assert got == self._oracle(kind, mutated)
         warm = 1 if KINDS[kind].warm_starts else 0
         assert counters.get("incremental_evals", 0) == warm
         assert counters["full_evals"] == 2 - warm
@@ -168,6 +134,10 @@ def test_generic_modules_name_no_kind():
         repro.cluster.follower,
     ):
         assert not literals(tree(module)) & names, module.__name__
+        # The oracle column is the tests' reference, never a serving path.
+        assert not any(
+            isinstance(n, ast.Attribute) and n.attr == "oracle" for n in ast.walk(tree(module))
+        ), module.__name__
     (plan_cache_class,) = (
         node
         for node in tree(repro.service.plan_cache).body
@@ -179,22 +149,22 @@ def test_generic_modules_name_no_kind():
 class TestBatchEvaluator:
     """rpq_reach_batch — the kernel behind multi-query coalescing."""
 
-    def test_batch_matches_sequential(self, graph, oracle, cubool_ctx):
+    def test_batch_matches_sequential(self, graph, cubool_ctx):
         queries, sources = [], []
         for i in range(10):
             queries.append(QUERIES[i % len(QUERIES)])
             sources.append((5 * i) % graph.n)
         got = rpq_reach_batch(graph, queries, sources, cubool_ctx)
         for q, src, result in zip(queries, sources, got):
-            assert result == reach_oracle(oracle, q, src), (q, src)
+            assert result == REACH.oracle(graph, q, src), (q, src)
 
-    def test_batch_of_one(self, graph, oracle, cubool_ctx):
+    def test_batch_of_one(self, graph, cubool_ctx):
         from repro.rpq import rpq_reach
 
         got = rpq_reach(graph, QUERIES[0], 3, cubool_ctx)
-        assert got == reach_oracle(oracle, QUERIES[0], 3)
+        assert got == REACH.oracle(graph, QUERIES[0], 3)
 
-    def test_batch_shared_plan_dedup(self, graph, oracle, cubool_ctx):
+    def test_batch_shared_plan_dedup(self, graph, cubool_ctx):
         # The same NFA object used by several batch members must be
         # stacked once, not per member.
         from repro.service.plan_cache import compile_rpq_plan
@@ -204,7 +174,7 @@ class TestBatchEvaluator:
             graph, [plan.nfa] * 4, [0, 7, 7, 21], cubool_ctx
         )
         for src, result in zip([0, 7, 7, 21], got):
-            assert result == reach_oracle(oracle, QUERIES[1], src)
+            assert result == REACH.oracle(graph, QUERIES[1], src)
 
     def test_batch_cancel_hook(self, graph, cubool_ctx):
         def cancel():
@@ -373,11 +343,11 @@ class TestGraphStore:
 
 
 class TestServiceLifecycle:
-    def test_sync_roundtrip_and_stats(self, graph, oracle):
+    def test_sync_roundtrip_and_stats(self, graph):
         with QueryService(workers=2) as service:
             service.register_graph("g", graph)
             got = service.reach("g", QUERIES[0], source=5)
-            assert got == reach_oracle(oracle, QUERIES[0], 5)
+            assert got == REACH.oracle(graph, QUERIES[0], 5)
             snap = service.stats()
             assert snap.counters["completed"] == 1
             assert snap.latency["total"].count == 1
@@ -393,12 +363,36 @@ class TestServiceLifecycle:
             with pytest.raises(InvalidArgumentError):
                 service.submit("no-such-kind", "g", QUERIES[0])
             for row in KINDS.values():
-                query = KIND_CASES[row.name]["query"]
+                query = KIND_CASES[row.name]
                 # A source where one is required, and only there.
                 for bad in (None, graph.n) if row.needs_source else (0,):
                     with pytest.raises(InvalidArgumentError):
                         service.submit(row.name, "g", query, source=bad)
             assert service.stats().counters.get("submitted", 0) == 0
+
+    def test_distances_reject_other_algebras_before_admission(self, graph):
+        with QueryService(workers=0) as service:
+            service.register_graph("g", graph)
+            for semiring in ("plus-times", "no-such-algebra"):
+                with pytest.raises(InvalidArgumentError):
+                    service.distances("g", source=SOURCE, semiring=semiring)
+            assert service.stats().counters.get("submitted", 0) == 0
+
+    def test_dist_and_reach_answers_never_shadow(self, graph):
+        # Same graph, version and source: the result cache keeps the
+        # min-plus and the boolean answer apart, on miss and on hit.
+        weights = {"a": 1.0, "b": 2.5}
+        dist_query = ("min-plus", tuple(sorted(weights.items())))
+        with QueryService(workers=1) as service:
+            service.register_graph("g", graph)
+            for _ in range(2):
+                dist = service.distances("g", source=SOURCE, weights=weights)
+                reach = service.reach("g", QUERIES[1], source=SOURCE)
+                assert dist == DIST.oracle(graph, dist_query, SOURCE)
+                assert reach == REACH.oracle(graph, QUERIES[1], SOURCE)
+            counters = service.stats().counters
+        assert all(isinstance(v, int) for v in reach)
+        assert (counters["result_cache_hits"], counters["full_evals"]) == (2, 2)
 
     def test_submit_after_close_raises(self, graph):
         from repro.service.scheduler import QueryTicket
@@ -499,7 +493,7 @@ class TestStats:
 
 
 class TestConcurrentStress:
-    def test_threaded_clients_match_sequential(self, graph, oracle):
+    def test_threaded_clients_match_sequential(self, graph):
         """N client threads x M queries: identical to the oracle."""
         n_clients, per_client = 4, 12
         failures: list[str] = []
@@ -519,7 +513,7 @@ class TestConcurrentStress:
                 ]
                 for (q, src), ticket in zip(jobs, tickets):
                     got = ticket.result(timeout=60.0)
-                    if got != reach_oracle(oracle, q, src):
+                    if got != REACH.oracle(graph, q, src):
                         with lock:
                             failures.append(f"{q!r} from {src}")
 
@@ -541,11 +535,10 @@ class TestConcurrentStress:
             assert snap.plan_cache["misses"] == len(QUERIES)
             assert snap.plan_cache["hits"] == n_clients * per_client - len(QUERIES)
 
-    def test_batching_actually_coalesces(self, graph, oracle, cubool_ctx):
+    def test_batching_actually_coalesces(self, graph):
         """Concurrent same-graph queries ride shared evaluations, and
         each member keeps its own warm-start lineage."""
         from repro.graph import LabeledGraph
-        from repro.rpq import rpq_reach
 
         with QueryService(workers=1, max_batch=8, queue_limit=64) as service:
             service.register_graph(
@@ -558,7 +551,7 @@ class TestConcurrentStress:
                 service.submit_reach("g", q, source=src) for q, src in jobs
             ]
             for (q, src), ticket in zip(jobs, tickets):
-                assert ticket.result(timeout=60.0) == reach_oracle(oracle, q, src)
+                assert ticket.result(timeout=60.0) == REACH.oracle(graph, q, src)
             snap = service.stats()
             # A single worker draining a pre-filled queue must have
             # grouped queries: strictly fewer evaluations than queries.
@@ -581,4 +574,4 @@ class TestConcurrentStress:
         for u, v in delta:
             mutated.add_edge(u, "a", v)
         for (q, src), got in zip(jobs, answers):
-            assert got == rpq_reach(mutated, q, src, cubool_ctx), (q, src)
+            assert got == REACH.oracle(mutated, q, src), (q, src)

@@ -17,9 +17,9 @@ from repro.errors import (
     StoreError,
     UnknownGraphError,
 )
-from repro.rpq import rpq_pairs
 from repro.service import QueryService
 from repro.service.graph_store import GraphStore
+from repro.service.kinds import REACH
 from repro.service.result_cache import ResultCache
 from repro.store.cli import main as store_main
 
@@ -33,10 +33,6 @@ def fresh_graph():
 @pytest.fixture(scope="module")
 def graph():
     return fresh_graph()
-
-
-def reach_oracle(graph, query, src, ctx):
-    return {v for u, v in rpq_pairs(graph, query, ctx) if u == src}
 
 
 class TestPersistRestore:
@@ -80,10 +76,7 @@ class TestPersistRestore:
         for u, v in added:
             mutated.add_edge(u, "a", v)
         mutated.edges["b"] = [e for e in mutated.edges["b"] if e not in removed]
-        ctx = repro.Context(backend="cubool")
-        want = reach_oracle(mutated, QUERY, 1, ctx)
-        ctx.finalize()
-        assert got == want
+        assert got == REACH.oracle(mutated, QUERY, 1)
 
     def test_mutation_without_volume_is_in_memory_only(self, graph):
         with QueryService(workers=1, store_root=None) as svc:
