@@ -2,72 +2,21 @@
 
 Two halves guard the kernel/service boundary:
 
-* **reprolint** (static): an AST linter whose per-module rules encode
-  the repo's domain contracts — no silent densification in hot paths
-  (R1), arena accounting for word buffers (R2), ``# guarded-by`` lock
-  discipline (R3), taxonomy-only error handling (R4), kernel purity
-  (R5), and shape-contract presence (R6) — plus a whole-program pass
-  (:mod:`~repro.analysis.callgraph` + :mod:`~repro.analysis.dataflow`)
-  that builds a conservative call graph and checks the contracts that
-  span call boundaries: static lock-order inversions (R7), locks held
-  across kernel boundaries and unguarded cross-object access to
-  guarded state (R8), writes through read-only mapped store containers
-  (R9), and interprocedural out-param aliasing (R5).  Run it with
+* **reprolint** (static, :mod:`~repro.analysis.engine` +
+  :mod:`~repro.analysis.rules`): an AST linter whose per-module rules
+  encode the repo's domain contracts — no silent densification in hot
+  paths (R1), arena accounting for word buffers (R2), ``# guarded-by``
+  lock discipline (R3), taxonomy-only error handling (R4), kernel
+  purity (R5), and shape-contract presence (R6).  Run it with
   ``python -m repro lint``; CI diffs against the committed
   ``metadata/lint_baseline.json`` snapshot.
-* **locktrace** (runtime): instrumented locks (``REPRO_CHECK_LOCKS=1``)
-  that build a lock-order graph across the service tier and report
-  ordering inversions, locks held across kernel calls, and long holds.
-  The selftest asserts the runtime-observed edges are a subset of the
-  static graph (:func:`~repro.analysis.dataflow.static_lock_graph`).
+* **locktrace** (runtime, :mod:`~repro.analysis.locktrace`):
+  instrumented locks (``REPRO_CHECK_LOCKS=1``) that build a lock-order
+  graph across the service tier and report ordering inversions, locks
+  held across kernel calls, and long holds.
 
-See ``docs/ANALYSIS.md`` for every rule's rationale, example findings,
-and the suppression / allowlist / baseline policy.
+The package re-exports nothing, so a module that only needs
+``make_lock`` / ``kernel_boundary`` loads the sentinel without the
+linter.  See ``docs/ANALYSIS.md`` for every rule's rationale, example
+findings, and the suppression / allowlist / baseline policy.
 """
-
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
-from repro.analysis.callgraph import CallResolver, ProgramIndex
-from repro.analysis.dataflow import (
-    Program,
-    ProgramRule,
-    default_program_rules,
-    program_rule_registry,
-    static_lock_graph,
-)
-from repro.analysis.engine import ModuleContext, lint_paths
-from repro.analysis.findings import Finding, is_suppressed, parse_suppressions
-from repro.analysis.locktrace import (
-    Hazard,
-    LockTracer,
-    TracedLock,
-    kernel_boundary,
-    make_lock,
-)
-from repro.analysis.rules import Rule, default_rules, register, rule_registry
-
-__all__ = [
-    "CallResolver",
-    "Finding",
-    "Hazard",
-    "LockTracer",
-    "ModuleContext",
-    "Program",
-    "ProgramIndex",
-    "ProgramRule",
-    "Rule",
-    "TracedLock",
-    "apply_baseline",
-    "default_program_rules",
-    "default_rules",
-    "is_suppressed",
-    "kernel_boundary",
-    "lint_paths",
-    "load_baseline",
-    "make_lock",
-    "parse_suppressions",
-    "program_rule_registry",
-    "register",
-    "rule_registry",
-    "static_lock_graph",
-    "write_baseline",
-]

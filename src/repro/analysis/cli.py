@@ -25,8 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprolint",
         description="Contract-checking static analysis for the SPbLA "
-        "reproduction (per-module rules R1-R6 plus whole-program rules "
-        "R7-R9; see docs/ANALYSIS.md).",
+        "reproduction (rules R1-R6; see docs/ANALYSIS.md).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/"], help="files or directories to lint"
@@ -63,33 +62,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
-    from repro.analysis.dataflow import default_program_rules, program_rule_registry
-
     registry = rule_registry()
-    program_registry = program_rule_registry()
     if args.list_rules:
-        for rule_id in sorted(registry.keys() | program_registry.keys()):
-            for table, scope in ((registry, "module"), (program_registry, "program")):
-                rule = table.get(rule_id)
-                if rule is not None:
-                    print(f"{rule_id}  {rule.name:28s} [{scope:7s}] {rule.rationale}")
+        for rule_id, rule in sorted(registry.items()):
+            print(f"{rule_id}  {rule.name:28s} {rule.rationale}")
         return 0
 
     select = None
     if args.select:
         select = {tok.strip().upper() for tok in args.select.split(",") if tok.strip()}
-        unknown = select - registry.keys() - program_registry.keys()
+        unknown = select - registry.keys()
         if unknown:
             print(f"unknown rule ids: {sorted(unknown)}", file=sys.stderr)
             return 2
 
     findings = lint_paths(
         args.paths,
-        default_rules(None if select is None else select & registry.keys()),
+        default_rules(select),
         respect_suppressions=not args.no_suppress,
-        program_rules=default_program_rules(
-            None if select is None else select & program_registry.keys()
-        ),
     )
 
     if args.write_baseline:

@@ -127,80 +127,39 @@ def lint_paths(
     rules: Iterable | None = None,
     *,
     respect_suppressions: bool = True,
-    program_rules: Iterable | None = None,
 ) -> list[Finding]:
-    """Run per-module ``rules`` plus whole-program ``program_rules``.
+    """Run ``rules`` (default: every registered rule) over every file.
 
-    With both arguments left at ``None`` the full registries run: every
-    per-module rule over every file, then every whole-program rule over the
-    :class:`~repro.analysis.dataflow.Program` built from the same
-    modules.  Passing an explicit ``rules`` iterable scopes the run to
-    exactly those per-module rules and skips the whole-program pass
-    unless ``program_rules`` is also given — a rule-selection call
-    means *those rules and nothing else*.  Files are parsed and linted
-    one after another on the calling thread (the work is pure Python
-    under the GIL, and concurrent ``ast.parse`` trips CPython
-    gh-106905); output is in Finding sort order.
+    Files are parsed and linted one after another on the calling thread
+    (the work is pure Python under the GIL, and concurrent
+    ``ast.parse`` trips CPython gh-106905); output is in Finding sort
+    order.
     """
-    explicit_rules = rules is not None
     if rules is None:
         from repro.analysis.rules import default_rules
 
         rules = default_rules()
     rules = list(rules)
-    if program_rules is None and not explicit_rules:
-        from repro.analysis.dataflow import default_program_rules
 
-        program_rules = default_program_rules()
-    program_rules = list(program_rules or ())
-
-    files = list(iter_python_files(roots))
-
-    def lint_one(
-        path: Path, rel: str
-    ) -> tuple[list[Finding], ModuleContext | None]:
+    findings: list[Finding] = []
+    for path, rel in iter_python_files(roots):
         try:
             module = load_module(path, rel)
         except SyntaxError as exc:
-            return (
-                [
-                    Finding(
-                        path=str(path),
-                        line=exc.lineno or 1,
-                        col=(exc.offset or 0) + 1,
-                        rule="R0",
-                        message=f"syntax error: {exc.msg}",
-                    )
-                ],
-                None,
+            findings.append(
+                Finding(
+                    path=str(path),
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1,
+                    rule="R0",
+                    message=f"syntax error: {exc.msg}",
+                )
             )
-        out = []
+            continue
         for rule in rules:
             for finding in rule.check(module):
                 if respect_suppressions and is_suppressed(
                     finding, module.suppressions
-                ):
-                    continue
-                out.append(finding)
-        return out, module
-
-    findings: list[Finding] = []
-    modules: list[ModuleContext] = []
-    for path, rel in files:
-        module_findings, module = lint_one(path, rel)
-        findings.extend(module_findings)
-        if module is not None:
-            modules.append(module)
-
-    if program_rules and modules:
-        from repro.analysis.dataflow import Program
-
-        program = Program.build(modules)
-        suppressions = {str(m.path): m.suppressions for m in modules}
-        for rule in program_rules:
-            for finding in rule.check(program):
-                if respect_suppressions and is_suppressed(
-                    finding, suppressions.get(finding.path, {})
                 ):
                     continue
                 findings.append(finding)

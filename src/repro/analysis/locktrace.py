@@ -35,8 +35,7 @@ Detected hazard kinds
     (:func:`kernel_boundary` — the scheduler declares one before every
     batch evaluation).
 ``long-hold``
-    A lock held longer than ``REPRO_LOCK_HOLD_MS`` milliseconds
-    (default 200).
+    A lock held longer than :data:`HOLD_THRESHOLD_S` (200 ms).
 ``unheld-release``
     Releasing a traced lock this thread does not hold (lock discipline
     broken outside ``with``).
@@ -59,16 +58,8 @@ def locks_checked_from_env(environ=None) -> bool:
     return raw.strip().lower() in ("1", "on", "true", "yes")
 
 
-def hold_threshold_from_env(environ=None) -> float:
-    """``REPRO_LOCK_HOLD_MS`` as seconds (default 200 ms)."""
-    raw = (environ if environ is not None else os.environ).get(
-        "REPRO_LOCK_HOLD_MS", ""
-    )
-    try:
-        return float(raw) / 1e3 if raw.strip() else 0.2
-    except ValueError:
-        return 0.2
-
+#: Hold time (seconds) past which a release reports ``long-hold``.
+HOLD_THRESHOLD_S = 0.2
 
 #: Frames kept per acquisition stack (innermost last, tracer frames cut).
 _STACK_LIMIT = 12
@@ -154,11 +145,8 @@ class LockTracer:
     lock), so instrumenting cannot itself deadlock.
     """
 
-    def __init__(self, *, enabled: bool = True, hold_threshold: float | None = None):
+    def __init__(self, *, enabled: bool = True):
         self.enabled = enabled
-        self.hold_threshold = (
-            hold_threshold if hold_threshold is not None else hold_threshold_from_env()
-        )
         self._meta = threading.Lock()
         self._tls = threading.local()
         #: lock name -> set of lock names acquired while it was held.
@@ -250,14 +238,14 @@ class LockTracer:
             if held[i].lock is lock:
                 h = held.pop(i)
                 dt = time.monotonic() - h.t0
-                if dt > self.hold_threshold:
+                if dt > HOLD_THRESHOLD_S:
                     with self._meta:
                         self._hazards.append(
                             Hazard(
                                 kind="long-hold",
                                 message=(
                                     f"{lock.name!r} held for {dt * 1e3:.1f} ms "
-                                    f"(threshold {self.hold_threshold * 1e3:.0f} ms)"
+                                    f"(threshold {HOLD_THRESHOLD_S * 1e3:.0f} ms)"
                                 ),
                                 thread=threading.current_thread().name,
                                 stacks=(("acquired at", h.stack),),

@@ -165,10 +165,9 @@ class ArenaAccounting(Rule):
 
     Read-only ``np.memmap`` views (the persistent store's zero-copy
     snapshot loads — word arrays *and* sparse index arrays) are the one
-    sanctioned alternative flow: they are accounted under the arena's
-    ``mapped_bytes`` via ``MemoryArena.adopt_external`` or tracked as
-    R9 mapped sources (``repro.analysis.dataflow.MAPPED_SOURCES``)
-    rather than the heap counters, and are only legal inside the
+    sanctioned alternative flow: word views are accounted under the
+    arena's ``mapped_bytes`` via ``MemoryArena.adopt_external`` rather
+    than the heap counters, and every view is only legal inside the
     registered memmap-flow functions.  Every ``np.memmap`` call in a
     covered module is checked, whatever its dtype — a mapped ``uint32``
     index array dodging the audit misstates the footprint exactly like
@@ -216,8 +215,8 @@ class ArenaAccounting(Rule):
 
     #: Audited functions whose mapped views reach the accounting: word
     #: views via ``MemoryArena.adopt_external`` (mapped_bytes), sparse
-    #: index views via the R9 mapped-source dataflow (read-only is
-    #: machine-checked, sharing is the point).
+    #: index views mapped ``mode="r"`` (a write raises; sharing the
+    #: pages is the point).
     MEMMAP_FLOW_SITES = {
         "store/container.py::_map_words",
         "store/container.py::_map_array",
@@ -238,8 +237,8 @@ class ArenaAccounting(Rule):
                     node,
                     f"memmap view outside the audited memmap-flow "
                     f"functions (site {site.split('::')[-1]!r}; mapped "
-                    f"views must reach MemoryArena.adopt_external or be "
-                    f"a registered R9 mapped source)",
+                    f"views must reach MemoryArena.adopt_external or a "
+                    f"registered memmap-flow site)",
                 )
                 continue
             if not _is_np_call(node, "zeros", "empty", "ones", "full"):
@@ -283,7 +282,7 @@ class GuardedByDiscipline(Rule):
     ``with self.<lock>:`` block.  ``__init__`` is exempt — the object
     is not yet shared during construction.  The lock sentinel
     (:mod:`repro.analysis.locktrace`) covers what this rule cannot:
-    ordering between locks and cross-object access patterns.
+    ordering between locks and locks held across kernel calls.
     """
 
     id = "R3"

@@ -135,6 +135,16 @@ FOUR_RUSSIANS_MIN_K = 64
 #: work; block-structured operands amortize it over skipped tiles.
 TILE_PAIR_OVERHEAD_WORDS = 4096.0
 
+#: Multiplier (< 1) on the bit cost inside a ``backend.fixpoint()``
+#: region once an operand is already bit-resident — hysteresis that
+#: keeps densifying loops from thrashing between formats near the
+#: crossover.
+FIXPOINT_BIAS = 0.5
+#: Bit routing is refused when the packed operands + result would push
+#: arena live bytes beyond this fraction of device capacity (the dense
+#: format must never OOM a workload the sparse path can run — E0/E8).
+MAX_ARENA_FRACTION = 0.9
+
 
 #: The off/auto/bit/sparse vocabulary (None: pure sparse path).
 _HYBRID_MODES = {
@@ -175,26 +185,16 @@ class HybridPolicy:
         Density at which sparse and bit multiply break even for a
         square, equal-density operand pair; calibrates the sparse
         per-product cost (see module docstring).
-    fixpoint_bias:
-        Multiplier (< 1) applied to the bit cost inside a
-        ``backend.fixpoint()`` region once an operand is already
-        bit-resident — hysteresis that keeps densifying loops from
-        thrashing between formats near the threshold.
-    max_arena_fraction:
-        Bit routing is refused when the packed operands + result would
-        push arena live bytes beyond this fraction of device capacity
-        (keeps the E0/E8 memory story honest: the dense format must
-        never OOM a workload the sparse path can run).
 
     The bit kernels themselves are not policy: the cost table always
     offers the tiled rows (``DEFAULT_TILE``-bit tiles) and Four-Russians
-    from ``FOUR_RUSSIANS_MIN_ROWS`` output rows up.
+    from ``FOUR_RUSSIANS_MIN_ROWS`` output rows up; fixpoint hysteresis
+    and the arena budget are the ``FIXPOINT_BIAS`` and
+    ``MAX_ARENA_FRACTION`` constants.
     """
 
     mode: str = "auto"
     crossover_density: float = 0.02
-    fixpoint_bias: float = 0.5
-    max_arena_fraction: float = 0.9
 
     def __post_init__(self):
         if self.mode not in ("auto", "sparse", "bit"):
@@ -410,7 +410,7 @@ class HybridBackend(Backend):
         """Context manager marking an iterative accumulate loop.
 
         Inside the (re-entrant, per-thread) region the cost model
-        applies ``fixpoint_bias`` hysteresis once an operand is
+        applies ``FIXPOINT_BIAS`` hysteresis once an operand is
         bit-resident, so a densifying loop settles into the bit regime
         instead of thrashing at the crossover.
         """
@@ -730,7 +730,7 @@ class HybridBackend(Backend):
             bit = out_words
         bit += conv_a + conv_b
         if self._fixpoint_depth and (a.bit is not None or b.bit is not None):
-            bit *= pol.fixpoint_bias
+            bit *= FIXPOINT_BIAS
         return CostEstimate(
             op=op,
             sparse=sparse,
@@ -781,7 +781,7 @@ class HybridBackend(Backend):
 
     def _bit_fits(self, extra_bytes: int) -> bool:
         arena = self.device.arena
-        budget = self.policy.max_arena_fraction * arena.capacity_bytes
+        budget = MAX_ARENA_FRACTION * arena.capacity_bytes
         return arena.live_bytes + extra_bytes <= budget
 
     # -- creation ----------------------------------------------------------
@@ -858,7 +858,7 @@ class HybridBackend(Backend):
             mask_bit: BitMatrix | None = (
                 # _ensure_bit caches a bit *view* on the wrapper; the
                 # mask's boolean contents stay untouched.
-                self._ensure_bit(mask).storage if mask is not None else None  # reprolint: disable=R5
+                self._ensure_bit(mask).storage if mask is not None else None
             )
             if kernel is None or not resident:
                 # Forced mode, or the route was priced on occupancy
@@ -896,7 +896,7 @@ class HybridBackend(Backend):
             )
         acc = self._ensure_sparse(accumulate) if accumulate is not None else None
         # Same caching idiom: only the sparse view slot is written.
-        msk = self._ensure_sparse(mask) if mask is not None else None  # reprolint: disable=R5
+        msk = self._ensure_sparse(mask) if mask is not None else None
         return self._wrap_sparse(
             self.inner.mxm(self._ensure_sparse(a), self._ensure_sparse(b), acc, msk)
         )

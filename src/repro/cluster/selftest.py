@@ -96,13 +96,10 @@ def run_cluster_selftest(
 
     tracer = locktrace.tracer()
     if tracer is not None:
-        from repro.service.selftest import _lock_graph_crosscheck
-
         say("")
         say(tracer.report())
         for hazard in tracer.hazards():
             failures.append(f"lock sentinel: {hazard.render()}")
-        failures.extend(_lock_graph_crosscheck(tracer, say=say))
 
     if failures:
         say("")

@@ -29,7 +29,7 @@ from repro.errors import (
 from repro.graph import LabeledGraph
 from repro.incr.overlay import DeltaOverlay
 
-if TYPE_CHECKING:  # typed slots below feed the static lock analysis
+if TYPE_CHECKING:  # annotations only: the store layer is imported lazily
     from repro.store.volume import GraphVolume
 
 RESIDENCY_MODES = ("auto", "bit", "tiled", "sparse")

@@ -42,7 +42,7 @@ from repro.errors import (
 )
 from repro.service.kinds import KINDS, get_kind
 
-if TYPE_CHECKING:  # typed collaborators feed the static lock analysis
+if TYPE_CHECKING:  # collaborator types, for annotations only
     from repro.service.graph_store import GraphStore
     from repro.service.plan_cache import PlanCache
     from repro.service.result_cache import ResultCache

@@ -10,17 +10,14 @@ Per round, reader threads submit every kind in
 small add/remove batch.  Every answer must equal its row's ``oracle``
 over a host mirror of the graph at the round's version.  The plan and
 result caches must have hit, and every submission must complete.
-Under ``REPRO_CHECK_LOCKS=1`` the sentinel must record no hazard, and
-the runtime lock-order edges — the writer's commits take
-``GraphHandle._lock → DeltaOverlay._lock`` — must lie in the static
-lock graph.  CI runs it under every ``REPRO_HYBRID`` ×
-``REPRO_CHECK_LOCKS`` setting; the exit status is the install check.
+Under ``REPRO_CHECK_LOCKS=1`` the sentinel must record no hazard.  CI
+runs it under every ``REPRO_HYBRID`` × ``REPRO_CHECK_LOCKS`` setting;
+the exit status is the install check.
 """
 
 from __future__ import annotations
 
 import threading
-from pathlib import Path
 
 import numpy as np
 
@@ -110,7 +107,6 @@ def run_selftest(
         say("")
         say(tracer.report())
         failures.extend(f"lock sentinel: {h.render()}" for h in tracer.hazards())
-        failures.extend(_lock_graph_crosscheck(tracer, say=say))
 
     if failures:
         say("")
@@ -166,38 +162,3 @@ def _read_round(service: QueryService, jobs: list[tuple]) -> list[tuple]:
     for t in threads:
         t.join()
     return answers
-
-
-def _lock_graph_crosscheck(tracer, *, say) -> list[str]:
-    """Assert runtime-observed lock-order edges ⊆ the static lock graph.
-
-    The sentinel only sees executed interleavings; reprolint's
-    whole-program pass claims to cover every resolvable path.  An edge
-    the runtime saw but the static graph lacks therefore means one of
-    two bugs worth failing on: the call-graph resolution lost a path
-    (static-analysis regression), or a lock was created/ordered through
-    dynamic indirection the index cannot see.
-    """
-    import repro
-    from repro.analysis.dataflow import static_lock_graph
-
-    runtime = tracer.order_graph()
-    static = static_lock_graph([Path(repro.__file__).parent])
-    missing = sorted(
-        (held, acquired)
-        for held, successors in runtime.items()
-        for acquired in successors
-        if acquired not in static.get(held, set())
-    )
-    n_runtime = sum(len(v) for v in runtime.values())
-    n_static = sum(len(v) for v in static.values())
-    if not missing:
-        say(
-            f"lock-edge cross-check ok: {n_runtime} runtime edge(s) within "
-            f"{n_static} static edge(s)"
-        )
-    return [
-        f"lock-edge cross-check: runtime edge {held!r} -> {acquired!r} "
-        f"is absent from the static lock graph"
-        for held, acquired in missing
-    ]

@@ -10,9 +10,14 @@ from repro.analysis.locktrace import LockTracer, TracedLock
 
 
 @pytest.fixture
-def tracer():
+def generous_hold(monkeypatch):
     # Generous long-hold threshold so only deliberate holds trip it.
-    return LockTracer(hold_threshold=5.0)
+    monkeypatch.setattr(locktrace, "HOLD_THRESHOLD_S", 5.0)
+
+
+@pytest.fixture
+def tracer(generous_hold):
+    return LockTracer()
 
 
 # -- hazard detection ---------------------------------------------------------
@@ -101,8 +106,9 @@ def test_held_across_kernel_boundary(tracer):
     assert "'mxm'" in hazards[0].message
 
 
-def test_long_hold_detected():
-    tracer = LockTracer(hold_threshold=0.01)
+def test_long_hold_detected(monkeypatch):
+    monkeypatch.setattr(locktrace, "HOLD_THRESHOLD_S", 0.01)
+    tracer = LockTracer()
     a = tracer.lock("A")
     with a:
         time.sleep(0.05)
@@ -169,9 +175,6 @@ def test_env_parsing():
     assert locktrace.locks_checked_from_env({"REPRO_CHECK_LOCKS": "on"})
     assert not locktrace.locks_checked_from_env({"REPRO_CHECK_LOCKS": "0"})
     assert not locktrace.locks_checked_from_env({})
-    assert locktrace.hold_threshold_from_env({"REPRO_LOCK_HOLD_MS": "50"}) == 0.05
-    assert locktrace.hold_threshold_from_env({}) == 0.2
-    assert locktrace.hold_threshold_from_env({"REPRO_LOCK_HOLD_MS": "junk"}) == 0.2
 
 
 def test_make_lock_plain_when_disabled(monkeypatch):
@@ -182,8 +185,8 @@ def test_make_lock_plain_when_disabled(monkeypatch):
     locktrace.kernel_boundary("noop")  # no tracer: must be a no-op
 
 
-def test_make_lock_traced_when_enabled(monkeypatch):
-    tracer = LockTracer(hold_threshold=5.0)
+def test_make_lock_traced_when_enabled(monkeypatch, generous_hold):
+    tracer = LockTracer()
     monkeypatch.setattr(locktrace, "_TRACER", tracer)
     assert locktrace.enabled()
     lock = locktrace.make_lock("X")
@@ -196,8 +199,8 @@ def test_make_lock_traced_when_enabled(monkeypatch):
 # -- the service tier under full instrumentation ------------------------------
 
 
-def test_service_stress_is_hazard_free(monkeypatch):
-    tracer = LockTracer(hold_threshold=5.0)
+def test_service_stress_is_hazard_free(monkeypatch, generous_hold):
+    tracer = LockTracer()
     monkeypatch.setattr(locktrace, "_TRACER", tracer)
 
     from repro.datasets.random_graphs import uniform_random_graph
@@ -226,10 +229,10 @@ def test_service_stress_is_hazard_free(monkeypatch):
     assert stats["locks"] >= 4  # scheduler, store, handle, cache, stats
 
 
-def test_selftest_reports_seeded_hazard(monkeypatch, capsys):
+def test_selftest_reports_seeded_hazard(monkeypatch, capsys, generous_hold):
     # The selftest must both pass clean under the sentinel and fail loudly
     # when the tracer holds a hazard.
-    tracer = LockTracer(hold_threshold=5.0)
+    tracer = LockTracer()
     monkeypatch.setattr(locktrace, "_TRACER", tracer)
 
     from repro.service.selftest import run_selftest

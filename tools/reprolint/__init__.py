@@ -1,7 +1,7 @@
 """Standalone launcher for reprolint (``python -m tools.reprolint``).
 
-The implementation lives in :mod:`repro.analysis` so the library can
-lint itself (``python -m repro lint``) and tests can import the rules;
+The implementation lives in :mod:`repro.analysis` (entry point
+:mod:`repro.analysis.cli`) so the library can lint itself (``python -m repro lint``) and tests can import the rules;
 this package exists so the gate also runs in checkouts where ``repro``
 is not installed — it prepends ``src/`` to ``sys.path`` before
 delegating.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 def _ensure_repro_on_path() -> None:
     try:
-        import repro.analysis  # noqa: F401
+        import repro.analysis.cli  # noqa: F401
         return
     except ImportError:
         pass
