@@ -83,15 +83,16 @@ def expand_products(
     """
     if a_rows.size == 0 or b_cols.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
+    # Gather, then widen: only the touched entries of B are copied.
     k = a_cols.astype(np.int64)
-    starts = b_rowptr.astype(np.int64)[k]
-    lengths = b_rowptr.astype(np.int64)[k + 1] - starts
+    starts = b_rowptr[k].astype(np.int64)
+    lengths = b_rowptr[k + 1].astype(np.int64) - starts
     gather_idx = concat_ranges(starts, lengths)
     if gather_idx.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     owner = segment_ids(lengths)  # index into a_rows per emitted product
-    c_rows = a_rows.astype(np.int64)[owner]
-    c_cols = b_cols.astype(np.int64)[gather_idx]
+    c_rows = a_rows[owner].astype(np.int64, copy=False)
+    c_cols = b_cols[gather_idx].astype(np.int64, copy=False)
     return c_rows, c_cols
 
 

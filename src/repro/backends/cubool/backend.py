@@ -7,7 +7,7 @@ import numpy as np
 from repro.backends.base import Backend, BackendMatrix, register_backend
 from repro.backends.cubool import kernels
 from repro.backends.cubool.ewise_add import ewise_add_csr, ewise_mult_csr
-from repro.backends.cubool.spgemm_hash import spgemm_boolean_csr
+from repro.backends.cubool.spgemm_hash import DEFAULT_BIN_BOUNDS, spgemm_boolean_csr
 from repro.formats.csr import BoolCsr
 from repro.gpu.limits import CUDA_LIKE
 from repro.gpu.device import Device
@@ -85,7 +85,7 @@ class CuBoolBackend(Backend):
             sb.shape,
             sb.rowptr,
             sb.cols,
-            bin_bounds=self.bin_bounds or type(self)._default_bounds(),
+            bin_bounds=self.bin_bounds or DEFAULT_BIN_BOUNDS,
             use_binning=self.use_binning,
         )
         shape = (a.nrows, b.ncols)
@@ -99,12 +99,6 @@ class CuBoolBackend(Backend):
             return self.ewise_add(product, accumulate)
         finally:
             product.free()
-
-    @staticmethod
-    def _default_bounds() -> tuple[int, ...]:
-        from repro.backends.cubool.spgemm_hash import DEFAULT_BIN_BOUNDS
-
-        return DEFAULT_BIN_BOUNDS
 
     def ewise_add(self, a, b, *, semiring=None):
         self._resolve_semiring(semiring)

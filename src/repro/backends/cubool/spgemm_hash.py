@@ -23,17 +23,19 @@ values by cuBool):
    output ``cols`` array is allocated exactly and filled with each
    row's sorted unique columns.
 
-The vectorized executor performs the open-addressing probe loop over
-*all* pending candidates at once per round: reads, claims of empty slots
-(last-write-wins, re-read to detect losers — the NumPy analogue of the
-CUDA kernel's atomicCAS), and probe advance for survivors.
+The executor does not simulate the probe race.  A table's contents
+after the hash phase are the row's distinct candidate columns, so each
+launch reads its chunk's tables back with one packed-key sort
+(``row_local << 32 | col`` through ``sort_unique_keys``).  Bins, chunks,
+launches and the arena charge for global-bin tables are still the
+kernel's own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.common import spgemm_upper_bound
+from repro.backends.common import expand_products, spgemm_upper_bound
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
 from repro.gpu.stream import Stream
@@ -44,13 +46,8 @@ from repro.utils.arrays import (
     exclusive_scan,
     keys_from_coo,
     segment_ids,
+    sort_unique_keys,
 )
-
-#: Sentinel for an empty hash slot (no valid column index equals it).
-EMPTY = np.uint32(0xFFFFFFFF)
-
-#: Fibonacci-hashing multiplier (Knuth), as used by Nsparse's hash kernels.
-HASH_MULTIPLIER = np.uint64(2654435761)
 
 #: Shared-memory bin bounds.  Rows with ub above the last bound use
 #: global-memory tables.
@@ -61,137 +58,31 @@ def _next_pow2(x: int) -> int:
     return 1 if x <= 1 else 1 << (int(x) - 1).bit_length()
 
 
-def _hash_positions(cols: np.ndarray, mask: int) -> np.ndarray:
-    """Initial probe position for each candidate column."""
-    return ((cols.astype(np.uint64) * HASH_MULTIPLIER) & np.uint64(mask)).astype(
-        np.int64
-    )
-
-
-def hash_insert_inplace(
-    tables: np.ndarray, row_local: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Insert candidate columns into per-row open-addressing tables.
-
-    ``tables`` is ``(R, ts)`` uint32 initialized to ``EMPTY`` (ts a power
-    of two).  Vectorized linear probing: each round reads all pending
-    slots, lets empty-slot writers race (NumPy fancy assignment is
-    last-write-wins, standing in for atomicCAS), re-reads to find the
-    losers, and advances their probe index.  Terminates because each
-    contended slot settles one writer per round and tables are sized
-    ≥ 2× the per-row candidate count.
-
-    Returns the *winning* inserts as ``(rows, cols)`` — exactly one win
-    per distinct (row, column) pair, which is precisely the output set
-    (the real kernel reads it back from the table; returning the claim
-    stream avoids re-scanning the table in the vectorized executor).
-    """
-    n = cols.size
-    if n == 0:
-        return np.empty(0, np.int64), np.empty(0, np.uint32)
-    ts = tables.shape[1]
-    mask = ts - 1
-    idx = _hash_positions(cols, mask)
-    pending = np.arange(n, dtype=np.int64)
-    won_rows: list[np.ndarray] = []
-    won_cols: list[np.ndarray] = []
-    while pending.size:
-        r = row_local[pending]
-        c = cols[pending]
-        i = idx[pending]
-        slot = tables[r, i]
-        match = slot == c
-        empty = slot == EMPTY
-        if empty.any():
-            er, ei, ec = r[empty], i[empty], c[empty]
-            tables[er, ei] = ec
-            won = tables[er, ei] == ec
-            claimed = np.zeros(pending.size, dtype=bool)
-            claimed[empty] = won
-            if won.any():
-                # Duplicate candidates may "win" the same slot in one
-                # round (same value written twice) — keep one of each.
-                wr, wc = er[won], ec[won]
-                if wr.size > 1:
-                    _, first = np.unique(keys_from_coo(wr, wc), return_index=True)
-                    wr, wc = wr[first], wc[first]
-                won_rows.append(wr)
-                won_cols.append(wc)
-        else:
-            claimed = np.zeros(pending.size, dtype=bool)
-        keep = ~(match | claimed)
-        if not keep.any():
-            break
-        survivors = pending[keep]
-        idx[survivors] = (idx[survivors] + 1) & mask
-        pending = survivors
-    if not won_rows:
-        return np.empty(0, np.int64), np.empty(0, np.uint32)
-    return (
-        np.concatenate(won_rows),
-        np.concatenate(won_cols),
-    )
-
-
-def _gather_candidates(
-    rows_sel: np.ndarray,
-    a_rowptr: np.ndarray,
-    a_cols: np.ndarray,
-    b_rowptr: np.ndarray,
-    b_cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate (local-row, column) stream for the selected A rows.
-
-    This is the probe stream the CUDA kernel reads on the fly from B's
-    rows; materializing it is an executor artifact (not accounted).
-    """
-    aptr = a_rowptr.astype(np.int64)
-    starts = aptr[rows_sel]
-    lens = aptr[rows_sel + 1] - starts
-    a_idx = concat_ranges(starts, lens)
-    if a_idx.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.uint32)
-    owner_local = segment_ids(lens)  # local row per A entry
-    k = a_cols[a_idx].astype(np.int64)
-    bptr = b_rowptr.astype(np.int64)
-    b_starts = bptr[k]
-    b_lens = bptr[k + 1] - b_starts
-    g = concat_ranges(b_starts, b_lens)
-    if g.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.uint32)
-    owner2 = segment_ids(b_lens)
-    row_local = owner_local[owner2]
-    cand_cols = b_cols[g]
-    return row_local, np.ascontiguousarray(cand_cols, dtype=np.uint32)
-
-
 def _process_chunk(
-    tables: np.ndarray,
     rows_chunk: np.ndarray,
     a_rowptr: np.ndarray,
     a_cols: np.ndarray,
     b_rowptr: np.ndarray,
     b_cols: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run hash + extract for one chunk of rows.
+    """Hash phase and table read-back for one chunk of rows (one launch).
+
+    The candidate stream of the chunk's A rows is packed as
+    ``row_local << 32 | col`` and sorted distinct: that is exactly what
+    reading back the chunk's hash tables in column order yields.
 
     Returns ``(counts, row_local_sorted, cols_sorted)`` where the last
     two list every output entry of the chunk grouped by local row with
     ascending columns.
     """
-    nrows_chunk = rows_chunk.size
-    tables[:nrows_chunk].fill(EMPTY)
-    row_local, cand_cols = _gather_candidates(
-        rows_chunk, a_rowptr, a_cols, b_rowptr, b_cols
+    starts = a_rowptr[rows_chunk].astype(np.int64)
+    lens = a_rowptr[rows_chunk + 1].astype(np.int64) - starts
+    row_local, cand_cols = expand_products(
+        segment_ids(lens), a_cols[concat_ranges(starts, lens)], b_rowptr, b_cols
     )
-    view = tables[:nrows_chunk]
-    out_rows, out_cols = hash_insert_inplace(view, row_local, cand_cols)
-    counts = np.bincount(out_rows, minlength=nrows_chunk)
-    # Row-group + column-sort via one composite-key sort (the numeric
-    # phase of the CUDA kernel sorts each table segment in shared memory).
-    key = keys_from_coo(out_rows, out_cols)
-    key.sort()
-    rl_sorted, cols_sorted = coo_from_keys(key)
+    keys = sort_unique_keys(keys_from_coo(row_local, cand_cols))
+    rl_sorted, cols_sorted = coo_from_keys(keys)
+    counts = np.bincount(rl_sorted, minlength=rows_chunk.size)
     return counts, rl_sorted, cols_sorted
 
 
@@ -218,7 +109,6 @@ def spgemm_boolean_csr(
     what the bin dispatcher buys.
     """
     m = int(a_shape[0])
-    n = int(b_shape[1])
 
     ub = spgemm_upper_bound(a_rowptr, a_cols, b_rowptr)
     row_nnz = np.zeros(m, dtype=np.int64)
@@ -241,10 +131,10 @@ def spgemm_boolean_csr(
     def _run_bin(rows_bin: np.ndarray, bound: int, shared: bool) -> None:
         if rows_bin.size == 0:
             return
-        # Table sizing: global-memory tables use Nsparse's 2x bound (they
-        # are accounted in the arena, so the factor is part of the memory
-        # model); shared-memory tables use 4x to keep the vectorized
-        # probe loop short (unaccounted either way — executor tuning).
+        # Table sizing: global-memory tables use Nsparse's 2x bound, which
+        # is part of the memory model; shared-memory tables are sized 4x.
+        # No table is ever written (the executor reads contents back by
+        # sort), so ``ts`` fixes only the accounting and the rows per launch.
         ts = _next_pow2((2 if not shared else 4) * max(1, bound))
         if shared:
             # Rows resident at once: the aggregate shared-memory budget,
@@ -255,20 +145,18 @@ def spgemm_boolean_csr(
             # (shared tables are never global memory either way).
             chunk_rows = max(64, shared_slots // ts)
             table_buf = None
-            tables = np.empty((min(chunk_rows, rows_bin.size), ts), dtype=np.uint32)
         else:
             chunk_rows = max(1, min(rows_bin.size, (1 << 24) // ts))
+            # Accounting only: the arena charges the global-memory tables
+            # the CUDA kernel holds while this bin runs.
             table_buf = device.arena.alloc((min(chunk_rows, rows_bin.size), ts), np.uint32)
-            tables = table_buf.data
         block = device.limits.clamp_block(min(bound if bound else 32, 1024))
         try:
             for lo in range(0, rows_bin.size, chunk_rows):
                 rows_chunk = rows_bin[lo : lo + chunk_rows]
 
-                def _kernel(config, rows_chunk=rows_chunk, tables=tables):
-                    return _process_chunk(
-                        tables, rows_chunk, a_rowptr, a_cols, b_rowptr, b_cols
-                    )
+                def _kernel(config, rows_chunk=rows_chunk):
+                    return _process_chunk(rows_chunk, a_rowptr, a_cols, b_rowptr, b_cols)
 
                 _kernel.__name__ = (
                     f"spgemm_hash_{'shared' if shared else 'global'}_b{bound or 'max'}"

@@ -5,57 +5,152 @@ import pytest
 
 import repro
 from repro.backends.cubool.backend import CuBoolBackend
-from repro.backends.cubool.spgemm_hash import (
-    DEFAULT_BIN_BOUNDS,
-    EMPTY,
-    hash_insert_inplace,
-)
+from repro.backends.cubool.spgemm_hash import DEFAULT_BIN_BOUNDS, spgemm_boolean_csr
 from repro.backends.common import spgemm_upper_bound
 from repro.formats.csr import BoolCsr
+from repro.utils.arrays import is_sorted_unique, keys_from_coo, segment_ids
 
 from .conftest import bool_mxm, random_dense
 
 
-class TestHashInsert:
-    def test_insert_unique(self):
-        tables = np.full((2, 8), EMPTY, dtype=np.uint32)
-        hash_insert_inplace(
-            tables,
-            np.array([0, 0, 1], dtype=np.int64),
-            np.array([3, 5, 3], dtype=np.uint32),
-        )
-        assert sorted(tables[0][tables[0] != EMPTY].tolist()) == [3, 5]
-        assert sorted(tables[1][tables[1] != EMPTY].tolist()) == [3]
+def _hash_product(a, b, **kw):
+    """Run ``spgemm_boolean_csr`` on dense operands; return the dense
+    product, the product's packed keys and the launch names."""
+    be = CuBoolBackend()
+    sa, sb = BoolCsr.from_dense(a), BoolCsr.from_dense(b)
+    rowptr, cols, buffers = spgemm_boolean_csr(
+        be.device, be.stream, sa.shape, sa.rowptr, sa.cols,
+        sb.shape, sb.rowptr, sb.cols, **kw,
+    )
+    rows = segment_ids(np.diff(rowptr.astype(np.int64)))
+    keys = keys_from_coo(rows, cols)
+    dense = np.zeros((a.shape[0], b.shape[1]), dtype=bool)
+    dense[rows, cols] = True
+    for buf in buffers:
+        buf.free()
+    be.device.arena.check_balanced()
+    return dense, keys, [rec.kernel_name for rec in be.stream.launches]
 
-    def test_duplicates_collapse(self):
-        tables = np.full((1, 8), EMPTY, dtype=np.uint32)
-        hash_insert_inplace(
-            tables,
-            np.zeros(6, dtype=np.int64),
-            np.array([7, 7, 7, 2, 2, 7], dtype=np.uint32),
-        )
-        assert sorted(tables[0][tables[0] != EMPTY].tolist()) == [2, 7]
 
-    def test_collision_resolution(self):
-        """Values that hash to the same slot must all survive probing."""
-        tables = np.full((1, 8), EMPTY, dtype=np.uint32)
-        # With table size 8 any 5 distinct values force collisions.
-        vals = np.array([0, 8, 16, 24, 32], dtype=np.uint32)
-        hash_insert_inplace(tables, np.zeros(5, dtype=np.int64), vals)
-        stored = sorted(tables[0][tables[0] != EMPTY].tolist())
-        assert stored == [0, 8, 16, 24, 32]
+class TestHashSpgemm:
+    def test_all_duplicate_candidates(self):
+        """Every candidate of row 0 is one of two columns, 16 times over."""
+        a = np.zeros((3, 8), dtype=bool)
+        a[0, :] = True
+        b = np.zeros((8, 16), dtype=bool)
+        b[:, [3, 9]] = True
+        dense, keys, _ = _hash_product(a, b)
+        assert np.array_equal(dense, bool_mxm(a, b))
+        assert keys.tolist() == [3, 9]
 
-    def test_near_full_table(self):
-        tables = np.full((1, 16), EMPTY, dtype=np.uint32)
-        vals = np.arange(15, dtype=np.uint32) * 3
-        hash_insert_inplace(tables, np.zeros(15, dtype=np.int64), vals)
-        stored = sorted(tables[0][tables[0] != EMPTY].tolist())
-        assert stored == vals.tolist()
+    def test_row_with_bound_distinct_columns(self):
+        """ub == bound with every candidate distinct: the fullest table
+        the bin admits."""
+        a = np.zeros((2, 4), dtype=bool)
+        a[1, :] = True
+        b = np.zeros((4, 40), dtype=bool)
+        for k in range(4):
+            b[k, 10 * k : 10 * k + 4] = True
+        dense, _, names = _hash_product(a, b, bin_bounds=(16,))
+        assert np.array_equal(dense, bool_mxm(a, b))
+        assert dense[1].sum() == 16
+        assert names == ["spgemm_hash_shared_b16"]
 
-    def test_empty_input(self):
-        tables = np.full((1, 4), EMPTY, dtype=np.uint32)
-        hash_insert_inplace(tables, np.empty(0, np.int64), np.empty(0, np.uint32))
-        assert np.all(tables == EMPTY)
+    def test_all_empty_rows(self):
+        """Rows of A that are empty, or select only empty B rows, launch
+        nothing and emit nothing."""
+        a = np.zeros((5, 6), dtype=bool)
+        a[[1, 3], [0, 5]] = True
+        b = np.zeros((6, 7), dtype=bool)
+        b[2, 4] = True
+        dense, keys, names = _hash_product(a, b)
+        assert not dense.any() and keys.size == 0
+        assert names == []
+
+    def test_interleaved_shared_and_global_rows(self, rng):
+        """Even rows fit the shared bins, odd rows overflow into the
+        global bin; the assembled output must be canonical."""
+        a = np.zeros((24, 24), dtype=bool)
+        a[0::2, :] = random_dense(rng, (12, 24), 0.05)
+        a[1::2, :] = random_dense(rng, (12, 24), 0.6)
+        b = random_dense(rng, (24, 24), 0.3)
+        dense, keys, names = _hash_product(a, b, bin_bounds=(4, 8))
+        assert np.array_equal(dense, bool_mxm(a, b))
+        assert is_sorted_unique(keys)
+        assert any(n.startswith("spgemm_hash_shared") for n in names)
+        assert any(n.startswith("spgemm_hash_global") for n in names)
+
+
+def _pinned_operands():
+    """48 rows of rising density over 3000 one-entry rows: several
+    shared bins, a multi-chunk b32 bin and, under tight bounds, a
+    global bin."""
+    rng = np.random.default_rng(2024)
+    p = np.linspace(0.0, 0.6, 48)[:, None]
+    tall = np.zeros((3000, 48), dtype=bool)
+    tall[np.arange(3000), rng.integers(0, 48, 3000)] = True
+    a = np.vstack([rng.random((48, 48)) < p, tall])
+    b = rng.random((48, 48)) < 0.08
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "kwargs, launches, alloc_sizes",
+    [
+        (
+            {},
+            [
+                ("spgemm_hash_shared_b32", 1440, 32),
+                ("spgemm_hash_shared_b32", 1440, 32),
+                ("spgemm_hash_shared_b32", 79, 32),
+                ("spgemm_hash_shared_b64", 12, 64),
+                ("spgemm_hash_shared_b128", 20, 128),
+                ("spgemm_hash_shared_b256", 1, 256),
+            ],
+            [12196, 51452],
+        ),
+        (
+            {"bin_bounds": (4, 8)},
+            [
+                ("spgemm_hash_shared_b4", 1906, 32),
+                ("spgemm_hash_shared_b8", 935, 32),
+                ("spgemm_hash_global_b135", 151, 160),
+            ],
+            [309248, 12196, 51452],
+        ),
+        (
+            {"use_binning": False},
+            [("spgemm_hash_global_b135", 2992, 160)],
+            [6127616, 12196, 51452],
+        ),
+    ],
+    ids=["default", "bounds_4_8", "no_binning"],
+)
+def test_launches_and_allocs_pinned(kwargs, launches, alloc_sizes, monkeypatch):
+    """Bins, chunking, launch geometry ``(name, grid, block)`` and arena
+    alloc bytes in order are the launch and memory model E9 reports; the
+    executor must not move them."""
+    be = CuBoolBackend(**kwargs)
+    a, b = _pinned_operands()
+    ha, hb = be.matrix_from_dense(a), be.matrix_from_dense(b)
+    sizes = []
+    alloc = be.device.arena.alloc
+
+    def recording_alloc(shape, dtype):
+        buf = alloc(shape, dtype)
+        sizes.append(buf.nbytes)
+        return buf
+
+    monkeypatch.setattr(be.device.arena, "alloc", recording_alloc)
+    before = be.stream.launch_count
+    out = be.mxm(ha, hb)
+    records = list(be.stream.launches)[before:]
+    assert [(r.kernel_name, r.config.grid, r.config.block) for r in records] == launches
+    assert sizes == alloc_sizes
+    rows, cols = be.matrix_to_coo(out)
+    dense = np.zeros(a.shape, dtype=bool)
+    dense[rows, cols] = True
+    assert np.array_equal(dense, bool_mxm(a, b))
 
 
 class TestUpperBound:
