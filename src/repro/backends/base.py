@@ -25,7 +25,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.backends.common import in_sorted
 from repro.core.semiring import BOOL_OR_AND, Semiring, get_semiring
 from repro.errors import (
     DimensionMismatchError,
@@ -35,7 +34,7 @@ from repro.errors import (
 from repro.formats.base import SparseFormat
 from repro.gpu.device import Device
 from repro.gpu.memory import DeviceBuffer
-from repro.utils.arrays import keys_from_coo
+from repro.utils.arrays import in_sorted, keys_from_coo
 
 
 class BackendMatrix:

@@ -28,28 +28,13 @@ from repro.utils.arrays import (
     INDEX_DTYPE,
     coo_from_keys,
     concat_ranges,
+    in_sorted,
     keys_from_coo,
     segment_ids,
 )
 
 
-# -- sorted-key membership ----------------------------------------------------
-
-
-def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Boolean mask: which ``keys`` occur in the sorted ``sorted_keys``.
-
-    A galloping membership test (one ``searchsorted``), the vectorized
-    form of the merge-path diagonal search.  Drives the element-wise AND
-    and the structural complement mask.
-    """
-    if keys.size == 0 or sorted_keys.size == 0:
-        return np.zeros(keys.size, dtype=bool)
-    pos = np.searchsorted(sorted_keys, keys)
-    # A key past every sorted key cannot equal sorted_keys[0] (it is
-    # strictly greater), so clamping there is safe.
-    pos[pos == sorted_keys.size] = 0
-    return sorted_keys[pos] == keys
+# -- sorted-key set operations -----------------------------------------------
 
 
 def merge_intersection(key_a: np.ndarray, key_b: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from repro.errors import InvalidArgumentError
 from repro.grammar.cfg import CFG
 from repro.grammar.cnf import cached_wcnf
 from repro.graph import LabeledGraph
+from repro.utils.pairset import PairSet
 
 
 @dataclass
@@ -35,7 +36,7 @@ class MatrixIndex:
     stats: dict = field(default_factory=dict)
     witnesses: object = None  # WitnessTable when record_witnesses=True
 
-    def pairs(self, nonterminal: str | None = None) -> set[tuple[int, int]]:
+    def pairs(self, nonterminal: str | None = None) -> PairSet:
         """Fact pairs for a nonterminal (default: the query start)."""
         key = nonterminal
         if key is None:
@@ -44,8 +45,7 @@ class MatrixIndex:
             key = self.grammar.start
         if key not in self.matrices:
             raise InvalidArgumentError(f"unknown nonterminal {key!r}")
-        rows, cols = self.matrices[key].to_arrays()
-        return set(zip(rows.tolist(), cols.tolist()))
+        return PairSet.from_coo(*self.matrices[key].to_arrays())
 
     def extract_single_path(
         self, u: int, v: int, nonterminal: str | None = None

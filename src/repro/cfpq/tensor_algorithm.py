@@ -47,6 +47,7 @@ from repro.utils.arrays import (
     merge_union,
     sort_unique_keys,
 )
+from repro.utils.pairset import PairSet
 
 
 @dataclass
@@ -56,17 +57,21 @@ class TensorIndex:
     rsm: RSM
     n: int
     closure: object            # Matrix (k*n, k*n) — final product closure
-    fact_pairs: dict           # nonterminal -> (rows, cols) host arrays
+    facts: dict                # nonterminal -> PairSet
     graph_edges: dict          # terminal label -> (rows, cols) host arrays
     ctx: object
     stats: dict = field(default_factory=dict)
 
-    def pairs(self, nonterminal: str | None = None) -> set[tuple[int, int]]:
+    @property
+    def fact_pairs(self) -> dict:
+        """nonterminal -> host ``(rows, cols)`` of its facts."""
+        return {nt: (facts.rows, facts.cols) for nt, facts in self.facts.items()}
+
+    def pairs(self, nonterminal: str | None = None) -> PairSet:
         nt = nonterminal or self.rsm.start_nonterminal
         if nt not in self.rsm.boxes:
             raise InvalidArgumentError(f"unknown nonterminal {nt!r}")
-        rows, cols = self.fact_pairs.get(nt, (np.empty(0, np.int64),) * 2)
-        return set(zip(rows.tolist(), cols.tolist()))
+        return self.facts.get(nt, PairSet())
 
     def free(self) -> None:
         if self.closure is not None:
@@ -211,7 +216,6 @@ def tensor_cfpq(
 
     elapsed = time.perf_counter() - t0
 
-    fact_pairs = {nt: coo_from_keys(keys) for nt, keys in facts.items()}
     graph_edges = {}
     for label, m in g_term.items():
         rows, cols = m.to_arrays()
@@ -224,7 +228,7 @@ def tensor_cfpq(
         rsm=rsm,
         n=n,
         closure=closure,
-        fact_pairs=fact_pairs,
+        facts={nt: PairSet(keys) for nt, keys in facts.items()},
         graph_edges=graph_edges,
         ctx=ctx,
         stats={

@@ -26,6 +26,7 @@ from __future__ import annotations
 from repro.analysis.locktrace import make_lock
 from repro.errors import ClusterProtocolError, SpblaError
 from repro.service.kinds import CFPQ, PAIRS, REACH
+from repro.utils.pairset import PairSet
 
 from . import protocol
 from .protocol import MSG_ERROR, MSG_QUERY, MSG_RESULT
@@ -100,19 +101,19 @@ class ReadRouter:
 
     def route_reach(
         self, graph, query, *, source, timeout=None, min_version=None
-    ) -> set[int]:
+    ) -> frozenset[int]:
         return self._route(
             REACH, graph, query, source=source, timeout=timeout, min_version=min_version
         )
 
     def route_pairs(
         self, graph, query, *, timeout=None, min_version=None
-    ) -> set[tuple[int, int]]:
+    ) -> PairSet:
         return self._route(PAIRS, graph, query, timeout=timeout, min_version=min_version)
 
     def route_cfpq(
         self, graph, query, *, timeout=None, min_version=None
-    ) -> set[tuple[int, int]]:
+    ) -> PairSet:
         return self._route(CFPQ, graph, query, timeout=timeout, min_version=min_version)
 
     def _route(

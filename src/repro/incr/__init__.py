@@ -11,7 +11,7 @@ the delta, not for the graph:
   label matrix; query operands merge the overlay lazily (cached per
   version) and the overlay folds into the base matrices on persist /
   compaction or when it outgrows its budget.
-* :class:`~repro.incr.state.FixpointState` — host-COO snapshots of an
+* :class:`~repro.incr.state.FixpointState` — host key-array snapshots of an
   engine's fixed point (closure words, final frontier, tensor facts),
   small enough to live inside the service's
   :class:`~repro.service.result_cache.ResultCache` next to the answer.

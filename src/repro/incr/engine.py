@@ -32,16 +32,15 @@ import numpy as np
 
 from repro.algorithms.closure import incremental_transitive_closure
 from repro.grammar.rsm import RSM
-from repro.incr.state import FixpointState, matrix_coo
+from repro.incr.state import FixpointState, matrix_keys
 
 # Product builders, readouts and round loops are shared with the cold
 # paths on purpose: warm and cold must disagree only in iteration
 # count, never in algebra.
 from repro.cfpq.tensor_algorithm import fact_rounds
 from repro.rpq.engine import _product_matrix, _reach, closure_pairs
-from repro.utils.arrays import coo_from_keys, keys_from_coo, sort_unique_keys
-
-_EMPTY = (np.empty(0, np.int64), np.empty(0, np.int64))
+from repro.utils.arrays import KEY_DTYPE
+from repro.utils.pairset import PairSet
 
 
 # -- RPQ single-source reachability ----------------------------------------
@@ -81,7 +80,7 @@ def pairs_state_from_index(index) -> FixpointState:
     return FixpointState(
         "closure",
         index.closure.shape,
-        {"closure": matrix_coo(index.closure)},
+        {"closure": matrix_keys(index.closure)},
         {"n": index.n, "k": index.k},
     )
 
@@ -119,7 +118,7 @@ def rpq_pairs_incremental(nfa, n: int, ctx, state: FixpointState, adds: dict):
     delta.free()
     pairs = closure_pairs(nfa, n, closure)
     new_state = FixpointState(
-        "closure", shape, {"closure": matrix_coo(closure)}, {"n": n, "k": k}
+        "closure", shape, {"closure": matrix_keys(closure)}, {"n": n, "k": k}
     )
     closure.free()
     return pairs, new_state
@@ -128,20 +127,19 @@ def rpq_pairs_incremental(nfa, n: int, ctx, state: FixpointState, adds: dict):
 # -- tensor CFPQ -----------------------------------------------------------
 
 
+def _tensor_state(closure, facts: dict, n: int, k: int) -> FixpointState:
+    """The product closure plus each nonterminal's fact keys, shared
+    with (not copied from) the caller's arrays."""
+    keys = {"closure": matrix_keys(closure)}
+    keys.update(("fact:" + nt, fact_keys) for nt, fact_keys in facts.items())
+    return FixpointState("tensor", closure.shape, keys, {"n": n, "k": k})
+
+
 def tensor_state_from_index(index) -> FixpointState:
-    """Snapshot a cold :class:`~repro.cfpq.tensor_algorithm.TensorIndex`."""
-    coo = {"closure": matrix_coo(index.closure)}
-    for nt, (rows, cols) in index.fact_pairs.items():
-        coo["fact:" + nt] = (
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-        )
-    return FixpointState(
-        "tensor",
-        index.closure.shape,
-        coo,
-        {"n": index.n, "k": index.rsm.n_states},
-    )
+    """Snapshot a cold :class:`~repro.cfpq.tensor_algorithm.TensorIndex`;
+    the fact components are the index's answers' key arrays."""
+    facts = {nt: pairs.keys for nt, pairs in index.facts.items()}
+    return _tensor_state(index.closure, facts, index.n, index.rsm.n_states)
 
 
 def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict):
@@ -163,10 +161,8 @@ def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict)
     if not state.compatible("tensor", shape, n=n, k=k):
         return None
 
-    facts: dict[str, np.ndarray] = {}
-    for nt in rsm.nonterminals:
-        rows, cols = state.coo.get("fact:" + nt, _EMPTY)
-        facts[nt] = sort_unique_keys(keys_from_coo(rows, cols))
+    empty = np.empty(0, KEY_DTYPE)
+    facts = {nt: state.keys.get("fact:" + nt, empty) for nt in rsm.nonterminals}
 
     r_mats = rsm.transition_matrices(ctx)
     # Round 0's Δ-facts are the added *terminal* edges.
@@ -181,11 +177,8 @@ def tensor_cfpq_incremental(graph, query, ctx, state: FixpointState, adds: dict)
     for m in r_mats.values():
         m.free()
 
-    start_rows, start_cols = coo_from_keys(facts[rsm.start_nonterminal])
-    pairs = set(zip(start_rows.tolist(), start_cols.tolist()))
-    coo = {"closure": matrix_coo(closure)}
-    for nt, keys in facts.items():
-        coo["fact:" + nt] = tuple(a.astype(np.int64) for a in coo_from_keys(keys))
+    # The start nonterminal's fact keys are the answer: wrapped, not copied.
+    pairs = PairSet(facts[rsm.start_nonterminal])
+    new_state = _tensor_state(closure, facts, n, k)
     closure.free()
-    new_state = FixpointState("tensor", shape, coo, {"n": n, "k": k})
     return pairs, new_state

@@ -29,7 +29,9 @@ from repro.automata.regex_ast import Regex
 from repro.automata.regex_parse import parse_regex
 from repro.errors import InvalidArgumentError
 from repro.graph import LabeledGraph
-from repro.incr.state import FixpointState, matrix_coo
+from repro.incr.state import FixpointState
+from repro.utils.arrays import KEY_DTYPE, keys_from_coo, sort_unique_keys
+from repro.utils.pairset import PairSet
 
 
 @dataclass
@@ -49,7 +51,7 @@ class RpqIndex:
 
     # -- result readout -----------------------------------------------------
 
-    def pairs(self) -> set[tuple[int, int]]:
+    def pairs(self) -> PairSet:
         """All (u, v) with a query-matching path u → v.
 
         Nonempty-word matches come from closure blocks; if the query
@@ -69,20 +71,21 @@ class RpqIndex:
         self.closure.free()
 
 
-def closure_pairs(nfa: NFA, n: int, closure) -> set[tuple[int, int]]:
-    """(start, final) block readout of a product closure ``M⁺``."""
-    out: set[tuple[int, int]] = set()
+def closure_pairs(nfa: NFA, n: int, closure) -> PairSet:
+    """(start, final) block readout of a product closure ``M⁺``: the
+    blocks' keys, plus the diagonal when the language holds ε, sorted
+    once into the answer."""
+    runs = [np.empty(0, KEY_DTYPE)]
     for s in nfa.starts:
         for f in nfa.finals:
             block = closure.extract_submatrix(s * n, f * n, n, n)
             try:
-                rows, cols = block.to_arrays()
+                runs.append(keys_from_coo(*block.to_arrays()))
             finally:
                 block.free()
-            out.update(zip(rows.tolist(), cols.tolist()))
     if nfa.starts & nfa.finals:
-        out.update((v, v) for v in range(n))
-    return out
+        runs.append(keys_from_coo(np.arange(n), np.arange(n)))
+    return PairSet(np.concatenate(runs))
 
 
 def _compile(query, automaton: str = "glushkov") -> NFA:
@@ -192,7 +195,7 @@ def rpq_index(
     )
 
 
-def rpq_pairs(graph: LabeledGraph, query, ctx) -> set[tuple[int, int]]:
+def rpq_pairs(graph: LabeledGraph, query, ctx) -> PairSet:
     """Convenience: evaluate and return the reachable pairs."""
     index = rpq_index(graph, query, ctx)
     try:
@@ -246,7 +249,8 @@ def _reach(nfas: list, sources: list, n: int, ctx, adjacency: dict, states=None,
     rows, cols = [], []
     for i, (nfa, src) in enumerate(zip(nfas, sources)):
         if warm[i]:
-            seed = states[i].coo["frontier"][1]
+            # A one-row frontier's key is its column.
+            seed = states[i].keys["frontier"].astype(np.int64)
         else:
             seed = np.array([s0 * n + int(src) for s0 in nfa.starts], np.int64)
         cols.append(seed + offsets[id(nfa)] * n)
@@ -268,13 +272,13 @@ def _reach(nfas: list, sources: list, n: int, ctx, adjacency: dict, states=None,
     finally:
         product.free()
 
-    rows, cols = matrix_coo(total)
+    rows, cols = total.to_arrays()
     total.free()
     out = []
     for i, (nfa, meta) in enumerate(zip(nfas, metas)):
-        own = cols[rows == i] - offsets[id(nfa)] * n
-        targets = {c % n for c in own.tolist() if c // n in nfa.finals}
-        frontier = (np.zeros_like(own), own)
+        own = cols[rows == i].astype(np.int64) - offsets[id(nfa)] * n
+        targets = frozenset(c % n for c in own.tolist() if c // n in nfa.finals)
+        frontier = sort_unique_keys(keys_from_coo(np.zeros_like(own), own))
         state = FixpointState("reach", (1, nfa.n * n), {"frontier": frontier}, meta)
         out.append((targets, state, warm[i]))
     return out, rounds
@@ -289,7 +293,7 @@ def rpq_reach_batch(
     automaton: str = "glushkov",
     adjacency: dict | None = None,
     cancel=None,
-) -> list[set[int]]:
+) -> list[frozenset[int]]:
     """Evaluate many single-source RPQ queries in **one** fixpoint.
 
     The cold, stacked evaluation behind the query service's multi-query
@@ -301,7 +305,7 @@ def rpq_reach_batch(
     as in :func:`rpq_index`.  ``cancel``, if given, is invoked between
     fixpoint iterations and may raise to abort cooperatively.
 
-    Returns one target set per query, in input order.
+    Returns one frozen target set per query, in input order.
     """
     nfas = [_compile(q, automaton) for q in queries]
     owned = {}
@@ -324,7 +328,7 @@ def rpq_reach(
     *,
     automaton: str = "glushkov",
     adjacency: dict | None = None,
-) -> set[int]:
+) -> frozenset[int]:
     """Single-source RPQ reachability (a batch of one)."""
     return rpq_reach_batch(
         graph, [query], [source], ctx, automaton=automaton, adjacency=adjacency

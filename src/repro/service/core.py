@@ -32,6 +32,7 @@ from repro.service.plan_cache import PlanCache, dist_query
 from repro.service.result_cache import ResultCache
 from repro.service.scheduler import QueryScheduler, QueryTicket
 from repro.service.stats import ServiceStats, StatsSnapshot
+from repro.utils.pairset import PairSet
 
 
 class QueryService:
@@ -264,7 +265,7 @@ class QueryService:
         timeout: float | None = None,
         min_version: int | None = None,
         route: str = "auto",
-    ) -> set[int]:
+    ) -> frozenset[int]:
         router = self._router
         if router is not None and route != "primary":
             return router.route_reach(
@@ -280,7 +281,7 @@ class QueryService:
         timeout: float | None = None,
         min_version: int | None = None,
         route: str = "auto",
-    ) -> set[tuple[int, int]]:
+    ) -> PairSet:
         router = self._router
         if router is not None and route != "primary":
             return router.route_pairs(
@@ -296,7 +297,7 @@ class QueryService:
         timeout: float | None = None,
         min_version: int | None = None,
         route: str = "auto",
-    ) -> set[tuple[int, int]]:
+    ) -> PairSet:
         router = self._router
         if router is not None and route != "primary":
             return router.route_cfpq(
@@ -312,7 +313,7 @@ class QueryService:
         weights: dict | None = None,
         semiring: str = "min-plus",
         timeout: float | None = None,
-    ) -> set[tuple[int, float]]:
+    ) -> frozenset[tuple[int, float]]:
         """Sync :meth:`submit_distances` (always evaluated locally —
         distance answers carry no replication path yet)."""
         return self.submit_distances(

@@ -37,6 +37,7 @@ from repro.cfpq.naive import naive_cfpq
 from repro.errors import InvalidArgumentError
 from repro.grammar.cfg import CFG
 from repro.rpq.naive import naive_rpq
+from repro.utils.pairset import PairSet
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,10 @@ class QueryKind:
     #: ``(ctx, handle, plan, source, warm, cancel, want_state) ->
     #: (result, state, used_warm)``.  ``warm`` is the scheduler's
     #: ``(FixpointState, adds)`` offer or None; ``state`` the resumable
-    #: fixed point (None unless ``want_state``).
+    #: fixed point (None unless ``want_state``).  ``result`` is
+    #: immutable — a :class:`~repro.utils.pairset.PairSet` or a
+    #: ``frozenset`` — because the result cache hands every hit the
+    #: object itself.
     evaluate: Callable
     #: The query's text on the replica wire, or None: run on the primary.
     wire_query: Callable
@@ -109,7 +113,8 @@ def _eval_dist(ctx, handle, plan, source, warm, cancel, want_state):
     weights = dict(plan.meta.get("weights") or ())
     w = _sssp.weight_matrix(handle.graph, weights or None)
     dist = _sssp.single_source_shortest_paths(w, source)
-    return {(int(v), float(d)) for v, d in enumerate(dist) if d < float("inf")}, None, False
+    answer = frozenset((int(v), float(d)) for v, d in enumerate(dist) if d < float("inf"))
+    return answer, None, False
 
 
 def _oracle_cfpq(graph, query, source):
@@ -139,12 +144,14 @@ def _text_query(query) -> str | None:
     return query if isinstance(query, str) else None
 
 
-def _encode_pairs(pairs) -> list[list[int]]:
-    return sorted([int(u), int(v)] for u, v in pairs)
+def _encode_pairs(pairs: PairSet) -> list[list[int]]:
+    # Key order is row-major order: the wire list comes out sorted.
+    return np.column_stack((pairs.rows, pairs.cols)).tolist()
 
 
-def _decode_pairs(value) -> set[tuple[int, int]]:
-    return {(int(u), int(v)) for u, v in value}
+def _decode_pairs(value) -> PairSet:
+    coo = np.asarray(value, dtype=np.int64).reshape(-1, 2)
+    return PairSet.from_coo(coo[:, 0], coo[:, 1])
 
 
 REACH = QueryKind(
@@ -158,7 +165,7 @@ REACH = QueryKind(
         v for _, v in naive_rpq(graph, query, sources=[source])
     },
     encode=lambda reached: sorted(int(v) for v in reached),
-    decode=lambda value: {int(v) for v in value},
+    decode=lambda value: frozenset(int(v) for v in value),
 )
 PAIRS = QueryKind(
     name="pairs",

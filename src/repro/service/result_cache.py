@@ -15,10 +15,13 @@ of the LRU.  Entries are only written when the graph version is
 unchanged after evaluation, so a delta racing a fixpoint can never
 publish a result under a version it does not represent.
 
-Values are stored as frozensets and copied out on hit, so callers may
-mutate what they receive without corrupting the cache.  Uncacheable
-queries (prebuilt NFA/RSM plans have no canonical key) bypass the
-cache entirely.
+Answers are immutable — all-pairs answers are
+:class:`~repro.utils.pairset.PairSet` key arrays, ``reach`` and
+``dist`` answers frozensets, each built once by its engine — so the
+cache stores the answer object itself and every hit returns that same
+object: nothing is copied on the way in or out, and publishing is
+O(1).  Uncacheable queries (prebuilt NFA/RSM plans have no canonical
+key) bypass the cache entirely.
 
 Entries optionally carry a :class:`~repro.incr.state.FixpointState`
 next to the answer — the engine's resumable fixed point.  A query at
@@ -34,6 +37,8 @@ from collections import OrderedDict
 
 from repro.analysis.locktrace import make_lock
 from repro.errors import InvalidArgumentError
+from repro.incr.state import FixpointState
+from repro.utils.pairset import PairSet
 
 _MISS = object()
 
@@ -82,7 +87,7 @@ class ResultCache:
             return len(self._entries)
 
     def get(self, key: tuple | None):
-        """``(hit, value)``; the value is a fresh mutable copy."""
+        """``(hit, value)``; the value is the cached answer itself."""
         if key is None:
             return False, None
         with self._lock:
@@ -92,7 +97,7 @@ class ResultCache:
                 return False, None
             self.hits += 1
             self._entries.move_to_end(key)
-        return True, set(entry[0])
+        return True, entry[0]
 
     def get_ancestor(self, key: tuple | None):
         """Newest same-query entry at a version ≤ the requested one.
@@ -121,13 +126,12 @@ class ResultCache:
         return best
 
     def put(self, key: tuple | None, value, state=None) -> None:
-        """Store an answer, optionally with its resumable fixpoint
-        ``state`` (a :class:`~repro.incr.state.FixpointState`)."""
+        """Store an (immutable) answer, optionally with its resumable
+        fixpoint ``state`` (a :class:`~repro.incr.state.FixpointState`)."""
         if key is None:
             return
-        frozen = frozenset(value)
         with self._lock:
-            self._entries[key] = (frozen, state)
+            self._entries[key] = (value, state)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -147,7 +151,18 @@ class ResultCache:
             self._entries.clear()
 
     def stats(self) -> dict:
+        """Counters, plus ``key_bytes``: the bytes of the
+        :class:`~repro.utils.pairset.PairSet` answers and
+        :class:`~repro.incr.state.FixpointState` key arrays held, each
+        shared array counted once.  Small frozenset answers (``reach``,
+        ``dist``) are not counted."""
         with self._lock:
+            arrays = {}
+            for value, state in self._entries.values():
+                if isinstance(value, PairSet):
+                    arrays[id(value.keys)] = value.keys
+                if isinstance(state, FixpointState):
+                    arrays.update((id(a), a) for a in state.keys.values())
             lookups = self.hits + self.misses
             return {
                 "entries": len(self._entries),
@@ -158,4 +173,5 @@ class ResultCache:
                 "invalidations": self.invalidations,
                 "ancestor_hits": self.ancestor_hits,
                 "hit_ratio": self.hits / lookups if lookups else 0.0,
+                "key_bytes": sum(a.nbytes for a in arrays.values()),
             }

@@ -410,14 +410,16 @@ class QueryScheduler:
             ticket.batch_size = len(tickets)
             if self._settle_dead(ticket, now, "during evaluation"):
                 continue
-            self.stats.count("completed")
-            ticket._finish(result=result)
-            self.stats.record_stage("total", now - ticket.submitted_at)
+            # Publish before resolving, so a caller that has its answer
+            # finds it cached; answers are immutable, so this is O(1).
             # Publish only if no delta raced the evaluation: the key
             # embeds the pre-eval version (index 2); a mismatch means
             # the answer may reflect newer matrices than it names.
             if key is not None and handle.current_version() == key[2]:
                 self.results.put(key, result, state=state)
+            self.stats.count("completed")
+            ticket._finish(result=result)
+            self.stats.record_stage("total", now - ticket.submitted_at)
 
     # -- incremental arbitration ------------------------------------------
 

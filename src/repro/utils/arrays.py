@@ -145,6 +145,22 @@ def merge_union(key_a: np.ndarray, key_b: np.ndarray) -> np.ndarray:
     return dedupe_sorted_keys(merge_sorted_keys(key_a, key_b))
 
 
+def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Boolean mask: which ``keys`` occur in the sorted ``sorted_keys``.
+
+    A galloping membership test (one ``searchsorted``), the vectorized
+    form of the merge-path diagonal search.  Drives the element-wise AND
+    and the structural complement mask.
+    """
+    if keys.size == 0 or sorted_keys.size == 0:
+        return np.zeros(keys.size, dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys)
+    # A key past every sorted key cannot equal sorted_keys[0] (it is
+    # strictly greater), so clamping there is safe.
+    pos[pos == sorted_keys.size] = 0
+    return sorted_keys[pos] == keys
+
+
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[i], starts[i] + lengths[i])`` ranges, vectorized.
 

@@ -17,7 +17,7 @@ import repro
 from repro.datasets.random_graphs import uniform_random_graph
 from repro.graph import LabeledGraph
 from repro.incr.overlay import DeltaOverlay, DeltaSummary
-from repro.incr.state import FixpointState, matrix_coo
+from repro.incr.state import FixpointState, matrix_keys
 from repro.service import QueryService, graph_store
 from repro.service.graph_store import GraphStore
 from repro.service.kinds import CFPQ, PAIRS, REACH
@@ -203,7 +203,7 @@ class TestFixpointState:
     def test_round_trip(self, mctx):
         m = mctx.matrix_from_lists((6, 6), [0, 1, 5], [1, 2, 0])
         state = FixpointState(
-            "closure", (6, 6), {"closure": matrix_coo(m)}, {"n": 6, "k": 1}
+            "closure", (6, 6), {"closure": matrix_keys(m)}, {"n": 6, "k": 1}
         )
         back = state.matrix(mctx, "closure")
         assert _to_set(back) == _to_set(m)

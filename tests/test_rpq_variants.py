@@ -6,7 +6,8 @@ import pytest
 import repro
 from repro.errors import InvalidArgumentError
 from repro.graph import LabeledGraph
-from repro.rpq import rpq_index, rpq_pairs
+from repro.rpq import naive_rpq, rpq_index, rpq_pairs
+from repro.utils.pairset import PairSet
 
 
 @pytest.fixture
@@ -44,7 +45,8 @@ class TestAutomatonModes:
 
     def test_works_on_every_backend(self, ctx, graph):
         pairs = rpq_pairs(graph, "a . b*", ctx)
-        assert isinstance(pairs, set)
+        assert isinstance(pairs, PairSet)
+        assert pairs == naive_rpq(graph, "a . b*")
 
 
 class TestIndexInternals:

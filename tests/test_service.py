@@ -74,6 +74,19 @@ class TestQueryKinds:
         assert snap.counters["full_evals"] == 1
         assert (snap.plan_cache["misses"], snap.plan_cache["hits"]) == (1, 1)
 
+    def test_answers_are_immutable_and_hits_share_them(self, kind, graph):
+        from repro.graph import LabeledGraph
+        from repro.utils.pairset import PairSet
+
+        answer_type = PairSet if kind in ("pairs", "cfpq") else frozenset
+        with QueryService(workers=1) as service:
+            service.register_graph("g", LabeledGraph.from_triples(graph.triples(), n=graph.n))
+            cold = self._submit(service, kind)
+            assert self._submit(service, kind) is cold
+            service.add_edges("g", "a", [(0, 9)])
+            warm = self._submit(service, kind)
+        assert type(cold) is answer_type and type(warm) is answer_type
+
     def test_adds_only_delta_warm_starts_where_supported(self, kind, graph):
         from repro.graph import LabeledGraph
 
@@ -93,6 +106,22 @@ class TestQueryKinds:
         warm = 1 if KINDS[kind].warm_starts else 0
         assert counters.get("incremental_evals", 0) == warm
         assert counters["full_evals"] == 2 - warm
+
+
+def test_wire_round_trip_keeps_answer_type():
+    """A routed answer has the type of a local one."""
+    import json
+
+    from repro.utils.pairset import PairSet
+
+    pairs = PairSet.from_coo([2, 0, 2], [1, 5, 0])
+    wire = KINDS["pairs"].encode(pairs)
+    assert wire == [[0, 5], [2, 0], [2, 1]]
+    back = KINDS["pairs"].decode(json.loads(json.dumps(wire)))
+    assert isinstance(back, PairSet) and back == pairs
+    assert KINDS["cfpq"].decode([]) == set()
+    reach = KINDS["reach"].decode(KINDS["reach"].encode(frozenset({3, 1})))
+    assert type(reach) is frozenset and reach == {1, 3}
 
 
 def test_every_kind_has_a_case():

@@ -6,6 +6,7 @@ import errno
 import json
 import os
 
+import numpy as np
 import pytest
 
 import repro
@@ -17,11 +18,13 @@ from repro.errors import (
     StoreError,
     UnknownGraphError,
 )
+from repro.incr.state import FixpointState
 from repro.service import QueryService
 from repro.service.graph_store import GraphStore
 from repro.service.kinds import REACH
 from repro.service.result_cache import ResultCache
 from repro.store.cli import main as store_main
+from repro.utils.pairset import PairSet
 
 QUERY = "a b* c"
 
@@ -319,17 +322,29 @@ class TestResultCache:
             svc.register_graph("g", graph)
             assert svc.stats().result_cache["invalidations"] >= 1
 
-    def test_lru_eviction_and_copy_out(self):
+    def test_lru_eviction_and_hit_identity(self):
+        # Answers are immutable, so a hit is the object that was put.
         cache = ResultCache(capacity=2)
-        cache.put(("reach", "g", 0, "q1", "k1", 0), {1})
-        cache.put(("reach", "g", 0, "q2", "k2", 0), {2})
-        cache.put(("reach", "g", 0, "q3", "k3", 0), {3})
-        hit, _ = cache.get(("reach", "g", 0, "q1", "k1", 0))
+        answers = [frozenset({1}), frozenset({2}), PairSet.from_coo([0, 3], [1, 0])]
+        for i, answer in enumerate(answers):
+            cache.put(("reach", "g", 0, f"q{i}", f"k{i}", 0), answer)
+        hit, _ = cache.get(("reach", "g", 0, "q0", "k0", 0))
         assert not hit  # evicted
-        hit, val = cache.get(("reach", "g", 0, "q3", "k3", 0))
-        assert hit and val == {3}
-        val.add(99)  # mutating the copy must not poison the cache
-        assert cache.get(("reach", "g", 0, "q3", "k3", 0))[1] == {3}
+        hit, val = cache.get(("reach", "g", 0, "q2", "k2", 0))
+        assert hit and val is answers[2]
+        assert val == {(0, 1), (3, 0)}
+        with pytest.raises(ValueError):
+            val.keys[0] = 7
+
+    def test_key_bytes_counts_shared_arrays_once(self):
+        cache = ResultCache(capacity=4)
+        answer = PairSet.from_coo([0, 1, 2], [1, 2, 0])
+        state = FixpointState(
+            "tensor", (3, 3), {"fact:S": answer.keys, "closure": np.arange(5, dtype=np.uint64)}
+        )
+        cache.put(("cfpq", "g", 0, "cfg", "S", None), answer, state=state)
+        cache.put(("reach", "g", 0, "rpq", "a", 0), frozenset({1, 2}))
+        assert cache.stats()["key_bytes"] == 3 * 8 + 5 * 8
 
     def test_disabled_cache(self, graph):
         with QueryService(workers=1, result_capacity=0) as svc:
