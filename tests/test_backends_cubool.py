@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import repro
+from repro.backends.clbool.backend import ClBoolBackend
+from repro.backends.cpu import CpuBackend
 from repro.backends.cubool.backend import CuBoolBackend
 from repro.backends.cubool.spgemm_hash import DEFAULT_BIN_BOUNDS, spgemm_boolean_csr
 from repro.backends.common import spgemm_upper_bound
@@ -151,6 +153,194 @@ def test_launches_and_allocs_pinned(kwargs, launches, alloc_sizes, monkeypatch):
     dense = np.zeros(a.shape, dtype=bool)
     dense[rows, cols] = True
     assert np.array_equal(dense, bool_mxm(a, b))
+
+
+def _op_operands():
+    """90 x 90 operands: ``a`` of rising row density (several SpGEMM
+    bins), sparse ``b``/``acc``, a denser ``mask``."""
+    rng = np.random.default_rng(34)
+    a = rng.random((90, 90)) < np.linspace(0.0, 0.5, 90)[:, None]
+    b = rng.random((90, 90)) < 0.06
+    mask = rng.random((90, 90)) < 0.2
+    acc = rng.random((90, 90)) < 0.03
+    return {
+        "a": a, "b": b, "mask": mask, "acc": acc, "ka": a[60:72, :9], "kb": b[:10, :11]
+    }
+
+
+PIN_OPS = {
+    "mxm": lambda be, h: be.mxm(h["a"], h["b"]),
+    "mxm_mask_accumulate": lambda be, h: be.mxm(
+        h["a"], h["b"], accumulate=h["acc"], mask=h["mask"]
+    ),
+    "ewise_add": lambda be, h: be.ewise_add(h["a"], h["b"]),
+    "ewise_mult": lambda be, h: be.ewise_mult(h["a"], h["mask"]),
+    "kron": lambda be, h: be.kron(h["ka"], h["kb"]),
+    "transpose": lambda be, h: be.transpose(h["a"]),
+    "extract_submatrix": lambda be, h: be.extract_submatrix(h["a"], 10, 20, 50, 60),
+    "reduce_to_column": lambda be, h: be.reduce_to_column(h["a"]),
+}
+
+
+def _op_record(backend: str, op: str):
+    """Run one op on ``backend``; return its ``(name, grid, block)`` per
+    launch and arena alloc bytes in order, after checking the result
+    against the cpu reference backend."""
+    be = {"cubool": CuBoolBackend, "clbool": ClBoolBackend}[backend]()
+    dense = _op_operands()
+    handles = {k: be.matrix_from_dense(v) for k, v in dense.items()}
+    sizes = []
+    alloc = be.device.arena.alloc
+
+    def recording_alloc(shape, dtype):
+        buf = alloc(shape, dtype)
+        sizes.append(buf.nbytes)
+        return buf
+
+    be.device.arena.alloc = recording_alloc
+    before = be.stream.launch_count
+    out = PIN_OPS[op](be, handles)
+    records = list(be.stream.launches)[before:]
+    ref = CpuBackend()
+    expect = PIN_OPS[op](ref, {k: ref.matrix_from_dense(v) for k, v in dense.items()})
+    got = be.matrix_to_coo(out)
+    want = ref.matrix_to_coo(expect)
+    assert out.shape == expect.shape
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    return (
+        [(r.kernel_name, r.config.grid, r.config.block) for r in records],
+        sizes,
+    )
+
+
+#: Recorded before the backends shared one key-space core; the launch
+#: plans and arena charges must not move.
+OP_PINS = {
+    ("cubool", "mxm"): (
+        [
+            ("spgemm_hash_shared_b32", 10, 32),
+            ("spgemm_hash_shared_b64", 15, 64),
+            ("spgemm_hash_shared_b128", 22, 128),
+            ("spgemm_hash_shared_b256", 40, 256),
+            ("spgemm_hash_shared_b512", 2, 512),
+        ],
+        [364, 21148],
+    ),
+    ("cubool", "mxm_mask_accumulate"): (
+        [
+            ("spgemm_hash_shared_b32", 10, 32),
+            ("spgemm_hash_shared_b64", 15, 64),
+            ("spgemm_hash_shared_b128", 22, 128),
+            ("spgemm_hash_shared_b256", 40, 256),
+            ("spgemm_hash_shared_b512", 2, 512),
+            ("merge_path_count", 18, 256),
+            ("merge_path_merge", 18, 256),
+        ],
+        [364, 21148, 364, 16908, 364, 17352],
+    ),
+    ("cubool", "ewise_add"): (
+        [
+            ("merge_path_count", 10, 256),
+            ("merge_path_merge", 10, 256),
+        ],
+        [364, 9704],
+    ),
+    ("cubool", "ewise_mult"): (
+        [
+            ("merge_path_intersect", 7, 256),
+        ],
+        [364, 1600],
+    ),
+    ("cubool", "kron"): (
+        [
+            ("kron_index_arithmetic", 1, 256),
+        ],
+        [484, 640],
+    ),
+    ("cubool", "transpose"): (
+        [
+            ("transpose_scatter", 9, 256),
+        ],
+        [364, 8232],
+    ),
+    ("cubool", "extract_submatrix"): (
+        [
+            ("submatrix_filter", 4, 256),
+        ],
+        [204, 2380],
+    ),
+    ("cubool", "reduce_to_column"): (
+        [
+            ("reduce_row_nonempty", 1, 256),
+        ],
+        [364, 356],
+    ),
+    ("clbool", "mxm"): (
+        [
+            ("esc_bucket_b_rows", 2, 256),
+            ("esc_expand", 9, 256),
+            ("esc_radix_sort", 44, 256),
+            ("esc_compact", 44, 256),
+        ],
+        [364, 44048, 44048, 21148, 21148],
+    ),
+    ("clbool", "mxm_mask_accumulate"): (
+        [
+            ("esc_bucket_b_rows", 2, 256),
+            ("esc_expand", 9, 256),
+            ("esc_radix_sort", 44, 256),
+            ("esc_compact", 44, 256),
+            ("merge_path_one_pass", 18, 256),
+            ("merge_compact", 18, 256),
+        ],
+        [364, 44048, 44048, 21148, 21148, 16908, 16908, 17868, 17868, 17352, 17352],
+    ),
+    ("clbool", "ewise_add"): (
+        [
+            ("merge_path_one_pass", 10, 256),
+            ("merge_compact", 10, 256),
+        ],
+        [10136, 10136, 9704, 9704],
+    ),
+    ("clbool", "ewise_mult"): (
+        [
+            ("merge_path_intersect", 7, 256),
+        ],
+        [6448, 6448, 1600, 1600],
+    ),
+    ("clbool", "kron"): (
+        [
+            ("kron_index_arithmetic", 1, 256),
+        ],
+        [52, 44, 640, 640],
+    ),
+    ("clbool", "transpose"): (
+        [
+            ("transpose_sort", 9, 256),
+        ],
+        [8232, 8232],
+    ),
+    ("clbool", "extract_submatrix"): (
+        [
+            ("submatrix_filter", 9, 256),
+        ],
+        [2380, 2380],
+    ),
+    ("clbool", "reduce_to_column"): (
+        [
+            ("reduce_unique_rows", 9, 256),
+        ],
+        [356, 356],
+    ),
+}
+
+
+@pytest.mark.parametrize("backend, op", sorted(OP_PINS))
+def test_op_launches_and_allocs_pinned(backend, op):
+    """Per op, the launch plan ``(name, grid, block)`` and the arena
+    alloc bytes in order, on both accounted boolean backends."""
+    launches, alloc_sizes = OP_PINS[backend, op]
+    assert _op_record(backend, op) == (launches, alloc_sizes)
 
 
 class TestUpperBound:
