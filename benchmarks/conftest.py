@@ -11,6 +11,9 @@ Scale: ``REPRO_BENCH_SCALE`` (default 1.0) multiplies the dataset
 scales; the defaults run the whole suite in minutes on one CPU core
 (the simulated device is a vectorized-NumPy executor, so absolute
 numbers are CPU times — shapes and ratios are the reproduction target).
+The committed reports are full-scale: at any other scale the reports
+are only echoed, never written, so a scaled smoke run leaves
+``benchmarks/reports/`` untouched.
 """
 
 from __future__ import annotations
@@ -76,7 +79,9 @@ def pytest_sessionfinish(session, exitstatus):
             add_report("errors", f"report builder failed: {exc!r}")
     if not _REPORTS:
         return
-    REPORTS_DIR.mkdir(exist_ok=True)
+    write = BENCH_SCALE == 1.0
+    if write:
+        REPORTS_DIR.mkdir(exist_ok=True)
     tw = None
     try:
         tw = session.config.get_terminal_writer()
@@ -84,8 +89,11 @@ def pytest_sessionfinish(session, exitstatus):
         pass
     for experiment, blocks in sorted(_REPORTS.items()):
         text = "\n\n".join(blocks) + "\n"
-        (REPORTS_DIR / f"{experiment}.txt").write_text(text)
         banner = f"\n{'=' * 78}\nREPORT {experiment}\n{'=' * 78}\n"
+        if write:
+            (REPORTS_DIR / f"{experiment}.txt").write_text(text)
+        else:
+            banner += f"(REPRO_BENCH_SCALE={BENCH_SCALE:g}: not written)\n"
         if tw is not None:
             tw.write(banner + text)
         else:  # pragma: no cover - fallback

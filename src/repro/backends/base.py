@@ -243,18 +243,36 @@ class Backend(abc.ABC):
         pattern from the product before the accumulate merge.
         """
 
+    def _mask_accumulate(
+        self,
+        product: BackendMatrix,
+        accumulate: BackendMatrix | None,
+        mask: BackendMatrix | None,
+    ) -> BackendMatrix:
+        """:meth:`mxm`'s tail on the pattern backends: ``accumulate ⊕
+        (product ∧ ¬mask)``.  ``product`` is consumed — returned, or
+        freed, on error too."""
+        if mask is not None:
+            product = self._apply_complement_mask(product, mask)
+        if accumulate is None:
+            return product
+        try:
+            self._check_same_shape("mxm-accumulate", accumulate, product)
+            return self.ewise_add(product, accumulate)
+        finally:
+            product.free()
+
     def _apply_complement_mask(
         self, product: BackendMatrix, mask: BackendMatrix
     ) -> BackendMatrix:
-        """Shared sparse fallback for :meth:`mxm`'s ``mask``: rebuild
-        ``product ∧ ¬mask`` by key difference on host COO, consuming
+        """``product ∧ ¬mask`` by key difference on host COO, consuming
         (freeing) ``product`` and returning a new handle.
 
         Both patterns read back in canonical row-major order, so the
         packed mask keys are already sorted for the membership test.
         """
-        self._check_same_shape("mxm-mask", product, mask)
         try:
+            self._check_same_shape("mxm-mask", product, mask)
             rows, cols = self.matrix_to_coo(product)
             mask_keys = keys_from_coo(*self.matrix_to_coo(mask))
             keep = ~in_sorted(keys_from_coo(rows, cols), mask_keys)

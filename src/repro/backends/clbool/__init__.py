@@ -12,6 +12,8 @@ paper describes:
   and duplicates are compacted away (boolean saturation).  Peak memory
   is proportional to the expansion size — the structural contrast with
   cuBool's shared-memory hash tables that the memory benchmarks expose.
+  The arithmetic is the boolean core shared with cuBool and cpu; the
+  launches and arena charges are clBool's own.
 * **Element-wise add** — one-pass merge
   (:mod:`repro.backends.clbool.merge_add`): "it allocates single merge
   buffer of size NNZ(A) + NNZ(B) before actual merge … what can

@@ -35,26 +35,30 @@ class ClBoolBackend(Backend):
 
     # -- creation ------------------------------------------------------------
 
-    def _wrap_coo(self, shape, rows: np.ndarray, cols: np.ndarray) -> BackendMatrix:
-        rows_buf = self.device.to_device(rows)
-        cols_buf = self.device.to_device(cols)
-        storage = BoolCoo(shape, rows_buf.data, cols_buf.data)
-        return BackendMatrix(storage, self, [rows_buf, cols_buf])
+    def _adopt(self, shape, buffers) -> BackendMatrix:
+        """Wrap device buffers ``[rows, cols]`` without copying."""
+        return BackendMatrix(BoolCoo(shape, *(b.data for b in buffers)), self, buffers)
 
-    def _adopt_coo(self, shape, rows, cols, buffers) -> BackendMatrix:
-        return BackendMatrix(BoolCoo(shape, rows, cols), self, buffers)
+    def _wrap_coo(self, host: BoolCoo) -> BackendMatrix:
+        """Move a host COO matrix into device buffers and wrap it."""
+        buffers = common.upload_all(self.device.to_device, [host.rows, host.cols])
+        return self._adopt(host.shape, buffers)
 
     def matrix_from_coo(self, rows, cols, shape):
-        host = BoolCoo.from_coo(rows, cols, shape)
-        return self._wrap_coo(shape, host.rows, host.cols)
+        return self._wrap_coo(BoolCoo.from_coo(rows, cols, shape))
 
     def matrix_empty(self, shape):
-        host = BoolCoo.empty(shape)
-        return self._wrap_coo(shape, host.rows, host.cols)
+        return self._wrap_coo(BoolCoo.empty(shape))
 
     def identity(self, n: int) -> BackendMatrix:
-        host = BoolCoo.identity(n)
-        return self._wrap_coo((n, n), host.rows, host.cols)
+        return self._wrap_coo(BoolCoo.identity(n))
+
+    def _launch_emit(self, name: str, work: int, kernel) -> list:
+        """One data-movement launch of ``kernel`` over ``work`` items; its
+        canonical ``(rows, cols)`` become the exact-sized COO output."""
+        kernel.__name__ = name
+        rows, cols = self.stream.launch(kernel, grid_1d(max(1, work), 256))
+        return common.emit_coo(self.device.arena, rows, cols)
 
     # -- operations ------------------------------------------------------
 
@@ -63,7 +67,7 @@ class ClBoolBackend(Backend):
         self._check_mxm_shapes(a, b)
         sa: BoolCoo = a.storage
         sb: BoolCoo = b.storage
-        rows, cols, buffers = spgemm_boolean_coo(
+        _, _, buffers = spgemm_boolean_coo(
             self.device,
             self.stream,
             sa.shape,
@@ -73,27 +77,18 @@ class ClBoolBackend(Backend):
             sb.rows,
             sb.cols,
         )
-        shape = (a.nrows, b.ncols)
-        product = self._adopt_coo(shape, rows, cols, buffers)
-        if mask is not None:
-            product = self._apply_complement_mask(product, mask)
-        if accumulate is None:
-            return product
-        self._check_same_shape("mxm-accumulate", accumulate, product)
-        try:
-            return self.ewise_add(product, accumulate)
-        finally:
-            product.free()
+        product = self._adopt((a.nrows, b.ncols), buffers)
+        return self._mask_accumulate(product, accumulate, mask)
 
     def ewise_add(self, a, b, *, semiring=None):
         self._resolve_semiring(semiring)
         self._check_same_shape("ewise_add", a, b)
         sa: BoolCoo = a.storage
         sb: BoolCoo = b.storage
-        rows, cols, buffers = merge_add_coo(
-            self.device, self.stream, sa.rows, sa.cols, sb.rows, sb.cols
+        return self._adopt(
+            a.shape,
+            merge_add_coo(self.device, self.stream, sa.rows, sa.cols, sb.rows, sb.cols),
         )
-        return self._adopt_coo(a.shape, rows, cols, buffers)
 
     def ewise_mult(self, a, b, *, semiring=None):
         """Element-wise AND: single-pass like the add, but the result is
@@ -103,79 +98,43 @@ class ClBoolBackend(Backend):
         sa: BoolCoo = a.storage
         sb: BoolCoo = b.storage
         bound = min(sa.nnz, sb.nnz)
-        out_rows_buf = self.device.arena.alloc(bound, INDEX_DTYPE)
-        out_cols_buf = self.device.arena.alloc(bound, INDEX_DTYPE)
 
         def _kernel(config):
-            return common.merge_intersection(
-                keys_from_coo(sa.rows, sa.cols), keys_from_coo(sb.rows, sb.cols)
+            return coo_from_keys(
+                common.merge_intersection(
+                    keys_from_coo(sa.rows, sa.cols), keys_from_coo(sb.rows, sb.cols)
+                )
             )
 
-        _kernel.__name__ = "merge_path_intersect"
-        keys = self.stream.launch(_kernel, grid_1d(max(1, bound or 1), 256))
-        rows_buf = self.device.arena.alloc(keys.size, INDEX_DTYPE)
-        cols_buf = self.device.arena.alloc(keys.size, INDEX_DTYPE)
-        if keys.size:
-            rows_buf.data[...], cols_buf.data[...] = coo_from_keys(keys)
-        out_rows_buf.free()
-        out_cols_buf.free()
-        return self._adopt_coo(a.shape, rows_buf.data, cols_buf.data, [rows_buf, cols_buf])
+        with common.scratch(self.device.arena, (bound, INDEX_DTYPE), (bound, INDEX_DTYPE)):
+            buffers = self._launch_emit("merge_path_intersect", bound or 1, _kernel)
+        return self._adopt(a.shape, buffers)
 
     def kron(self, a, b, *, semiring=None):
         self._resolve_semiring(semiring)
         sa: BoolCoo = a.storage
         sb: BoolCoo = b.storage
-        shape = (a.nrows * b.nrows, a.ncols * b.ncols)
-
         # Row pointers for both operands (scratch histogram + scan).
-        a_ptr_buf = self.device.arena.alloc(a.nrows + 1, INDEX_DTYPE)
-        b_ptr_buf = self.device.arena.alloc(b.nrows + 1, INDEX_DTYPE)
-        try:
+        with common.scratch(
+            self.device.arena, (a.nrows + 1, INDEX_DTYPE), (b.nrows + 1, INDEX_DTYPE)
+        ) as (a_ptr_buf, b_ptr_buf):
             a_ptr_buf.data[...] = rowptr_from_sorted_rows(sa.rows, a.nrows)
             b_ptr_buf.data[...] = rowptr_from_sorted_rows(sb.rows, b.nrows)
 
             def _kernel(config):
                 return common.kron_coo(
-                    sa.rows,
-                    sa.cols,
-                    a_ptr_buf.data,
-                    sb.rows,
-                    sb.cols,
-                    sb.shape,
-                    b_ptr_buf.data,
+                    sa.rows, sa.cols, a_ptr_buf.data, sb.rows, sb.cols, sb.shape, b_ptr_buf.data
                 )
 
-            _kernel.__name__ = "kron_index_arithmetic"
-            total = sa.nnz * sb.nnz
-            out_rows, out_cols = self.stream.launch(
-                _kernel, grid_1d(max(1, total), 256)
-            )
-            rows_buf = self.device.arena.alloc(out_rows.size, INDEX_DTYPE)
-            cols_buf = self.device.arena.alloc(out_cols.size, INDEX_DTYPE)
-            if out_rows.size:
-                rows_buf.data[...] = out_rows
-                cols_buf.data[...] = out_cols
-        finally:
-            a_ptr_buf.free()
-            b_ptr_buf.free()
-        return self._adopt_coo(shape, rows_buf.data, cols_buf.data, [rows_buf, cols_buf])
+            buffers = self._launch_emit("kron_index_arithmetic", sa.nnz * sb.nnz, _kernel)
+        return self._adopt((a.nrows * b.nrows, a.ncols * b.ncols), buffers)
 
     def transpose(self, a):
         sa: BoolCoo = a.storage
-
-        def _kernel(config):
-            return common.transpose_coo(sa.rows, sa.cols)
-
-        _kernel.__name__ = "transpose_sort"
-        t_rows, t_cols = self.stream.launch(_kernel, grid_1d(max(1, sa.nnz), 256))
-        rows_buf = self.device.arena.alloc(t_rows.size, INDEX_DTYPE)
-        cols_buf = self.device.arena.alloc(t_cols.size, INDEX_DTYPE)
-        if t_rows.size:
-            rows_buf.data[...] = t_rows
-            cols_buf.data[...] = t_cols
-        return self._adopt_coo(
-            (a.ncols, a.nrows), rows_buf.data, cols_buf.data, [rows_buf, cols_buf]
+        buffers = self._launch_emit(
+            "transpose_sort", sa.nnz, lambda config: common.transpose_coo(sa.rows, sa.cols)
         )
+        return self._adopt((a.ncols, a.nrows), buffers)
 
     def extract_submatrix(self, a, i, j, nrows, ncols):
         self._check_submatrix(a, i, j, nrows, ncols)
@@ -184,34 +143,17 @@ class ClBoolBackend(Backend):
         def _kernel(config):
             return common.submatrix_coo(sa.rows, sa.cols, i, j, nrows, ncols)
 
-        _kernel.__name__ = "submatrix_filter"
-        s_rows, s_cols = self.stream.launch(_kernel, grid_1d(max(1, sa.nnz), 256))
-        rows_buf = self.device.arena.alloc(s_rows.size, INDEX_DTYPE)
-        cols_buf = self.device.arena.alloc(s_cols.size, INDEX_DTYPE)
-        if s_rows.size:
-            rows_buf.data[...] = s_rows
-            cols_buf.data[...] = s_cols
-        return self._adopt_coo(
-            (nrows, ncols), rows_buf.data, cols_buf.data, [rows_buf, cols_buf]
-        )
+        return self._adopt((nrows, ncols), self._launch_emit("submatrix_filter", sa.nnz, _kernel))
 
     def reduce_to_column(self, a, *, semiring=None):
         self._resolve_semiring(semiring)
         sa: BoolCoo = a.storage
 
         def _kernel(config):
-            return common.reduce_rows_coo(sa.rows)
+            nz_rows = common.reduce_rows_coo(sa.rows)
+            return nz_rows, np.zeros(nz_rows.size, INDEX_DTYPE)
 
-        _kernel.__name__ = "reduce_unique_rows"
-        nz_rows = self.stream.launch(_kernel, grid_1d(max(1, sa.nnz), 256))
-        rows_buf = self.device.arena.alloc(nz_rows.size, INDEX_DTYPE)
-        cols_buf = self.device.arena.alloc(nz_rows.size, INDEX_DTYPE)
-        if nz_rows.size:
-            rows_buf.data[...] = nz_rows
-            cols_buf.data[...] = 0
-        return self._adopt_coo(
-            (a.nrows, 1), rows_buf.data, cols_buf.data, [rows_buf, cols_buf]
-        )
+        return self._adopt((a.nrows, 1), self._launch_emit("reduce_unique_rows", sa.nnz, _kernel))
 
 
 register_backend("clbool", lambda device=None: ClBoolBackend(device=device))

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends.common import emit_coo, scratch
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
+from repro.gpu.memory import DeviceBuffer
 from repro.gpu.stream import Stream
 from repro.utils.arrays import (
     INDEX_DTYPE,
@@ -45,17 +47,17 @@ def merge_add_coo(
     a_cols: np.ndarray,
     b_rows: np.ndarray,
     b_cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Boolean union of two canonical COO matrices (one-pass merge)."""
+) -> list[DeviceBuffer]:
+    """Boolean union of two canonical COO matrices (one-pass merge);
+    returns the output's device buffers ``[rows, cols]``."""
     total = a_rows.size + b_rows.size
-
+    key_a = keys_from_coo(a_rows, a_cols)
+    key_b = keys_from_coo(b_rows, b_cols)
+    grid = grid_1d(max(1, total), 256)
     # The single up-front merge buffer (rows + cols planes).
-    merge_rows_buf = device.arena.alloc(total, INDEX_DTYPE)
-    merge_cols_buf = device.arena.alloc(total, INDEX_DTYPE)
-
-    try:
-        key_a = keys_from_coo(a_rows, a_cols)
-        key_b = keys_from_coo(b_rows, b_cols)
+    with scratch(
+        device.arena, (total, INDEX_DTYPE), (total, INDEX_DTYPE)
+    ) as (merge_rows_buf, merge_cols_buf):
 
         def _merge_kernel(config):
             merged = merge_sorted_keys(key_a, key_b)
@@ -63,20 +65,11 @@ def merge_add_coo(
             return merged
 
         _merge_kernel.__name__ = "merge_path_one_pass"
-        merged = stream.launch(_merge_kernel, grid_1d(max(1, total), 256))
+        merged = stream.launch(_merge_kernel, grid)
 
         def _compact_kernel(config):
             return dedupe_sorted_keys(merged)
 
         _compact_kernel.__name__ = "merge_compact"
-        unique = stream.launch(_compact_kernel, grid_1d(max(1, total), 256))
-
-        rows_buf = device.arena.alloc(unique.size, INDEX_DTYPE)
-        cols_buf = device.arena.alloc(unique.size, INDEX_DTYPE)
-        if unique.size:
-            rows_buf.data[...], cols_buf.data[...] = coo_from_keys(unique)
-    finally:
-        merge_rows_buf.free()
-        merge_cols_buf.free()
-
-    return rows_buf.data, cols_buf.data, [rows_buf, cols_buf]
+        unique = stream.launch(_compact_kernel, grid)
+        return emit_coo(device.arena, *coo_from_keys(unique))

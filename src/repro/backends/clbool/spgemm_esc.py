@@ -9,34 +9,31 @@ formulation):
    device this buffer lives in global memory, unlike cuBool's
    shared-memory hash tables — the key memory-behaviour difference the
    benchmarks measure).
-2. **Sort** — radix-sort the packed ``row << 32 | col`` keys (executor:
-   NumPy's default SIMD sort).  Equal boolean keys are identical pairs,
-   so the sort need not be stable — a boolean specialisation the
-   value-carrying generic backend cannot take.
-3. **Compaction** — boolean saturation collapses duplicates: a
-   vectorized adjacent-unique pass; the exact-sized output is then
-   allocated and filled.
+2. **Sort** — radix-sort the packed ``row << 32 | col`` keys.
+3. **Compaction** — boolean saturation collapses duplicates; the
+   exact-sized output is then allocated and filled.
 
 A CSR-style row pointer for B is built as a scratch step (one histogram
 + scan) to drive the expansion gather; clBool does the same bucketing on
 device.
+
+On this executor the three ESC steps are one call of the boolean core,
+:func:`repro.backends.common.bool_spgemm_keys` (expand, pack, sort,
+dedupe), made in the expansion launch.  The sort and compaction launches
+stay in the launch plan as records with their grids, and the arena
+charges the expansion planes while they would be live — clBool's memory
+model is its plan, not its arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.common import expand_products
+from repro.backends.common import bool_spgemm_keys, emit_coo, scratch
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
 from repro.gpu.stream import Stream
-from repro.utils.arrays import (
-    INDEX_DTYPE,
-    coo_from_keys,
-    dedupe_sorted_keys,
-    keys_from_coo,
-    rowptr_from_sorted_rows,
-)
+from repro.utils.arrays import INDEX_DTYPE, coo_from_keys, rowptr_from_sorted_rows
 
 
 def spgemm_boolean_coo(
@@ -54,53 +51,35 @@ def spgemm_boolean_coo(
     Returns ``(rows, cols, buffers)``; arrays alias device buffers whose
     ownership passes to the caller.
     """
+    m_b = int(b_shape[0])
     # Scratch: B row pointer (histogram + exclusive scan on device).
-    b_rowptr_buf = device.arena.alloc(int(b_shape[0]) + 1, INDEX_DTYPE)
+    with scratch(device.arena, (m_b + 1, INDEX_DTYPE)) as (b_rowptr_buf,):
+        b_rowptr = b_rowptr_buf.data
 
-    def _bucket_kernel(config):
-        b_rowptr_buf.data[...] = rowptr_from_sorted_rows(b_rows, int(b_shape[0]))
+        def _bucket_kernel(config):
+            b_rowptr[...] = rowptr_from_sorted_rows(b_rows, m_b)
 
-    _bucket_kernel.__name__ = "esc_bucket_b_rows"
-    stream.launch(_bucket_kernel, grid_1d(max(1, b_rows.size), 256))
+        _bucket_kernel.__name__ = "esc_bucket_b_rows"
+        stream.launch(_bucket_kernel, grid_1d(max(1, b_rows.size), 256))
 
-    # 1. Expansion into a global-memory buffer.
-    def _expand_kernel(config):
-        return expand_products(a_rows, a_cols, b_rowptr_buf.data, b_cols)
+        def _expand_kernel(config):
+            return bool_spgemm_keys(a_rows, a_cols, b_rowptr, b_cols)
 
-    _expand_kernel.__name__ = "esc_expand"
-    e_rows, e_cols = stream.launch(_expand_kernel, grid_1d(max(1, a_rows.size), 256))
-    total = e_rows.size
+        _expand_kernel.__name__ = "esc_expand"
+        keys = stream.launch(_expand_kernel, grid_1d(max(1, a_rows.size), 256))
 
-    exp_rows_buf = device.arena.alloc(total, INDEX_DTYPE)
-    exp_cols_buf = device.arena.alloc(total, INDEX_DTYPE)
-    if total:
-        exp_rows_buf.data[...] = e_rows
-        exp_cols_buf.data[...] = e_cols
+        # The expansion planes (rows + cols) hold every candidate product
+        # until compaction has sized the output.
+        total = int(np.diff(b_rowptr)[a_cols].sum())
+        with scratch(device.arena, (total, INDEX_DTYPE), (total, INDEX_DTYPE)):
+            # The core already sorted and compacted: these two launches
+            # are the plan's records.
+            for name in ("esc_radix_sort", "esc_compact"):
 
-    try:
-        # 2. Sort by packed key.
-        def _sort_kernel(config):
-            keys = keys_from_coo(exp_rows_buf.data, exp_cols_buf.data)
-            keys.sort()
-            return keys
+                def _record_kernel(config):
+                    return None
 
-        _sort_kernel.__name__ = "esc_radix_sort"
-        keys = stream.launch(_sort_kernel, grid_1d(max(1, total), 256))
-
-        # 3. Compaction (adjacent unique).
-        def _compact_kernel(config):
-            return dedupe_sorted_keys(keys)
-
-        _compact_kernel.__name__ = "esc_compact"
-        unique = stream.launch(_compact_kernel, grid_1d(max(1, total), 256))
-
-        rows_buf = device.arena.alloc(unique.size, INDEX_DTYPE)
-        cols_buf = device.arena.alloc(unique.size, INDEX_DTYPE)
-        if unique.size:
-            rows_buf.data[...], cols_buf.data[...] = coo_from_keys(unique)
-    finally:
-        exp_rows_buf.free()
-        exp_cols_buf.free()
-        b_rowptr_buf.free()
-
-    return rows_buf.data, cols_buf.data, [rows_buf, cols_buf]
+                _record_kernel.__name__ = name
+                stream.launch(_record_kernel, grid_1d(max(1, total), 256))
+            buffers = emit_coo(device.arena, *coo_from_keys(keys))
+    return buffers[0].data, buffers[1].data, buffers

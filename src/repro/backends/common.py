@@ -1,11 +1,17 @@
-"""Vectorized primitives shared by the backends.
+"""One boolean sparse executor: the key-space core and exact outputs.
 
-Each function here is the NumPy realization of a GPU building block that
-several backends use (merge path partitioning, segmented expansion,
-Kronecker index arithmetic).  Backends differ in *how they orchestrate*
-these primitives — binned hash tables vs. global sort, two-pass exact
-allocation vs. one-pass over-allocation — which is exactly the design
-space the paper's implementation section discusses.
+cuBool, clBool and the cpu reference compute every boolean product
+through one call, :func:`bool_spgemm_keys`: expand the candidate
+products, pack ``row << 32 | col``, sort-unique.  What still differs
+between the backends is their *launch plan* — how the work is cut into
+stream launches (cuBool: one launch per chunk of a row bin; clBool: the
+four ESC launches; cpu: none) — and what each plan charges to the device
+arena (cuBool: global-bin hash tables and the two-pass exact output;
+clBool: the B-row bucket, the expansion planes and the one-pass merge
+buffers).  Those are the design space the paper's implementation section
+discusses; the arithmetic itself is written once here.  The generic
+backend reads its values through the same expansion gather
+(:func:`expand_gather`).
 
 Coordinate keys: a (row, col) pair packs into the uint64 key
 ``row << 32 | col`` (:func:`repro.utils.arrays.keys_from_coo`, the one
@@ -14,22 +20,28 @@ which preserves row-major order and makes merge/dedupe a 1-D problem
 (the standard GPU trick for pair sorting).  On this executor a
 run-merge — concatenate two sorted runs, one stable sort that timsort
 turns into a linear merge, adjacent dedupe — stands in for GPU Merge
-Path; the backends still model the paper's allocation disciplines
-(cuBool's two-pass exact allocation vs clBool's one-pass
-over-allocated merge buffer) in the device arena.
+Path.
+
+Device memory: every exact-sized output goes through :func:`emit_csr`
+or :func:`emit_coo`, which allocate all or nothing, and every scratch
+buffer is held by :func:`scratch` from the moment it is allocated, so an
+arena exhaustion anywhere inside an op raises ``DeviceMemoryError`` with
+the arena's live bytes where they were before the op.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import InvalidArgumentError
+from repro.gpu.memory import DeviceBuffer, MemoryArena
 from repro.utils.arrays import (
     INDEX_DTYPE,
     coo_from_keys,
     concat_ranges,
+    dedupe_sorted_keys,
     in_sorted,
     keys_from_coo,
+    rowptr_from_sorted_rows,
     segment_ids,
 )
 
@@ -49,76 +61,45 @@ def merge_intersection(key_a: np.ndarray, key_b: np.ndarray) -> np.ndarray:
     return key_a[in_sorted(key_a, key_b)]
 
 
-# -- SpGEMM expansion ---------------------------------------------------------
+# -- SpGEMM: the one boolean product ------------------------------------------
 
 
-def expand_products(
-    a_rows: np.ndarray,
-    a_cols: np.ndarray,
-    b_rowptr: np.ndarray,
-    b_cols: np.ndarray,
+def expand_gather(
+    a_cols: np.ndarray, b_rowptr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand all candidate products for ``C = A · B``.
+    """The expansion of ``C = A · B`` as gather indices.
 
-    For every A entry ``(i, k)`` emits the pairs ``(i, j)`` for each
-    ``j`` in B's row ``k``.  Returns ``(c_rows, c_cols)`` as int64 — the
-    *multiset* of candidate coordinates (duplicates not collapsed).
-    This is the "expansion" step of ESC and the probe stream of the hash
-    kernel; both consume its output.
+    For every A entry ``e = (i, k)`` and every position ``g`` of B's row
+    ``k`` there is one candidate product ``(i, b_cols[g])``; returns
+    ``(owner, gather)`` with ``owner[t] = e`` (an index into A's entry
+    arrays) and ``gather[t] = g`` (into B's).  The boolean core packs
+    coordinates through them; the generic backend also reads both value
+    planes through them.  Only the touched entries of B are visited.
     """
-    if a_rows.size == 0 or b_cols.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    # Gather, then widen: only the touched entries of B are copied.
     k = a_cols.astype(np.int64)
     starts = b_rowptr[k].astype(np.int64)
     lengths = b_rowptr[k + 1].astype(np.int64) - starts
-    gather_idx = concat_ranges(starts, lengths)
-    if gather_idx.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    owner = segment_ids(lengths)  # index into a_rows per emitted product
-    c_rows = a_rows[owner].astype(np.int64, copy=False)
-    c_cols = b_cols[gather_idx].astype(np.int64, copy=False)
-    return c_rows, c_cols
+    return segment_ids(lengths), concat_ranges(starts, lengths)
 
 
-def expand_products_valued(
+def bool_spgemm_keys(
     a_rows: np.ndarray,
     a_cols: np.ndarray,
-    a_vals: np.ndarray,
     b_rowptr: np.ndarray,
     b_cols: np.ndarray,
-    b_vals: np.ndarray,
-    mul=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Valued expansion for the generic backend: also ⊗-combines values.
+) -> np.ndarray:
+    """The boolean SpGEMM: sorted distinct keys ``row << 32 | col`` of
+    ``A · B``.
 
-    ``mul`` is the semiring multiply applied to each gathered
-    ``(A-value, B-value)`` pair; ``None`` is ordinary ``*``
-    (plus-times).  Tropical algebras pass ``np.add``, PAIR passes its
-    presence test — the expansion stream is algebra-agnostic.
+    ``(a_rows, a_cols)`` may be any subset of A's entries — a launch
+    passes the entries of the rows it covers — and B is CSR.  Boolean
+    saturation is the dedupe: equal keys are identical pairs, so no
+    value is carried and the sort need not be stable.
     """
-    if a_rows.size == 0 or b_cols.size == 0:
-        return (
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
-            np.empty(0, b_vals.dtype),
-        )
-    k = a_cols.astype(np.int64)
-    starts = b_rowptr.astype(np.int64)[k]
-    lengths = b_rowptr.astype(np.int64)[k + 1] - starts
-    gather_idx = concat_ranges(starts, lengths)
-    if gather_idx.size == 0:
-        return (
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
-            np.empty(0, b_vals.dtype),
-        )
-    owner = segment_ids(lengths)
-    c_rows = a_rows.astype(np.int64)[owner]
-    c_cols = b_cols.astype(np.int64)[gather_idx]
-    av, bv = a_vals[owner], b_vals[gather_idx]
-    c_vals = av * bv if mul is None else mul(av, bv).astype(b_vals.dtype, copy=False)
-    return c_rows, c_cols, c_vals
+    owner, gather = expand_gather(a_cols, b_rowptr)
+    keys = keys_from_coo(a_rows[owner], b_cols[gather])
+    keys.sort()
+    return dedupe_sorted_keys(keys)
 
 
 def spgemm_upper_bound(
@@ -228,7 +209,69 @@ def reduce_rows_coo(rows: np.ndarray) -> np.ndarray:
     return np.unique(rows).astype(INDEX_DTYPE)
 
 
-def validate_probe_stream(c_rows: np.ndarray, c_cols: np.ndarray) -> None:
-    """Internal consistency check used by debug builds of the kernels."""
-    if c_rows.shape != c_cols.shape:
-        raise InvalidArgumentError("candidate rows/cols length mismatch")
+# -- launch plans and device outputs --------------------------------------------
+
+
+class scratch:
+    """Scratch device buffers, one per ``(shape, dtype)``, for the body of
+    a ``with`` block: allocated all or nothing and freed on exit however
+    the block ends."""
+
+    def __init__(self, arena: MemoryArena, *specs: tuple[object, np.dtype]):
+        self.buffers = upload_all(lambda spec: arena.alloc(*spec), specs)
+
+    def __enter__(self) -> list[DeviceBuffer]:
+        return self.buffers
+
+    def __exit__(self, *exc) -> None:
+        for buf in self.buffers:
+            buf.free()
+
+
+def upload_all(make, items) -> list[DeviceBuffer]:
+    """One new device buffer per item, ``make(item)``, all or nothing:
+    if one fails, the buffers made so far are freed before it raises.
+    Matrix creation passes ``device.to_device`` over host arrays."""
+    buffers: list[DeviceBuffer] = []
+    try:
+        for item in items:
+            buffers.append(make(item))
+    except BaseException:
+        for buf in buffers:
+            buf.free()
+        raise
+    return buffers
+
+
+def _emit(arena: MemoryArena, planes) -> list[DeviceBuffer]:
+    """Device copies of ``(host array, device dtype)`` planes."""
+
+    def copy(plane):
+        array, dtype = plane
+        buf = arena.alloc(array.size, dtype)
+        buf.data[...] = array
+        return buf
+
+    return upload_all(copy, planes)
+
+
+def emit_csr(
+    arena: MemoryArena,
+    nrows: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray | None = None,
+) -> list[DeviceBuffer]:
+    """The exact-sized CSR output of an op, from canonical coordinates:
+    ``[rowptr, cols]`` (and ``values`` for valued formats) device buffers,
+    allocated in that order, all or nothing."""
+    planes = [(rowptr_from_sorted_rows(rows, nrows), INDEX_DTYPE), (cols, INDEX_DTYPE)]
+    if values is not None:
+        planes.append((values, values.dtype))
+    return _emit(arena, planes)
+
+
+def emit_coo(arena: MemoryArena, rows: np.ndarray, cols: np.ndarray) -> list[DeviceBuffer]:
+    """The exact-sized COO output of an op, from canonical coordinates:
+    ``[rows, cols]`` device buffers, all or nothing."""
+    return _emit(arena, [(rows, INDEX_DTYPE), (cols, INDEX_DTYPE)])

@@ -2,9 +2,13 @@
 
 This backend favours clarity over performance: every operation is the
 obvious sort-based formulation over canonical COO coordinates, with no
-device accounting and no binning/merge machinery.  The test suite checks
-every other backend against it, and it doubles as SPbLA's "CPU compute
-fallback" (the paper notes cuBool ships a CPU backend too).
+device accounting and no binning/merge machinery.  The test suite
+checks every other backend against it, and it doubles as SPbLA's "CPU
+compute fallback" (the paper notes cuBool ships a CPU backend too).
+Its product is the one boolean core
+(:func:`repro.backends.common.bool_spgemm_keys`) with no launch plan
+around it, so for ``mxm`` the dense NumPy oracles of the tests are the
+independent check.
 """
 
 from __future__ import annotations
@@ -42,23 +46,11 @@ class CpuBackend(Backend):
         self._check_mxm_shapes(a, b)
         sa: BoolCsr = a.storage
         sb: BoolCsr = b.storage
-        a_rows, a_cols = sa.to_coo_arrays()
-        c_rows, c_cols = common.expand_products(a_rows, a_cols, sb.rowptr, sb.cols)
-        shape = (a.nrows, b.ncols)
-        if mask is not None:
-            # The mask filters the raw product only — accumulate entries
-            # must survive it — so subtract before the concatenation.
-            self._check_same_shape("mxm-mask", mask, _shape_proxy(shape))
-            product = BackendMatrix(BoolCsr.from_coo(c_rows, c_cols, shape), self)
-            masked = self._apply_complement_mask(product, mask)
-            c_rows, c_cols = masked.storage.to_coo_arrays()
-            masked.free()
-        if accumulate is not None:
-            self._check_same_shape("mxm-accumulate", accumulate, _shape_proxy(shape))
-            acc_rows, acc_cols = accumulate.storage.to_coo_arrays()
-            c_rows = np.concatenate([c_rows.astype(np.int64), acc_rows.astype(np.int64)])
-            c_cols = np.concatenate([c_cols.astype(np.int64), acc_cols.astype(np.int64)])
-        return BackendMatrix(BoolCsr.from_coo(c_rows, c_cols, shape), self)
+        keys = common.bool_spgemm_keys(*sa.to_coo_arrays(), sb.rowptr, sb.cols)
+        product = BackendMatrix(
+            BoolCsr.from_coo(*coo_from_keys(keys), (a.nrows, b.ncols)), self
+        )
+        return self._mask_accumulate(product, accumulate, mask)
 
     def ewise_add(self, a, b, *, semiring=None):
         self._resolve_semiring(semiring)
@@ -113,14 +105,6 @@ class CpuBackend(Backend):
         return BackendMatrix(
             BoolCsr.from_coo(nz_rows, zeros, (a.nrows, 1)), self
         )
-
-
-class _shape_proxy:
-    """Tiny stand-in so shape checks can compare against a raw shape."""
-
-    def __init__(self, shape: tuple[int, int]):
-        self.shape = shape
-        self.nrows, self.ncols = shape
 
 
 register_backend("cpu", lambda device=None: CpuBackend(device=device))

@@ -6,9 +6,9 @@ Operation implementations follow the paper's description of cuBool:
   boolean values: rows are classified by an upper bound on their product
   size into power-of-two bins; each bin runs a hash-table kernel sized
   for the bin, with small bins using shared-memory tables and oversized
-  rows falling back to global-memory tables.  The executor reads each
-  launch's tables back with one packed-key sort instead of replaying
-  the probe race (:mod:`repro.backends.cubool.spgemm_hash`).
+  rows falling back to global-memory tables.  Each launch computes its
+  rows through the one boolean core shared with clBool and cpu instead
+  of replaying the probe race (:mod:`repro.backends.cubool.spgemm_hash`).
 * **Element-wise add** — GPU Merge Path with "two pass processing":
   pass one computes exact merged sizes so the output can be allocated
   precisely, pass two performs the merge

@@ -26,18 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.common import merge_intersection
+from repro.backends.common import emit_csr, merge_intersection
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
+from repro.gpu.memory import DeviceBuffer
 from repro.gpu.stream import Stream
-from repro.utils.arrays import (
-    INDEX_DTYPE,
-    coo_from_keys,
-    keys_from_coo,
-    merge_union,
-    rows_from_rowptr,
-    rowptr_from_sorted_rows,
-)
+from repro.utils.arrays import coo_from_keys, keys_from_coo, merge_union, rows_from_rowptr
 
 
 def ewise_add_csr(
@@ -48,12 +42,11 @@ def ewise_add_csr(
     a_cols: np.ndarray,
     b_rowptr: np.ndarray,
     b_cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> list[DeviceBuffer]:
     """Boolean union of two CSR matrices, exact-allocated.
 
-    Returns ``(rowptr, cols, buffers)``; arrays alias device buffers.
+    Returns the output's device buffers ``[rowptr, cols]``.
     """
-    m = int(shape[0])
     key_a = keys_from_coo(rows_from_rowptr(a_rowptr), a_cols)
     key_b = keys_from_coo(rows_from_rowptr(b_rowptr), b_cols)
     grid = grid_1d(max(1, key_a.size + key_b.size), 256)
@@ -65,18 +58,12 @@ def ewise_add_csr(
     _count_kernel.__name__ = "merge_path_count"
     union = stream.launch(_count_kernel, grid)
 
-    rowptr_buf = device.arena.alloc(m + 1, INDEX_DTYPE)
-    cols_buf = device.arena.alloc(union.size, INDEX_DTYPE)
-
     # Pass 2: fill the exactly-sized output.
     def _merge_kernel(config):
-        rows, cols = coo_from_keys(union)
-        rowptr_buf.data[...] = rowptr_from_sorted_rows(rows, m)
-        cols_buf.data[...] = cols
+        return emit_csr(device.arena, int(shape[0]), *coo_from_keys(union))
 
     _merge_kernel.__name__ = "merge_path_merge"
-    stream.launch(_merge_kernel, grid)
-    return rowptr_buf.data, cols_buf.data, [rowptr_buf, cols_buf]
+    return stream.launch(_merge_kernel, grid)
 
 
 def ewise_mult_csr(
@@ -87,14 +74,13 @@ def ewise_mult_csr(
     a_cols: np.ndarray,
     b_rowptr: np.ndarray,
     b_cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> list[DeviceBuffer]:
     """Boolean intersection of two CSR matrices (element-wise AND).
 
     Same two-pass discipline as the add: the intersection is a pure
     membership gallop, so pass one *is* the result-size computation and
     pass two just materializes it into the exactly-sized output.
     """
-    m = int(shape[0])
     key_a = keys_from_coo(rows_from_rowptr(a_rowptr), a_cols)
     key_b = keys_from_coo(rows_from_rowptr(b_rowptr), b_cols)
 
@@ -105,10 +91,4 @@ def ewise_mult_csr(
     keys = stream.launch(
         _intersect_kernel, grid_1d(max(1, min(key_a.size, key_b.size) or 1), 256)
     )
-    rowptr_buf = device.arena.alloc(m + 1, INDEX_DTYPE)
-    cols_buf = device.arena.alloc(keys.size, INDEX_DTYPE)
-    rows, cols = coo_from_keys(keys)
-    rowptr_buf.data[...] = rowptr_from_sorted_rows(rows, m)
-    if keys.size:
-        cols_buf.data[...] = cols
-    return rowptr_buf.data, cols_buf.data, [rowptr_buf, cols_buf]
+    return emit_csr(device.arena, int(shape[0]), *coo_from_keys(keys))

@@ -3,7 +3,9 @@
 Kronecker product, transpose, sub-matrix extraction and row-reduce are
 all data-movement kernels: they compute every output coordinate from
 input coordinates with closed-form index arithmetic, launch-dispatched
-over the output (or input) entries.
+over the output (or input) entries, then emit the exact-sized CSR
+output (:func:`repro.backends.common.emit_csr`).  Each returns the
+output's device buffers ``[rowptr, cols]``.
 """
 
 from __future__ import annotations
@@ -13,12 +15,9 @@ import numpy as np
 from repro.backends import common
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
+from repro.gpu.memory import DeviceBuffer
 from repro.gpu.stream import Stream
-from repro.utils.arrays import (
-    INDEX_DTYPE,
-    rows_from_rowptr,
-    rowptr_from_sorted_rows,
-)
+from repro.utils.arrays import INDEX_DTYPE, rows_from_rowptr
 
 
 def kron_csr(
@@ -30,12 +29,9 @@ def kron_csr(
     b_shape: tuple[int, int],
     b_rowptr: np.ndarray,
     b_cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> list[DeviceBuffer]:
     """Kronecker product in CSR; output is emitted directly in canonical
     order (no sort), sized exactly ``nnz(A) * nnz(B)``."""
-    m, n = int(a_shape[0]), int(a_shape[1])
-    p, q = int(b_shape[0]), int(b_shape[1])
-    out_shape = (m * p, n * q)
     a_rows = rows_from_rowptr(a_rowptr)
     b_rows = rows_from_rowptr(b_rowptr)
 
@@ -47,14 +43,7 @@ def kron_csr(
     _kernel.__name__ = "kron_index_arithmetic"
     total = a_cols.size * b_cols.size
     out_rows, out_cols = stream.launch(_kernel, grid_1d(max(1, total), 256))
-
-    rowptr_buf = device.arena.alloc(out_shape[0] + 1, INDEX_DTYPE)
-    cols_buf = device.arena.alloc(out_cols.size, INDEX_DTYPE)
-    rowptr_buf.data[...] = rowptr_from_sorted_rows(
-        out_rows.astype(np.int64), out_shape[0]
-    )
-    cols_buf.data[...] = out_cols.astype(INDEX_DTYPE)
-    return rowptr_buf.data, cols_buf.data, [rowptr_buf, cols_buf]
+    return common.emit_csr(device.arena, int(a_shape[0]) * int(b_shape[0]), out_rows, out_cols)
 
 
 def transpose_csr(
@@ -63,10 +52,9 @@ def transpose_csr(
     shape: tuple[int, int],
     rowptr: np.ndarray,
     cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> list[DeviceBuffer]:
     """CSR transpose: one sort of the packed ``col << 32 | row`` keys
     (the executor's stand-in for the classic CSR→CSC scatter)."""
-    n = int(shape[1])
     rows = rows_from_rowptr(rowptr)
 
     def _kernel(config):
@@ -74,12 +62,7 @@ def transpose_csr(
 
     _kernel.__name__ = "transpose_scatter"
     t_rows, t_cols = stream.launch(_kernel, grid_1d(max(1, cols.size), 256))
-
-    rowptr_buf = device.arena.alloc(n + 1, INDEX_DTYPE)
-    cols_buf = device.arena.alloc(t_cols.size, INDEX_DTYPE)
-    rowptr_buf.data[...] = rowptr_from_sorted_rows(t_rows, n)
-    cols_buf.data[...] = t_cols
-    return rowptr_buf.data, cols_buf.data, [rowptr_buf, cols_buf]
+    return common.emit_csr(device.arena, int(shape[1]), t_rows, t_cols)
 
 
 def submatrix_csr(
@@ -92,7 +75,7 @@ def submatrix_csr(
     j: int,
     nrows: int,
     ncols: int,
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> list[DeviceBuffer]:
     """Extract ``A[i : i+nrows, j : j+ncols]``.
 
     Row selection is a row-pointer slice (free); column filtering is a
@@ -110,19 +93,11 @@ def submatrix_csr(
             else np.empty(0, np.int64)
         )
         mask = (span_cols >= j) & (span_cols < j + ncols)
-        return (
-            span_rows[mask].astype(INDEX_DTYPE),
-            (span_cols[mask] - j).astype(INDEX_DTYPE),
-        )
+        return span_rows[mask], span_cols[mask] - j
 
     _kernel.__name__ = "submatrix_filter"
     s_rows, s_cols = stream.launch(_kernel, grid_1d(max(1, hi - lo), 256))
-
-    rowptr_buf = device.arena.alloc(nrows + 1, INDEX_DTYPE)
-    cols_buf = device.arena.alloc(s_cols.size, INDEX_DTYPE)
-    rowptr_buf.data[...] = rowptr_from_sorted_rows(s_rows.astype(np.int64), nrows)
-    cols_buf.data[...] = s_cols
-    return rowptr_buf.data, cols_buf.data, [rowptr_buf, cols_buf]
+    return common.emit_csr(device.arena, nrows, s_rows, s_cols)
 
 
 def reduce_to_column_csr(
@@ -130,20 +105,16 @@ def reduce_to_column_csr(
     stream: Stream,
     shape: tuple[int, int],
     rowptr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> list[DeviceBuffer]:
     """OR-reduce each row to a single column: row i is set iff the row
     is non-empty — a pure row-pointer difference."""
     m = int(shape[0])
 
     def _kernel(config):
-        lens = np.diff(rowptr.astype(np.int64))
-        return np.nonzero(lens > 0)[0].astype(INDEX_DTYPE)
+        return np.nonzero(np.diff(rowptr.astype(np.int64)) > 0)[0]
 
     _kernel.__name__ = "reduce_row_nonempty"
     nz_rows = stream.launch(_kernel, grid_1d(max(1, m), 256))
-
-    rowptr_buf = device.arena.alloc(m + 1, INDEX_DTYPE)
-    cols_buf = device.arena.alloc(nz_rows.size, INDEX_DTYPE)
-    rowptr_buf.data[...] = rowptr_from_sorted_rows(nz_rows.astype(np.int64), m)
-    cols_buf.data[...] = 0
-    return rowptr_buf.data, cols_buf.data, [rowptr_buf, cols_buf]
+    return common.emit_csr(
+        device.arena, m, nz_rows, np.zeros(nz_rows.size, INDEX_DTYPE)
+    )

@@ -25,29 +25,23 @@ values by cuBool):
 
 The executor does not simulate the probe race.  A table's contents
 after the hash phase are the row's distinct candidate columns, so each
-launch reads its chunk's tables back with one packed-key sort
-(``row_local << 32 | col`` through ``sort_unique_keys``).  Bins, chunks,
-launches and the arena charge for global-bin tables are still the
-kernel's own.
+launch computes its chunk of rows through the one boolean core,
+:func:`repro.backends.common.bool_spgemm_keys`, which is what reading
+the chunk's tables back in column order yields.  What stays cuBool's own
+is the launch plan: the bins, the chunks, one launch per chunk with the
+bin's block size, the arena charge for global-bin tables, and the
+two-pass exact output (:func:`repro.backends.common.emit_csr`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.common import expand_products, spgemm_upper_bound
+from repro.backends.common import bool_spgemm_keys, emit_csr, spgemm_upper_bound
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
 from repro.gpu.stream import Stream
-from repro.utils.arrays import (
-    INDEX_DTYPE,
-    concat_ranges,
-    coo_from_keys,
-    exclusive_scan,
-    keys_from_coo,
-    segment_ids,
-    sort_unique_keys,
-)
+from repro.utils.arrays import concat_ranges, coo_from_keys
 
 #: Shared-memory bin bounds.  Rows with ub above the last bound use
 #: global-memory tables.
@@ -64,26 +58,14 @@ def _process_chunk(
     a_cols: np.ndarray,
     b_rowptr: np.ndarray,
     b_cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hash phase and table read-back for one chunk of rows (one launch).
-
-    The candidate stream of the chunk's A rows is packed as
-    ``row_local << 32 | col`` and sorted distinct: that is exactly what
-    reading back the chunk's hash tables in column order yields.
-
-    Returns ``(counts, row_local_sorted, cols_sorted)`` where the last
-    two list every output entry of the chunk grouped by local row with
-    ascending columns.
-    """
+) -> np.ndarray:
+    """Hash phase and table read-back for one chunk of rows (one launch):
+    the sorted distinct keys of the chunk's output rows."""
     starts = a_rowptr[rows_chunk].astype(np.int64)
     lens = a_rowptr[rows_chunk + 1].astype(np.int64) - starts
-    row_local, cand_cols = expand_products(
-        segment_ids(lens), a_cols[concat_ranges(starts, lens)], b_rowptr, b_cols
+    return bool_spgemm_keys(
+        np.repeat(rows_chunk, lens), a_cols[concat_ranges(starts, lens)], b_rowptr, b_cols
     )
-    keys = sort_unique_keys(keys_from_coo(row_local, cand_cols))
-    rl_sorted, cols_sorted = coo_from_keys(keys)
-    counts = np.bincount(rl_sorted, minlength=rows_chunk.size)
-    return counts, rl_sorted, cols_sorted
 
 
 def spgemm_boolean_csr(
@@ -108,33 +90,21 @@ def spgemm_boolean_csr(
     global-memory table configuration — the ablation baseline showing
     what the bin dispatcher buys.
     """
-    m = int(a_shape[0])
-
     ub = spgemm_upper_bound(a_rowptr, a_cols, b_rowptr)
-    row_nnz = np.zeros(m, dtype=np.int64)
-
-    # Classify rows into bins.
-    if use_binning:
-        bounds = list(bin_bounds)
-    else:
-        bounds = []
-    max_bound = bounds[-1] if bounds else 0
-
     # chunk capacity: aggregate shared memory across SMs, in uint32 slots.
     shared_slots = (
         device.limits.shared_mem_per_block // 4
     ) * device.limits.multiprocessor_count
-
-    # Collected chunk results, assembled after exact allocation.
-    emitted: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # rows_chunk, rl, cols
+    # Each launch's sorted keys; launches cover disjoint rows.
+    chunk_keys: list[np.ndarray] = []
 
     def _run_bin(rows_bin: np.ndarray, bound: int, shared: bool) -> None:
         if rows_bin.size == 0:
             return
         # Table sizing: global-memory tables use Nsparse's 2x bound, which
         # is part of the memory model; shared-memory tables are sized 4x.
-        # No table is ever written (the executor reads contents back by
-        # sort), so ``ts`` fixes only the accounting and the rows per launch.
+        # No table is ever written (the core computes the contents), so
+        # ``ts`` fixes only the accounting and the rows per launch.
         ts = _next_pow2((2 if not shared else 4) * max(1, bound))
         if shared:
             # Rows resident at once: the aggregate shared-memory budget,
@@ -161,46 +131,26 @@ def spgemm_boolean_csr(
                 _kernel.__name__ = (
                     f"spgemm_hash_{'shared' if shared else 'global'}_b{bound or 'max'}"
                 )
-                counts, rl, cols_sorted = stream.launch(
-                    _kernel, grid_1d(rows_chunk.size * block, block)
+                chunk_keys.append(
+                    stream.launch(_kernel, grid_1d(rows_chunk.size * block, block))
                 )
-                row_nnz[rows_chunk] = counts
-                emitted.append((rows_chunk, rl, cols_sorted))
         finally:
             if table_buf is not None:
                 table_buf.free()
 
     nonzero_rows = np.nonzero(ub > 0)[0]
-    if use_binning:
-        prev = 0
-        for bound in bounds:
-            sel = nonzero_rows[(ub[nonzero_rows] > prev) & (ub[nonzero_rows] <= bound)]
-            _run_bin(sel, bound, shared=True)
-            prev = bound
-        big = nonzero_rows[ub[nonzero_rows] > max_bound]
-        if big.size:
-            _run_bin(big, int(ub[big].max()), shared=False)
-    else:
-        if nonzero_rows.size:
-            _run_bin(nonzero_rows, int(ub[nonzero_rows].max()), shared=False)
+    nz_ub = ub[nonzero_rows]
+    prev = 0
+    for bound in bin_bounds if use_binning else ():
+        _run_bin(nonzero_rows[(nz_ub > prev) & (nz_ub <= bound)], bound, shared=True)
+        prev = bound
+    big = nonzero_rows[nz_ub > prev]
+    if big.size:
+        _run_bin(big, int(ub[big].max()), shared=False)
 
-    # Exact output allocation (device memory).
-    rowptr_buf = device.arena.alloc(m + 1, INDEX_DTYPE)
-    out_rowptr = rowptr_buf.data
-    scan = exclusive_scan(row_nnz)
-    out_rowptr[...] = scan.astype(INDEX_DTYPE)
-    total = int(scan[-1])
-    cols_buf = device.arena.alloc(total, INDEX_DTYPE)
-    out_cols = cols_buf.data
-
-    # Scatter each chunk's sorted entries into the output.
-    for rows_chunk, rl, cols_sorted in emitted:
-        if cols_sorted.size == 0:
-            continue
-        counts = row_nnz[rows_chunk]
-        local_starts = np.repeat(exclusive_scan(counts)[:-1], counts)
-        rank = np.arange(cols_sorted.size, dtype=np.int64) - local_starts
-        pos = scan[rows_chunk[rl]] + rank
-        out_cols[pos] = cols_sorted
-
-    return out_rowptr, out_cols, [rowptr_buf, cols_buf]
+    # Exact output allocation: the chunks are sorted runs of disjoint
+    # rows, so one stable (run-merging) sort orders them.
+    keys = np.concatenate(chunk_keys) if chunk_keys else np.empty(0, np.uint64)
+    keys.sort(kind="stable")
+    buffers = emit_csr(device.arena, int(a_shape[0]), *coo_from_keys(keys))
+    return buffers[0].data, buffers[1].data, buffers

@@ -48,7 +48,6 @@ from repro.utils.arrays import (
     keys_from_coo,
     merge_union,
     rows_from_rowptr,
-    rowptr_from_sorted_rows,
 )
 
 
@@ -57,17 +56,17 @@ def _presence_and(a, b):
     return np.logical_and(a != 0, b != 0).astype(a.dtype)
 
 
-def merge_accumulate_into(out_vals, union_keys, keys_p, vals_p, keys_acc, vals_acc, add, zero):
-    """Fused accumulate merge: scatter both streams into one output.
+def merge_accumulate(union_keys, keys_p, vals_p, keys_acc, vals_acc, add, zero, dtype):
+    """Fused accumulate merge: scatter both streams into one value plane.
 
     ``union_keys`` is the sorted unique union of ``keys_p`` (the masked
     product stream) and ``keys_acc`` (the accumulate pattern, read
     as-of call time).  Product values land first, accumulate values
     ⊕-combine on top; positions touched by only one stream meet the
-    ⊕-identity seeded into ``out_vals``.  One pass, no product
+    ⊕-identity seeded into the plane.  One pass, no product
     temporary — the valcsr analogue of the bit path's ``mxm_into``.
     """
-    out_vals[...] = zero
+    out_vals = np.full(union_keys.size, zero, dtype=dtype)
     if keys_p.size:
         out_vals[np.searchsorted(union_keys, keys_p)] = vals_p
     if keys_acc.size:
@@ -106,19 +105,18 @@ class GenericBackend(Backend):
 
     # -- creation ------------------------------------------------------------
 
-    def _wrap(self, shape, rowptr, cols, values) -> BackendMatrix:
-        rowptr_buf = self.device.to_device(rowptr)
-        cols_buf = self.device.to_device(cols)
-        vals_buf = self.device.to_device(values)
-        storage = ValCsr(shape, rowptr_buf.data, cols_buf.data, vals_buf.data)
-        return BackendMatrix(storage, self, [rowptr_buf, cols_buf, vals_buf])
+    def _adopt(self, shape, buffers) -> BackendMatrix:
+        """Wrap device buffers ``[rowptr, cols, values]`` without copying."""
+        return BackendMatrix(ValCsr(shape, *(b.data for b in buffers)), self, buffers)
 
-    def _adopt(self, shape, rowptr, cols, values, buffers) -> BackendMatrix:
-        return BackendMatrix(ValCsr(shape, rowptr, cols, values), self, buffers)
+    def _wrap(self, host: ValCsr) -> BackendMatrix:
+        buffers = common.upload_all(
+            self.device.to_device, [host.rowptr, host.cols, host.values]
+        )
+        return self._adopt(host.shape, buffers)
 
     def matrix_from_coo(self, rows, cols, shape):
-        host = ValCsr.from_coo(rows, cols, shape, dtype=self.value_dtype)
-        return self._wrap(shape, host.rowptr, host.cols, host.values)
+        return self._wrap(ValCsr.from_coo(rows, cols, shape, dtype=self.value_dtype))
 
     def matrix_from_coo_values(
         self, rows, cols, shape, values, *, semiring=None
@@ -126,10 +124,9 @@ class GenericBackend(Backend):
         """Create a value matrix; duplicate coordinates ⊕-combine."""
         _, add, _, _ = self._resolve_ops(semiring)
         combine = add if isinstance(add, np.ufunc) else None
-        host = ValCsr.from_coo(
-            rows, cols, shape, values, dtype=self.value_dtype, combine=combine
+        return self._wrap(
+            ValCsr.from_coo(rows, cols, shape, values, dtype=self.value_dtype, combine=combine)
         )
-        return self._wrap(shape, host.rowptr, host.cols, host.values)
 
     def matrix_from_dense_values(self, dense, *, semiring=None) -> BackendMatrix:
         """Create from a dense array, storing entries that differ from
@@ -141,10 +138,9 @@ class GenericBackend(Backend):
         else:
             explicit = dense != zero
         rows, cols = np.nonzero(explicit)
-        host = ValCsr.from_coo(
-            rows, cols, dense.shape, dense[rows, cols], dtype=self.value_dtype
+        return self._wrap(
+            ValCsr.from_coo(rows, cols, dense.shape, dense[rows, cols], dtype=self.value_dtype)
         )
-        return self._wrap(dense.shape, host.rowptr, host.cols, host.values)
 
     def matrix_to_coo_values(
         self, m: BackendMatrix
@@ -155,33 +151,20 @@ class GenericBackend(Backend):
         return rows_from_rowptr(s.rowptr), s.cols.copy(), s.values.copy()
 
     def matrix_empty(self, shape):
-        host = ValCsr.empty(shape, dtype=self.value_dtype)
-        return self._wrap(shape, host.rowptr, host.cols, host.values)
+        return self._wrap(ValCsr.empty(shape, dtype=self.value_dtype))
 
     def duplicate(self, m: BackendMatrix) -> BackendMatrix:
         """Deep copy — values travel with the pattern."""
         rows, cols, values = self.matrix_to_coo_values(m)
-        host = ValCsr.from_coo(rows, cols, m.shape, values, dtype=self.value_dtype)
-        return self._wrap(m.shape, host.rowptr, host.cols, host.values)
+        return self._wrap(ValCsr.from_coo(rows, cols, m.shape, values, dtype=self.value_dtype))
 
     # -- device output assembly ----------------------------------------------
 
     def _emit(self, shape, rows, cols, values) -> BackendMatrix:
-        """Allocate exact device output from canonical coordinate arrays."""
-        m = int(shape[0])
-        rowptr_buf = self.device.arena.alloc(m + 1, INDEX_DTYPE)
-        cols_buf = self.device.arena.alloc(cols.size, INDEX_DTYPE)
-        vals_buf = self.device.arena.alloc(values.size, self.value_dtype)
-        rowptr_buf.data[...] = rowptr_from_sorted_rows(rows, m)
-        if cols.size:
-            cols_buf.data[...] = cols
-            vals_buf.data[...] = values
+        """Exact device output from canonical coordinate arrays."""
+        values = np.asarray(values, self.value_dtype)
         return self._adopt(
-            shape,
-            rowptr_buf.data,
-            cols_buf.data,
-            vals_buf.data,
-            [rowptr_buf, cols_buf, vals_buf],
+            shape, common.emit_csr(self.device.arena, int(shape[0]), rows, cols, values)
         )
 
     # -- shared segment machinery ---------------------------------------------
@@ -241,11 +224,11 @@ class GenericBackend(Backend):
 
         # Expansion with ⊗-combined values (the generic-semiring cost).
         def _expand_kernel(config):
+            owner, gather = common.expand_gather(sa.cols, sb.rowptr)
+            av, bv = sa.values[owner], sb.values[gather]
             with np.errstate(invalid="ignore", over="ignore"):
-                return common.expand_products_valued(
-                    a_rows, sa.cols, sa.values, sb.rowptr, sb.cols, sb.values,
-                    mul=mul,
-                )
+                vals = av * bv if mul is None else mul(av, bv).astype(bv.dtype, copy=False)
+            return a_rows[owner], sb.cols[gather], vals
 
         _expand_kernel.__name__ = "generic_expand_multiply"
         e_rows, e_cols, e_vals = self.stream.launch(
@@ -253,14 +236,16 @@ class GenericBackend(Backend):
         )
 
         # Expansion buffer in global memory: indices + float values.
-        exp_rows_buf = self.device.arena.alloc(e_rows.size, INDEX_DTYPE)
-        exp_cols_buf = self.device.arena.alloc(e_cols.size, INDEX_DTYPE)
-        exp_vals_buf = self.device.arena.alloc(e_vals.size, self.value_dtype)
-        try:
-            if e_rows.size:
-                exp_rows_buf.data[...] = e_rows
-                exp_cols_buf.data[...] = e_cols
-                exp_vals_buf.data[...] = e_vals.astype(self.value_dtype)
+        n_exp = e_rows.size
+        with common.scratch(
+            self.device.arena,
+            (n_exp, INDEX_DTYPE),
+            (n_exp, INDEX_DTYPE),
+            (n_exp, self.value_dtype),
+        ) as (exp_rows_buf, exp_cols_buf, exp_vals_buf):
+            exp_rows_buf.data[...] = e_rows
+            exp_cols_buf.data[...] = e_cols
+            exp_vals_buf.data[...] = e_vals
 
             def _sort_reduce_kernel(config):
                 keys = keys_from_coo(e_rows, e_cols)
@@ -268,12 +253,8 @@ class GenericBackend(Backend):
 
             _sort_reduce_kernel.__name__ = "generic_sort_reduce"
             keys_u, vals_u = self.stream.launch(
-                _sort_reduce_kernel, grid_1d(max(1, e_rows.size), 256)
+                _sort_reduce_kernel, grid_1d(max(1, n_exp), 256)
             )
-        finally:
-            exp_rows_buf.free()
-            exp_cols_buf.free()
-            exp_vals_buf.free()
 
         if mask is not None:
             # Structural complement mask on the sorted product stream.
@@ -285,31 +266,17 @@ class GenericBackend(Backend):
         # Fused merge: one union pass straight into the output buffers
         # (no product handle, no ewise_add temporary).
         union_keys = merge_union(keys_u, acc_keys)
-        m = int(shape[0])
-        rowptr_buf = self.device.arena.alloc(m + 1, INDEX_DTYPE)
-        cols_buf = self.device.arena.alloc(union_keys.size, INDEX_DTYPE)
-        vals_buf = self.device.arena.alloc(union_keys.size, self.value_dtype)
 
         def _merge_kernel(config):
             with np.errstate(invalid="ignore", over="ignore"):
-                return merge_accumulate_into(
-                    vals_buf.data, union_keys,
-                    keys_u, vals_u, acc_keys, acc_vals, add, zero,
+                vals = merge_accumulate(
+                    union_keys, keys_u, vals_u, acc_keys, acc_vals, add, zero,
+                    self.value_dtype,
                 )
+            return self._emit(shape, *coo_from_keys(union_keys), vals)
 
         _merge_kernel.__name__ = "generic_merge_accumulate_into"
-        self.stream.launch(_merge_kernel, grid_1d(max(1, union_keys.size), 256))
-        rows_u, cols_u = coo_from_keys(union_keys)
-        rowptr_buf.data[...] = rowptr_from_sorted_rows(rows_u, m)
-        if union_keys.size:
-            cols_buf.data[...] = cols_u
-        return self._adopt(
-            shape,
-            rowptr_buf.data,
-            cols_buf.data,
-            vals_buf.data,
-            [rowptr_buf, cols_buf, vals_buf],
-        )
+        return self.stream.launch(_merge_kernel, grid_1d(max(1, union_keys.size), 256))
 
     def ewise_add(self, a, b, *, semiring=None):
         s, add, _, zero = self._resolve_ops(semiring)

@@ -28,7 +28,6 @@ paper's *Implementation Details* section:
 from repro.formats.base import SparseFormat
 from repro.formats.csr import BoolCsr
 from repro.formats.coo import BoolCoo
-from repro.formats.dcsr import BoolDcsr
 from repro.formats.valcsr import ValCsr
 from repro.formats.bitmatrix import BitMatrix
 from repro.formats.tiled import TiledBitMatrix
@@ -38,7 +37,6 @@ __all__ = [
     "BitMatrix",
     "BoolCoo",
     "BoolCsr",
-    "BoolDcsr",
     "SparseFormat",
     "TiledBitMatrix",
     "ValCsr",

@@ -14,7 +14,6 @@ from repro.formats.base import SparseFormat
 from repro.formats.bitmatrix import BitMatrix
 from repro.formats.coo import BoolCoo
 from repro.formats.csr import BoolCsr
-from repro.formats.dcsr import BoolDcsr
 from repro.formats.tiled import TiledBitMatrix
 from repro.formats.valcsr import ValCsr
 from repro.utils.arrays import rows_from_rowptr, rowptr_from_sorted_rows
@@ -117,6 +116,4 @@ def convert(m: SparseFormat, kind: str) -> SparseFormat:
         return BitMatrix.from_coo(rows, cols, m.shape)
     if kind == "tiled":
         return TiledBitMatrix(BitMatrix.from_coo(rows, cols, m.shape))
-    if kind == "dcsr":
-        return BoolDcsr.from_coo(rows, cols, m.shape)
     raise InvalidArgumentError(f"unknown format kind {kind!r}")

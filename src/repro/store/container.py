@@ -45,7 +45,6 @@ from repro.errors import InvalidArgumentError, StoreCorruptError
 from repro.formats.bitmatrix import BitMatrix, _words_per_row
 from repro.formats.coo import BoolCoo
 from repro.formats.csr import BoolCsr
-from repro.formats.dcsr import BoolDcsr
 from repro.formats.valcsr import ValCsr
 
 MAGIC = b"RPROSTR1"
@@ -58,8 +57,10 @@ _HEADER = struct.Struct("<8sHHHHQQQI4x")  # 48 bytes
 _ENTRY = struct.Struct("<16sHHIQQQ")      # 48 bytes
 _ALIGN = 64
 
-FORMAT_TAGS = {"coo": 1, "csr": 2, "dcsr": 3, "bit": 4, "valcsr": 5}
+FORMAT_TAGS = {"coo": 1, "csr": 2, "bit": 4, "valcsr": 5}
 _TAG_TO_KIND = {v: k for k, v in FORMAT_TAGS.items()}
+#: Tags of formats the library no longer reads; never reused.
+_REMOVED_TAGS = {3: "dcsr"}
 
 
 def fsync_dir(path: str | Path) -> None:
@@ -102,12 +103,6 @@ def _format_arrays(m) -> tuple[str, list[tuple[str, np.ndarray]]]:
         return "csr", [("rowptr", m.rowptr), ("cols", m.cols)]
     if isinstance(m, BoolCoo):
         return "coo", [("rows", m.rows), ("cols", m.cols)]
-    if isinstance(m, BoolDcsr):
-        return "dcsr", [
-            ("active_rows", m.active_rows),
-            ("rowptr", m.rowptr),
-            ("cols", m.cols),
-        ]
     if isinstance(m, ValCsr):
         return "valcsr", [
             ("rowptr", m.rowptr),
@@ -219,6 +214,11 @@ def _read_index(path: Path) -> tuple[dict, list[dict]]:
     )
     if zlib.crc32(header_zeroed + table) != crc:
         raise StoreCorruptError(f"{path}: header checksum mismatch")
+    if tag in _REMOVED_TAGS:
+        raise StoreCorruptError(
+            f"{path}: format {_REMOVED_TAGS[tag]!r} (tag {tag}) was removed "
+            f"and can no longer be loaded"
+        )
     kind = _TAG_TO_KIND.get(tag)
     if kind is None:
         raise StoreCorruptError(f"{path}: unknown format tag {tag}")
@@ -372,8 +372,6 @@ def load_matrix(path: str | Path, *, mmap: bool = True, verify: bool = False):
         return BoolCsr(shape, arr("rowptr"), arr("cols"))
     if kind == "coo":
         return BoolCoo(shape, arr("rows"), arr("cols"))
-    if kind == "dcsr":
-        return BoolDcsr(shape, arr("active_rows"), arr("rowptr"), arr("cols"))
     if kind == "valcsr":
         return ValCsr(shape, arr("rowptr"), arr("cols"), arr("values"))
     raise StoreCorruptError(f"{path}: unknown kind {kind!r}")  # pragma: no cover

@@ -7,13 +7,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formats import BitMatrix, BoolCoo, BoolCsr, BoolDcsr, ValCsr
+from repro.formats import BitMatrix, BoolCoo, BoolCsr, ValCsr
 from repro.store import WriteAheadLog, dump_matrix, load_matrix
 
 BUILDERS = {
     "csr": BoolCsr.from_coo,
     "coo": BoolCoo.from_coo,
-    "dcsr": BoolDcsr.from_coo,
     "bit": BitMatrix.from_coo,
     "valcsr": ValCsr.from_coo,
 }

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import common
-from repro.formats import BoolCoo, BoolCsr, BoolDcsr, ValCsr
+from repro.formats import BoolCoo, BoolCsr, ValCsr
 from repro.utils.arrays import (
     coo_from_keys,
     keys_from_coo,
@@ -128,10 +128,9 @@ def test_codec_matches_set_reference(a, b, layout, floats):
     )
 
     rows, cols = _arrays(a)
-    for fmt in (BoolCoo, BoolDcsr):
-        m = fmt.from_coo(rows, cols, (2**32, 2**32))
-        m.validate()
-        assert _pairs(*m.to_coo_arrays()) == expect_a
+    m = BoolCoo.from_coo(rows, cols, (2**32, 2**32))
+    m.validate()
+    assert _pairs(*m.to_coo_arrays()) == expect_a
     # CSR pays a row pointer per row: fold the rows into a short range.
     rows %= 8
     short = sorted(set(_pairs(rows, cols)))
@@ -174,28 +173,31 @@ class TestExpansion:
         a_rows = np.array([0, 0, 1], dtype=np.int64)
         a_cols = np.array([0, 1, 1], dtype=np.int64)
         b = BoolCsr.from_coo([0, 1, 1], [2, 0, 2], (2, 3))
-        c_rows, c_cols = common.expand_products(a_rows, a_cols, b.rowptr, b.cols)
-        got = sorted(zip(c_rows.tolist(), c_cols.tolist()))
+        owner, gather = common.expand_gather(a_cols, b.rowptr)
+        got = sorted(zip(a_rows[owner].tolist(), b.cols[gather].tolist()))
         assert got == [(0, 0), (0, 2), (0, 2), (1, 0), (1, 2)]
+        keys = common.bool_spgemm_keys(a_rows, a_cols, b.rowptr, b.cols)
+        assert _pairs(*coo_from_keys(keys)) == sorted(set(got))
 
     def test_expand_empty_b_rows(self):
         a_rows = np.array([0], dtype=np.int64)
         a_cols = np.array([0], dtype=np.int64)
         b = BoolCsr.empty((1, 4))
-        c_rows, c_cols = common.expand_products(a_rows, a_cols, b.rowptr, b.cols)
-        assert c_rows.size == 0
+        owner, gather = common.expand_gather(a_cols, b.rowptr)
+        assert owner.size == gather.size == 0
+        assert common.bool_spgemm_keys(a_rows, a_cols, b.rowptr, b.cols).size == 0
 
     def test_expand_valued_multiplies(self):
-        a_rows = np.array([0], dtype=np.int64)
+        """The generic backend reads both value planes through the one
+        expansion gather."""
         a_cols = np.array([0], dtype=np.int64)
         a_vals = np.array([2.0], dtype=np.float32)
         from repro.formats.valcsr import ValCsr
 
         b = ValCsr.from_coo([0, 0], [1, 2], (1, 3), [3.0, 5.0])
-        r, c, v = common.expand_products_valued(
-            a_rows, a_cols, a_vals, b.rowptr, b.cols, b.values
-        )
-        assert v.tolist() == [6.0, 10.0]
+        owner, gather = common.expand_gather(a_cols, b.rowptr)
+        assert b.cols[gather].tolist() == [1, 2]
+        assert (a_vals[owner] * b.values[gather]).tolist() == [6.0, 10.0]
 
     def test_upper_bound_matches_expansion(self):
         rng = np.random.default_rng(3)
@@ -203,7 +205,8 @@ class TestExpansion:
         b = BoolCsr.from_dense(rng.random((9, 15)) < 0.3)
         ub = common.spgemm_upper_bound(a.rowptr, a.cols, b.rowptr)
         a_rows, a_cols = a.to_coo_arrays()
-        c_rows, _ = common.expand_products(a_rows, a_cols, b.rowptr, b.cols)
+        owner, _ = common.expand_gather(a_cols, b.rowptr)
+        c_rows = a_rows[owner]
         counts = np.bincount(c_rows, minlength=12) if c_rows.size else np.zeros(12)
         assert ub.tolist() == counts.tolist()
 

@@ -9,7 +9,8 @@ single row/column).
 import numpy as np
 import pytest
 
-from repro.errors import DimensionMismatchError, InvalidArgumentError
+from repro.backends import get_backend
+from repro.errors import DeviceMemoryError, DimensionMismatchError, InvalidArgumentError
 
 from .conftest import bool_mxm, random_dense
 
@@ -218,3 +219,63 @@ class TestCreationReadback:
     def test_random_bad_density(self, ctx):
         with pytest.raises(InvalidArgumentError):
             ctx.matrix_random((5, 5), 1.5)
+
+
+EXHAUSTION_OPS = {
+    "mxm": lambda be, h: be.mxm(h["a"], h["b"]),
+    "mxm_mask_accumulate": lambda be, h: be.mxm(
+        h["a"], h["b"], accumulate=h["c"], mask=h["c"]
+    ),
+    "ewise_add": lambda be, h: be.ewise_add(h["a"], h["b"]),
+    "ewise_mult": lambda be, h: be.ewise_mult(h["a"], h["b"]),
+    "kron": lambda be, h: be.kron(h["k"], h["k"]),
+    "transpose": lambda be, h: be.transpose(h["a"]),
+    "extract_submatrix": lambda be, h: be.extract_submatrix(h["a"], 3, 5, 30, 20),
+    "reduce_to_column": lambda be, h: be.reduce_to_column(h["a"]),
+}
+
+
+class _FailingAlloc:
+    """``arena.alloc`` stand-in that raises ``DeviceMemoryError`` on its
+    ``fail_at``-th call (1-based; 0 never fails) and counts calls."""
+
+    def __init__(self, alloc, fail_at: int):
+        self.alloc, self.fail_at, self.calls = alloc, fail_at, 0
+
+    def __call__(self, shape, dtype):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise DeviceMemoryError("injected arena exhaustion")
+        return self.alloc(shape, dtype)
+
+
+@pytest.mark.parametrize("op", sorted(EXHAUSTION_OPS))
+@pytest.mark.parametrize("backend", ["cubool", "clbool", "generic"])
+def test_arena_exhaustion_releases_partial_allocations(backend, op, rng):
+    """Whichever allocation of an op fails, the op raises
+    ``DeviceMemoryError`` and every byte it had taken is back."""
+    be = get_backend(backend)
+    dense = {
+        "a": random_dense(rng, (60, 60), 0.1),
+        "b": random_dense(rng, (60, 60), 0.1),
+        "c": random_dense(rng, (60, 60), 0.05),
+        "k": random_dense(rng, (8, 8), 0.3),
+    }
+    handles = {k: be.matrix_from_dense(v) for k, v in dense.items()}
+    arena = be.device.arena
+    alloc = arena.alloc
+    arena.alloc = counting = _FailingAlloc(alloc, 0)
+    EXHAUSTION_OPS[op](be, handles).free()
+    assert counting.calls > 0
+    baseline = arena.live_bytes
+    for k in range(1, counting.calls + 1):
+        arena.alloc = _FailingAlloc(alloc, k)
+        # The traceback keeps the op's frames alive: a buffer that only
+        # a frame still references counts as leaked.
+        with pytest.raises(DeviceMemoryError) as info:
+            EXHAUSTION_OPS[op](be, handles)
+        assert arena.live_bytes == baseline, (k, info.value)
+    arena.alloc = alloc
+    for h in handles.values():
+        h.free()
+    arena.check_balanced()

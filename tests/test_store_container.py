@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidArgumentError, StoreCorruptError
-from repro.formats import BitMatrix, BoolCoo, BoolCsr, BoolDcsr, ValCsr
+from repro.formats import BitMatrix, BoolCoo, BoolCsr, ValCsr
 from repro.store import (
     container_info,
     dump_matrix,
@@ -23,13 +23,12 @@ def matrices():
     return {
         "csr": BoolCsr.from_coo(ROWS, COLS, SHAPE),
         "coo": BoolCoo.from_coo(ROWS, COLS, SHAPE),
-        "dcsr": BoolDcsr.from_coo(ROWS, COLS, SHAPE),
         "bit": BitMatrix.from_coo(ROWS, COLS, SHAPE),
         "valcsr": ValCsr.from_coo(ROWS, COLS, SHAPE),
     }
 
 
-@pytest.mark.parametrize("kind", ["csr", "coo", "dcsr", "bit", "valcsr"])
+@pytest.mark.parametrize("kind", ["csr", "coo", "bit", "valcsr"])
 def test_round_trip_preserves_pattern(tmp_path, kind):
     m = matrices()[kind]
     path = tmp_path / f"m.{kind}.rpc"
@@ -190,6 +189,27 @@ def test_bad_magic_raises(tmp_path):
     data[:4] = b"NOPE"
     path.write_bytes(bytes(data))
     with pytest.raises(StoreCorruptError, match="bad magic"):
+        load_matrix(path)
+
+
+def test_removed_dcsr_format_is_named(tmp_path):
+    """Tag 3 (DCSR) stays reserved: a container carrying it, with a valid
+    header checksum, is rejected with an error that names the format."""
+    import zlib
+
+    import repro.store.container as container_mod
+
+    path = tmp_path / "m.rpc"
+    dump_matrix(BoolCoo.from_coo(ROWS, COLS, SHAPE), path)
+    blob = bytearray(path.read_bytes())
+    head = container_mod._HEADER
+    magic, version, _, narrays, pad, nrows, ncols, nnz, _ = head.unpack_from(blob)
+    table = bytes(blob[head.size : head.size + narrays * container_mod._ENTRY.size])
+    zeroed = head.pack(magic, version, 3, narrays, pad, nrows, ncols, nnz, 0)
+    crc = zlib.crc32(zeroed + table)
+    blob[: head.size] = head.pack(magic, version, 3, narrays, pad, nrows, ncols, nnz, crc)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(StoreCorruptError, match="'dcsr'.*removed"):
         load_matrix(path)
 
 
