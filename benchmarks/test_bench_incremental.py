@@ -139,8 +139,8 @@ class TestIncrementalRefresh:
 class TestServiceFreshness:
     """End-to-end: mutation-to-fresh-answer through the service tier,
     warm start from the cached fixpoint state vs a service that keeps
-    none (``result_capacity=0``: every re-query is cold, same overlay-
-    merged operands)."""
+    none (``result_capacity=0``: every re-query is cold, on the same
+    refreshed label matrices)."""
 
     @staticmethod
     def _labeled_block_graph(n, blocks=8, density=0.04, seed=0xE15):

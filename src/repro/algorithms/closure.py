@@ -13,6 +13,9 @@ an already-closed matrix and needs the closure maintained.
 the CFPQ engine uses: new paths must cross at least one new edge, so the
 update multiplies with the (small) delta instead of re-closing from
 scratch.
+
+:func:`kron_sum` builds the product graph ``Σ R ⊗ G`` whose closure the
+RPQ and tensor CFPQ engines take.
 """
 
 from __future__ import annotations
@@ -119,3 +122,22 @@ def incremental_transitive_closure(closure: Matrix, delta: Matrix) -> Matrix:
         return new
 
     return seminaive(total, both_sides, frontier=delta.dup())[0]
+
+
+def kron_sum(ctx, shape, r_mats: dict, operands):
+    """``Σ R_sym ⊗ G_sym`` over ``(sym, G_sym)`` pairs.
+
+    Each step is the fused ``product <- product ∨ (R ⊗ G)`` — on the
+    bit path the Kronecker blocks OR-scatter straight into the new
+    sum's words, with no per-symbol product temporary.  Symbols on no
+    automaton edge, and empty or missing operands, contribute nothing.
+    """
+    product = ctx.matrix_empty(shape)
+    for sym, g in operands:
+        r = r_mats.get(sym)
+        if r is None or r.nnz == 0 or g is None or g.nnz == 0:
+            continue
+        merged = r.kron(g, accumulate=product)
+        product.free()
+        product = merged
+    return product

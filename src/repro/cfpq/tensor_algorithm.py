@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.algorithms.closure import (
     incremental_transitive_closure,
+    kron_sum,
     transitive_closure,
 )
 from repro.errors import InvalidArgumentError
@@ -79,25 +80,6 @@ class TensorIndex:
             self.closure = None
 
 
-def kron_sum(ctx, shape, r_mats: dict, operands):
-    """``Σ R_sym ⊗ G_sym`` over ``(sym, G_sym)`` pairs.
-
-    Each step is the fused ``product <- product ∨ (R ⊗ G)`` — on the
-    bit path the Kronecker blocks OR-scatter straight into the new
-    sum's words, with no per-symbol product temporary.  Symbols on no
-    RSM edge, and empty or missing operands, contribute nothing.
-    """
-    product = ctx.matrix_empty(shape)
-    for sym, g in operands:
-        r = r_mats.get(sym)
-        if r is None or r.nnz == 0 or g is None or g.nnz == 0:
-            continue
-        merged = r.kron(g, accumulate=product)
-        product.free()
-        product = merged
-    return product
-
-
 def read_new_facts(ctx, rsm: RSM, n: int, closure, facts: dict) -> dict:
     """One box readout: the (start, final) blocks of each box in
     ``closure`` are that nonterminal's derivable pairs.  Pairs not yet
@@ -128,10 +110,11 @@ def read_new_facts(ctx, rsm: RSM, n: int, closure, facts: dict) -> dict:
 def fact_rounds(ctx, rsm: RSM, n: int, r_mats: dict, closure, facts: dict, delta_mats: dict):
     """The tensor algorithm's round loop, shared by the cold engine and
     :func:`~repro.incr.engine.tensor_cfpq_incremental`: the Δ-facts'
-    product edges (:func:`kron_sum`) update ``closure`` incrementally,
-    and the box readout (:func:`read_new_facts`, which grows ``facts``)
-    yields the next Δ-facts, until there are none.  Consumes
-    ``closure`` and ``delta_mats``; returns ``(closure, rounds)``.
+    product edges (:func:`~repro.algorithms.closure.kron_sum`) update
+    ``closure`` incrementally, and the box readout
+    (:func:`read_new_facts`, which grows ``facts``) yields the next
+    Δ-facts, until there are none.  Consumes ``closure`` and
+    ``delta_mats``; returns ``(closure, rounds)``.
     """
     rounds = 0
     with ctx.backend.fixpoint():

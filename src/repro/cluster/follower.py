@@ -11,8 +11,8 @@ primary:
 * **catch-up / steady state** — a replication thread connects to the
   primary, announces its per-graph applied versions (``hello``),
   resyncs any graph the snapshot left behind, then applies shipped WAL
-  transactions through :meth:`GraphStore.apply_replicated` (the
-  :class:`~repro.incr.overlay.DeltaOverlay` path) and acks each one;
+  transactions through :meth:`GraphStore.apply_replicated` (the same
+  commit path as a primary write, minus the WAL) and acks each one;
 * **serving** — a query listener answers read-only queries, enforcing
   each query's ``min_version`` floor against the tracked
   ``applied_version`` (stale -> ``error``, so the router tries the

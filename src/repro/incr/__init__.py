@@ -5,12 +5,12 @@ arrive as tiny WAL-logged edge deltas.  This package closes the loop
 between the two so that a query issued *after* a small delta pays for
 the delta, not for the graph:
 
-* :class:`~repro.incr.overlay.DeltaOverlay` — a per-(graph, label) COO
-  overlay of pending adds/removes.  :meth:`~repro.service.graph_store.
-  GraphStore.add_edges` records into it instead of rebuilding the full
-  label matrix; query operands merge the overlay lazily (cached per
-  version) and the overlay folds into the base matrices on persist /
-  compaction or when it outgrows its budget.
+* :class:`~repro.incr.journal.DeltaJournal` — the per-graph journal of
+  committed edge deltas.  :meth:`~repro.service.graph_store.GraphStore.
+  add_edges` rewrites the host edge list, records the batch here and
+  marks the label stale; the next read rebuilds each stale label once
+  from the host edge list, and :meth:`~repro.incr.journal.DeltaJournal.
+  delta_since` tells the scheduler whether a warm start is sound.
 * :class:`~repro.incr.state.FixpointState` — host key-array snapshots of an
   engine's fixed point (closure words, final frontier, tensor facts),
   small enough to live inside the service's
@@ -33,11 +33,11 @@ invalidated the exact-match cache entry).
 See ``docs/INCREMENTAL.md`` for the end-to-end walkthrough.
 """
 
-from repro.incr.overlay import DeltaOverlay, DeltaSummary
+from repro.incr.journal import DeltaJournal, DeltaSummary
 from repro.incr.state import FixpointState
 
 __all__ = [
-    "DeltaOverlay",
+    "DeltaJournal",
     "DeltaSummary",
     "FixpointState",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.closure import incremental_transitive_closure
+from repro.algorithms.closure import incremental_transitive_closure, kron_sum
 from repro.grammar.rsm import RSM
 from repro.incr.state import FixpointState, matrix_keys
 
@@ -38,7 +38,7 @@ from repro.incr.state import FixpointState, matrix_keys
 # paths on purpose: warm and cold must disagree only in iteration
 # count, never in algebra.
 from repro.cfpq.tensor_algorithm import fact_rounds
-from repro.rpq.engine import _product_matrix, _reach, closure_pairs
+from repro.rpq.engine import _reach, closure_pairs
 from repro.utils.arrays import KEY_DTYPE
 from repro.utils.pairset import PairSet
 
@@ -104,13 +104,12 @@ def rpq_pairs_incremental(nfa, n: int, ctx, state: FixpointState, adds: dict):
     delta_g = {
         label: ctx.matrix_from_lists((n, n), *adds[label]) for label in shared
     }
+    r_mats = nfa.transition_matrices(ctx, labels=shared)
     try:
-        if shared:
-            delta = _product_matrix(nfa, delta_g, n, ctx, shared)
-        else:
-            delta = ctx.matrix_empty(shape)
+        with ctx.backend.fixpoint():
+            delta = kron_sum(ctx, shape, r_mats, delta_g.items())
     finally:
-        for m in delta_g.values():
+        for m in (*r_mats.values(), *delta_g.values()):
             m.free()
     prev = state.matrix(ctx, "closure")
     closure = incremental_transitive_closure(prev, delta)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.algorithms.closure import seminaive, transitive_closure
+from repro.algorithms.closure import kron_sum, seminaive, transitive_closure
 from repro.automata.glushkov import glushkov_nfa
 from repro.automata.nfa import NFA
 from repro.automata.regex_ast import Regex
@@ -111,25 +111,6 @@ def _compile(query, automaton: str = "glushkov") -> NFA:
     )
 
 
-def _product_matrix(nfa: NFA, g_mats: dict, n: int, ctx, labels):
-    """``Σ_label R_label ⊗ G_label`` for the given (borrowed) graph
-    matrices; frees the automaton matrices it creates."""
-    r_mats = nfa.transition_matrices(ctx, labels=labels)
-    product = ctx.matrix_empty((nfa.n * n, nfa.n * n))
-    try:
-        with ctx.backend.fixpoint():
-            for label in labels:
-                # Fused product <- product ∨ (R ⊗ G): no per-label
-                # Kronecker temporary on the bit path.
-                merged = r_mats[label].kron(g_mats[label], accumulate=product)
-                product.free()
-                product = merged
-    finally:
-        for mat in r_mats.values():
-            mat.free()
-    return product
-
-
 def rpq_index(
     graph: LabeledGraph,
     query,
@@ -165,7 +146,13 @@ def rpq_index(
         g_mats = {label: adjacency[label] for label in shared}
         borrowed = True
 
-    product = _product_matrix(nfa, g_mats, n, ctx, shared)
+    r_mats = nfa.transition_matrices(ctx, labels=shared)
+    try:
+        with ctx.backend.fixpoint():
+            product = kron_sum(ctx, (nfa.n * n, nfa.n * n), r_mats, g_mats.items())
+    finally:
+        for mat in r_mats.values():
+            mat.free()
     t_product = time.perf_counter()
 
     closure = transitive_closure(product)
@@ -257,7 +244,15 @@ def _reach(nfas: list, sources: list, n: int, ctx, adjacency: dict, states=None,
         rows.append(np.full(seed.size, i, np.int64))
 
     shared = sorted(set(union.labels) & set(adjacency))
-    product = _product_matrix(union, adjacency, n, ctx, shared)
+    r_mats = union.transition_matrices(ctx, labels=shared)
+    try:
+        with ctx.backend.fixpoint():
+            product = kron_sum(
+                ctx, (k * n, k * n), r_mats, ((label, adjacency[label]) for label in shared)
+            )
+    finally:
+        for mat in r_mats.values():
+            mat.free()
     try:
         total = ctx.matrix_from_lists(
             (len(nfas), k * n), np.concatenate(rows), np.concatenate(cols)

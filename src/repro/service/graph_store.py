@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -27,16 +27,12 @@ from repro.errors import (
     UnknownGraphError,
 )
 from repro.graph import LabeledGraph
-from repro.incr.overlay import DeltaOverlay
+from repro.incr.journal import DeltaJournal
 
 if TYPE_CHECKING:  # annotations only: the store layer is imported lazily
     from repro.store.volume import GraphVolume
 
 RESIDENCY_MODES = ("auto", "bit", "tiled", "sparse")
-
-#: Pending edges per label at which a commit folds the label's overlay
-#: back into its base matrix (every persist folds regardless).
-OVERLAY_FOLD_LIMIT = 8192
 
 
 @dataclass
@@ -56,10 +52,15 @@ class GraphHandle:
     #: Attached :class:`~repro.store.volume.GraphVolume` (or None for a
     #: purely in-memory graph); deltas are WAL-logged through it.
     volume: "GraphVolume | None" = field(default=None, repr=False, compare=False)
-    #: :class:`~repro.incr.overlay.DeltaOverlay` of pending edge deltas:
-    #: mutations record here instead of rebuilding label matrices, and
-    #: :meth:`query_matrices` merges it into the operands.
-    overlay: "DeltaOverlay" = field(kw_only=True, repr=False, compare=False)
+    #: :class:`~repro.incr.journal.DeltaJournal` of committed deltas,
+    #: read by the scheduler's warm-start arbitration.
+    journal: DeltaJournal = field(kw_only=True, repr=False, compare=False)
+    #: The store's lowering-and-residency function
+    #: (:meth:`GraphStore._lower`), which :meth:`query_matrices` calls
+    #: to rebuild stale labels.
+    lower: Callable = field(kw_only=True, repr=False, compare=False)
+    #: Labels whose host edges changed since their matrix was built.
+    stale: set = field(default_factory=set, repr=False, compare=False)  # guarded-by: _lock
     queries_served: int = 0  # guarded-by: _lock
     _lock: object = field(
         default_factory=lambda: make_lock("GraphHandle._lock"),
@@ -93,25 +94,34 @@ class GraphHandle:
         return sum(m.memory_bytes() for m in self.matrices.values())
 
     def query_matrices(self) -> dict:
-        """Label → operand matrix, with pending deltas merged in.
+        """Label → operand matrix, current with the host edge list.
 
-        Labels carrying pending deltas are replaced by the overlay's
-        merged view (cached per overlay stamp), and labels born purely
-        from deltas appear even though no base matrix exists yet.
-        Borrowed either way — callers must not free.
+        Each stale label is rebuilt once from ``graph.edges``, outside
+        every lock, and installed only if no commit landed during the
+        build; otherwise the fresh operands are returned uninstalled and
+        the labels stay stale for the next read.  Borrowed either way —
+        callers must not free.
         """
-        out = dict(self.matrices)
-        for label in self.overlay.touched_labels():
-            merged = self.overlay.operand(label, out.get(label))
-            if merged is not None:
-                out[label] = merged
-        return out
+        with self._lock:
+            version, stale, matrices = self.version, sorted(self.stale), self.matrices
+        if not stale:
+            return dict(matrices)
+        built, formats = self.lower(self.graph, self.residency, stale)
+        with self._lock:
+            if self.version == version:
+                # Copy-on-write, and the replaced matrices are
+                # dereferenced, never freed: in-flight evaluations may
+                # still read them; the arena reclaims their buffers when
+                # the last reference drops.
+                self.matrices = {**self.matrices, **built}
+                self.formats = {**self.formats, **formats}
+                self.stale.clear()
+        return {**matrices, **built}
 
     def free(self) -> None:
         for m in self.matrices.values():
             m.free()
         self.matrices = {}
-        self.overlay.free()
         if self.volume is not None:
             self.volume.close()
 
@@ -149,28 +159,24 @@ class GraphStore:
         bit_paths: dict | None = None,
     ) -> GraphHandle:
         """Make ``graph`` resident under ``name``: the one way a handle
-        comes to exist.  Validates ``residency``, lowers every label,
-        attaches snapshot bit containers, runs the residency pass, starts
-        an empty overlay at ``version``, then swaps the handle in and
-        frees the one it replaced."""
+        comes to exist.  Validates ``residency``, lowers every label
+        (:meth:`_lower`), starts an empty journal at ``version``, then
+        swaps the handle in and frees the one it replaced."""
         if residency not in RESIDENCY_MODES:
             raise InvalidArgumentError(
                 f"residency {residency!r} not in {RESIDENCY_MODES}"
             )
-        matrices = graph.adjacency_matrices(self.ctx)
-        self._adopt_bit_views(matrices, bit_paths)
+        matrices, formats = self._lower(graph, residency, bit_paths=bit_paths)
         handle = GraphHandle(
             name=name,
             graph=graph,
             matrices=matrices,
             residency=residency,
-            formats={
-                label: self._label_residency(matrix, residency)
-                for label, matrix in matrices.items()
-            },
+            formats=formats,
             version=version,
             volume=volume,
-            overlay=DeltaOverlay(self.ctx, (graph.n, graph.n), version),
+            journal=DeltaJournal(version),
+            lower=self._lower,
         )
         with self._lock:
             old = self._graphs.get(name)
@@ -201,6 +207,20 @@ class GraphStore:
         Re-registering a name replaces (and frees) the previous entry.
         """
         return self._install(name, graph, residency)
+
+    def _lower(self, graph, residency, labels=None, bit_paths=None):
+        """Lower ``labels`` (default: every label) of ``graph`` onto the
+        service context, attach snapshot bit containers, and run the
+        residency pass: the one way a label becomes resident, on install
+        and when a stale label is rebuilt.  Returns ``(matrices,
+        formats)``."""
+        matrices = graph.adjacency_matrices(self.ctx, labels)
+        self._adopt_bit_views(matrices, bit_paths)
+        formats = {
+            label: self._label_residency(matrix, residency)
+            for label, matrix in matrices.items()
+        }
+        return matrices, formats
 
     def _label_residency(self, matrix, residency: str) -> str:
         from repro.backends.hybrid import HybridBackend
@@ -280,12 +300,6 @@ class GraphStore:
         # the snapshot does not contain.  Concurrent persist() calls
         # serialise here too, so generation numbers cannot collide.
         with handle._lock:
-            # Compaction point: fold pending overlay deltas into the base
-            # matrices so the snapshotted formats and the resident state
-            # agree, and the overlay restarts empty.
-            for label in handle.overlay.touched_labels():
-                self._rebuild_label(handle, label)
-            handle.overlay.fold()
             volume = handle.volume
             if volume is None:
                 volume = self.open_volume(name, create=True)
@@ -426,26 +440,16 @@ class GraphStore:
     @staticmethod
     def _edge_batch(handle: GraphHandle, edges) -> np.ndarray:
         batch = np.asarray(edges, dtype=np.int64)
+        if batch.size == 0:
+            return batch.reshape(0, 2)
         if batch.ndim != 2 or batch.shape[1] != 2:
             raise InvalidArgumentError("edges must have shape (count, 2)")
         n = handle.n
-        if batch.size:
-            for axis, values in (("row", batch[:, 0]), ("column", batch[:, 1])):
-                lo, hi = int(values.min()), int(values.max())
-                if lo < 0 or hi >= n:
-                    raise IndexOutOfBoundsError(axis, lo if lo < 0 else hi, n)
+        for axis, values in (("row", batch[:, 0]), ("column", batch[:, 1])):
+            lo, hi = int(values.min()), int(values.max())
+            if lo < 0 or hi >= n:
+                raise IndexOutOfBoundsError(axis, lo if lo < 0 else hi, n)
         return batch
-
-    def _rebuild_label(self, handle: GraphHandle, label: str) -> None:
-        """Rebuild one label's base matrix from the authoritative host
-        edge list — the O(label) conversion the overlay defers to fold
-        time.  Caller holds ``handle._lock``."""
-        matrix = handle.graph.adjacency_matrices(self.ctx, [label])[label]
-        # The previous matrix is dereferenced, not freed: in-flight
-        # evaluations may still read it; the arena reclaims its
-        # buffers when the last reference drops.
-        handle.matrices[label] = matrix
-        handle.formats[label] = self._label_residency(matrix, handle.residency)
 
     def apply_batch(self, name: str, deltas) -> int:
         """Apply (and WAL-log) a heterogeneous mutation batch.
@@ -453,11 +457,13 @@ class GraphStore:
         ``deltas`` is an iterable of ``(op, label, edges)`` triples with
         ``op`` in ``{"add", "remove"}``; each triple gets its own WAL
         record and version bump (matching :meth:`add_edges` semantics),
-        all applied under one handle lock acquisition.
+        all applied under one handle lock acquisition.  Triples without
+        edges are dropped: a batch of only those changes nothing and
+        returns the current version.
 
-        No matrix is rebuilt — batches land in the
-        :class:`~repro.incr.overlay.DeltaOverlay` and labels fold only
-        once their pending set reaches :data:`OVERLAY_FOLD_LIMIT`.
+        No matrix is rebuilt here: the touched labels are marked stale
+        and :meth:`GraphHandle.query_matrices` rebuilds each once, on
+        the next read.
 
         Returns the final graph version.
         """
@@ -471,7 +477,8 @@ class GraphStore:
                     f"unknown delta op {op!r} (add / remove)"
                 )
             batch = self._edge_batch(handle, edges).astype(np.uint32)
-            items.append(EdgeDelta(op, str(label), batch, 0))
+            if batch.size:
+                items.append(EdgeDelta(op, str(label), batch, 0))
         return self._commit(handle, items, mint=True)
 
     def apply_replicated(self, name: str, deltas) -> int:
@@ -507,9 +514,9 @@ class GraphStore:
           surfaces as :class:`~repro.errors.StoreError`; the log has cut
           the failed transaction's bytes back off.
         * All deltas of a call land under one ``handle._lock``
-          acquisition, through one ``apply_deltas`` call.
-        * A label folds into its base matrix when its pending set
-          reaches :data:`OVERLAY_FOLD_LIMIT`.
+          acquisition, through one ``apply_deltas`` call; the same
+          acquisition marks the touched labels stale and journals every
+          delta.
         * ``on_mutate`` runs outside every store lock, for whatever
           prefix was committed.
         """
@@ -529,13 +536,9 @@ class GraphStore:
                         committed.append(delta)
                         version = delta.version
                 finally:
-                    touched = apply_deltas(handle.graph, committed)
+                    handle.stale |= apply_deltas(handle.graph, committed)
                     for d in committed:
-                        handle.overlay.record(d.op, d.label, d.edges, d.version)
-                    for label in sorted(touched):
-                        if handle.overlay.pending_edges(label) >= OVERLAY_FOLD_LIMIT:
-                            self._rebuild_label(handle, label)
-                            handle.overlay.fold(label)
+                        handle.journal.record(d.op, d.label, d.edges, d.version)
                     handle.version = version
         finally:
             hook = self.on_mutate
@@ -578,7 +581,7 @@ class GraphStore:
                     "version": h.current_version(),
                     "persistent": h.volume is not None,
                     "queries_served": h.served(),
-                    "overlay": h.overlay.stats(),
+                    "journal": h.journal.stats(),
                 }
                 for h in handles
             },

@@ -427,7 +427,7 @@ class QueryScheduler:
         """``(state, adds)`` when an incremental restart is worthwhile.
 
         Requires an ancestor cache entry carrying a fixpoint state AND
-        an overlay journal proving the delta since that version was
+        a journal proving the delta since that version was
         adds-only and small.  Removals, oversized deltas, and unknowable
         spans (journal pruned) all return None — the from-scratch path
         is the only safe answer there.
@@ -440,7 +440,7 @@ class QueryScheduler:
         version, _value, state = ancestor
         if state is None:
             return None
-        summary = handle.overlay.delta_since(version)
+        summary = handle.journal.delta_since(version)
         if summary is None or not summary.adds_only or summary.count == 0:
             return None
         budget = max(

@@ -2,9 +2,9 @@
 
 Two families of invariants pin the repro.incr subsystem:
 
-* **overlay transparency** — for any interleaving of add/remove batches,
-  the overlay-merged operand is element-identical to a matrix rebuilt
-  from the mutated edge set;
+* **refresh transparency** — for any interleaving of add/remove batches
+  and reads, every read's operands are element-identical to the host
+  edge sets at that version;
 * **warm-start soundness** — for any adds-only delta, restarting a
   fixpoint from the previous fixed point (closure, single-source reach,
   all-pairs RPQ, tensor and matrix CFPQ) produces exactly the answer of
@@ -38,10 +38,10 @@ from repro.incr.engine import (
     tensor_cfpq_incremental,
     tensor_state_from_index,
 )
-from repro.incr.overlay import DeltaOverlay
 from repro.rpq import rpq_index
 from repro.rpq.engine import _compile
 from repro.service import QueryService
+from repro.service.graph_store import GraphStore
 from repro.service.kinds import CFPQ, KINDS, PAIRS, REACH
 from tests.property.conftest import Mirror, adds_script, edge_batches, random_graph
 
@@ -82,26 +82,28 @@ def _to_set(matrix):
     return set(zip(rows.tolist(), cols.tolist()))
 
 
-# -- overlay transparency ----------------------------------------------------
+# -- refresh transparency ----------------------------------------------------
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_graph(), st.data())
 def test_overlay_operand_matches_rebuild(graph, data):
-    deltas = data.draw(edge_batches(graph.n))
-    base_mats = graph.adjacency_matrices(CTX)
-    overlay = DeltaOverlay(CTX, (graph.n, graph.n), 0)
-    for version, (op, label, batch) in enumerate(deltas, start=1):
-        overlay.record(op, label, np.asarray(batch, np.int64), version)
-    want = Mirror(graph).replay(deltas).versions[-1]
-    labels = set(base_mats) | set(overlay.touched_labels())
-    for label in labels:
-        merged = overlay.operand(label, base_mats.get(label))
-        got = _to_set(merged) if merged is not None else set()
-        assert got == want.get(label, set()), (label, deltas)
-    overlay.free()
-    for m in base_mats.values():
-        m.free()
+    script = data.draw(edge_batches(graph.n))
+    mirror = Mirror(graph).replay(script)
+    # Always include a label born from a delta and one emptied by removes.
+    tail = [("add", "c", [(0, 1)]), ("remove", "a", sorted(mirror.edges.get("a") or [(0, 0)]))]
+    mirror.replay(tail)
+    script += tail
+    store = GraphStore(CTX)
+    handle = store.register("g", graph)
+    for version, delta in enumerate(script, start=1):
+        assert store.apply_batch("g", [delta]) == version
+        if version == len(script) or data.draw(st.booleans()):
+            operands = handle.query_matrices()
+            want = mirror.versions[version]
+            for label in set(operands) | set(want):
+                assert _to_set(operands[label]) == want.get(label, set()), (label, script)
+    store.clear()
 
 
 # -- warm-start soundness, engine by engine ----------------------------------

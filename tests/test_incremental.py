@@ -1,8 +1,8 @@
-"""Incremental evaluation (repro.incr): overlay, state, warm starts.
+"""Incremental evaluation (repro.incr): journal, state, warm starts.
 
-Covers the delta subsystem end to end: the :class:`DeltaOverlay` merge
-semantics and journal arbitration, the deferred rebuilds of
-``GraphStore.apply_batch`` (conversion-count regressions), the
+Covers the delta subsystem end to end: the :class:`DeltaJournal`
+arbitration, the deferred label rebuilds of ``GraphStore.apply_batch``
+(conversion-count regressions), the
 resumable :class:`FixpointState` + ``ResultCache.get_ancestor`` lineage, the scheduler's incremental-vs-
 recompute arbitration, and the remove_edges crash/recovery story
 through the persistent store.
@@ -16,9 +16,9 @@ import pytest
 import repro
 from repro.datasets.random_graphs import uniform_random_graph
 from repro.graph import LabeledGraph
-from repro.incr.overlay import DeltaOverlay, DeltaSummary
+from repro.incr.journal import DeltaJournal, DeltaSummary
 from repro.incr.state import FixpointState, matrix_keys
-from repro.service import QueryService, graph_store
+from repro.service import QueryService
 from repro.service.graph_store import GraphStore
 from repro.service.kinds import CFPQ, PAIRS, REACH
 from repro.service.result_cache import ResultCache
@@ -40,101 +40,40 @@ def _graph(n=24, edges=90, labels=("a", "b"), seed=3):
     return uniform_random_graph(n, edges, labels=labels, seed=seed)
 
 
-# -- DeltaOverlay ------------------------------------------------------------
+# -- DeltaJournal ------------------------------------------------------------
 
 
 class TestDeltaOverlay:
-    def test_merge_matches_rebuild(self, mctx):
-        n = 16
-        rng = np.random.default_rng(5)
-        base_pairs = {(int(u), int(v)) for u, v in rng.integers(0, n, (30, 2))}
-        base = mctx.matrix_from_lists(
-            (n, n),
-            [u for u, _ in base_pairs],
-            [v for _, v in base_pairs],
-        )
-        overlay = DeltaOverlay(mctx, (n, n), 0)
-        expected = set(base_pairs)
-        version = 0
-        for op, batch in (
-            ("add", [(0, 1), (2, 3)]),
-            ("remove", [(0, 1)]),
-            ("add", [(0, 1), (5, 6)]),          # re-add after remove
-            ("remove", list(base_pairs)[:4]),   # drop base edges
-        ):
-            version += 1
-            overlay.record(op, "a", np.asarray(batch, np.int64), version)
-            if op == "add":
-                expected |= {(int(u), int(v)) for u, v in batch}
-            else:
-                expected -= {(int(u), int(v)) for u, v in batch}
-        merged = overlay.operand("a", base)
-        assert merged is not base
-        assert _to_set(merged) == expected
-        # Cached until the next mutation: same object back.
-        assert overlay.operand("a", base) is merged
-        overlay.record("add", "a", np.asarray([(7, 8)], np.int64), version + 1)
-        merged2 = overlay.operand("a", base)
-        assert merged2 is not merged
-        assert _to_set(merged2) == expected | {(7, 8)}
-        overlay.free()
-        base.free()
-
-    def test_untouched_label_borrows_base(self, mctx):
-        base = mctx.matrix_from_lists((4, 4), [0], [1])
-        overlay = DeltaOverlay(mctx, (4, 4), 0)
-        assert overlay.operand("a", base) is base
-        overlay.record("add", "b", np.asarray([(1, 2)], np.int64), 1)
-        assert overlay.operand("a", base) is base
-        born = overlay.operand("b", None)  # label born in the overlay
-        assert _to_set(born) == {(1, 2)}
-        overlay.free()
-        base.free()
-
-    def test_delta_since_arbitration(self, mctx):
-        overlay = DeltaOverlay(mctx, (8, 8), 0)
-        overlay.record("add", "a", np.asarray([(0, 1), (1, 2)], np.int64), 1)
-        overlay.record("add", "b", np.asarray([(2, 3)], np.int64), 2)
-        summary = overlay.delta_since(0)
+    def test_delta_since_arbitration(self):
+        journal = DeltaJournal(0)
+        journal.record("add", "a", np.asarray([(0, 1), (1, 2)], np.int64), 1)
+        journal.record("add", "b", np.asarray([(2, 3)], np.int64), 2)
+        summary = journal.delta_since(0)
         assert isinstance(summary, DeltaSummary)
         assert summary.adds_only and summary.count == 3
         assert set(summary.adds) == {"a", "b"}
         rows, cols = summary.adds["a"]
         assert list(zip(rows.tolist(), cols.tolist())) == [(0, 1), (1, 2)]
         # Mid-stream version: only the suffix.
-        assert overlay.delta_since(1).count == 1
+        assert journal.delta_since(1).count == 1
         # Nothing after the current version.
-        empty = overlay.delta_since(2)
+        empty = journal.delta_since(2)
         assert empty.adds_only and empty.count == 0 and not empty.adds
         # A removal anywhere in the span kills adds_only (and adds).
-        overlay.record("remove", "a", np.asarray([(0, 1)], np.int64), 3)
-        tainted = overlay.delta_since(0)
+        journal.record("remove", "a", np.asarray([(0, 1)], np.int64), 3)
+        tainted = journal.delta_since(0)
         assert not tainted.adds_only and tainted.count == 4 and not tainted.adds
-        overlay.free()
 
-    def test_journal_prune_raises_floor(self, mctx):
-        overlay = DeltaOverlay(mctx, (8, 8), 0, journal_limit=2)
+    def test_journal_prune_raises_floor(self):
+        journal = DeltaJournal(0, journal_limit=2)
         for version in (1, 2, 3):
-            overlay.record(
+            journal.record(
                 "add", "a", np.asarray([(0, version)], np.int64), version
             )
         # Version 1 was pruned: spans reaching below the floor are
         # unknowable and must force a recompute.
-        assert overlay.delta_since(0) is None
-        assert overlay.delta_since(1).count == 2
-        overlay.free()
-
-    def test_fold_clears_pending_keeps_journal(self, mctx):
-        overlay = DeltaOverlay(mctx, (8, 8), 0)
-        overlay.record("add", "a", np.asarray([(0, 1)], np.int64), 1)
-        base = mctx.matrix_from_lists((8, 8), [0], [1])  # post-rebuild base
-        overlay.fold("a")
-        assert overlay.pending_edges() == 0
-        assert overlay.operand("a", base) is base
-        # Warm starts survive the fold: the journal still answers.
-        assert overlay.delta_since(0).count == 1
-        overlay.free()
-        base.free()
+        assert journal.delta_since(0) is None
+        assert journal.delta_since(1).count == 2
 
 
 # -- GraphStore batching (conversion-count regressions) ----------------------
@@ -155,7 +94,7 @@ class TestApplyBatch:
 
     def test_overlay_path_defers_all_rebuilds(self, mctx, monkeypatch):
         store = GraphStore(mctx)
-        store.register("g", _graph())
+        handle = store.register("g", _graph())
         calls = self._count_conversions(monkeypatch, mctx)
         store.apply_batch(
             "g",
@@ -166,27 +105,60 @@ class TestApplyBatch:
             ],
         )
         assert calls == []  # O(delta) acknowledge: no matrix touched
-        handle = store.get("g")
-        assert handle.overlay.pending_edges() == 3
-        # The merge happens lazily, at query-operand time.
+        assert handle.stale == {"a", "b"}
+        # The first read rebuilds each touched label once ...
         operands = handle.query_matrices()
-        assert calls  # now the overlay built its merged views
-        assert (0, 1) in _to_set(operands["a"])
+        assert len(calls) == 2 and handle.stale == set()
+        for label in ("a", "b"):
+            assert _to_set(operands[label]) == set(handle.graph.edges[label])
+        assert {(0, 1), (1, 2)} <= _to_set(operands["a"])
+        # ... and installs it: the second read rebuilds nothing.
+        again = handle.query_matrices()
+        assert len(calls) == 2
+        assert all(again[label] is operands[label] for label in operands)
         store.clear()
 
-    def test_overlay_folds_at_limit(self, mctx, monkeypatch):
-        monkeypatch.setattr(graph_store, "OVERLAY_FOLD_LIMIT", 4)
+    def test_commit_during_rebuild_keeps_label_stale(self, mctx, monkeypatch):
         store = GraphStore(mctx)
-        store.register("g", _graph())
-        handle = store.get("g")
-        store.apply_batch("g", [("add", "a", [(0, 1), (1, 2), (2, 3)])])
-        assert handle.overlay.pending_edges("a") == 3
-        store.apply_batch("g", [("add", "a", [(3, 4), (4, 5)])])
-        # Limit reached: folded into the base matrix, overlay drained.
-        assert handle.overlay.pending_edges("a") == 0
-        assert handle.overlay.folds == 1
-        assert (4, 5) in _to_set(handle.matrices["a"])
+        handle = store.register("g", _graph())
+        store.add_edges("g", "a", [(0, 1)])
+        lower = handle.lower
+
+        def racing(graph, residency, labels):
+            built = lower(graph, residency, labels)
+            monkeypatch.setattr(handle, "lower", lower)
+            store.add_edges("g", "a", [(1, 2)])  # lands mid-build
+            return built
+
+        monkeypatch.setattr(handle, "lower", racing)
+        operands = handle.query_matrices()
+        assert (0, 1) in _to_set(operands["a"])
+        # Built across a commit: returned, but not installed.
+        assert handle.stale == {"a"}
+        assert handle.matrices["a"] is not operands["a"]
+        fresh = handle.query_matrices()
+        assert {(0, 1), (1, 2)} <= _to_set(fresh["a"])
+        assert handle.stale == set() and handle.matrices["a"] is fresh["a"]
         store.clear()
+
+    @pytest.mark.parametrize(
+        "empty",
+        [[], (), np.empty(0), np.empty((0, 2))],
+        ids=["list", "tuple", "flat", "zero-by-two"],
+    )
+    def test_empty_batch_changes_nothing(self, empty):
+        query = "(a | b)+"
+        with QueryService(backend="cpu", workers=1) as svc:
+            svc.register_graph("g", _graph())
+            seen = []
+            svc.graphs.on_mutate = lambda name, version: seen.append(version)
+            first = svc.pairs("g", query)
+            assert svc.add_edges("g", "a", empty) == 0
+            assert svc.apply_batch("g", [("remove", "b", empty), ("add", "a", empty)]) == 0
+            assert svc.pairs("g", query) is first  # a result-cache hit
+            handle = svc.graphs.get("g")
+            assert seen == [] and handle.stale == set()
+            assert handle.journal.stats()["journal_entries"] == 0
 
     def test_rejects_unknown_op(self, mctx):
         store = GraphStore(mctx)
@@ -299,8 +271,8 @@ class TestServiceArbitration:
             for edge in [(0, 1), (1, 2), (2, 3)]:
                 svc.add_edges("g", "a", [edge])
             svc.remove_edges("g", "a", [graph.edges["a"][0]])
-            overlay = svc.stats().graph_store["per_graph"]["g"]["overlay"]
-        assert overlay["journal_entries"] == 4
+            journal = svc.stats().graph_store["per_graph"]["g"]["journal"]
+        assert journal["journal_entries"] == 4
 
     def test_oversized_delta_declined(self):
         graph = _graph(n=24, edges=40)
@@ -338,7 +310,8 @@ class TestRemoveEdgesRecovery:
             after = svc.reach("g", query, source=probe[0])
             assert probe[1] not in after
             handle = svc.graphs.get("g")
-            assert handle.overlay.has_removes("a")
+            summary = handle.journal.delta_since(0)
+            assert not summary.adds_only and summary.count == 2
 
         # Crash simulation: a torn, uncommitted record at the WAL tail.
         wal = tmp_path / "volumes" / "g" / "wal.log"
@@ -364,14 +337,20 @@ class TestRemoveEdgesRecovery:
             mirror.add_edge(0, "b", n - 1)
             assert after == REACH.oracle(mirror, query, probe[0])
 
-    def test_persist_folds_overlay(self, tmp_path):
+    def test_persist_folds_overlay(self, tmp_path, monkeypatch):
         graph = _graph()
+        query = "a+"
         with QueryService(backend="cpu", workers=1, store_root=tmp_path) as svc:
             svc.register_graph("g", graph)
             svc.add_edges("g", "a", [(0, 1), (1, 2)])
             handle = svc.graphs.get("g")
-            assert handle.overlay.pending_edges() == 2
+            want = PAIRS.oracle(handle.graph, query, None)
+            calls = TestApplyBatch._count_conversions(monkeypatch, svc.ctx)
             svc.persist_graph("g")
-            assert handle.overlay.pending_edges() == 0
-            assert handle.overlay.folds == 1
-            assert (0, 1) in _to_set(handle.matrices["a"])
+            assert calls == []  # the snapshot reads the host edge list
+            assert handle.stale == {"a"}
+            monkeypatch.undo()
+            assert svc.pairs("g", query) == want
+        with QueryService(backend="cpu", workers=1, store_root=tmp_path) as svc:
+            svc.restore_graph("g")
+            assert svc.pairs("g", query) == want

@@ -176,9 +176,8 @@ class TestInstall:
                 label: m.handle.resident for label, m in handle.matrices.items()
             }
             assert set(handle.formats.values()) <= {"bit", "both"}
-            overlay = handle.overlay.stats()
-            assert overlay["floor_version"] == version
-            assert overlay["pending_edges"] == overlay["journal_entries"] == 0
+            assert handle.journal.stats() == {"journal_entries": 0, "floor_version": version}
+            assert handle.stale == set()
             assert ((0, 39) in handle.graph.edges["a"]) == (version >= 1)
             assert ((1, 38) in handle.graph.edges["b"]) == (version >= 2)
 
@@ -280,7 +279,7 @@ class TestTornBatch:
             assert seen == [1]  # the committed prefix was announced
             assert (2, 3) in handle.graph.edges["a"]
             assert (3, 4) not in handle.graph.edges["a"]
-            assert handle.overlay.pending_edges("a") == 1
+            assert handle.journal.stats()["journal_entries"] == 1
             # The failed transaction left no bytes behind ...
             assert [d.version for d in handle.volume.wal.replay()[0]] == [1]
             # ... so the next batch is version 2, logged exactly once.
