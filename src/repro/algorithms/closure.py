@@ -2,9 +2,12 @@
 
 :func:`transitive_closure` iterates ``C ← C ∨ C·C``: path lengths
 double each round, O(log diameter) products at the cost of denser
-intermediates.  :func:`seminaive` is the one masked frontier loop (the
-GraphBLAS complement-mask pattern) that RPQ reachability — single,
-batched and warm — and the incremental closure below all run on.
+intermediates.  :func:`seminaive` is the one masked frontier loop over
+device matrices (the GraphBLAS complement-mask pattern): small-product
+RPQ reachability — single, batched and warm — and the incremental
+closure below run on it.  (A large-product reach masks its frontier on
+the host, where its automaton step already needs it; see
+:func:`repro.rpq.engine._frontier_walk`.)
 
 The paper identifies *incremental* transitive closure as the bottleneck
 for subcubic CFPQ: the tensor algorithm repeatedly adds edge batches to
@@ -70,23 +73,32 @@ def seminaive(total: Matrix, step, *, frontier: Matrix | None = None, cancel=Non
     *change*, never a full-matrix comparison.  Otherwise ``total ←
     total ∨ new`` and ``new`` is the next frontier.  Takes ownership of
     ``total`` and ``frontier``; ``cancel`` is called before every round
-    and may raise to abort.  Returns ``(total, rounds)``.
+    and may raise to abort.  Whatever raises — ``cancel``, ``step`` or
+    the merge — every matrix the loop owns is freed before the exception
+    leaves, so a held traceback keeps no device memory charged.
+    Returns ``(total, rounds)``.
     """
-    rounds = 0
-    with total.context.backend.fixpoint():
-        while True:
-            if cancel is not None:
-                cancel()
-            rounds += 1
-            new = step(total, frontier)
-            if frontier is not None:
-                frontier.free()
-            if new.nnz == 0:
-                new.free()
-                return total, rounds
-            grown = total.ewise_add(new)
-            total.free()
-            total, frontier = grown, new
+    rounds, new = 0, None
+    try:
+        with total.context.backend.fixpoint():
+            while True:
+                if cancel is not None:
+                    cancel()
+                rounds += 1
+                new = step(total, frontier)
+                if frontier is not None:
+                    frontier.free()
+                if new.nnz == 0:
+                    new.free()
+                    return total, rounds
+                grown = total.ewise_add(new)
+                total.free()
+                total, frontier, new = grown, new, None
+    except BaseException:
+        for owned in (total, frontier, new):
+            if owned is not None:
+                owned.free()
+        raise
 
 
 def incremental_transitive_closure(closure: Matrix, delta: Matrix) -> Matrix:
@@ -117,11 +129,17 @@ def incremental_transitive_closure(closure: Matrix, delta: Matrix) -> Matrix:
     def both_sides(total, frontier):
         # Paths gaining one frontier pair, minus everything known:
         left = total.mxm(frontier, mask=total)
-        new = frontier.mxm(total, accumulate=left, mask=total)
-        left.free()
-        return new
+        try:
+            return frontier.mxm(total, accumulate=left, mask=total)
+        finally:
+            left.free()
 
-    return seminaive(total, both_sides, frontier=delta.dup())[0]
+    try:
+        frontier = delta.dup()
+    except BaseException:
+        total.free()
+        raise
+    return seminaive(total, both_sides, frontier=frontier)[0]
 
 
 def kron_sum(ctx, shape, r_mats: dict, operands):
@@ -131,13 +149,18 @@ def kron_sum(ctx, shape, r_mats: dict, operands):
     bit path the Kronecker blocks OR-scatter straight into the new
     sum's words, with no per-symbol product temporary.  Symbols on no
     automaton edge, and empty or missing operands, contribute nothing.
+    A failing step frees the partial sum before the exception leaves.
     """
     product = ctx.matrix_empty(shape)
-    for sym, g in operands:
-        r = r_mats.get(sym)
-        if r is None or r.nnz == 0 or g is None or g.nnz == 0:
-            continue
-        merged = r.kron(g, accumulate=product)
+    try:
+        for sym, g in operands:
+            r = r_mats.get(sym)
+            if r is None or r.nnz == 0 or g is None or g.nnz == 0:
+                continue
+            merged = r.kron(g, accumulate=product)
+            product.free()
+            product = merged
+    except BaseException:
         product.free()
-        product = merged
+        raise
     return product

@@ -99,16 +99,22 @@ class NFA:
     # -- lowering ----------------------------------------------------------
 
     def transition_matrices(self, ctx, labels=None) -> dict:
-        """One boolean ``n x n`` matrix per symbol on the given context."""
+        """One boolean ``n x n`` matrix per symbol on the given context
+        (all of them, or none if an upload fails)."""
         wanted = list(labels) if labels is not None else self.labels
         out = {}
-        for label in wanted:
-            pairs = self.transitions.get(label, [])
-            if pairs:
-                arr = np.asarray(pairs, dtype=np.int64)
-                out[label] = ctx.matrix_from_lists((self.n, self.n), arr[:, 0], arr[:, 1])
-            else:
-                out[label] = ctx.matrix_empty((self.n, self.n))
+        try:
+            for label in wanted:
+                pairs = self.transitions.get(label, [])
+                if pairs:
+                    arr = np.asarray(pairs, dtype=np.int64)
+                    out[label] = ctx.matrix_from_lists((self.n, self.n), arr[:, 0], arr[:, 1])
+                else:
+                    out[label] = ctx.matrix_empty((self.n, self.n))
+        except BaseException:
+            for mat in out.values():
+                mat.free()
+            raise
         return out
 
 

@@ -55,9 +55,8 @@ def rpq_reach_incremental(
     engine: cold (``state=None``, or a state of another geometry) seeds
     the frontier at the automaton's start states over ``source``; warm
     seeds it from the previous *final* frontier, and the first masked
-    product against the current (merged) adjacency reports only
-    reachability the new edges enabled — an irrelevant delta converges
-    in one iteration.
+    round against the current adjacency reports only reachability the
+    new edges enabled — an irrelevant delta converges in one iteration.
 
     Returns ``(targets, new_state, warm_used, iterations)``.  A coalesced
     group passes equal-length lists as ``nfa``, ``source`` and ``state``

@@ -13,6 +13,15 @@ the transitive closure ``M⁺`` contains ``(start, u) → (final, v)``.
 Index = the closure plus its block decomposition; the sub-matrix
 extraction operation of the library carves out the per-(start, final)
 blocks.
+
+Single-source reach (:func:`_reach`, behind ``rpq_reach``,
+``rpq_reach_batch`` and the service's warm reach) needs only the rows of
+``M⁺`` over its seeds.  It walks a masked frontier in one of two ways,
+selected by the exact entry count of ``M``: a small product is built
+once and walked (few backend calls per round); a large one is never
+built, and the frontier — one row per automaton state — steps through
+the automaton and the visited mask on the host and through ``G_label``
+on the device.  Both walks keep the same ``FixpointState`` layout.
 """
 
 from __future__ import annotations
@@ -30,8 +39,24 @@ from repro.automata.regex_parse import parse_regex
 from repro.errors import InvalidArgumentError
 from repro.graph import LabeledGraph
 from repro.incr.state import FixpointState
-from repro.utils.arrays import KEY_DTYPE, keys_from_coo, sort_unique_keys
+from repro.utils.arrays import (
+    KEY_DTYPE,
+    coo_from_keys,
+    in_sorted,
+    keys_from_coo,
+    merge_union,
+    sort_unique_keys,
+)
 from repro.utils.pairset import PairSet
+
+#: Largest Kronecker product, in entries (``Σ_label |R_label| ·
+#: nnz(G_label)``), that :func:`_reach` still builds and walks.  Above
+#: it building the product costs more than the whole product-free walk;
+#: below it the product walk's few, large backend calls per round hold
+#: the interpreter lock far less than the product-free walk's upload and
+#: product per label, which concurrent requests wait on (EXPERIMENTS.md,
+#: E18).
+PRODUCT_WALK_MAX_NNZ = 1 << 15
 
 
 @dataclass
@@ -195,16 +220,24 @@ def _reach(nfas: list, sources: list, n: int, ctx, adjacency: dict, states=None,
     """Single-source RPQ for a stack of queries in **one** fixpoint.
 
     Query ``i`` asks for every ``v`` reachable from ``sources[i]`` along
-    a path matching ``nfas[i]``.  The automata (one block per distinct
-    object) are stacked block-diagonally into one union automaton ``R``,
-    ``M = Σ R_label ⊗ G_label`` is built once over the borrowed
-    ``adjacency``, and the frontier holds one row per query; blocks are
-    disconnected in ``M``, so each row's answer is the query's alone.
-    Row ``i`` is seeded from ``states[i]`` (its previous final frontier,
-    if that state fits its geometry) or else at its automaton's start
-    states over its source; one masked
-    :func:`~repro.algorithms.closure.seminaive` loop then expands every
-    seeded row against the current product.
+    a path matching ``nfas[i]``, over the borrowed per-label
+    ``adjacency``.  Member ``i`` is seeded from ``states[i]`` (its
+    previous final frontier, if that state fits its geometry) or else at
+    its automaton's start states over its source; one masked frontier
+    loop then expands every seeded member.  It takes one of two walks,
+    chosen here and nowhere else by the exact size of the Kronecker
+    product ``Σ_label |R_label| · nnz(G_label)`` over the distinct
+    automata:
+
+    * at most :data:`PRODUCT_WALK_MAX_NNZ` entries — :func:`_product_walk`
+      builds the product once and walks one frontier row per member in
+      :func:`~repro.algorithms.closure.seminaive`;
+    * above it — :func:`_frontier_walk` never builds the product and
+      walks a ``(Σ k_i) × n`` frontier through the adjacency.
+
+    Both read and write the same ``FixpointState`` (key ``state·n +
+    vertex`` in a ``1 × k·n`` frontier), so a state left by one walk
+    seeds the other.
 
     Returns ``([(targets, state, used_warm), ...], rounds)`` in input
     order; each ``state`` is that member's own final frontier.
@@ -219,6 +252,47 @@ def _reach(nfas: list, sources: list, n: int, ctx, adjacency: dict, states=None,
     if not nfas:
         return [], 0
 
+    metas = [{"n": n, "k": nfa.n, "source": int(src)} for nfa, src in zip(nfas, sources)]
+    warm = [
+        state is not None and state.compatible("reach", (1, meta["k"] * n), **meta)
+        for state, meta in zip(states or [None] * len(nfas), metas)
+    ]
+    seeds = [
+        # A one-row frontier's key is its column.
+        states[i].keys["frontier"].astype(np.int64)
+        if warm[i]
+        else np.array([s0 * n + int(src) for s0 in nfa.starts], np.int64)
+        for i, (nfa, src) in enumerate(zip(nfas, sources))
+    ]
+
+    blocks = {id(nfa): nfa for nfa in nfas}
+    product_nnz = sum(
+        len(nfa.transitions.get(label, ())) * adjacency[label].nnz
+        for nfa in blocks.values()
+        for label in set(nfa.labels) & set(adjacency)
+    )
+    walk = _product_walk if product_nnz <= PRODUCT_WALK_MAX_NNZ else _frontier_walk
+    visited, rounds = walk(nfas, seeds, n, ctx, adjacency, cancel)
+
+    out = []
+    for i, (nfa, meta) in enumerate(zip(nfas, metas)):
+        own = visited[i]
+        targets = frozenset((own % n)[np.isin(own // n, list(nfa.finals))].tolist())
+        frontier = sort_unique_keys(keys_from_coo(np.zeros_like(own), own))
+        state = FixpointState("reach", (1, nfa.n * n), {"frontier": frontier}, meta)
+        out.append((targets, state, warm[i]))
+    return out, rounds
+
+
+def _product_walk(nfas, seeds, n, ctx, adjacency, cancel):
+    """Walk one frontier row per member over ``M = Σ R_label ⊗ G_label``.
+
+    The automata (one block per distinct object) are stacked
+    block-diagonally into one union automaton ``R``; blocks are
+    disconnected in ``M``, so each row's reach is its member's alone.
+    Returns each member's visited keys (``state·n + vertex``) and the
+    round count.
+    """
     blocks = {id(nfa): nfa for nfa in nfas}
     firsts = np.cumsum([0] + [nfa.n for nfa in blocks.values()]).tolist()
     offsets, k = dict(zip(blocks, firsts)), firsts[-1]
@@ -227,21 +301,6 @@ def _reach(nfas: list, sources: list, n: int, ctx, adjacency: dict, states=None,
         for label, pairs in nfa.renumbered(offsets[key], k).transitions.items():
             transitions.setdefault(label, []).extend(pairs)
     union = NFA(k, frozenset(), frozenset(), transitions)
-
-    metas = [{"n": n, "k": nfa.n, "source": int(src)} for nfa, src in zip(nfas, sources)]
-    warm = [
-        state is not None and state.compatible("reach", (1, meta["k"] * n), **meta)
-        for state, meta in zip(states or [None] * len(nfas), metas)
-    ]
-    rows, cols = [], []
-    for i, (nfa, src) in enumerate(zip(nfas, sources)):
-        if warm[i]:
-            # A one-row frontier's key is its column.
-            seed = states[i].keys["frontier"].astype(np.int64)
-        else:
-            seed = np.array([s0 * n + int(src) for s0 in nfa.starts], np.int64)
-        cols.append(seed + offsets[id(nfa)] * n)
-        rows.append(np.full(seed.size, i, np.int64))
 
     shared = sorted(set(union.labels) & set(adjacency))
     r_mats = union.transition_matrices(ctx, labels=shared)
@@ -255,7 +314,11 @@ def _reach(nfas: list, sources: list, n: int, ctx, adjacency: dict, states=None,
             mat.free()
     try:
         total = ctx.matrix_from_lists(
-            (len(nfas), k * n), np.concatenate(rows), np.concatenate(cols)
+            (len(nfas), k * n),
+            np.concatenate([np.full(seed.size, i, np.int64) for i, seed in enumerate(seeds)]),
+            np.concatenate(
+                [seed + offsets[id(nfa)] * n for nfa, seed in zip(nfas, seeds)]
+            ),
         )
         total, rounds = seminaive(
             total,
@@ -269,14 +332,91 @@ def _reach(nfas: list, sources: list, n: int, ctx, adjacency: dict, states=None,
 
     rows, cols = total.to_arrays()
     total.free()
-    out = []
-    for i, (nfa, meta) in enumerate(zip(nfas, metas)):
-        own = cols[rows == i].astype(np.int64) - offsets[id(nfa)] * n
-        targets = frozenset(c % n for c in own.tolist() if c // n in nfa.finals)
-        frontier = sort_unique_keys(keys_from_coo(np.zeros_like(own), own))
-        state = FixpointState("reach", (1, nfa.n * n), {"frontier": frontier}, meta)
-        out.append((targets, state, warm[i]))
-    return out, rounds
+    visited = [
+        cols[rows == i].astype(np.int64) - offsets[id(nfa)] * n for i, nfa in enumerate(nfas)
+    ]
+    return visited, rounds
+
+
+def _frontier_walk(nfas, seeds, n, ctx, adjacency, cancel):
+    """Walk a ``(Σ k_i) × n`` frontier through the per-label adjacency.
+
+    Member ``i`` owns the ``k_i`` rows from ``firsts[i]``, one per
+    automaton state (members that share an automaton still get a block
+    each).  One round is ``F' = ⋁_label (R_labelᵀ · F) · G_label ∧
+    ¬visited``: the automaton step ``R_labelᵀ`` is a host row map over
+    the frontier's keys (the automaton is host data, tens of states),
+    and each label whose map moved any row costs one upload and one
+    accumulating ``mxm`` against ``G_label``.  The row map needs the
+    frontier on the host every round anyway, so ``¬visited`` is applied
+    there, to the round's one read-back, against a sorted key array: no
+    ``k·n``-sized operand and no device-side visited matrix exist.
+    ``cancel`` is called before every round.  Returns each member's
+    visited keys (``state·n + vertex``) and the round count.
+    """
+    firsts = np.cumsum([0] + [nfa.n for nfa in nfas]).tolist()
+    k = firsts[-1]
+    shape = (k, n)
+    moves = {}  # label -> (rowptr over the k rows, target rows), CSR
+    for label in sorted({label for nfa in nfas for label in nfa.transitions} & set(adjacency)):
+        pairs = [
+            (s + first, t + first)
+            for nfa, first in zip(nfas, firsts)
+            for s, t in nfa.transitions.get(label, ())
+        ]
+        if pairs and adjacency[label].nnz:
+            arr = np.array(sorted(pairs), np.int64)
+            rowptr = np.searchsorted(arr[:, 0], np.arange(k + 1))
+            moves[label] = (rowptr, arr[:, 1])
+
+    # Keys of the (k, n) frontier matrix: row << 32 | col.
+    visited = frontier = sort_unique_keys(
+        keys_from_coo(
+            np.concatenate([seed // n + first for seed, first in zip(seeds, firsts)]),
+            np.concatenate([seed % n for seed in seeds]),
+        )
+    )
+    rounds = 0
+    with ctx.backend.fixpoint():
+        while frontier.size:
+            if cancel is not None:
+                cancel()
+            rounds += 1
+            rows, cols = coo_from_keys(frontier)
+            rows = rows.astype(np.int64)
+            new = None
+            try:
+                for label, (rowptr, targets) in moves.items():
+                    lo = rowptr[rows]
+                    count = rowptr[rows + 1] - lo
+                    hits = int(count.sum())
+                    if hits == 0:
+                        continue
+                    entry = np.repeat(np.arange(rows.size), count)
+                    ends = np.cumsum(count)
+                    slot = lo[entry] + np.arange(hits) - np.repeat(ends - count, count)
+                    moved = ctx.matrix_from_lists(shape, targets[slot], cols[entry])
+                    try:
+                        grown = moved.mxm(adjacency[label], accumulate=new)
+                    finally:
+                        moved.free()
+                    if new is not None:
+                        new.free()
+                    new = grown
+                reached = keys_from_coo(*new.to_arrays()) if new is not None else frontier[:0]
+            finally:
+                if new is not None:
+                    new.free()
+            frontier = reached[~in_sorted(reached, visited)]
+            visited = merge_union(visited, frontier)
+
+    rows, cols = coo_from_keys(visited)
+    bounds = np.searchsorted(rows, firsts)
+    visited = [
+        (rows[lo:hi].astype(np.int64) - first) * n + cols[lo:hi]
+        for lo, hi, first in zip(bounds[:-1], bounds[1:], firsts)
+    ]
+    return visited, rounds
 
 
 def rpq_reach_batch(

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.analysis import locktrace
+from repro.errors import DeviceMemoryError
 
 #: All registered backends (generic64 shares the generic code path and is
 #: covered by its dedicated tests; "hybrid" is the adaptive sparse/bit
@@ -91,3 +92,17 @@ def bool_closure(a: np.ndarray) -> np.ndarray:
         if np.array_equal(nxt, out):
             return out
         out = nxt
+
+
+class FailingAlloc:
+    """``arena.alloc`` stand-in that raises ``DeviceMemoryError`` on its
+    ``fail_at``-th call (1-based; 0 never fails) and counts calls."""
+
+    def __init__(self, alloc, fail_at: int):
+        self.alloc, self.fail_at, self.calls = alloc, fail_at, 0
+
+    def __call__(self, shape, dtype):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise DeviceMemoryError("injected arena exhaustion")
+        return self.alloc(shape, dtype)

@@ -12,7 +12,7 @@ import pytest
 from repro.backends import get_backend
 from repro.errors import DeviceMemoryError, DimensionMismatchError, InvalidArgumentError
 
-from .conftest import bool_mxm, random_dense
+from .conftest import FailingAlloc, bool_mxm, random_dense
 
 
 def make(ctx, dense):
@@ -235,20 +235,6 @@ EXHAUSTION_OPS = {
 }
 
 
-class _FailingAlloc:
-    """``arena.alloc`` stand-in that raises ``DeviceMemoryError`` on its
-    ``fail_at``-th call (1-based; 0 never fails) and counts calls."""
-
-    def __init__(self, alloc, fail_at: int):
-        self.alloc, self.fail_at, self.calls = alloc, fail_at, 0
-
-    def __call__(self, shape, dtype):
-        self.calls += 1
-        if self.calls == self.fail_at:
-            raise DeviceMemoryError("injected arena exhaustion")
-        return self.alloc(shape, dtype)
-
-
 @pytest.mark.parametrize("op", sorted(EXHAUSTION_OPS))
 @pytest.mark.parametrize("backend", ["cubool", "clbool", "generic"])
 def test_arena_exhaustion_releases_partial_allocations(backend, op, rng):
@@ -264,12 +250,12 @@ def test_arena_exhaustion_releases_partial_allocations(backend, op, rng):
     handles = {k: be.matrix_from_dense(v) for k, v in dense.items()}
     arena = be.device.arena
     alloc = arena.alloc
-    arena.alloc = counting = _FailingAlloc(alloc, 0)
+    arena.alloc = counting = FailingAlloc(alloc, 0)
     EXHAUSTION_OPS[op](be, handles).free()
     assert counting.calls > 0
     baseline = arena.live_bytes
     for k in range(1, counting.calls + 1):
-        arena.alloc = _FailingAlloc(alloc, k)
+        arena.alloc = FailingAlloc(alloc, k)
         # The traceback keeps the op's frames alive: a buffer that only
         # a frame still references counts as leaked.
         with pytest.raises(DeviceMemoryError) as info:
