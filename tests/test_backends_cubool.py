@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backends.clbool.backend import ClBoolBackend
+from repro.backends import get_backend
 from repro.backends.cpu import CpuBackend
 from repro.backends.cubool.backend import CuBoolBackend
 from repro.backends.cubool.spgemm_hash import DEFAULT_BIN_BOUNDS, spgemm_boolean_csr
@@ -186,7 +186,7 @@ def _op_record(backend: str, op: str):
     """Run one op on ``backend``; return its ``(name, grid, block)`` per
     launch and arena alloc bytes in order, after checking the result
     against the cpu reference backend."""
-    be = {"cubool": CuBoolBackend, "clbool": ClBoolBackend}[backend]()
+    be = get_backend(backend)
     dense = _op_operands()
     handles = {k: be.matrix_from_dense(v) for k, v in dense.items()}
     sizes = []
@@ -213,8 +213,10 @@ def _op_record(backend: str, op: str):
     )
 
 
-#: Recorded before the backends shared one key-space core; the launch
-#: plans and arena charges must not move.
+#: Recorded before the backends shared one key-space core (cubool,
+#: clbool) and before the generic backend gathered its values through
+#: the boolean index plans (generic, generic64); the launch plans and
+#: arena charges must not move.
 OP_PINS = {
     ("cubool", "mxm"): (
         [
@@ -332,13 +334,116 @@ OP_PINS = {
         ],
         [356, 356],
     ),
+    ("generic", "mxm"): (
+        [
+            ("generic_expand_multiply", 9, 256),
+            ("generic_sort_reduce", 44, 256),
+        ],
+        [44048, 44048, 44048, 364, 21148, 21148],
+    ),
+    ("generic", "mxm_mask_accumulate"): (
+        [
+            ("generic_expand_multiply", 9, 256),
+            ("generic_sort_reduce", 44, 256),
+            ("generic_merge_accumulate_into", 17, 256),
+        ],
+        [44048, 44048, 44048, 364, 17352, 17352],
+    ),
+    ("generic", "ewise_add"): (
+        [
+            ("generic_merge_add", 10, 256),
+        ],
+        [364, 9704, 9704],
+    ),
+    ("generic", "ewise_mult"): (
+        [
+            ("generic_intersect_multiply", 7, 256),
+        ],
+        [364, 1600, 1600],
+    ),
+    ("generic", "kron"): (
+        [
+            ("generic_kron", 1, 256),
+        ],
+        [484, 640, 640],
+    ),
+    ("generic", "transpose"): (
+        [
+            ("generic_transpose", 9, 256),
+        ],
+        [364, 8232, 8232],
+    ),
+    ("generic", "extract_submatrix"): (
+        [
+            ("generic_submatrix", 9, 256),
+        ],
+        [204, 2380, 2380],
+    ),
+    ("generic", "reduce_to_column"): (
+        [
+            ("generic_reduce_sum", 1, 256),
+        ],
+        [364, 356, 356],
+    ),
+    ("generic64", "mxm"): (
+        [
+            ("generic_expand_multiply", 9, 256),
+            ("generic_sort_reduce", 44, 256),
+        ],
+        [44048, 44048, 88096, 364, 21148, 42296],
+    ),
+    ("generic64", "mxm_mask_accumulate"): (
+        [
+            ("generic_expand_multiply", 9, 256),
+            ("generic_sort_reduce", 44, 256),
+            ("generic_merge_accumulate_into", 17, 256),
+        ],
+        [44048, 44048, 88096, 364, 17352, 34704],
+    ),
+    ("generic64", "ewise_add"): (
+        [
+            ("generic_merge_add", 10, 256),
+        ],
+        [364, 9704, 19408],
+    ),
+    ("generic64", "ewise_mult"): (
+        [
+            ("generic_intersect_multiply", 7, 256),
+        ],
+        [364, 1600, 3200],
+    ),
+    ("generic64", "kron"): (
+        [
+            ("generic_kron", 1, 256),
+        ],
+        [484, 640, 1280],
+    ),
+    ("generic64", "transpose"): (
+        [
+            ("generic_transpose", 9, 256),
+        ],
+        [364, 8232, 16464],
+    ),
+    ("generic64", "extract_submatrix"): (
+        [
+            ("generic_submatrix", 9, 256),
+        ],
+        [204, 2380, 4760],
+    ),
+    ("generic64", "reduce_to_column"): (
+        [
+            ("generic_reduce_sum", 1, 256),
+        ],
+        [364, 356, 712],
+    ),
 }
 
 
 @pytest.mark.parametrize("backend, op", sorted(OP_PINS))
 def test_op_launches_and_allocs_pinned(backend, op):
     """Per op, the launch plan ``(name, grid, block)`` and the arena
-    alloc bytes in order, on both accounted boolean backends."""
+    alloc bytes in order, on both accounted boolean backends and both
+    generic value backends."""
     launches, alloc_sizes = OP_PINS[backend, op]
     assert _op_record(backend, op) == (launches, alloc_sizes)
 
