@@ -1,4 +1,4 @@
-"""One boolean sparse executor: the key-space core and exact outputs.
+"""One sparse executor: the key-space core and exact outputs.
 
 cuBool, clBool and the cpu reference compute every boolean product
 through one call, :func:`bool_spgemm_keys`: expand the candidate
@@ -9,9 +9,14 @@ four ESC launches; cpu: none) — and what each plan charges to the device
 arena (cuBool: global-bin hash tables and the two-pass exact output;
 clBool: the B-row bucket, the expansion planes and the one-pass merge
 buffers).  Those are the design space the paper's implementation section
-discusses; the arithmetic itself is written once here.  The generic
-backend reads its values through the same expansion gather
-(:func:`expand_gather`).
+discusses; the arithmetic itself is written once here.
+
+The generic (valued) backend runs the same index plans and gathers its
+value planes through them: the product through the expansion
+(:func:`expand_gather`), the Kronecker product through its emission
+(:func:`kron_emission`, which :func:`kron_coo` also builds on).  Its
+⊕-combination is the one valued run-merge,
+:func:`repro.utils.arrays.fold_runs`.
 
 Coordinate keys: a (row, col) pair packs into the uint64 key
 ``row << 32 | col`` (:func:`repro.utils.arrays.keys_from_coo`, the one
@@ -124,43 +129,37 @@ def spgemm_upper_bound(
 # -- Kronecker product --------------------------------------------------------
 
 
-def kron_coo(
-    a_rows: np.ndarray,
+def kron_emission(
     a_cols: np.ndarray,
     a_rowptr: np.ndarray,
-    b_rows: np.ndarray,
     b_cols: np.ndarray,
     b_shape: tuple[int, int],
     b_rowptr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kronecker product coordinates in canonical row-major order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Kronecker product ``K = A ⊗ B`` as coordinates plus gather
+    indices: ``(rows, cols, a_idx, b_idx)``.
 
-    ``K[i*p + k, j*q + l] = A[i, j] & B[k, l]`` for B of shape p x q.
-    Emission order: (i asc, k asc, j asc, l asc) — which *is* canonical
-    row-major order of K when A and B are canonical, so no sort is
-    needed (pure index arithmetic, the GPU kernel's strategy).
-
-    ``a_rowptr``/``b_rowptr`` are CSR pointers for A and B (COO callers
-    build them once; they're cheap).
+    ``K[i*p + k, j*q + l] = A[i, j] ⊗ B[k, l]`` for B of shape p x q, and
+    output entry ``t`` pairs A entry ``a_idx[t]`` with B entry
+    ``b_idx[t]`` (indices into the CSR entry arrays).  Emission order:
+    (i asc, k asc, j asc, l asc) — which *is* canonical row-major order
+    of K when A and B are canonical, so no sort is needed (pure index
+    arithmetic, the GPU kernel's strategy).  The boolean backends keep
+    the coordinates; the generic backend also reads both value planes
+    through the gather.
     """
     p, q = int(b_shape[0]), int(b_shape[1])
-    nnz_a, nnz_b = a_rows.size, b_rows.size
-    if nnz_a == 0 or nnz_b == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-
     a_lens = np.diff(a_rowptr.astype(np.int64))  # len m
     b_lens = np.diff(b_rowptr.astype(np.int64))  # len p
-    m = a_lens.size
 
     # K row r = i * p + k has a_lens[i] * b_lens[k] entries.
     k_row_lens = np.multiply.outer(a_lens, b_lens).ravel()  # len m*p
-    total = int(k_row_lens.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+    if not k_row_lens.any():
+        return tuple(np.empty((4, 0), np.int64))
 
     # Within K row r: local index t in [0, La*Lb); a_local = t // Lb,
     # b_local = t % Lb.
-    t = concat_ranges(np.zeros(m * p, dtype=np.int64), k_row_lens)
+    t = concat_ranges(np.zeros(k_row_lens.size, dtype=np.int64), k_row_lens)
     r = segment_ids(k_row_lens)
     i = r // p
     k = r % p
@@ -172,7 +171,28 @@ def kron_coo(
 
     out_rows = i * p + k
     out_cols = a_cols.astype(np.int64)[a_idx] * q + b_cols.astype(np.int64)[b_idx]
-    return out_rows, out_cols
+    return out_rows, out_cols, a_idx, b_idx
+
+
+def kron_coo(
+    a_rows: np.ndarray,
+    a_cols: np.ndarray,
+    a_rowptr: np.ndarray,
+    b_rows: np.ndarray,
+    b_cols: np.ndarray,
+    b_shape: tuple[int, int],
+    b_rowptr: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kronecker product coordinates in canonical row-major order: the
+    coordinates of :func:`kron_emission`.
+
+    ``a_rowptr``/``b_rowptr`` are CSR pointers for A and B (COO callers
+    build them once; they're cheap); an operand with no entries
+    short-cuts to the empty product.
+    """
+    if a_rows.size == 0 or b_rows.size == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return kron_emission(a_cols, a_rowptr, b_cols, b_shape, b_rowptr)[:2]
 
 
 # -- submatrix / transpose / reduce -------------------------------------------

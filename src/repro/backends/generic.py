@@ -5,25 +5,33 @@ This backend stands in for "modern libraries" with *generic, not
 Boolean-optimized* operations (cuSPARSE / CUSP): the storage layout is
 CSR **with an explicit values array**, and every kernel computes and
 moves values through the semiring even though a boolean workload only
-needs patterns.  Concretely, relative to cuBool:
+needs patterns.  It runs the boolean backends' index plans and adds
+value planes, so relative to cuBool the delta is the values alone:
 
 * storage: ``nnz`` extra value slots per matrix (float32 by default;
   float64 doubles the gap — both are measured in E0);
-* SpGEMM: the candidate expansion carries ⊗-combined values, and
-  compaction performs a segmented ⊕-reduce instead of a drop;
+* SpGEMM: the boolean expansion (:func:`~repro.backends.common.expand_gather`)
+  also gathers both value planes and ⊗-combines them, and compaction
+  ⊕-folds coincident products instead of dropping them;
 * add: duplicate coordinates ⊕-combine their values instead of
   disappearing into saturation;
-* Kronecker: values are ⊗-combined pairwise.
+* Kronecker: the boolean emission
+  (:func:`~repro.backends.common.kron_emission`) also gathers both
+  value planes and ⊗-combines them pairwise.
 
-Since the semiring refactor this backend is also where every *value*
-algebra (min-plus, max-times, plus-pair, ...) executes natively:
-``semiring=`` threads the ⊕/⊗ pair and the ⊕-identity through the
-expansion, compaction, and merge kernels.  ``semiring=None`` keeps this
-backend's historic native algebra, plus-times — which is also what the
-boolean-vs-generic benchmarks measure.  The implicit value of an absent
-entry is always the semiring's ⊕-identity (``inf`` for min-plus, ``0``
-for plus-times), so sparsity is preserved exactly when
-``annihilator == zero``.
+Every ⊕ — SpGEMM compaction, ``ewise_add``, the fused accumulate merge,
+duplicate coordinates at construction, and a non-ufunc row reduce —
+goes through one fold, :func:`repro.utils.arrays.fold_runs`: a stable
+sort by key, then each run of equal keys folds left to right from its
+first value, for any callable ⊕.
+
+This backend is also where every *value* algebra (min-plus, max-times,
+plus-pair, ...) executes natively: ``semiring=`` threads the ⊕/⊗ pair
+through those kernels.  ``semiring=None`` keeps this backend's historic
+native algebra, plus-times — which is also what the boolean-vs-generic
+benchmarks measure.  The implicit value of an absent entry is always
+the semiring's ⊕-identity (``inf`` for min-plus, ``0`` for plus-times),
+so sparsity is preserved exactly when ``annihilator == zero``.
 
 The public API exposes this backend so the boolean-vs-generic benchmarks
 run both sides through identical machinery; boolean results are
@@ -45,8 +53,8 @@ from repro.gpu.limits import CUDA_LIKE
 from repro.utils.arrays import (
     INDEX_DTYPE,
     coo_from_keys,
+    fold_runs,
     keys_from_coo,
-    merge_union,
     rows_from_rowptr,
 )
 
@@ -54,25 +62,6 @@ from repro.utils.arrays import (
 def _presence_and(a, b):
     """⊗ of the boolean algebra in the value plane: 1 where both present."""
     return np.logical_and(a != 0, b != 0).astype(a.dtype)
-
-
-def merge_accumulate(union_keys, keys_p, vals_p, keys_acc, vals_acc, add, zero, dtype):
-    """Fused accumulate merge: scatter both streams into one value plane.
-
-    ``union_keys`` is the sorted unique union of ``keys_p`` (the masked
-    product stream) and ``keys_acc`` (the accumulate pattern, read
-    as-of call time).  Product values land first, accumulate values
-    ⊕-combine on top; positions touched by only one stream meet the
-    ⊕-identity seeded into the plane.  One pass, no product
-    temporary — the valcsr analogue of the bit path's ``mxm_into``.
-    """
-    out_vals = np.full(union_keys.size, zero, dtype=dtype)
-    if keys_p.size:
-        out_vals[np.searchsorted(union_keys, keys_p)] = vals_p
-    if keys_acc.size:
-        pos = np.searchsorted(union_keys, keys_acc)
-        out_vals[pos] = add(out_vals[pos], vals_acc)
-    return out_vals
 
 
 class GenericBackend(Backend):
@@ -100,8 +89,7 @@ class GenericBackend(Backend):
         s = self._resolve_semiring(PLUS_TIMES if semiring is None else semiring)
         if s.is_boolean:
             return s, np.maximum, _presence_and, 0.0
-        mul = None if s.mul is np.multiply else s.mul
-        return s, (s.add_ufunc if s.add_ufunc is not None else s.add), mul, s.zero
+        return s, (s.add_ufunc if s.add_ufunc is not None else s.add), s.mul, s.zero
 
     # -- creation ------------------------------------------------------------
 
@@ -123,9 +111,8 @@ class GenericBackend(Backend):
     ) -> BackendMatrix:
         """Create a value matrix; duplicate coordinates ⊕-combine."""
         _, add, _, _ = self._resolve_ops(semiring)
-        combine = add if isinstance(add, np.ufunc) else None
         return self._wrap(
-            ValCsr.from_coo(rows, cols, shape, values, dtype=self.value_dtype, combine=combine)
+            ValCsr.from_coo(rows, cols, shape, values, dtype=self.value_dtype, combine=add)
         )
 
     def matrix_from_dense_values(self, dense, *, semiring=None) -> BackendMatrix:
@@ -167,33 +154,10 @@ class GenericBackend(Backend):
             shape, common.emit_csr(self.device.arena, int(shape[0]), rows, cols, values)
         )
 
-    # -- shared segment machinery ---------------------------------------------
-
-    def _segment_reduce(self, keys, vals, add, zero):
-        """Sort by key and ⊕-reduce coincident values (the cuSPARSE-style
-        sort-compaction, generalized from segmented sum to any monoid)."""
-        order = np.argsort(keys, kind="stable")
-        keys_s = keys[order]
-        vals_s = vals[order].astype(self.value_dtype)
-        if keys_s.size == 0:
-            return keys_s, vals_s
-        new_seg = np.empty(keys_s.size, dtype=bool)
-        new_seg[0] = True
-        np.not_equal(keys_s[1:], keys_s[:-1], out=new_seg[1:])
-        seg_idx = np.cumsum(new_seg) - 1
-        nseg = int(seg_idx[-1]) + 1
-        reduced = np.full(nseg, zero, dtype=self.value_dtype)
-        if isinstance(add, np.ufunc):
-            add.at(reduced, seg_idx, vals_s)
-        else:
-            starts = np.flatnonzero(new_seg)
-            ends = np.append(starts[1:], keys_s.size)
-            for si in range(nseg):
-                acc = vals_s[starts[si]]
-                for v in vals_s[starts[si] + 1 : ends[si]]:
-                    acc = add(acc, v)
-                reduced[si] = acc
-        return keys_s[new_seg], reduced
+    def _times(self, mul, va, vb) -> np.ndarray:
+        """⊗ of two value planes gathered through an index plan."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.asarray(mul(va, vb), dtype=self.value_dtype)
 
     @staticmethod
     def _keys_values(m: BackendMatrix):
@@ -203,7 +167,7 @@ class GenericBackend(Backend):
     # -- operations ------------------------------------------------------
 
     def mxm(self, a, b, accumulate=None, mask=None, *, semiring=None):
-        s, add, mul, zero = self._resolve_ops(semiring)
+        s, add, mul, _ = self._resolve_ops(semiring)
         self._check_mxm_shapes(a, b)
         shape = (a.nrows, b.ncols)
         if accumulate is not None and accumulate.shape != shape:
@@ -218,16 +182,14 @@ class GenericBackend(Backend):
         # below mutates any operand.
         if accumulate is not None:
             acc_keys, acc_vals = self._keys_values(accumulate)
-            acc_vals = acc_vals.astype(self.value_dtype, copy=True)
         if mask is not None:
             mask_keys, _ = self._keys_values(mask)
 
-        # Expansion with ⊗-combined values (the generic-semiring cost).
+        # The boolean expansion, plus ⊗ of both gathered value planes
+        # (the generic-semiring cost).
         def _expand_kernel(config):
             owner, gather = common.expand_gather(sa.cols, sb.rowptr)
-            av, bv = sa.values[owner], sb.values[gather]
-            with np.errstate(invalid="ignore", over="ignore"):
-                vals = av * bv if mul is None else mul(av, bv).astype(bv.dtype, copy=False)
+            vals = self._times(mul, sa.values[owner], sb.values[gather])
             return a_rows[owner], sb.cols[gather], vals
 
         _expand_kernel.__name__ = "generic_expand_multiply"
@@ -248,8 +210,7 @@ class GenericBackend(Backend):
             exp_vals_buf.data[...] = e_vals
 
             def _sort_reduce_kernel(config):
-                keys = keys_from_coo(e_rows, e_cols)
-                return self._segment_reduce(keys, e_vals, add, zero)
+                return fold_runs(keys_from_coo(e_rows, e_cols), e_vals, add)
 
             _sort_reduce_kernel.__name__ = "generic_sort_reduce"
             keys_u, vals_u = self.stream.launch(
@@ -263,38 +224,35 @@ class GenericBackend(Backend):
         if accumulate is None:
             return self._emit(shape, *coo_from_keys(keys_u), vals_u)
 
-        # Fused merge: one union pass straight into the output buffers
-        # (no product handle, no ewise_add temporary).
-        union_keys = merge_union(keys_u, acc_keys)
+        # Fused merge: the product stream, then the accumulate stream,
+        # fold into one union straight into the output buffers (no
+        # product handle, no ewise_add temporary); a coincident entry
+        # is ``product ⊕ accumulate``.
+        with np.errstate(invalid="ignore", over="ignore"):
+            keys_u, vals_u = fold_runs(
+                np.concatenate((keys_u, acc_keys)),
+                np.concatenate((vals_u, acc_vals), dtype=self.value_dtype),
+                add,
+            )
 
         def _merge_kernel(config):
-            with np.errstate(invalid="ignore", over="ignore"):
-                vals = merge_accumulate(
-                    union_keys, keys_u, vals_u, acc_keys, acc_vals, add, zero,
-                    self.value_dtype,
-                )
-            return self._emit(shape, *coo_from_keys(union_keys), vals)
+            return self._emit(shape, *coo_from_keys(keys_u), vals_u)
 
         _merge_kernel.__name__ = "generic_merge_accumulate_into"
-        return self.stream.launch(_merge_kernel, grid_1d(max(1, union_keys.size), 256))
+        return self.stream.launch(_merge_kernel, grid_1d(max(1, keys_u.size), 256))
 
     def ewise_add(self, a, b, *, semiring=None):
-        s, add, _, zero = self._resolve_ops(semiring)
+        s, add, _, _ = self._resolve_ops(semiring)
         self._check_same_shape("ewise_add", a, b)
         key_a, vals_a = self._keys_values(a)
         key_b, vals_b = self._keys_values(b)
 
         def _merge_kernel(config):
             """Merge with ⊕-combination at coincident coordinates."""
-            keys = np.concatenate([key_a, key_b])
-            vals = np.concatenate(
-                [
-                    vals_a.astype(self.value_dtype),
-                    vals_b.astype(self.value_dtype),
-                ]
-            )
+            keys = np.concatenate((key_a, key_b))
+            vals = np.concatenate((vals_a, vals_b), dtype=self.value_dtype)
             with np.errstate(invalid="ignore", over="ignore"):
-                return self._segment_reduce(keys, vals, add, zero)
+                return fold_runs(keys, vals, add)
 
         _merge_kernel.__name__ = "generic_merge_add"
         keys_u, vals_u = self.stream.launch(
@@ -314,12 +272,7 @@ class GenericBackend(Backend):
             # Gather both value planes at the shared coordinates.
             pa = np.searchsorted(key_a, keys)
             pb = np.searchsorted(key_b, keys)
-            with np.errstate(invalid="ignore", over="ignore"):
-                va, vb = vals_a[pa], vals_b[pb]
-                vals = (va * vb if mul is None else mul(va, vb)).astype(
-                    self.value_dtype
-                )
-            return keys, vals
+            return keys, self._times(mul, vals_a[pa], vals_b[pb])
 
         _kernel.__name__ = "generic_intersect_multiply"
         keys, vals = self.stream.launch(
@@ -332,30 +285,20 @@ class GenericBackend(Backend):
         sa: ValCsr = a.storage
         sb: ValCsr = b.storage
         shape = (a.nrows * b.nrows, a.ncols * b.ncols)
-        a_rows = rows_from_rowptr(sa.rowptr)
-        b_rows = rows_from_rowptr(sb.rowptr)
 
         def _kernel(config):
-            out_rows, out_cols = common.kron_coo(
-                a_rows, sa.cols, sa.rowptr, b_rows, sb.cols, sb.shape, sb.rowptr
+            # The boolean Kronecker emission, plus ⊗ of both value planes
+            # gathered at its pairs.
+            rows, cols, a_idx, b_idx = common.kron_emission(
+                sa.cols, sa.rowptr, sb.cols, sb.shape, sb.rowptr
             )
-            # Pairwise value products in emission order: the kron_coo
-            # emission enumerates (a-entry, b-entry) pairs as
-            # (i, k, a_local, b_local); reconstruct the same gather.
-            # Recompute the gather indices to stay in lockstep.
-            return out_rows, out_cols
+            return rows, cols, self._times(mul, sa.values[a_idx], sb.values[b_idx])
 
         _kernel.__name__ = "generic_kron"
-        out_rows, out_cols = self.stream.launch(
+        rows, cols, values = self.stream.launch(
             _kernel, grid_1d(max(1, sa.nnz * sb.nnz), 256)
         )
-        # Values: kron emission order is (i, k, j-local, l-local); the
-        # value of each output entry is a_val ⊗ b_val for the generating
-        # pair.  Recover via the same index arithmetic used by kron_coo.
-        values = _kron_values(sa, sb, self.value_dtype, mul)
-        return self._emit(
-            shape, out_rows.astype(np.int64), out_cols.astype(np.int64), values
-        )
+        return self._emit(shape, rows, cols, values)
 
     def kron_accumulate(self, a, b, accumulate, *, semiring=None):
         # Value-carrying CSR composes (the Backend default); ``None``
@@ -402,57 +345,22 @@ class GenericBackend(Backend):
         sa: ValCsr = a.storage
 
         def _kernel(config):
+            if not isinstance(add, np.ufunc):
+                return fold_runs(rows_from_rowptr(sa.rowptr), sa.values, add)
+            # A ufunc ⊕ reduces each row as the dense reference's
+            # ``add.reduce`` does (pairwise for ``np.add``).
             lens = np.diff(sa.rowptr.astype(np.int64))
             nz = np.nonzero(lens > 0)[0]
             if not nz.size:
                 return nz, np.empty(0, dtype=self.value_dtype)
             starts = sa.rowptr.astype(np.int64)[nz]
-            if isinstance(add, np.ufunc):
-                with np.errstate(invalid="ignore", over="ignore"):
-                    sums = add.reduceat(sa.values, starts)
-            else:
-                sums = np.empty(nz.size, dtype=self.value_dtype)
-                ends = np.append(starts[1:], sa.values.size)
-                for si in range(nz.size):
-                    acc = sa.values[starts[si]]
-                    for v in sa.values[starts[si] + 1 : ends[si]]:
-                        acc = add(acc, v)
-                    sums[si] = acc
-            return nz, sums
+            with np.errstate(invalid="ignore", over="ignore"):
+                return nz, add.reduceat(sa.values, starts)
 
         _kernel.__name__ = "generic_reduce_sum"
         nz_rows, sums = self.stream.launch(_kernel, grid_1d(max(1, a.nrows), 256))
         zeros = np.zeros(nz_rows.size, dtype=np.int64)
-        return self._emit(
-            (a.nrows, 1), nz_rows.astype(np.int64), zeros, np.asarray(sums, self.value_dtype)
-        )
-
-
-def _kron_values(sa: ValCsr, sb: ValCsr, dtype, mul=None) -> np.ndarray:
-    """Value plane of the Kronecker product in canonical emission order."""
-    from repro.utils.arrays import concat_ranges, segment_ids
-
-    a_lens = np.diff(sa.rowptr.astype(np.int64))
-    b_lens = np.diff(sb.rowptr.astype(np.int64))
-    m, p = a_lens.size, b_lens.size
-    if sa.nnz == 0 or sb.nnz == 0:
-        return np.empty(0, dtype=dtype)
-    k_row_lens = np.multiply.outer(a_lens, b_lens).ravel()
-    total = int(k_row_lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=dtype)
-    t = concat_ranges(np.zeros(m * p, dtype=np.int64), k_row_lens)
-    r = segment_ids(k_row_lens)
-    i = r // p
-    k = r % p
-    lb = b_lens[k]
-    a_local = t // lb
-    b_local = t - a_local * lb
-    a_idx = sa.rowptr.astype(np.int64)[i] + a_local
-    b_idx = sb.rowptr.astype(np.int64)[k] + b_local
-    va, vb = sa.values[a_idx], sb.values[b_idx]
-    with np.errstate(invalid="ignore", over="ignore"):
-        return (va * vb if mul is None else mul(va, vb)).astype(dtype)
+        return self._emit((a.nrows, 1), nz_rows.astype(np.int64), zeros, sums)
 
 
 register_backend("generic", lambda device=None: GenericBackend(device=device))

@@ -55,8 +55,8 @@ class Semiring:
     ``add_ufunc``
         The raw :class:`numpy.ufunc` behind ``add`` when one exists
         (``np.minimum``, ``np.add``, ...).  Sparse kernels use its
-        ``.at`` scatter / ``.reduceat`` segment forms; ``None`` falls
-        back to a per-segment Python reduction.
+        ``.at`` scatter / ``.reduceat`` segment forms; ``None`` folds
+        through ``add`` itself, one vectorized call per run position.
     """
 
     name: str

@@ -19,6 +19,7 @@ from repro.formats.base import SparseFormat, checked_coo
 from repro.utils.arrays import (
     INDEX_DTYPE,
     coo_from_keys,
+    fold_runs,
     is_sorted_unique,
     keys_from_coo,
     rows_from_rowptr,
@@ -69,20 +70,16 @@ class ValCsr(SparseFormat):
         values=None,
         *,
         dtype=VALUE_DTYPE,
-        combine: np.ufunc | None = None,
+        combine=None,
     ) -> "ValCsr":
         """Build from coordinates; duplicate coordinates combine their
-        values with ``combine`` (default ``np.add`` — the plus-times
-        behaviour; booleans never exercise it with saturating inputs but
-        the baseline must pay for supporting it).  ``combine`` must be a
-        ufunc (its ``.at`` scatter form does the segment reduction); a
-        duplicate run folds left to right in input order — min-plus
+        values with ``combine``, any binary callable over value arrays
+        (default ``np.add`` — the plus-times behaviour; booleans never
+        exercise it with saturating inputs but the baseline must pay
+        for supporting it).  A duplicate run folds left to right in
+        input order from its first value (:func:`fold_runs`) — min-plus
         passes ``np.minimum`` so duplicate edges keep the lightest
-        weight.  Canonical input keeps its values untouched.
-
-        Non-canonical input is ordered by a *stable* argsort of the
-        packed pair keys, so coincident values fold in the same order a
-        stable lexsort of the pairs would give."""
+        weight.  Canonical input keeps its values untouched."""
         rows, cols = checked_coo(rows, cols, shape)
         if values is None:
             values = np.ones(rows.size, dtype=dtype)
@@ -92,19 +89,8 @@ class ValCsr(SparseFormat):
                 raise InvalidArgumentError("values must match coordinate count")
         keys = keys_from_coo(rows, cols)
         if not is_sorted_unique(keys):
-            order = np.argsort(keys, kind="stable")
-            keys, values = keys[order], values[order]
-            # Fold each run of equal keys into its first value (scatter-reduce).
-            first = np.empty(keys.size, dtype=bool)
-            first[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            seg_idx = np.cumsum(first) - 1
-            folded = values[first]
-            (np.add if combine is None else combine).at(
-                folded, seg_idx[~first], values[~first]
-            )
-            rows, cols = coo_from_keys(keys[first])
-            values = folded
+            keys, values = fold_runs(keys, values, np.add if combine is None else combine)
+            rows, cols = coo_from_keys(keys)
         rowptr = rowptr_from_sorted_rows(rows, int(shape[0]))
         return cls(shape, rowptr, cols, values)
 

@@ -145,6 +145,50 @@ def merge_union(key_a: np.ndarray, key_b: np.ndarray) -> np.ndarray:
     return dedupe_sorted_keys(merge_sorted_keys(key_a, key_b))
 
 
+#: ⊕ ufuncs with a float seed ``e`` for which ``e ⊕ x`` is ``x`` bit for
+#: bit, signed zeros and NaN included (``0.0 + -0.0`` is ``+0.0``, so
+#: ``np.add`` needs ``-0.0``).
+_FOLD_SEEDS = {np.add: -0.0, np.multiply: 1.0, np.minimum: np.inf, np.maximum: -np.inf}
+
+
+def fold_runs(keys: np.ndarray, values: np.ndarray, add) -> tuple[np.ndarray, np.ndarray]:
+    """The valued run-merge: sorted distinct ``keys`` and, per key, the
+    ⊕-fold of its values.
+
+    A stable sort by key, then each run of equal keys folds left to
+    right in input order from its first value, ``(v0 ⊕ v1) ⊕ v2 ...``,
+    for any binary ``add`` over value arrays.  Concatenated sorted
+    streams therefore combine in stream order (timsort merges the runs
+    in one linear pass).  A ⊕ in ``_FOLD_SEEDS`` on a float plane
+    scatters with ``add.at`` from its bitwise identity — the same
+    sequential fold; any other ⊕ combines the j-th value of every run
+    still that long, one round per position.  Never ``reduceat``: its
+    ``np.add`` sums pairwise.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    if keys.size == 0:
+        return keys, values
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    seed = None
+    if isinstance(add, np.ufunc) and values.dtype.kind == "f":
+        seed = _FOLD_SEEDS.get(add)
+    if seed is not None:
+        run = np.cumsum(first) - 1
+        folded = np.full(int(run[-1]) + 1, seed, dtype=values.dtype)
+        add.at(folded, run, values)
+        return keys[first], folded
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=keys.size)
+    folded = values[starts]
+    for j in range(1, int(lengths.max())):
+        live = np.flatnonzero(lengths > j)
+        folded[live] = add(folded[live], values[starts[live] + j])
+    return keys[starts], folded
+
+
 def in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     """Boolean mask: which ``keys`` occur in the sorted ``sorted_keys``.
 

@@ -138,7 +138,7 @@ def test_codec_matches_set_reference(a, b, layout, floats):
     m.validate()
     assert _pairs(*m.to_coo_arrays()) == short
     values = np.array(floats[: rows.size], dtype=np.float32)
-    for combine in (np.add, np.minimum):
+    for combine in (np.add, np.minimum, lambda x, y: np.maximum(x, y)):
         m = ValCsr.from_coo(rows, cols, (8, 2**32), values, combine=combine)
         m.validate()
         want_pairs, want_values = _valcsr_reference(rows, cols, values, combine)

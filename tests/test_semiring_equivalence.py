@@ -7,7 +7,8 @@ friends — including the fused ``accumulate=`` merge (aliased, the
 fixpoint shape ``C ← C ⊕ C·C``) and the structural-complement
 ``mask=``.  Dense images use the semiring's ⊕-identity for absent
 entries, so pattern differences that matter show up as value
-differences.
+differences.  One unregistered semiring whose ⊕ is a plain callable,
+not a ufunc, rides along (the registry is global).
 """
 
 from __future__ import annotations
@@ -15,11 +16,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.backends import get_backend
-from repro.core.semiring import available_semirings, get_semiring
+from repro.core.semiring import Semiring, available_semirings, get_semiring
 
 BACKENDS = ("generic", "generic64")
-SEMIRINGS = tuple(available_semirings())
+
+#: max-times with a lambda ⊕: no ``add_ufunc``, so every ⊕-fold takes
+#: the callable path.
+MAX_TIMES_CALLABLE = Semiring(
+    name="max-times-callable",
+    dtype=np.dtype(np.float64),
+    add=lambda a, b: np.maximum(a, b),
+    mul=np.multiply,
+    zero=0.0,
+    one=1.0,
+    add_reduce=np.maximum.reduce,
+)
+SEMIRINGS = (*available_semirings(), MAX_TIMES_CALLABLE.name)
 
 #: Value ranges that keep every registered algebra well-conditioned:
 #: positive, away from float32 cancellation, inside [0, 1] for
@@ -31,7 +45,14 @@ _VALUE_RANGES = {
     "plus-times": (0.5, 2.0),
     "min-plus": (0.1, 5.0),
     "max-times": (0.1, 1.0),
+    "max-times-callable": (0.1, 1.0),
 }
+
+
+def _semiring(name):
+    if name == MAX_TIMES_CALLABLE.name:
+        return MAX_TIMES_CALLABLE
+    return get_semiring(name)
 
 
 def _random_dense(rng, shape, density, s):
@@ -79,7 +100,7 @@ class TestSemiringEquivalence:
     """Each registered semiring, each op, sparse ≡ dense reference."""
 
     def test_mxm(self, be, name):
-        s = get_semiring(name)
+        s = _semiring(name)
         rng = np.random.default_rng(hash(name) % 2**32)
         da = _random_dense(rng, (17, 13), 0.3, s)
         db = _random_dense(rng, (13, 19), 0.3, s)
@@ -93,7 +114,7 @@ class TestSemiringEquivalence:
 
     def test_mxm_accumulate_aliased(self, be, name):
         """The fixpoint shape ``C ← C ⊕ C·C`` with C aliased three ways."""
-        s = get_semiring(name)
+        s = _semiring(name)
         rng = np.random.default_rng(hash(name) % 2**32 + 1)
         dc = _random_dense(rng, (15, 15), 0.25, s)
         prod = s.mxm_dense(_ref_cast(s, dc), _ref_cast(s, dc))
@@ -108,7 +129,7 @@ class TestSemiringEquivalence:
     def test_mxm_masked(self, be, name):
         """``mask=`` is a structural complement: masked coordinates are
         dropped from the product (⊕-identity in the dense image)."""
-        s = get_semiring(name)
+        s = _semiring(name)
         rng = np.random.default_rng(hash(name) % 2**32 + 2)
         da = _random_dense(rng, (12, 12), 0.3, s)
         db = _random_dense(rng, (12, 12), 0.3, s)
@@ -123,7 +144,7 @@ class TestSemiringEquivalence:
         _assert_close(got, want, be)
 
     def test_ewise_add(self, be, name):
-        s = get_semiring(name)
+        s = _semiring(name)
         rng = np.random.default_rng(hash(name) % 2**32 + 3)
         da = _random_dense(rng, (14, 11), 0.3, s)
         db = _random_dense(rng, (14, 11), 0.3, s)
@@ -138,7 +159,7 @@ class TestSemiringEquivalence:
         _assert_close(got, want, be)
 
     def test_ewise_mult(self, be, name):
-        s = get_semiring(name)
+        s = _semiring(name)
         rng = np.random.default_rng(hash(name) % 2**32 + 4)
         da = _random_dense(rng, (14, 11), 0.4, s)
         db = _random_dense(rng, (14, 11), 0.4, s)
@@ -154,7 +175,7 @@ class TestSemiringEquivalence:
         _assert_close(got, want, be)
 
     def test_reduce_to_column(self, be, name):
-        s = get_semiring(name)
+        s = _semiring(name)
         rng = np.random.default_rng(hash(name) % 2**32 + 5)
         da = _random_dense(rng, (16, 9), 0.3, s)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -170,7 +191,7 @@ class TestSemiringEquivalence:
 
     def test_from_coo_duplicates_combine(self, be, name):
         """Duplicate coordinates ⊕-combine at construction."""
-        s = get_semiring(name)
+        s = _semiring(name)
         rows = np.array([0, 0, 1], dtype=np.int64)
         cols = np.array([1, 1, 2], dtype=np.int64)
         lo, hi = _VALUE_RANGES.get(s.name, (0.5, 2.0))
@@ -212,3 +233,24 @@ def test_boolean_image_matches_pattern_backends():
         h.free()
     for h in (pa, pb, pout):
         h.free()
+
+
+def test_callable_add_on_hybrid_value_route():
+    """A non-ufunc ⊕ through ``Context(backend="hybrid")``'s value
+    route: duplicate construction, then ``C ⊕ C·C``, against the dense
+    reference."""
+    s = MAX_TIMES_CALLABLE
+    be = repro.Context(backend="hybrid").backend
+    rows = np.array([0, 0, 1, 2, 2, 0], dtype=np.int64)
+    cols = np.array([1, 1, 2, 0, 0, 1], dtype=np.int64)
+    vals = np.array([0.2, 0.7, 0.5, 0.9, 0.3, 0.4])
+    dense = np.zeros((3, 3))
+    np.maximum.at(dense, (rows, cols), vals)
+    c = be.matrix_from_coo_values(rows, cols, (3, 3), vals, semiring=s)
+    assert np.array_equal(_to_dense(be, c, (3, 3), s), dense)
+    out = be.mxm(c, c, accumulate=c, semiring=s)
+    assert be.dispatch_counts["mxm"]["value"] == 1
+    want = s.ewise_add_dense(s.mxm_dense(dense, dense), dense)
+    assert np.array_equal(_to_dense(be, out, (3, 3), s), want)
+    c.free()
+    out.free()

@@ -11,6 +11,7 @@ from repro.utils.arrays import (
     coo_from_keys,
     dedupe_sorted_keys,
     exclusive_scan,
+    fold_runs,
     is_sorted_unique,
     keys_from_coo,
     row_lengths_from_ptr,
@@ -88,6 +89,49 @@ class TestPairs:
         keys = keys_from_coo([0, 0, 5], [3, 9, 0])
         assert is_sorted_unique(keys)
         assert sort_unique_keys(keys) is keys
+
+
+def _fold_reference(keys, values, add):
+    """Per key, in input order, fold from the first value."""
+    out: dict = {}
+    for k, v in zip(keys.tolist(), values):
+        out[k] = v if k not in out else add(out[k], v)
+    ks = sorted(out)
+    return np.array(ks), np.array([out[k] for k in ks], dtype=values.dtype)
+
+
+class TestFoldRuns:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("add", [np.add, np.multiply, np.minimum, np.maximum])
+    def test_seeded_ufunc_is_the_sequential_fold(self, add, dtype):
+        """The identity-seeded scatter equals a fold from each run's
+        first value bit for bit: signed zeros, infinities and NaN."""
+        rng = np.random.default_rng(7)
+        keys = rng.integers(0, 40, 300).astype(np.uint64)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25])
+        values = np.where(
+            rng.random(300) < 0.4, rng.choice(special, 300), rng.normal(size=300)
+        ).astype(dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = fold_runs(keys, values, add)
+            want = _fold_reference(keys, values, add)
+            via_callable = fold_runs(keys, values, lambda a, b: add(a, b))
+        for k, v in (want, via_callable):
+            assert got[0].tolist() == k.tolist()
+            assert got[1].tobytes() == v.tobytes()
+
+    def test_callable_folds_left_to_right(self):
+        """A non-commutative ⊕ shows the order: stable by key, then
+        ``(v0 ⊕ v1) ⊕ v2`` within each run."""
+        keys = np.array([3, 1, 3, 1, 3, 2], dtype=np.uint64)
+        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        k, v = fold_runs(keys, values, lambda a, b: 2 * a + b)
+        assert k.tolist() == [1, 2, 3]
+        assert v.tolist() == [8.0, 6.0, 15.0]
+
+    def test_empty(self):
+        k, v = fold_runs(np.empty(0, np.uint64), np.empty(0, np.float32), np.add)
+        assert k.size == 0 and v.size == 0 and v.dtype == np.float32
 
 
 class TestConcatRanges:
