@@ -41,26 +41,36 @@ def transitive_closure(
 
     Returns a new matrix ``C`` with ``C[u, v] = 1`` iff there is a path
     from ``u`` to ``v`` of length ≥ 1 (or ≥ 0 with ``reflexive=True``).
+    Whatever raises, every matrix the function owns is freed before the
+    exception leaves, as in :func:`seminaive`.
     """
     _check_square(adjacency, "transitive_closure")
     ctx = adjacency.context
-    if reflexive:
-        eye = ctx.identity(adjacency.nrows)
-        current = adjacency.ewise_add(eye)
-        eye.free()
-    else:
-        current = adjacency.dup()
+    eye = current = step = None
+    try:
+        if reflexive:
+            eye = ctx.identity(adjacency.nrows)
+            current = adjacency.ewise_add(eye)
+            eye.free()
+            eye = None
+        else:
+            current = adjacency.dup()
 
-    # The fixpoint hint lets the hybrid backend keep densifying
-    # intermediates resident in bit-packed form across iterations.
-    with ctx.backend.fixpoint():
-        while True:
-            step = current.mxm(current, accumulate=current)
-            if step.nnz == current.nnz:
-                step.free()
-                return current
-            current.free()
-            current = step
+        # The fixpoint hint lets the hybrid backend keep densifying
+        # intermediates resident in bit-packed form across iterations.
+        with ctx.backend.fixpoint():
+            while True:
+                step = current.mxm(current, accumulate=current)
+                if step.nnz == current.nnz:
+                    step.free()
+                    return current
+                current.free()
+                current, step = step, None
+    except BaseException:
+        for owned in (eye, current, step):
+            if owned is not None:
+                owned.free()
+        raise
 
 
 def seminaive(total: Matrix, step, *, frontier: Matrix | None = None, cancel=None):

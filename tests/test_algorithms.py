@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import repro
 from repro.algorithms import (
     bfs_levels,
     connected_components,
@@ -13,9 +14,9 @@ from repro.algorithms import (
     transitive_closure,
     triangle_count,
 )
-from repro.errors import InvalidArgumentError
+from repro.errors import DeviceMemoryError, InvalidArgumentError
 
-from .conftest import random_dense
+from .conftest import FailingAlloc, random_dense
 
 
 def nx_closure(d: np.ndarray) -> np.ndarray:
@@ -79,6 +80,31 @@ class TestClosure:
         a = g.adjacency_union(ctx)
         c = transitive_closure(a)
         assert c.nnz == 20 * 19 // 2  # all (i, j) with i < j
+
+
+    @pytest.mark.parametrize("reflexive", [False, True], ids=["strict", "reflexive"])
+    def test_failed_allocation_frees_its_matrices(self, rng, reflexive):
+        """Whichever arena allocation fails, the error leaves nothing
+        charged while its traceback is still held."""
+        # Pure sparse whatever REPRO_HYBRID says: every injected failure
+        # must raise (the hybrid route may absorb one by falling back).
+        ctx = repro.Context(backend="cubool", hybrid=False)
+        a = ctx.matrix_from_dense(random_dense(rng, (30, 30), 0.05))
+        arena = ctx.device.arena
+        alloc = arena.alloc
+        arena.alloc = counting = FailingAlloc(alloc, 0)
+        transitive_closure(a, reflexive=reflexive).free()
+        baseline = arena.live_bytes
+        try:
+            for k in range(1, counting.calls + 1):
+                arena.alloc = FailingAlloc(alloc, k)
+                with pytest.raises(DeviceMemoryError) as info:
+                    transitive_closure(a, reflexive=reflexive)
+                assert arena.live_bytes == baseline, (k, info.value)
+        finally:
+            arena.alloc = alloc
+        a.free()
+        ctx.finalize()
 
 
 class TestIncrementalClosure:
