@@ -10,8 +10,10 @@ formulation):
    shared-memory hash tables — the key memory-behaviour difference the
    benchmarks measure).
 2. **Sort** — radix-sort the packed ``row << 32 | col`` keys.
-3. **Compaction** — boolean saturation collapses duplicates; the
-   exact-sized output is then allocated and filled.
+3. **Compaction** — boolean saturation collapses duplicates; a
+   complement mask drops its keys and an accumulator merges its own
+   (``C ∨= (A · B) ∧ ¬M``); the exact-sized output is then allocated
+   and filled.
 
 A CSR-style row pointer for B is built as a scratch step (one histogram
 + scan) to drive the expansion gather; clBool does the same bucketing on
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.common import bool_spgemm_keys, emit_coo, scratch
+from repro.backends.common import bool_spgemm_keys, emit_coo, masked_union, scratch
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
 from repro.gpu.stream import Stream
@@ -45,11 +47,16 @@ def spgemm_boolean_coo(
     b_shape: tuple[int, int],
     b_rows: np.ndarray,
     b_cols: np.ndarray,
+    *,
+    mask: np.ndarray | None = None,
+    accumulate: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    """Boolean product ``C = A · B`` in COO via ESC.
+    """Boolean product ``C = accumulate ∨ ((A · B) ∧ ¬mask)`` in COO via
+    ESC.
 
     Returns ``(rows, cols, buffers)``; arrays alias device buffers whose
-    ownership passes to the caller.
+    ownership passes to the caller.  ``mask`` and ``accumulate`` are the
+    sorted keys of those operands' entries (``None``: absent).
     """
     m_b = int(b_shape[0])
     # Scratch: B row pointer (histogram + exclusive scan on device).
@@ -81,5 +88,6 @@ def spgemm_boolean_coo(
 
                 _record_kernel.__name__ = name
                 stream.launch(_record_kernel, grid_1d(max(1, total), 256))
+            keys = masked_union(keys, mask, accumulate)
             buffers = emit_coo(device.arena, *coo_from_keys(keys))
     return buffers[0].data, buffers[1].data, buffers

@@ -29,15 +29,19 @@ def kron_csr(
     b_shape: tuple[int, int],
     b_rowptr: np.ndarray,
     b_cols: np.ndarray,
+    accumulate: np.ndarray | None = None,
 ) -> list[DeviceBuffer]:
-    """Kronecker product in CSR; output is emitted directly in canonical
-    order (no sort), sized exactly ``nnz(A) * nnz(B)``."""
+    """Kronecker product in CSR, ``accumulate ∨ (A ⊗ B)`` when the
+    accumulator's sorted keys are given.  The product is emitted in
+    canonical order (no sort), so without an accumulator the output is
+    sized exactly ``nnz(A) * nnz(B)``; with one, its keys merge into
+    the emission before the output is sized."""
     a_rows = rows_from_rowptr(a_rowptr)
     b_rows = rows_from_rowptr(b_rowptr)
 
     def _kernel(config):
         return common.kron_coo(
-            a_rows, a_cols, a_rowptr, b_rows, b_cols, b_shape, b_rowptr
+            a_rows, a_cols, a_rowptr, b_rows, b_cols, b_shape, b_rowptr, accumulate
         )
 
     _kernel.__name__ = "kron_index_arithmetic"

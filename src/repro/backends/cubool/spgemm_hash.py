@@ -21,7 +21,11 @@ values by cuBool):
    from device global memory (accounted in the arena).
 4. **Emit phase** — per-row table occupancy gives exact row sizes; the
    output ``cols`` array is allocated exactly and filled with each
-   row's sorted unique columns.
+   row's sorted unique columns.  A complement mask and an accumulator
+   (``C ∨= (A · B) ∧ ¬M``) enter here: the two-pass emission reads
+   their rows from the operands' resident buffers, drops the masked
+   columns and merges the accumulator's before sizing the output, so
+   the product is never a separate matrix.
 
 The executor does not simulate the probe race.  A table's contents
 after the hash phase are the row's distinct candidate columns, so each
@@ -29,15 +33,22 @@ launch computes its chunk of rows through the one boolean core,
 :func:`repro.backends.common.bool_spgemm_keys`, which is what reading
 the chunk's tables back in column order yields.  What stays cuBool's own
 is the launch plan: the bins, the chunks, one launch per chunk with the
-bin's block size, the arena charge for global-bin tables, and the
-two-pass exact output (:func:`repro.backends.common.emit_csr`).
+bin's block size, the arena charge for global-bin tables (sized on the
+product's upper bound alone), and the two-pass exact output
+(:func:`repro.backends.common.masked_union`, then
+:func:`repro.backends.common.emit_csr`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.common import bool_spgemm_keys, emit_csr, spgemm_upper_bound
+from repro.backends.common import (
+    bool_spgemm_keys,
+    emit_csr,
+    masked_union,
+    spgemm_upper_bound,
+)
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
 from repro.gpu.stream import Stream
@@ -80,11 +91,16 @@ def spgemm_boolean_csr(
     *,
     bin_bounds: tuple[int, ...] = DEFAULT_BIN_BOUNDS,
     use_binning: bool = True,
+    mask: np.ndarray | None = None,
+    accumulate: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    """Compute the boolean product ``C = A · B`` in CSR.
+    """Compute the boolean product ``C = accumulate ∨ ((A · B) ∧ ¬mask)``
+    in CSR.
 
     Returns ``(rowptr, cols, buffers)`` where the arrays alias device
     buffers listed in ``buffers`` (ownership passes to the caller).
+    ``mask`` and ``accumulate`` are the sorted keys of those operands'
+    entries (``None``: no mask, nothing to accumulate).
 
     ``use_binning=False`` routes every non-empty row through a single
     global-memory table configuration — the ablation baseline showing
@@ -149,8 +165,10 @@ def spgemm_boolean_csr(
         _run_bin(big, int(ub[big].max()), shared=False)
 
     # Exact output allocation: the chunks are sorted runs of disjoint
-    # rows, so one stable (run-merging) sort orders them.
+    # rows, so one stable (run-merging) sort orders them; then the mask
+    # and the accumulator, and one emission.
     keys = np.concatenate(chunk_keys) if chunk_keys else np.empty(0, np.uint64)
     keys.sort(kind="stable")
+    keys = masked_union(keys, mask, accumulate)
     buffers = emit_csr(device.arena, int(a_shape[0]), *coo_from_keys(keys))
     return buffers[0].data, buffers[1].data, buffers

@@ -840,12 +840,7 @@ class HybridBackend(Backend):
         s = self._resolve_semiring(semiring)
         self._check_mxm_shapes(a, b)
         out_shape = (a.nrows, b.ncols)
-        if accumulate is not None and accumulate.shape != out_shape:
-            raise DimensionMismatchError(
-                "mxm-accumulate", accumulate.shape, out_shape
-            )
-        if mask is not None and mask.shape != out_shape:
-            raise DimensionMismatchError("mxm-mask", mask.shape, out_shape)
+        self._check_product_operands(out_shape, accumulate, mask)
         if not s.is_boolean:
             # Caches a value *view* on the mask wrapper; the mask pattern
             # itself stays untouched (same idiom as _ensure_bit below).
@@ -948,7 +943,9 @@ class HybridBackend(Backend):
         self._record_kernel("kron", "flat", time.perf_counter() - started)
         return HybridMatrix(self, bit=BackendMatrix(out, self, [buf]))
 
-    def kron(self, a, b, *, semiring=None):
+    def kron(self, a, b, *, semiring=None, accumulate=None):
+        if accumulate is not None:
+            return self.kron_accumulate(a, b, accumulate, semiring=semiring)
         s = self._resolve_semiring(semiring)
         if not s.is_boolean:
             return self._value_op("kron", s, a, b)

@@ -45,6 +45,35 @@ class TestMxm:
         out = make(ctx, a).mxm(make(ctx, b), accumulate=make(ctx, c))
         assert np.array_equal(out.to_dense(), bool_mxm(a, b) | c)
 
+    @pytest.mark.parametrize("m,k,n", SHAPES)
+    @pytest.mark.parametrize("density", DENSITIES)
+    def test_mask_accumulate_matches_oracle(self, ctx, rng, m, k, n, density):
+        """``accumulate ∨ ((A·B) ∧ ¬mask)``: mask only, mask with
+        accumulate, and the fixpoint shape with one handle in all four
+        places."""
+        a = random_dense(rng, (m, k), density)
+        b = random_dense(rng, (k, n), density)
+        mask = random_dense(rng, (m, n), max(density, 0.3))
+        acc = random_dense(rng, (m, n), density)
+        c = random_dense(rng, (m, m), density)
+        ha, hb, hmask, hacc, hc = (make(ctx, x) for x in (a, b, mask, acc, c))
+        product = bool_mxm(a, b)
+        out = ha.mxm(hb, mask=hmask)
+        assert np.array_equal(out.to_dense(), product & ~mask)
+        out = ha.mxm(hb, accumulate=hacc, mask=hmask)
+        assert np.array_equal(out.to_dense(), (product & ~mask) | acc)
+        out = hc.mxm(hc, accumulate=hc, mask=hc)
+        assert np.array_equal(out.to_dense(), bool_mxm(c, c) | c)
+        # Operands are never mutated.
+        for handle, dense in ((hacc, acc), (hmask, mask), (hc, c)):
+            assert np.array_equal(handle.to_dense(), dense)
+
+    def test_mask_shape_mismatch(self, ctx):
+        a = ctx.matrix_empty((2, 3))
+        b = ctx.matrix_empty((3, 4))
+        with pytest.raises(DimensionMismatchError):
+            a.mxm(b, mask=ctx.matrix_empty((2, 3)))
+
     def test_shape_mismatch(self, ctx):
         with pytest.raises(DimensionMismatchError):
             ctx.matrix_empty((2, 3)).mxm(ctx.matrix_empty((4, 5)))
@@ -129,6 +158,19 @@ class TestKron:
         out = make(ctx, a).kron(ctx.matrix_empty((2, 2)))
         assert out.nnz == 0
         assert out.shape == (6, 6)
+
+    def test_accumulate_matches_numpy(self, ctx, rng):
+        a = random_dense(rng, (4, 3), 0.4)
+        b = random_dense(rng, (3, 5), 0.4)
+        c = random_dense(rng, (12, 15), 0.1)
+        hc = make(ctx, c)
+        out = make(ctx, a).kron(make(ctx, b), accumulate=hc)
+        assert np.array_equal(out.to_dense(), np.kron(a, b) | c)
+        assert np.array_equal(hc.to_dense(), c)
+
+    def test_accumulate_shape_mismatch(self, ctx):
+        with pytest.raises(DimensionMismatchError):
+            ctx.identity(2).kron(ctx.identity(3), accumulate=ctx.matrix_empty((6, 5)))
 
     def test_identity_kron_identity(self, ctx):
         out = ctx.identity(3).kron(ctx.identity(4))
@@ -226,6 +268,8 @@ EXHAUSTION_OPS = {
     "mxm_mask_accumulate": lambda be, h: be.mxm(
         h["a"], h["b"], accumulate=h["c"], mask=h["c"]
     ),
+    "mxm_aliased": lambda be, h: be.mxm(h["a"], h["a"], accumulate=h["a"], mask=h["a"]),
+    "kron_accumulate": lambda be, h: be.kron_accumulate(h["k"], h["k"], h["kk"]),
     "ewise_add": lambda be, h: be.ewise_add(h["a"], h["b"]),
     "ewise_mult": lambda be, h: be.ewise_mult(h["a"], h["b"]),
     "kron": lambda be, h: be.kron(h["k"], h["k"]),
@@ -246,6 +290,7 @@ def test_arena_exhaustion_releases_partial_allocations(backend, op, rng):
         "b": random_dense(rng, (60, 60), 0.1),
         "c": random_dense(rng, (60, 60), 0.05),
         "k": random_dense(rng, (8, 8), 0.3),
+        "kk": random_dense(rng, (64, 64), 0.05),
     }
     handles = {k: be.matrix_from_dense(v) for k, v in dense.items()}
     arena = be.device.arena
