@@ -254,3 +254,37 @@ def test_callable_add_on_hybrid_value_route():
     assert np.array_equal(_to_dense(be, out, (3, 3), s), want)
     c.free()
     out.free()
+
+
+@pytest.mark.parametrize("name", ["max-times", MAX_TIMES_CALLABLE.name])
+def test_values_absorbed_by_the_identity_are_rejected(be, name):
+    """An absent entry stands for the ⊕-identity, so a stored value
+    ``v`` with ``v ⊕ zero != v`` is outside the domain: under max-times
+    a −1.29 would be 0 in the dense reference (``max(−1.29, 0)``) but
+    −1.29 after a one-sided sparse ``ewise_add``.  Both constructors
+    refuse it, before any device allocation."""
+    s = _semiring(name)
+    dense = np.array([[0.0, -1.29], [0.5, 0.0]])
+    with pytest.raises(repro.InvalidArgumentError, match="outside the domain"):
+        be.matrix_from_dense_values(dense, semiring=s)
+    with pytest.raises(repro.InvalidArgumentError, match="outside the domain"):
+        be.matrix_from_coo_values([0, 1], [1, 0], (2, 2), [-1.29, 0.5], semiring=s)
+    assert be.device.arena.live_bytes == 0
+
+
+def test_hybrid_value_route_rejects_absorbed_values():
+    be = repro.Context(backend="hybrid").backend
+    with pytest.raises(repro.InvalidArgumentError, match="outside the domain"):
+        be.matrix_from_coo_values([0], [1], (2, 2), [-1.29], semiring="max-times")
+
+
+@pytest.mark.parametrize("name", ["plus-times", "min-plus"])
+def test_identity_never_absorbs_plus_times_or_min_plus(name):
+    """``v + 0 == v`` and ``min(v, inf) == v`` for every v: negative
+    weights stay legal where the algebra allows them."""
+    s = get_semiring(name)
+    be = get_backend("generic64")
+    dense = np.array([[s.zero, -1.29], [-3.5, s.zero]])
+    m = be.matrix_from_dense_values(dense, semiring=s)
+    assert np.array_equal(_to_dense(be, m, (2, 2), s), dense)
+    m.free()
