@@ -167,8 +167,7 @@ class Backend(abc.ABC):
         ``None`` means the library's native boolean algebra; strings are
         registry lookups.  On a :attr:`boolean_only` backend a value
         semiring is rejected here, *before* any kernel runs (callers
-        route value algebras through the generic or hybrid backend
-        instead).
+        route value algebras through the generic backend instead).
         """
         if semiring is None:
             return BOOL_OR_AND
@@ -183,7 +182,7 @@ class Backend(abc.ABC):
             raise InvalidArgumentError(
                 f"backend {self.name!r} is pattern-only and supports only "
                 f"boolean semirings; {semiring.name!r} needs the generic "
-                f"(valcsr) or hybrid backend"
+                f"(valcsr) backend"
             )
         return semiring
 

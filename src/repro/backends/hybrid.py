@@ -16,6 +16,13 @@ are lazy and cached on the matrix handle (:class:`HybridMatrix` holds
 *both* a sparse and a bit view), so a fixpoint loop pays packing once
 and stays resident in bit form while its intermediates densify.
 
+The views are pattern-only: bit words cannot carry min-plus distances
+or plus-times counts, so the dispatcher is :attr:`boolean_only` like
+the backends it wraps.  A boolean ``semiring=`` (an explicit
+``"bool-or-and"`` included) routes byte-identically to the default; a
+value semiring is rejected before any kernel runs.  Value algebras have
+one executor, the generic backend (:mod:`repro.backends.generic`).
+
 Cost model
 ----------
 Costs are in *word-op units* (one uint64 ALU op on the simulated
@@ -51,24 +58,6 @@ zero-tile-skipping win on block-structured operands.  Kernel choices
 and per-kernel wall time land in ``kernel_counts`` / ``kernel_times``
 (E14 and the service stats).
 
-Semiring routing
-----------------
-The boolean fast path above is *pattern-only*: bit words cannot carry
-min-plus distances or plus-times counts.  Every op therefore resolves
-its ``semiring=`` first — boolean semirings (``BOOL_OR_AND`` or any
-registered ``is_boolean`` algebra) take the sparse/bit machinery
-unchanged (an explicit ``semiring="bool-or-and"`` routes byte-identically
-to the default), while value semirings dispatch to a lazily-created
-:class:`~repro.backends.generic.GenericBackend` sharing this device's
-arena, one per value dtype.  Value results stay resident as a third
-cached view on the handle (``HybridMatrix.value``) so fixpoint loops
-(min-plus APSP squaring) never round-trip through a pattern; a pattern
-operand entering a value op converts with every stored entry set to the
-semiring's ⊗-identity.  Value semirings have exactly one executor, so
-there is nothing to price: value dispatches land in ``dispatch_counts``
-as ``"value"`` and their kernel time in ``kernel_counts`` /
-``kernel_times`` keyed ``generic:<semiring name>``.
-
 Policy switches
 ---------------
 ``REPRO_HYBRID`` env var (read at :class:`~repro.core.context.Context`
@@ -87,13 +76,12 @@ import os
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.locktrace import make_lock
 from repro.backends.base import Backend, BackendMatrix, get_backend, register_backend
-from repro.backends.generic import GenericBackend
 from repro.errors import DimensionMismatchError, InvalidArgumentError
 from repro.formats.bitmatrix import (
     _FR_GROUP_ROWS,
@@ -103,7 +91,6 @@ from repro.formats.bitmatrix import (
     BitMatrix,
     _words_per_row,
 )
-from repro.core.semiring import PLUS_TIMES
 from repro.formats.tiled import DEFAULT_TILE, TiledBitMatrix, scratch_shapes
 from repro.gpu.device import Device
 
@@ -238,13 +225,10 @@ class HybridMatrix(BackendMatrix):
     fixpoint loop converts each operand at most once.  ``tiled`` is an
     optional :class:`TiledBitMatrix` over the *same* arena words as the
     bit view (zero-copy — only the presence bitmap is extra), cached the
-    same way for the tiled kernels' occupancy lookups.  ``value`` is an
-    optional generic-backend (valcsr) handle carrying semiring values —
-    the result residency of the value-semiring route; pattern views of
-    a value-resident matrix are its structural skeleton.
+    same way for the tiled kernels' occupancy lookups.
     """
 
-    __slots__ = ("sparse", "bit", "tiled", "value", "_nnz")
+    __slots__ = ("sparse", "bit", "tiled", "_nnz")
 
     def __init__(
         self,
@@ -252,16 +236,14 @@ class HybridMatrix(BackendMatrix):
         sparse: BackendMatrix | None = None,
         bit: BackendMatrix | None = None,
         tiled: TiledBitMatrix | None = None,
-        value: BackendMatrix | None = None,
     ):
-        if sparse is None and bit is None and value is None:
+        if sparse is None and bit is None:
             raise InvalidArgumentError("hybrid matrix needs at least one view")
         if tiled is not None and bit is None:
             raise InvalidArgumentError("tiled view requires the bit view")
         self.sparse = sparse
         self.bit = bit
         self.tiled = tiled
-        self.value = value
         self.backend = backend
         self.buffers = []
         self._freed = False
@@ -272,8 +254,6 @@ class HybridMatrix(BackendMatrix):
     @property
     def storage(self):
         primary = self.sparse if self.sparse is not None else self.bit
-        if primary is None:
-            primary = self.value
         return primary.storage if primary is not None else None
 
     @storage.setter
@@ -294,14 +274,11 @@ class HybridMatrix(BackendMatrix):
 
     @property
     def resident(self) -> str:
-        """Which views are materialized: "sparse", "bit", "value" or
-        "both" (sparse + bit)."""
+        """Which views are materialized: "sparse", "bit" or "both"."""
         self._check_alive()
         if self.sparse is not None and self.bit is not None:
             return "both"
-        if self.sparse is not None:
-            return "sparse"
-        return "bit" if self.bit is not None else "value"
+        return "sparse" if self.sparse is not None else "bit"
 
     def memory_bytes(self) -> int:
         """Footprint of every materialized view (model bytes)."""
@@ -313,8 +290,6 @@ class HybridMatrix(BackendMatrix):
             total += self.bit.storage.memory_bytes()
         if self.tiled is not None:
             total += self.tiled.present.nbytes
-        if self.value is not None:
-            total += self.value.storage.memory_bytes()
         return total
 
     def free(self) -> None:
@@ -322,12 +297,11 @@ class HybridMatrix(BackendMatrix):
             return
         self._freed = True
         self.tiled = None
-        for view in (self.sparse, self.bit, self.value):
+        for view in (self.sparse, self.bit):
             if view is not None:
                 view.free()
         self.sparse = None
         self.bit = None
-        self.value = None
 
 
 class HybridBackend(Backend):
@@ -335,6 +309,7 @@ class HybridBackend(Backend):
 
     name = "hybrid"
     format_kind = "hybrid"
+    boolean_only = True
 
     def __init__(
         self,
@@ -353,7 +328,7 @@ class HybridBackend(Backend):
         #: every scheduler worker of a QueryService, and the counters
         #: are read-modify-write.  Never held across a kernel call.
         self._telemetry_lock = make_lock("HybridBackend._telemetry_lock")
-        #: op -> Counter of route decisions ("sparse"/"bit"/"value"),
+        #: op -> Counter of route decisions ("sparse"/"bit"),
         #: for the ablation benchmark and tests.
         self.dispatch_counts: dict[str, Counter] = {}  # guarded-by: _telemetry_lock
         #: op -> Counter of bit-kernel choices (mxm "blocked" /
@@ -363,10 +338,6 @@ class HybridBackend(Backend):
         #: op -> kernel -> accumulated wall seconds, the per-route
         #: timing telemetry surfaced by the service tier and selftest.
         self.kernel_times: dict[str, dict[str, float]] = {}  # guarded-by: _telemetry_lock
-        #: value dtype str -> GenericBackend executing value semirings
-        #: on this device's arena (created lazily, kept for the session
-        #: so value results stay addressable).
-        self._value_backends: dict[str, GenericBackend] = {}
         #: A fixpoint region is a property of the calling thread: one
         #: scheduler worker's closure must not bias another's routing.
         self._fixpoint = threading.local()
@@ -584,11 +555,8 @@ class HybridBackend(Backend):
 
     def _ensure_sparse(self, m: HybridMatrix) -> BackendMatrix:
         if m.sparse is None:
-            # Value-only handles re-enter the pattern world through
-            # their structural skeleton (every stored entry is present).
-            storage = (m.bit if m.bit is not None else m.value).storage
-            rows, cols = storage.to_coo_arrays()
-            m.sparse = self.inner.matrix_from_coo(rows, cols, storage.shape)
+            rows, cols = m.bit.storage.to_coo_arrays()
+            m.sparse = self.inner.matrix_from_coo(rows, cols, m.shape)
         return m.sparse
 
     def _ensure_bit(self, m: HybridMatrix) -> BackendMatrix:
@@ -597,42 +565,6 @@ class HybridBackend(Backend):
             rows, cols = storage.to_coo_arrays()
             m.bit = self._adopt_bit(BitMatrix.from_coo(rows, cols, storage.shape))
         return m.bit
-
-    def _value_backend(self, s) -> GenericBackend:
-        """Lazily-created valcsr executor for value semirings, one per
-        value dtype, sharing this backend's device (and so its arena
-        accounting)."""
-        key = np.dtype(s.dtype).str
-        be = self._value_backends.get(key)
-        if be is None:
-            be = GenericBackend(device=self.device, value_dtype=s.dtype)
-            self._value_backends[key] = be
-        return be
-
-    def _ensure_value(self, m: HybridMatrix, be: GenericBackend, s) -> BackendMatrix:
-        """Cached valcsr view of ``m`` on the value backend ``be``.
-
-        A pattern-resident operand converts with every stored entry set
-        to the semiring's ⊗-identity ("edge present, weight ``one``" —
-        min-plus hop counting, plus-times path counting); a
-        value-resident one keeps its values, rebuilt only when a
-        different value dtype is requested.
-        """
-        if m.value is not None:
-            if m.value.storage.values.dtype == be.value_dtype:
-                return m.value
-            rows, cols, values = m.value.backend.matrix_to_coo_values(m.value)
-            stale = m.value
-            m.value = be.matrix_from_coo_values(
-                rows, cols, m.shape, values, semiring=s
-            )
-            stale.free()
-            return m.value
-        storage = (m.sparse if m.sparse is not None else m.bit).storage
-        rows, cols = storage.to_coo_arrays()
-        values = np.full(rows.size, s.one, dtype=be.value_dtype)
-        m.value = be.matrix_from_coo_values(rows, cols, m.shape, values, semiring=s)
-        return m.value
 
     def _ensure_tiled(self, m: HybridMatrix) -> TiledBitMatrix:
         """Cached tiled view over ``m``'s bit words (zero-copy wrap plus
@@ -755,30 +687,6 @@ class HybridBackend(Backend):
         self._record_route(op, decision)
         return decision, kernel
 
-    def _value_op(
-        self, method: str, s, *operands, op: str | None = None, be=None
-    ) -> HybridMatrix:
-        """Run a value-semiring op on the generic executor.
-
-        ``method`` of ``be`` (default: the executor for ``s``'s dtype)
-        is called on the cached valcsr views of ``operands`` (``None``
-        stays ``None``); the dispatch is recorded as ``"value"`` under
-        ``op`` (default ``method``) and the wall time under the
-        ``generic:<semiring>`` kernel bucket.  The result stays
-        value-resident.
-        """
-        op = op or method
-        self._record_route(op, "value")
-        if be is None:
-            be = self._value_backend(s)
-        views = [
-            None if m is None else self._ensure_value(m, be, s) for m in operands
-        ]
-        started = time.perf_counter()
-        out = getattr(be, method)(*views, semiring=s)
-        self._record_kernel(op, f"generic:{s.name}", time.perf_counter() - started)
-        return HybridMatrix(self, value=out)
-
     def _bit_fits(self, extra_bytes: int) -> bool:
         arena = self.device.arena
         budget = MAX_ARENA_FRACTION * arena.capacity_bytes
@@ -792,33 +700,6 @@ class HybridBackend(Backend):
     def matrix_empty(self, shape):
         return self._wrap_sparse(self.inner.matrix_empty(shape))
 
-    def matrix_from_coo_values(self, rows, cols, shape, values, *, semiring=None):
-        """Create a value-resident matrix (generic/valcsr storage).
-
-        ``semiring`` defaults to plus-times like the generic backend's
-        own creation surface; boolean semirings degrade to the pattern
-        of the nonzero values (bit words cannot carry weights).
-        """
-        s = self._resolve_semiring(PLUS_TIMES if semiring is None else semiring)
-        if s.is_boolean:
-            values = np.asarray(values)
-            keep = values != 0
-            return self.matrix_from_coo(
-                np.asarray(rows)[keep], np.asarray(cols)[keep], shape
-            )
-        be = self._value_backend(s)
-        return HybridMatrix(
-            self, value=be.matrix_from_coo_values(rows, cols, shape, values, semiring=s)
-        )
-
-    def matrix_to_coo_values(self, m: HybridMatrix):
-        """(rows, cols, values) — implicit ones for pattern residents."""
-        m._check_alive()
-        if m.value is not None:
-            return m.value.backend.matrix_to_coo_values(m.value)
-        rows, cols = m.storage.to_coo_arrays()
-        return rows, cols, np.ones(rows.size, dtype=np.float32)
-
     def identity(self, n: int):
         return self._wrap_sparse(self.inner.identity(n))
 
@@ -828,23 +709,16 @@ class HybridBackend(Backend):
             self,
             sparse=self.inner.duplicate(m.sparse) if m.sparse is not None else None,
             bit=self._adopt_bit(m.bit.storage.copy()) if m.bit is not None else None,
-            value=(
-                m.value.backend.duplicate(m.value) if m.value is not None else None
-            ),
         )
         return out
 
     # -- operations --------------------------------------------------------
 
     def mxm(self, a, b, accumulate=None, mask=None, *, semiring=None):
-        s = self._resolve_semiring(semiring)
+        self._resolve_semiring(semiring)
         self._check_mxm_shapes(a, b)
         out_shape = (a.nrows, b.ncols)
         self._check_product_operands(out_shape, accumulate, mask)
-        if not s.is_boolean:
-            # Caches a value *view* on the mask wrapper; the mask pattern
-            # itself stays untouched (same idiom as _ensure_bit below).
-            return self._value_op("mxm", s, a, b, accumulate, mask)
         route, kernel = self._route("mxm", a, b)
         if route == "bit":
             resident = a.bit is not None and b.bit is not None
@@ -897,10 +771,8 @@ class HybridBackend(Backend):
         )
 
     def ewise_add(self, a, b, *, semiring=None):
-        s = self._resolve_semiring(semiring)
+        self._resolve_semiring(semiring)
         self._check_same_shape("ewise_add", a, b)
-        if not s.is_boolean:
-            return self._value_op("ewise_add", s, a, b)
         if self._route("ewise_add", a, b)[0] == "bit":
             return self._wrap_bit(
                 self._ensure_bit(a).storage.ewise_or(self._ensure_bit(b).storage)
@@ -910,10 +782,8 @@ class HybridBackend(Backend):
         )
 
     def ewise_mult(self, a, b, *, semiring=None):
-        s = self._resolve_semiring(semiring)
+        self._resolve_semiring(semiring)
         self._check_same_shape("ewise_mult", a, b)
-        if not s.is_boolean:
-            return self._value_op("ewise_mult", s, a, b)
         if self._route("ewise_mult", a, b)[0] == "bit":
             return self._wrap_bit(
                 self._ensure_bit(a).storage.ewise_and(self._ensure_bit(b).storage)
@@ -946,9 +816,7 @@ class HybridBackend(Backend):
     def kron(self, a, b, *, semiring=None, accumulate=None):
         if accumulate is not None:
             return self.kron_accumulate(a, b, accumulate, semiring=semiring)
-        s = self._resolve_semiring(semiring)
-        if not s.is_boolean:
-            return self._value_op("kron", s, a, b)
+        self._resolve_semiring(semiring)
         if self._route("kron", a, b)[0] == "bit":
             return self._bit_kron(a, b)
         return self._wrap_sparse(
@@ -956,12 +824,8 @@ class HybridBackend(Backend):
         )
 
     def kron_accumulate(self, a, b, accumulate, *, semiring=None):
-        s = self._resolve_semiring(semiring)
+        self._resolve_semiring(semiring)
         self._check_kron_accumulate(a, b, accumulate)
-        if not s.is_boolean:
-            return self._value_op(
-                "kron_accumulate", s, a, b, accumulate, op="kron"
-            )
         if self._route("kron", a, b)[0] == "bit":
             return self._bit_kron(a, b, accumulate)
         return self._wrap_sparse(
@@ -974,11 +838,7 @@ class HybridBackend(Backend):
 
     def _stay_resident(self, a: HybridMatrix) -> str:
         """Route format-preserving ops (transpose, extract): stay in the
-        resident format — a conversion would dominate either kernel.
-        Value-only handles always stay on the value route: forcing them
-        through a pattern view would silently drop their values."""
-        if a.sparse is None and a.bit is None:
-            return "value"
+        resident format — a conversion would dominate either kernel."""
         if self.policy.mode == "bit":
             return "bit"
         if self.policy.mode == "sparse":
@@ -988,8 +848,6 @@ class HybridBackend(Backend):
     def transpose(self, a):
         decision = self._stay_resident(a)
         self._record_route("transpose", decision)
-        if decision == "value":
-            return HybridMatrix(self, value=a.value.backend.transpose(a.value))
         if decision == "bit":
             # Arena-accounted out-parameter form: output words and the
             # 64x64 tile workspace are arena buffers, and the source is
@@ -1015,11 +873,6 @@ class HybridBackend(Backend):
         self._check_submatrix(a, i, j, nrows, ncols)
         decision = self._stay_resident(a)
         self._record_route("extract", decision)
-        if decision == "value":
-            return HybridMatrix(
-                self,
-                value=a.value.backend.extract_submatrix(a.value, i, j, nrows, ncols),
-            )
         if decision == "bit":
             # Same arena-accounted contract as transpose above.
             src: BitMatrix = self._ensure_bit(a).storage
@@ -1031,16 +884,7 @@ class HybridBackend(Backend):
         )
 
     def reduce_to_column(self, a, *, semiring=None):
-        s = self._resolve_semiring(semiring)
-        if not s.is_boolean:
-            return self._value_op("reduce_to_column", s, a, op="reduce")
-        if a.sparse is None and a.bit is None:
-            # Boolean reduce of a value-resident matrix: stay on its own
-            # executor, whose reduce has the same pattern (non-empty
-            # rows) — converting would drop the values.
-            return self._value_op(
-                "reduce_to_column", s, a, op="reduce", be=a.value.backend
-            )
+        self._resolve_semiring(semiring)
         decision = self._stay_resident(a)
         self._record_route("reduce", decision)
         if decision == "bit":
@@ -1063,20 +907,9 @@ class HybridBackend(Backend):
         )
 
 
-def wrap_backend(
-    inner: Backend,
-    *,
-    mode: str = "auto",
-    crossover_density: float | None = None,
-) -> HybridBackend:
-    """Wrap an existing sparse backend instance in a hybrid dispatcher.
-
-    ``crossover_density=None`` keeps the policy default.
-    """
-    policy = HybridPolicy(mode=mode)
-    if crossover_density is not None:
-        policy = replace(policy, crossover_density=crossover_density)
-    return HybridBackend(inner=inner, policy=policy)
+def wrap_backend(inner: Backend, *, mode: str = "auto") -> HybridBackend:
+    """Wrap an existing sparse backend instance in a hybrid dispatcher."""
+    return HybridBackend(inner=inner, policy=HybridPolicy(mode=mode))
 
 
 register_backend("hybrid", lambda device=None: HybridBackend(device=device))

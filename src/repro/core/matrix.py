@@ -177,7 +177,8 @@ class Matrix:
         is the convergence test of the incremental engines
         (:mod:`repro.incr`).  ``semiring`` is a
         :class:`~repro.core.semiring.Semiring` or registered name; value
-        semirings need a value-capable backend (generic or hybrid)."""
+        semirings need the generic backend (``Context(backend="generic")``);
+        the pattern-only backends, hybrid included, reject them."""
         acc = self._peer(accumulate, "mxm") if accumulate is not None else None
         msk = self._peer(mask, "mxm") if mask is not None else None
         out = self._ctx.backend.mxm(

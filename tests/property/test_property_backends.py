@@ -109,30 +109,31 @@ def test_transpose_involution_and_product_law(a):
 @settings(max_examples=25, deadline=None)
 @given(dense_bool(), st.data())
 def test_backends_equivalent(a, data):
-    """All backends compute identical patterns for every operation."""
+    """Every backend, cpu included, computes each operation's dense
+    NumPy pattern (no backend is another's oracle)."""
     b = data.draw(dense_bool(rows=st.just(a.shape[1]), cols=st.integers(1, 10)))
     e = data.draw(dense_bool(rows=st.just(a.shape[0]), cols=st.just(a.shape[1])))
-    results = {}
+    want = (
+        (a.astype(np.int64) @ b.astype(np.int64)) > 0,
+        a | e,
+        a.T,
+        np.kron(a, e),
+        a.any(axis=1),
+    )
     for name in available_backends():
         ctx = ctx_for(name)
         ma = ctx.matrix_from_dense(a)
         mb = ctx.matrix_from_dense(b)
         me = ctx.matrix_from_dense(e)
-        results[name] = (
-            (ma @ mb).to_arrays(),
-            (ma | me).to_arrays(),
-            ma.T.to_arrays(),
-            ma.kron(me).to_arrays(),
-            ma.reduce_to_vector().to_indices(),
+        got = (
+            (ma @ mb).to_dense(),
+            (ma | me).to_dense(),
+            ma.T.to_dense(),
+            ma.kron(me).to_dense(),
+            ma.reduce_to_vector().to_dense(),
         )
-    base = results["cpu"]
-    for name, got in results.items():
-        for idx, (ref_part, got_part) in enumerate(zip(base, got)):
-            if isinstance(ref_part, tuple):
-                assert np.array_equal(ref_part[0], got_part[0]), (name, idx)
-                assert np.array_equal(ref_part[1], got_part[1]), (name, idx)
-            else:
-                assert np.array_equal(ref_part, got_part), (name, idx)
+        for idx, (ref_part, got_part) in enumerate(zip(want, got)):
+            assert np.array_equal(ref_part, got_part), (name, idx)
 
 
 @settings(max_examples=30, deadline=None)

@@ -586,10 +586,14 @@ class TestAutotune:
 class TestWrap:
     def test_wrap_backend_helper(self):
         inner = get_backend("clbool")
-        hybrid = wrap_backend(inner, mode="auto", crossover_density=0.03)
+        hybrid = wrap_backend(inner, mode="bit")
         assert hybrid.inner is inner
-        assert hybrid.policy.crossover_density == 0.03
+        assert hybrid.policy == HybridPolicy(mode="bit")
         assert hybrid.device is inner.device
+        # The threshold is Context(hybrid_threshold=)'s, applied after
+        # wrapping (test_threshold_kwarg).
+        with pytest.raises(TypeError):
+            wrap_backend(inner, crossover_density=0.03)
 
     def test_clbool_inner_agrees(self):
         ctx_h = repro.Context(backend="clbool", hybrid="bit")

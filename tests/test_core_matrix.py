@@ -97,7 +97,8 @@ class TestIntrospection:
 
 
 class TestAuto:
-    def test_auto_context_backends(self):
+    def test_auto_context_backends(self, monkeypatch):
+        monkeypatch.delenv("REPRO_HYBRID", raising=False)
         assert repro.Context.auto().backend_name == "cubool"
         assert repro.Context.auto(prefer_memory=True).backend_name == "clbool"
 

@@ -68,16 +68,20 @@ class TestScc:
 
 
 class TestTrace:
-    def test_events_cover_launches(self, cubool_ctx, rng):
-        m = cubool_ctx.matrix_from_dense(random_dense(rng, (30, 30), 0.2))
+    def test_events_cover_launches(self, rng):
+        # Plain cuBool whatever REPRO_HYBRID says: the hybrid dispatcher
+        # would route the dense product to the bit kernels.
+        ctx = repro.Context(backend="cubool", hybrid=False)
+        m = ctx.matrix_from_dense(random_dense(rng, (30, 30), 0.2))
         m.mxm(m).free()
         m.ewise_add(m).free()
-        doc = device_trace(cubool_ctx.device)
+        doc = device_trace(ctx.device)
         kernel_events = [e for e in doc["traceEvents"] if e.get("cat") == "kernel"]
-        assert len(kernel_events) == cubool_ctx.device.counters.kernel_launches
+        assert len(kernel_events) == ctx.device.counters.kernel_launches
         names = {e["name"] for e in kernel_events}
         assert any("spgemm" in n for n in names)
         assert any("merge_path" in n for n in names)
+        ctx.finalize()
 
     def test_event_fields(self, cubool_ctx, rng):
         m = cubool_ctx.matrix_from_dense(random_dense(rng, (10, 10), 0.3))

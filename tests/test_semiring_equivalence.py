@@ -235,25 +235,58 @@ def test_boolean_image_matches_pattern_backends():
         h.free()
 
 
-def test_callable_add_on_hybrid_value_route():
-    """A non-ufunc ⊕ through ``Context(backend="hybrid")``'s value
-    route: duplicate construction, then ``C ⊕ C·C``, against the dense
-    reference."""
-    s = MAX_TIMES_CALLABLE
-    be = repro.Context(backend="hybrid").backend
-    rows = np.array([0, 0, 1, 2, 2, 0], dtype=np.int64)
-    cols = np.array([1, 1, 2, 0, 0, 1], dtype=np.int64)
-    vals = np.array([0.2, 0.7, 0.5, 0.9, 0.3, 0.4])
-    dense = np.zeros((3, 3))
-    np.maximum.at(dense, (rows, cols), vals)
-    c = be.matrix_from_coo_values(rows, cols, (3, 3), vals, semiring=s)
-    assert np.array_equal(_to_dense(be, c, (3, 3), s), dense)
-    out = be.mxm(c, c, accumulate=c, semiring=s)
-    assert be.dispatch_counts["mxm"]["value"] == 1
-    want = s.ewise_add_dense(s.mxm_dense(dense, dense), dense)
-    assert np.array_equal(_to_dense(be, out, (3, 3), s), want)
-    c.free()
-    out.free()
+#: Every pattern-only context: both device backends plain and under
+#: each hybrid mode, and the registered hybrid backend.
+PATTERN_CONTEXTS = [
+    *(
+        pytest.param({"backend": b, "hybrid": h}, id=f"{b}-hybrid={h}")
+        for b in ("cubool", "clbool")
+        for h in (False, "auto", "bit", "sparse")
+    ),
+    pytest.param({"backend": "hybrid"}, id="hybrid"),
+]
+
+
+@pytest.mark.parametrize("kwargs", PATTERN_CONTEXTS)
+def test_pattern_only_contexts_reject_value_semirings(kwargs):
+    """Value algebras have one executor, the generic backend: every
+    pattern-only context, whatever its hybrid dispatch, refuses them
+    before any allocation, and still runs the boolean algebra against
+    dense NumPy."""
+    ctx = repro.Context(**kwargs)
+    be = ctx.backend
+    rng = np.random.default_rng(0x40)
+    da = rng.random((10, 10)) < 0.2
+    db = rng.random((10, 10)) < 0.2
+    ma, mb = ctx.matrix_from_dense(da), ctx.matrix_from_dense(db)
+    a, b = ma.handle, mb.handle
+    ops = {
+        "mxm": (
+            lambda s: be.mxm(a, b, semiring=s),
+            (da.astype(np.int64) @ db.astype(np.int64)) > 0,
+        ),
+        "ewise_add": (lambda s: be.ewise_add(a, b, semiring=s), da | db),
+        "ewise_mult": (lambda s: be.ewise_mult(a, b, semiring=s), da & db),
+        "kron": (lambda s: be.kron(a, b, semiring=s), np.kron(da, db)),
+        "reduce_to_column": (
+            lambda s: be.reduce_to_column(a, semiring=s),
+            da.any(axis=1)[:, None],
+        ),
+    }
+    arena = be.device.arena
+    before = arena.live_bytes
+    for name, (call, _) in ops.items():
+        with pytest.raises(repro.InvalidArgumentError, match="generic"):
+            call("min-plus")
+        assert arena.live_bytes == before, name
+    for name, (call, want) in ops.items():
+        out = call("bool-or-and")
+        rows, cols = be.matrix_to_coo(out)
+        out.free()
+        got = np.zeros(want.shape, dtype=bool)
+        got[rows, cols] = True
+        assert np.array_equal(got, want), name
+    ctx.finalize()
 
 
 @pytest.mark.parametrize("name", ["max-times", MAX_TIMES_CALLABLE.name])
@@ -270,12 +303,6 @@ def test_values_absorbed_by_the_identity_are_rejected(be, name):
     with pytest.raises(repro.InvalidArgumentError, match="outside the domain"):
         be.matrix_from_coo_values([0, 1], [1, 0], (2, 2), [-1.29, 0.5], semiring=s)
     assert be.device.arena.live_bytes == 0
-
-
-def test_hybrid_value_route_rejects_absorbed_values():
-    be = repro.Context(backend="hybrid").backend
-    with pytest.raises(repro.InvalidArgumentError, match="outside the domain"):
-        be.matrix_from_coo_values([0], [1], (2, 2), [-1.29], semiring="max-times")
 
 
 @pytest.mark.parametrize("name", ["plus-times", "min-plus"])

@@ -304,14 +304,18 @@ class TestPlanCache:
 
 
 class TestGraphStore:
-    def test_register_and_get(self, graph, cubool_ctx):
-        store = GraphStore(cubool_ctx)
+    def test_register_and_get(self, graph):
+        # Plain cuBool whatever REPRO_HYBRID says: a hybrid context would
+        # pin every label "both".
+        ctx = repro.Context(backend="cubool", hybrid=False)
+        store = GraphStore(ctx)
         handle = store.register("g", graph)
         assert store.get("g") is handle
         assert "g" in store and "missing" not in store
         assert set(handle.matrices) == set(graph.labels)
         assert handle.formats == {label: "sparse" for label in graph.labels}
         store.clear()
+        ctx.finalize()
 
     def test_unknown_graph(self, cubool_ctx):
         store = GraphStore(cubool_ctx)
