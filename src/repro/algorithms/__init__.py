@@ -1,20 +1,16 @@
-"""Graph algorithms on the sparse boolean API (S9).
+"""Graph algorithms the paper's applications run on the sparse API (S9).
 
-These are the GraphBLAS-style "algorithms as linear algebra" building
-blocks the paper positions SPbLA for: transitive closure (the CFPQ
-engine's core loop and the paper's stated complexity bottleneck), BFS,
-multi-source reachability, connected components, and triangle counting.
+Transitive closure is the CFPQ and RPQ engines' core loop and the
+paper's stated complexity bottleneck; min-plus shortest paths serve the
+query service's ``dist`` kind.  Other algorithms (BFS, components,
+triangle counting, ...) are clients of the operations, as in GraphBLAS,
+and are not shipped: no workload, paper table or entry point used them.
 """
 
 from repro.algorithms.closure import (
     incremental_transitive_closure,
     transitive_closure,
 )
-from repro.algorithms.bfs import bfs_levels
-from repro.algorithms.reachability import reachable_from, reachable_pairs
-from repro.algorithms.components import connected_components
-from repro.algorithms.triangles import triangle_count
-from repro.algorithms.scc import condensation, strongly_connected_components
 from repro.algorithms.shortest_paths import (
     all_pairs_shortest_paths,
     single_source_shortest_paths,
@@ -23,15 +19,8 @@ from repro.algorithms.shortest_paths import (
 
 __all__ = [
     "all_pairs_shortest_paths",
-    "bfs_levels",
-    "condensation",
-    "connected_components",
     "incremental_transitive_closure",
-    "reachable_from",
-    "reachable_pairs",
     "single_source_shortest_paths",
-    "strongly_connected_components",
     "transitive_closure",
-    "triangle_count",
     "weight_matrix",
 ]

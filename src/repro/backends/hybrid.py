@@ -36,12 +36,13 @@ device).  For ``C = A·B`` with ``A: m x k``, ``B: k x n``:
   tiny), scaled by ``alpha``, the measured per-product overhead of
   hashing/sorting relative to a word op.
 
-``alpha`` is derived from the configured crossover density ``d*`` so the
-two costs break even for a square equal-density multiply exactly at
-``d*``: ``alpha = 1 / (64 * d*^2)``.  ``d* = 0.02`` is a constant of the
-simulated executor, not a per-host measurement: on the layered
-benchmark's calibration grid it misroutes 0 of 10 cells where a
-startup probe's value misrouted 4 of 10 (E11), so there is no probe.
+``alpha`` is derived from the crossover density ``d*`` so the two costs
+break even for a square equal-density multiply exactly at ``d*``:
+``alpha = 1 / (64 * d*^2)``.  ``d* = CROSSOVER_DENSITY = 0.02`` is a
+constant of the simulated executor, not a per-host measurement or a
+knob: on the layered benchmark's calibration grid it misroutes 0 of 10
+cells where a startup probe's value misrouted 4 of 10 (E11), so there
+is no probe.
 
 Each product is decided once.  :meth:`HybridBackend._mxm_kernel` builds
 one table of the bit kernels that could run it — flat blocked, flat
@@ -64,8 +65,7 @@ Policy switches
 creation): ``0``/unset — pure sparse path, byte-identical to the
 wrapped backend; ``1``/``auto`` — adaptive dispatch; ``bit`` /
 ``sparse`` — force one regime (used by the agreement tests).  The same
-knobs are available programmatically via ``Context(hybrid=...,
-hybrid_threshold=...)``.
+modes are available programmatically via ``Context(hybrid=...)``.
 """
 
 from __future__ import annotations
@@ -94,10 +94,14 @@ from repro.formats.bitmatrix import (
 from repro.formats.tiled import DEFAULT_TILE, TiledBitMatrix, scratch_shapes
 from repro.gpu.device import Device
 
+#: Density at which sparse and bit multiply break even for a square,
+#: equal-density operand pair.  Calibrates SpGEMM's per-product cost,
+#: ``1 / (64 * d*^2)`` word ops, and the service's ``auto`` residency.
+CROSSOVER_DENSITY = 0.02
 #: Calibrated per-element sparse-kernel overheads, in word-op units.
 #: (Merge-path add and index-arithmetic kron move a few words per output
 #: element; SpGEMM's per-product constant is derived from the crossover
-#: density instead — see HybridPolicy.spgemm_flop_cost.)
+#: density instead — see CROSSOVER_DENSITY.)
 EWISE_SPARSE_COST = 4.0
 KRON_SPARSE_COST = 6.0
 #: Word-op cost per *output word* of the bit kron.  The fused
@@ -168,34 +172,21 @@ class HybridPolicy:
     mode:
         ``"auto"`` — cost-model dispatch; ``"sparse"`` / ``"bit"`` —
         force one regime (ablation / agreement testing).
-    crossover_density:
-        Density at which sparse and bit multiply break even for a
-        square, equal-density operand pair; calibrates the sparse
-        per-product cost (see module docstring).
 
-    The bit kernels themselves are not policy: the cost table always
-    offers the tiled rows (``DEFAULT_TILE``-bit tiles) and Four-Russians
-    from ``FOUR_RUSSIANS_MIN_ROWS`` output rows up; fixpoint hysteresis
-    and the arena budget are the ``FIXPOINT_BIAS`` and
-    ``MAX_ARENA_FRACTION`` constants.
+    Nothing else is policy: the crossover is ``CROSSOVER_DENSITY``, the
+    cost table always offers the tiled rows (``DEFAULT_TILE``-bit tiles)
+    and Four-Russians from ``FOUR_RUSSIANS_MIN_ROWS`` output rows up;
+    fixpoint hysteresis and the arena budget are the ``FIXPOINT_BIAS``
+    and ``MAX_ARENA_FRACTION`` constants.
     """
 
     mode: str = "auto"
-    crossover_density: float = 0.02
 
     def __post_init__(self):
         if self.mode not in ("auto", "sparse", "bit"):
             raise InvalidArgumentError(
                 f"hybrid mode {self.mode!r} not in ('auto', 'sparse', 'bit')"
             )
-        if not 0.0 < self.crossover_density <= 1.0:
-            raise InvalidArgumentError("crossover_density must be in (0, 1]")
-
-    @property
-    def spgemm_flop_cost(self) -> float:
-        """Sparse per-product cost (word-op units) implied by the
-        crossover density: ``1 / (64 * d*^2)``."""
-        return 1.0 / (WORD_BITS * self.crossover_density**2)
 
 
 @dataclass
@@ -634,7 +625,6 @@ class HybridBackend(Backend):
             raise InvalidArgumentError(f"no cost model for op {op!r}")
         if b is None:
             raise InvalidArgumentError(f"{op} cost model needs both operands")
-        pol = self.policy
         conv_a, bytes_a = self._conversion_cost(a)
         conv_b, bytes_b = self._conversion_cost(b)
         a_nnz, b_nnz = a.nnz, b.nnz
@@ -647,7 +637,7 @@ class HybridBackend(Backend):
             # gather), so a huge-closure × one-edge-frontier product is
             # O(nnz(closure)), not O(flops) — without this term the
             # incremental fixpoints' asymmetric products misroute sparse.
-            sparse = pol.spgemm_flop_cost * (flops + a_nnz + b_nnz)
+            sparse = 1.0 / (WORD_BITS * CROSSOVER_DENSITY**2) * (flops + a_nnz + b_nnz)
             # Tile skipping is credited before the route is chosen: at
             # the flat kernel's full m*k word count a few-tile operand
             # would be handed to sparse.
@@ -902,8 +892,7 @@ class HybridBackend(Backend):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"HybridBackend(inner={self.inner.name!r}, "
-            f"mode={self.policy.mode!r}, "
-            f"crossover={self.policy.crossover_density})"
+            f"mode={self.policy.mode!r})"
         )
 
 

@@ -42,10 +42,11 @@ class Context:
         pure sparse path (byte identical to the unwrapped backend);
         ``True``/``"auto"`` enables cost-model dispatch;
         ``"bit"``/``"sparse"`` force one regime.  An explicit mode also
-        applies to ``backend="hybrid"``.
-    hybrid_threshold:
-        Crossover density calibrating the hybrid cost model (see
-        :class:`repro.backends.hybrid.HybridPolicy`).
+        applies to ``backend="hybrid"``.  An explicit value that cannot
+        apply — a mode on a backend the dispatcher does not wrap, or off
+        on ``backend="hybrid"`` — raises :class:`InvalidArgumentError`.
+        The crossover density is the constant
+        :data:`repro.backends.hybrid.CROSSOVER_DENSITY`.
     """
 
     def __init__(
@@ -54,24 +55,29 @@ class Context:
         device: Device | None = None,
         *,
         hybrid: bool | str | None = None,
-        hybrid_threshold: float | None = None,
     ):
         from repro.backends.hybrid import HybridBackend, resolve_hybrid_mode, wrap_backend
 
         self._backend: Backend = get_backend(backend, device=device)
         mode = resolve_hybrid_mode(hybrid)
-        if mode is not None and backend in ("cubool", "clbool"):
-            self._backend = wrap_backend(self._backend, mode=mode)
         if isinstance(self._backend, HybridBackend):
-            # Only what the caller spelled out overrides the policy: an
-            # env-selected mode must not re-mode an explicit
-            # backend="hybrid" context.
-            explicit = {}
-            if hybrid is not None and mode is not None:
-                explicit["mode"] = mode
-            if hybrid_threshold is not None:
-                explicit["crossover_density"] = hybrid_threshold
-            self._backend.policy = replace(self._backend.policy, **explicit)
+            # Only what the caller spelled out re-modes the dispatcher: an
+            # env-selected mode must not touch an explicit backend="hybrid".
+            if hybrid is not None:
+                if mode is None:
+                    raise InvalidArgumentError(
+                        f"hybrid={hybrid!r}: backend='hybrid' is the dispatcher; "
+                        "use backend='cubool' for the pure sparse path"
+                    )
+                self._backend.policy = replace(self._backend.policy, mode=mode)
+        elif mode is not None:
+            if backend in ("cubool", "clbool"):
+                self._backend = wrap_backend(self._backend, mode=mode)
+            elif hybrid is not None:
+                raise InvalidArgumentError(
+                    f"hybrid={hybrid!r} does not apply to backend {backend!r} "
+                    "(the dispatcher wraps cubool and clbool)"
+                )
         self._live: list = []
         self._finalized = False
         self._lock = threading.Lock()

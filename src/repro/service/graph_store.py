@@ -223,16 +223,15 @@ class GraphStore:
         return matrices, formats
 
     def _label_residency(self, matrix, residency: str) -> str:
-        from repro.backends.hybrid import HybridBackend
+        from repro.backends import hybrid
 
         backend = self.ctx.backend
-        if not isinstance(backend, HybridBackend):
+        if not isinstance(backend, hybrid.HybridBackend):
             return "sparse"
         if residency == "tiled":
             return backend.ensure_resident(matrix.handle, "tiled")
         if residency == "bit" or (
-            residency == "auto"
-            and matrix.density >= backend.policy.crossover_density
+            residency == "auto" and matrix.density >= hybrid.CROSSOVER_DENSITY
         ):
             return backend.ensure_resident(matrix.handle, "bit")
         return matrix.handle.resident

@@ -1,12 +1,10 @@
 """End-to-end pipelines across modules: load → query → extract → verify."""
 
-import io
-
-import numpy as np
+import networkx as nx
 import pytest
 
 import repro
-from repro.algorithms import bfs_levels, transitive_closure
+from repro.algorithms import transitive_closure
 from repro.cfpq import extract_paths, matrix_cfpq, tensor_cfpq
 from repro.datasets import (
     lubm_like_graph,
@@ -14,33 +12,11 @@ from repro.datasets import (
     rdf_like_graph,
 )
 from repro.datasets.queries_cfpq import query_g1, query_ma_cfg, query_ma_rsm
-from repro.io import read_edge_list, write_edge_list
 from repro.rpq import extract_paths as rpq_extract_paths
 from repro.rpq import rpq_index
 
 
 class TestFileToQueryPipeline:
-    def test_edge_list_round_trip_preserves_query_answers(self, cubool_ctx, tmp_path):
-        graph = rdf_like_graph("enzyme", scale=0.2, seed=1).with_inverses(
-            labels=["subClassOf", "type"]
-        )
-        path = tmp_path / "graph.txt"
-        write_edge_list(path, graph)
-        loaded, ids = read_edge_list(path)
-
-        q = query_g1()
-        original = tensor_cfpq(graph, q, cubool_ctx)
-        reloaded = tensor_cfpq(loaded, q, cubool_ctx)
-        # The loader densely renumbers vertices in first-appearance order;
-        # translate the original answers through the mapping (every fact
-        # endpoint touches an edge, so it must appear in the mapping).
-        translated = {
-            (ids[str(u)], ids[str(v)]) for (u, v) in original.pairs()
-        }
-        assert translated == reloaded.pairs()
-        original.free()
-        reloaded.free()
-
     def test_rpq_index_to_paths(self, cubool_ctx):
         graph = lubm_like_graph("LUBM1k", scale=0.1, seed=2)
         index = rpq_index(graph, "advisor . memberOf*", cubool_ctx)
@@ -84,11 +60,14 @@ class TestCrossBackendPipelines:
         graph = lubm_like_graph("LUBM1k", scale=0.05, seed=4)
         adj = graph.adjacency_union(ctx)
         closure = transitive_closure(adj)
-        levels = bfs_levels(adj, 0)
-        # Closure row 0 must equal BFS-reachable set.
-        reach_closure = {v for (u, v) in zip(*closure.to_arrays()) if u == 0}
-        reach_bfs = {v for v, l in enumerate(levels) if l > 0}
-        assert reach_closure == reach_bfs
+        # The whole closure must equal the host graph's: every (u, v)
+        # joined by a path of length >= 1.
+        host = nx.DiGraph()
+        host.add_nodes_from(range(graph.n))
+        host.add_edges_from(e for edges in graph.edges.values() for e in edges)
+        expected = set(nx.transitive_closure(host, reflexive=False).edges())
+        assert set(zip(*(a.tolist() for a in closure.to_arrays()))) == expected
+        assert expected
         ctx.finalize()
 
     def test_same_answers_across_backends(self, rng):

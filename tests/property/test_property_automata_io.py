@@ -1,9 +1,7 @@
-"""Property tests: automata semantics and I/O round trips."""
+"""Property tests: automata semantics."""
 
-import io
 import itertools
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +11,6 @@ from repro.automata import (
     minimize,
     parse_regex,
     thompson_nfa,
-)
-from repro.graph import LabeledGraph
-from repro.io import (
-    read_edge_list,
-    read_matrix_market,
-    write_edge_list,
-    write_matrix_market,
 )
 
 
@@ -88,48 +79,3 @@ def test_to_string_round_trip(text):
 def test_nullable_matches_acceptance(text):
     node = parse_regex(text)
     assert node.nullable() == glushkov_nfa(node).accepts(())
-
-
-@st.composite
-def graph_triples(draw):
-    n = draw(st.integers(1, 12))
-    count = draw(st.integers(0, 25))
-    labels = ["rel", "knows", "partOf"]
-    triples = [
-        (
-            draw(st.integers(0, n - 1)),
-            draw(st.sampled_from(labels)),
-            draw(st.integers(0, n - 1)),
-        )
-        for _ in range(count)
-    ]
-    return n, triples
-
-
-@settings(max_examples=40, deadline=None)
-@given(graph_triples())
-def test_edge_list_round_trip(data):
-    n, triples = data
-    g = LabeledGraph.from_triples(triples, n=n)
-    buf = io.StringIO()
-    write_edge_list(buf, g)
-    g2, ids = read_edge_list(buf.getvalue())
-    # The loader renumbers; edge multiset must survive up to renaming.
-    renamed = sorted(
-        (ids[str(u)], lab, ids[str(v)]) for u, lab, v in g.triples()
-    )
-    assert renamed == sorted(g2.triples())
-
-
-@settings(max_examples=40, deadline=None)
-@given(graph_triples())
-def test_matrix_market_round_trip(data):
-    n, triples = data
-    pairs = sorted({(u, v) for u, _, v in triples})
-    rows = np.array([p[0] for p in pairs], dtype=np.int64)
-    cols = np.array([p[1] for p in pairs], dtype=np.int64)
-    buf = io.StringIO()
-    write_matrix_market(buf, (n, n), rows, cols)
-    shape, r, c = read_matrix_market(buf.getvalue())
-    assert shape == (n, n)
-    assert sorted(zip(r.tolist(), c.tolist())) == pairs

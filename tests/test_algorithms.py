@@ -1,19 +1,11 @@
-"""Graph-algorithm tests against NetworkX oracles."""
+"""Transitive-closure tests against NetworkX oracles."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 import repro
-from repro.algorithms import (
-    bfs_levels,
-    connected_components,
-    incremental_transitive_closure,
-    reachable_from,
-    reachable_pairs,
-    transitive_closure,
-    triangle_count,
-)
+from repro.algorithms import incremental_transitive_closure, transitive_closure
 from repro.errors import DeviceMemoryError, InvalidArgumentError
 
 from .conftest import FailingAlloc, random_dense
@@ -128,90 +120,3 @@ class TestIncrementalClosure:
         base = ctx.identity(3)
         with pytest.raises(InvalidArgumentError):
             incremental_transitive_closure(base, ctx.matrix_empty((4, 4)))
-
-
-class TestBfs:
-    def test_matches_networkx(self, ctx, digraph):
-        a = ctx.matrix_from_dense(digraph)
-        levels = bfs_levels(a, 0)
-        g = nx.from_numpy_array(digraph, create_using=nx.DiGraph)
-        sp = nx.single_source_shortest_path_length(g, 0)
-        for v in range(len(digraph)):
-            assert levels[v] == sp.get(v, -1)
-
-    def test_isolated_source(self, ctx):
-        a = ctx.matrix_empty((4, 4))
-        levels = bfs_levels(a, 2)
-        assert levels.tolist() == [-1, -1, 0, -1]
-
-    def test_bad_source(self, ctx):
-        with pytest.raises(InvalidArgumentError):
-            bfs_levels(ctx.identity(3), 3)
-
-
-class TestReachability:
-    def test_reachable_from_multi_source(self, ctx, digraph):
-        a = ctx.matrix_from_dense(digraph)
-        got = set(reachable_from(a, [0, 1]).tolist())
-        ref = nx_closure(digraph)
-        expected = {v for v in range(len(digraph)) if ref[0, v] or ref[1, v]}
-        assert got == expected
-
-    def test_reachable_pairs_counts_closure(self, ctx, digraph):
-        a = ctx.matrix_from_dense(digraph)
-        assert reachable_pairs(a) == int(nx_closure(digraph).sum())
-
-    def test_bad_source(self, ctx):
-        with pytest.raises(InvalidArgumentError):
-            reachable_from(ctx.identity(2), [5])
-
-
-class TestComponents:
-    def test_matches_networkx(self, ctx, rng):
-        n = 25
-        d = random_dense(rng, (n, n), 0.04)
-        np.fill_diagonal(d, False)
-        a = ctx.matrix_from_dense(d)
-        comp = connected_components(a)
-        g = nx.from_numpy_array(d, create_using=nx.DiGraph)
-        for cc in nx.weakly_connected_components(g):
-            ids = {comp[v] for v in cc}
-            assert len(ids) == 1
-            assert min(cc) in ids
-
-    def test_all_isolated(self, ctx):
-        comp = connected_components(ctx.matrix_empty((4, 4)))
-        assert comp.tolist() == [0, 1, 2, 3]
-
-
-class TestTriangles:
-    def test_matches_networkx_undirected(self, ctx, rng):
-        n = 16
-        d = random_dense(rng, (n, n), 0.25)
-        np.fill_diagonal(d, False)
-        a = ctx.matrix_from_dense(d)
-        und = nx.Graph((d | d.T))
-        und.remove_edges_from(nx.selfloop_edges(und))
-        ref = sum(nx.triangles(und).values()) // 3
-        assert triangle_count(a) == ref
-
-    def test_directed_cycle(self, ctx):
-        a = ctx.matrix_from_lists((3, 3), [0, 1, 2], [1, 2, 0])
-        assert triangle_count(a, directed=True) == 1
-        # as undirected it is also one triangle
-        assert triangle_count(a) == 1
-
-    def test_no_triangles(self, ctx):
-        a = ctx.matrix_from_lists((4, 4), [0, 1, 2], [1, 2, 3])
-        assert triangle_count(a) == 0
-
-    def test_empty(self, ctx):
-        assert triangle_count(ctx.matrix_empty((3, 3))) == 0
-
-    def test_complete_graph(self, ctx):
-        n = 7
-        d = ~np.eye(n, dtype=bool)
-        a = ctx.matrix_from_dense(d)
-        from math import comb
-
-        assert triangle_count(a) == comb(n, 3)

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import dataclasses
 import functools
+import inspect
 import re
 from pathlib import Path
 
@@ -81,18 +82,34 @@ class TestEnvParsing:
         ctx.finalize()
 
     def test_threshold_kwarg(self):
-        ctx = repro.Context(backend="cubool", hybrid=True, hybrid_threshold=0.1)
-        assert ctx.backend.policy.crossover_density == 0.1
-        ctx.finalize()
-        ctx = repro.Context(backend="hybrid", hybrid_threshold=0.07)
-        assert ctx.backend.policy.crossover_density == 0.07
+        # The crossover is hybrid.CROSSOVER_DENSITY, not a keyword: the
+        # context takes three (no **kwargs, so any other is a TypeError).
+        params = inspect.signature(repro.Context).parameters
+        assert list(params) == ["backend", "device", "hybrid"]
+        assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
+        assert hybrid.CROSSOVER_DENSITY == 0.02
+
+    @pytest.mark.parametrize(
+        "backend, value",
+        [("hybrid", False), ("hybrid", "off"), ("cpu", "bit"), ("cpu", True),
+         ("generic", "auto"), ("generic64", "sparse")],
+    )
+    def test_explicit_mode_that_cannot_apply_raises(self, backend, value):
+        # Off on the dispatcher itself, or a mode on a backend it does
+        # not wrap, cannot apply: an explicit one raises, not ignored.
+        with pytest.raises(InvalidArgumentError, match="hybrid="):
+            repro.Context(backend=backend, hybrid=value)
+
+    @pytest.mark.parametrize("backend", ["cpu", "generic"])
+    def test_explicit_off_on_unwrapped_backend_is_consistent(self, backend):
+        ctx = repro.Context(backend=backend, hybrid=False)
+        assert ctx.backend_name == backend
         ctx.finalize()
 
     @pytest.mark.parametrize("mode", ["bit", "sparse"])
     def test_explicit_mode_applies_to_hybrid_backend(self, mode, monkeypatch):
-        ctx = repro.Context(backend="hybrid", hybrid=mode, hybrid_threshold=0.07)
+        ctx = repro.Context(backend="hybrid", hybrid=mode)
         assert ctx.backend.policy.mode == mode
-        assert ctx.backend.policy.crossover_density == 0.07
         a = ctx.matrix_random((64, 64), 0.1, seed=1)
         a.mxm(a)
         assert set(ctx.backend.dispatch_counts["mxm"]) == {mode}
@@ -100,7 +117,7 @@ class TestEnvParsing:
         # An env-only mode still leaves explicit backends alone (CI's
         # REPRO_HYBRID matrix relies on it).
         monkeypatch.setenv("REPRO_HYBRID", mode)
-        for backend, name in (("hybrid", "hybrid"), ("cpu", "cpu")):
+        for backend, name in (("hybrid", "hybrid"), ("cpu", "cpu"), ("generic", "generic")):
             ctx = repro.Context(backend=backend)
             assert ctx.backend_name == name
             assert getattr(ctx.backend, "policy", HybridPolicy()).mode == "auto"
@@ -130,8 +147,6 @@ class TestPolicy:
     def test_mode_validation(self):
         with pytest.raises(InvalidArgumentError):
             HybridPolicy(mode="dense")
-        with pytest.raises(InvalidArgumentError):
-            HybridPolicy(crossover_density=0.0)
 
     def test_spgemm_cost_calibration(self, monkeypatch):
         # At the crossover density the two mxm cost estimates must tie
@@ -139,7 +154,8 @@ class TestPolicy:
         # crossover calibrates alpha against the *blocked* bit kernel;
         # Four-Russians has its own break-even, so lift it out of reach.
         monkeypatch.setattr(hybrid, "FOUR_RUSSIANS_MIN_ROWS", 10**9)
-        backend = HybridBackend(policy=HybridPolicy(crossover_density=0.05))
+        monkeypatch.setattr(hybrid, "CROSSOVER_DENSITY", 0.05)
+        backend = HybridBackend()
         n = 640
         d = 0.05
         nnz = int(d * n * n)
@@ -590,8 +606,7 @@ class TestWrap:
         assert hybrid.inner is inner
         assert hybrid.policy == HybridPolicy(mode="bit")
         assert hybrid.device is inner.device
-        # The threshold is Context(hybrid_threshold=)'s, applied after
-        # wrapping (test_threshold_kwarg).
+        # The crossover is the module constant CROSSOVER_DENSITY.
         with pytest.raises(TypeError):
             wrap_backend(inner, crossover_density=0.03)
 
@@ -628,12 +643,10 @@ class TestTiledRoute:
     def test_policy_validation(self):
         # The kernel knobs are module constants and the worker-pool knobs
         # are gone: every old spelling is a TypeError, not ignored.
-        assert [f.name for f in dataclasses.fields(HybridPolicy)] == [
-            "mode", "crossover_density",
-        ]
+        assert [f.name for f in dataclasses.fields(HybridPolicy)] == ["mode"]
         for knob in ("tiled", "tile_size", "four_russians_min_rows", "workers",
                      "tiled_parallel_min_words", "fixpoint_bias",
-                     "max_arena_fraction"):
+                     "max_arena_fraction", "crossover_density"):
             with pytest.raises(TypeError):
                 HybridPolicy(**{knob: 0})
 

@@ -1,111 +1,9 @@
-"""Matrix Market and edge-list I/O tests."""
+"""LabeledGraph construction and adjacency tests."""
 
-import io
-
-import numpy as np
 import pytest
 
 from repro.errors import InvalidArgumentError
 from repro.graph import LabeledGraph
-from repro.io import (
-    read_edge_list,
-    read_matrix_market,
-    write_edge_list,
-    write_matrix_market,
-)
-
-
-class TestMatrixMarket:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "m.mtx"
-        write_matrix_market(path, (4, 5), [0, 3, 1], [4, 0, 1])
-        shape, rows, cols = read_matrix_market(path)
-        assert shape == (4, 5)
-        assert sorted(zip(rows.tolist(), cols.tolist())) == [(0, 4), (1, 1), (3, 0)]
-
-    def test_pattern_header(self):
-        text = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n"
-        shape, rows, cols = read_matrix_market(text)
-        assert shape == (2, 2)
-        assert rows.tolist() == [0] and cols.tolist() == [1]
-
-    def test_real_values_thresholded(self):
-        text = (
-            "%%MatrixMarket matrix coordinate real general\n"
-            "2 2 2\n1 1 3.5\n2 2 0.0\n"
-        )
-        _, rows, _ = read_matrix_market(text)
-        assert rows.tolist() == [0]  # explicit zero dropped
-
-    def test_symmetric_expansion(self):
-        text = (
-            "%%MatrixMarket matrix coordinate pattern symmetric\n"
-            "3 3 2\n2 1\n3 3\n"
-        )
-        _, rows, cols = read_matrix_market(text)
-        pairs = sorted(zip(rows.tolist(), cols.tolist()))
-        assert pairs == [(0, 1), (1, 0), (2, 2)]
-
-    def test_comments_skipped(self):
-        text = (
-            "%%MatrixMarket matrix coordinate pattern general\n"
-            "% a comment\n\n2 2 1\n% another\n2 2\n"
-        )
-        _, rows, cols = read_matrix_market(text)
-        assert (rows.tolist(), cols.tolist()) == ([1], [1])
-
-    def test_bad_header(self):
-        with pytest.raises(InvalidArgumentError):
-            read_matrix_market("%%NotMM matrix\n1 1 0\n")
-
-    def test_unsupported_format(self):
-        with pytest.raises(InvalidArgumentError):
-            read_matrix_market("%%MatrixMarket matrix array real general\n1 1\n")
-
-    def test_count_mismatch(self):
-        text = "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n"
-        with pytest.raises(InvalidArgumentError):
-            read_matrix_market(text)
-
-    def test_file_object(self):
-        buf = io.StringIO()
-        write_matrix_market(buf, (2, 2), [1], [0])
-        shape, rows, cols = read_matrix_market(io.StringIO(buf.getvalue()))
-        assert shape == (2, 2) and rows.tolist() == [1]
-
-
-class TestEdgeList:
-    def test_round_trip(self, tmp_path):
-        g = LabeledGraph.from_triples(
-            [(0, "a", 1), (1, "b", 2), (2, "a", 0), (0, "a", 0)]
-        )
-        path = tmp_path / "g.txt"
-        write_edge_list(path, g)
-        g2, ids = read_edge_list(path)
-        assert g2.n == 3
-        assert g2.num_edges == 4
-        assert g2.label_counts() == {"a": 3, "b": 1}
-
-    def test_string_vertex_names(self):
-        text = "alice knows bob\nbob knows carol\ncarol likes alice\n"
-        g, ids = read_edge_list(text)
-        assert g.n == 3
-        assert ids["alice"] == 0 and ids["bob"] == 1
-        assert ("knows" in g.edges) and ("likes" in g.edges)
-
-    def test_comments_and_blanks(self):
-        g, _ = read_edge_list("# header\n\n0 a 1\n")
-        assert g.num_edges == 1
-
-    def test_malformed_line(self):
-        with pytest.raises(InvalidArgumentError):
-            read_edge_list("0 a\n")
-
-    def test_write_with_names(self):
-        g = LabeledGraph.from_triples([(0, "x", 1)])
-        buf = io.StringIO()
-        write_edge_list(buf, g, names={"u": 0, "v": 1})
-        assert buf.getvalue().strip() == "u x v"
 
 
 class TestLabeledGraph:

@@ -341,19 +341,21 @@ class TestGraphStore:
         store.clear()
         ctx.finalize()
 
-    def test_auto_residency_follows_crossover(self, graph):
+    def test_auto_residency_follows_crossover(self, graph, monkeypatch):
         # With the crossover pushed above every label's density, auto
         # must leave the graph sparse; pushed below, it must pin bits.
-        ctx = repro.Context(backend="cubool", hybrid="auto", hybrid_threshold=0.5)
+        from repro.backends import hybrid
+
+        monkeypatch.setattr(hybrid, "CROSSOVER_DENSITY", 0.5)
+        ctx = repro.Context(backend="cubool", hybrid="auto")
         store = GraphStore(ctx)
         sparse = store.register("g", graph, residency="auto")
         assert all(fmt == "sparse" for fmt in sparse.formats.values())
         store.clear()
         ctx.finalize()
 
-        ctx = repro.Context(
-            backend="cubool", hybrid="auto", hybrid_threshold=1e-6
-        )
+        monkeypatch.setattr(hybrid, "CROSSOVER_DENSITY", 1e-6)
+        ctx = repro.Context(backend="cubool", hybrid="auto")
         store = GraphStore(ctx)
         pinned = store.register("g", graph, residency="auto")
         assert all(fmt == "both" for fmt in pinned.formats.values())
