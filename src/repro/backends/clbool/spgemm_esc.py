@@ -31,7 +31,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.common import bool_spgemm_keys, emit_coo, masked_union, scratch
+from repro.backends.common import (
+    bool_spgemm_keys,
+    emit_coo,
+    expansion_lengths,
+    masked_union,
+    scratch,
+)
 from repro.gpu.device import Device
 from repro.gpu.launch import grid_1d
 from repro.gpu.stream import Stream
@@ -77,7 +83,7 @@ def spgemm_boolean_coo(
 
         # The expansion planes (rows + cols) hold every candidate product
         # until compaction has sized the output.
-        total = int(np.diff(b_rowptr)[a_cols].sum())
+        total = int(expansion_lengths(a_cols, b_rowptr).sum())
         with scratch(device.arena, (total, INDEX_DTYPE), (total, INDEX_DTYPE)):
             # The core already sorted and compacted: these two launches
             # are the plan's records.

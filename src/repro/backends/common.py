@@ -136,6 +136,22 @@ def bool_spgemm_keys(
     return dedupe_sorted_keys(keys)
 
 
+def expansion_lengths(a_cols: np.ndarray, b_rowptr: np.ndarray) -> np.ndarray:
+    """``len(B.row(k))`` for every A entry ``(i, k)``: how many candidate
+    products the entry expands to, in ``b_rowptr``'s dtype.
+
+    O(nnz A) whatever B's row count, so a thin frontier times a large
+    adjacency pays for its own entries.  With fewer A entries than B
+    rows, B's row pointer is read at A's columns only (two gathers);
+    otherwise one pass over B's row pointer and one gather cost less,
+    and are still O(nnz A).  ``take`` gathers at the narrow index dtype
+    without the slow path of fancy indexing.
+    """
+    if a_cols.size < b_rowptr.size:
+        return b_rowptr.take(a_cols + 1) - b_rowptr.take(a_cols)
+    return np.diff(b_rowptr).take(a_cols)
+
+
 def spgemm_upper_bound(
     a_rowptr: np.ndarray, a_cols: np.ndarray, b_rowptr: np.ndarray
 ) -> np.ndarray:
@@ -145,14 +161,12 @@ def spgemm_upper_bound(
     the binning dispatcher classifies.
     """
     nrows = a_rowptr.size - 1
-    b_lens = np.diff(b_rowptr.astype(np.int64))
-    per_entry = b_lens[a_cols.astype(np.int64)] if a_cols.size else np.empty(0, np.int64)
-    ub = np.zeros(nrows, dtype=np.int64)
-    if per_entry.size:
-        cum = np.concatenate(([0], np.cumsum(per_entry)))
-        ptr = a_rowptr.astype(np.int64)
-        ub = cum[ptr[1:]] - cum[ptr[:-1]]
-    return ub
+    if not a_cols.size:
+        return np.zeros(nrows, dtype=np.int64)
+    cum = np.zeros(a_cols.size + 1, dtype=np.int64)
+    np.cumsum(expansion_lengths(a_cols, b_rowptr), out=cum[1:])
+    ptr = a_rowptr.astype(np.int64)
+    return cum[ptr[1:]] - cum[ptr[:-1]]
 
 
 # -- Kronecker product --------------------------------------------------------

@@ -4,12 +4,18 @@ Pipeline (mirroring Nagasaka et al.'s Nsparse, as adapted for boolean
 values by cuBool):
 
 1. **Upper bound** — for every output row ``i``,
-   ``ub[i] = Σ_{k ∈ A.row(i)} |B.row(k)|`` (one segmented sum).
+   ``ub[i] = Σ_{k ∈ A.row(i)} |B.row(k)|`` (one segmented sum over B's
+   row lengths read at A's columns, so O(nnz A) however tall B is).
 2. **Binning** — rows are classified by ``ub`` into power-of-two bins
    (≤32, ≤64, …, ≤8192); rows with ``ub == 0`` are skipped; larger rows
    go to the *global bin*.  Each bin is dispatched as its own kernel
    launch with a block size matched to the bin bound — this is the
-   "dynamic work balancing" knob the ablation study (E9) toggles.
+   "dynamic work balancing" knob the ablation study (E9) toggles.  The
+   classification is one pass: one ``searchsorted`` of every non-empty
+   row's ``ub`` over the bounds, one stable sort to group the rows
+   (skipped when they all share a bin), and only the occupied bins
+   launch, so a thin product whose rows fall in one bin pays for that
+   bin alone.
 3. **Hash phase** — per row, candidate columns (the expansion of B-rows
    selected by A's row) are inserted into an open-addressing hash table
    of size ``2 × bound`` (next power of two).  In the boolean semiring
@@ -102,9 +108,9 @@ def spgemm_boolean_csr(
     ``mask`` and ``accumulate`` are the sorted keys of those operands'
     entries (``None``: no mask, nothing to accumulate).
 
-    ``use_binning=False`` routes every non-empty row through a single
-    global-memory table configuration — the ablation baseline showing
-    what the bin dispatcher buys.
+    ``bin_bounds`` are ascending.  ``use_binning=False`` routes every
+    non-empty row through a single global-memory table configuration —
+    the ablation baseline showing what the bin dispatcher buys.
     """
     ub = spgemm_upper_bound(a_rowptr, a_cols, b_rowptr)
     # chunk capacity: aggregate shared memory across SMs, in uint32 slots.
@@ -115,8 +121,6 @@ def spgemm_boolean_csr(
     chunk_keys: list[np.ndarray] = []
 
     def _run_bin(rows_bin: np.ndarray, bound: int, shared: bool) -> None:
-        if rows_bin.size == 0:
-            return
         # Table sizing: global-memory tables use Nsparse's 2x bound, which
         # is part of the memory model; shared-memory tables are sized 4x.
         # No table is ever written (the core computes the contents), so
@@ -154,15 +158,27 @@ def spgemm_boolean_csr(
             if table_buf is not None:
                 table_buf.free()
 
-    nonzero_rows = np.nonzero(ub > 0)[0]
-    nz_ub = ub[nonzero_rows]
-    prev = 0
-    for bound in bin_bounds if use_binning else ():
-        _run_bin(nonzero_rows[(nz_ub > prev) & (nz_ub <= bound)], bound, shared=True)
-        prev = bound
-    big = nonzero_rows[nz_ub > prev]
-    if big.size:
-        _run_bin(big, int(ub[big].max()), shared=False)
+    # One pass assigns every non-empty row its bin: bin ``b`` holds the
+    # rows with ``bounds[b-1] < ub <= bounds[b]``, bin ``len(bounds)``
+    # the global bin.  A stable sort groups the rows (ascending within a
+    # bin) and only the occupied bins run, in bin order.
+    bounds = tuple(bin_bounds) if use_binning else ()
+    rows = np.flatnonzero(ub)
+    bins = np.searchsorted(bounds, ub[rows])
+    counts = np.bincount(bins, minlength=len(bounds) + 1)
+    occupied = np.flatnonzero(counts)
+    if occupied.size > 1:
+        # A narrow key makes the stable sort a linear radix sort.
+        key = bins.astype(np.min_scalar_type(len(bounds)))
+        rows = rows[np.argsort(key, kind="stable")]
+    lo = 0
+    for b in occupied.tolist():
+        hi = lo + int(counts[b])
+        if b < len(bounds):
+            _run_bin(rows[lo:hi], bounds[b], shared=True)
+        else:
+            _run_bin(rows[lo:hi], int(ub[rows[lo:hi]].max()), shared=False)
+        lo = hi
 
     # Exact output allocation: the chunks are sorted runs of disjoint
     # rows, so one stable (run-merging) sort orders them; then the mask

@@ -54,8 +54,15 @@ operands (every fixpoint iteration after the first) run the kernel the
 route was priced at.  Only when the product first had to pack an
 operand is the table read again at launch: the conversion has just
 replaced the occupancy estimate with the exact tile-presence bitmap.
-The tiled costs charge only present tile pairs — the
-zero-tile-skipping win on block-structured operands.  Kernel choices
+No table is built when the conversions alone price the bit route out:
+the bit price is the kernel's cost plus the operands' conversion costs
+(times ``FIXPOINT_BIAS`` where that applies) and the kernel's cost is
+never negative, so once the scaled conversion cost reaches the sparse
+price the route is sparse — exactly the decision the full table would
+give.  A thin product against a large sparse-resident operand, such as
+a reach's frontier step, is decided there.  The tiled costs charge only
+present tile pairs — the zero-tile-skipping win on block-structured
+operands.  Kernel choices
 and per-kernel wall time land in ``kernel_counts`` / ``kernel_times``
 (E14 and the service stats).
 
@@ -625,12 +632,19 @@ class HybridBackend(Backend):
             raise InvalidArgumentError(f"no cost model for op {op!r}")
         if b is None:
             raise InvalidArgumentError(f"{op} cost model needs both operands")
+        return self._estimate(op, a, b)
+
+    def _estimate(
+        self, op: str, a: HybridMatrix, b: HybridMatrix, *, sparse_exit: bool = False
+    ) -> CostEstimate | None:
+        """Both routes' prices for ``op``.  With ``sparse_exit``, ``None``
+        once the operands' conversion costs alone reach the sparse price:
+        the bit price adds a kernel term that is never negative, so the
+        bit route cannot win and its kernel table is not built."""
         conv_a, bytes_a = self._conversion_cost(a)
         conv_b, bytes_b = self._conversion_cost(b)
         a_nnz, b_nnz = a.nnz, b.nnz
-        kernel = None
         if op == "mxm":
-            out_words = self._bit_words(a.nrows, b.ncols)
             flops = a_nnz * b_nnz / max(1, a.ncols)
             # Charge the operand traversal too: the sparse kernel reads
             # every stored element at least once (format prep, column
@@ -638,21 +652,30 @@ class HybridBackend(Backend):
             # O(nnz(closure)), not O(flops) — without this term the
             # incremental fixpoints' asymmetric products misroute sparse.
             sparse = 1.0 / (WORD_BITS * CROSSOVER_DENSITY**2) * (flops + a_nnz + b_nnz)
+        elif op == "kron":
+            sparse = KRON_SPARSE_COST * a_nnz * b_nnz
+        else:
+            sparse = EWISE_SPARSE_COST * (a_nnz + b_nnz)
+        scale = 1.0
+        if self._fixpoint_depth and (a.bit is not None or b.bit is not None):
+            scale = FIXPOINT_BIAS
+        if sparse_exit and (conv_a + conv_b) * scale >= sparse:
+            return None
+        kernel = None
+        if op == "mxm":
+            out_words = self._bit_words(a.nrows, b.ncols)
             # Tile skipping is credited before the route is chosen: at
             # the flat kernel's full m*k word count a few-tile operand
             # would be handed to sparse.
             kernel, bit = self._mxm_kernel(a, b)
         elif op == "kron":
             out_words = self._bit_words(a.nrows * b.nrows, a.ncols * b.ncols)
-            sparse = KRON_SPARSE_COST * a_nnz * b_nnz
             bit = KRON_BIT_WORD_COST * out_words
         else:
             out_words = self._bit_words(a.nrows, a.ncols)
-            sparse = EWISE_SPARSE_COST * (a_nnz + b_nnz)
             bit = out_words
         bit += conv_a + conv_b
-        if self._fixpoint_depth and (a.bit is not None or b.bit is not None):
-            bit *= FIXPOINT_BIAS
+        bit *= scale
         return CostEstimate(
             op=op,
             sparse=sparse,
@@ -665,13 +688,17 @@ class HybridBackend(Backend):
         self, op: str, a: HybridMatrix, b: HybridMatrix
     ) -> tuple[str, str | None]:
         """Decide a boolean op: ``(route, bit mxm kernel the cost model
-        priced it at)`` — no kernel when the mode is forced."""
+        priced it at)`` — no kernel when the mode is forced or the
+        conversions alone priced the bit route out."""
         pol = self.policy
         if pol.mode == "auto":
-            est = self.estimate_costs(op, a, b)
-            decision, kernel = est.winner, est.kernel
-            if decision == "bit" and not self._bit_fits(est.bit_bytes_needed):
-                decision = "sparse"
+            est = self._estimate(op, a, b, sparse_exit=True)
+            if est is None:
+                decision, kernel = "sparse", None
+            else:
+                decision, kernel = est.winner, est.kernel
+                if decision == "bit" and not self._bit_fits(est.bit_bytes_needed):
+                    decision = "sparse"
         else:
             decision, kernel = pol.mode, None
         self._record_route(op, decision)

@@ -222,6 +222,10 @@ class PlanCache:
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock
+        # Misses whose compile lost the race to a concurrent one for the
+        # same key (the incumbent plan was kept; ``misses - races`` is
+        # the number of plans ever stored).
+        self.races = 0  # guarded-by: _lock
 
     def __len__(self) -> int:
         with self._lock:
@@ -260,6 +264,7 @@ class PlanCache:
                 else:
                     # Lost a compile race: reuse the incumbent so
                     # identical queries keep sharing one plan object.
+                    self.races += 1
                     self._entries.move_to_end((kind, key))
                     plan = self._entries[(kind, key)]
         return plan
@@ -277,5 +282,6 @@ class PlanCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
+                "races": self.races,
                 "hit_ratio": self.hits / lookups if lookups else 0.0,
             }

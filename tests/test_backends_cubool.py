@@ -6,10 +6,12 @@ import pytest
 import repro
 from repro.backends import get_backend
 from repro.backends.cubool.backend import CuBoolBackend
+from repro.backends.cubool import spgemm_hash
 from repro.backends.cubool.spgemm_hash import DEFAULT_BIN_BOUNDS, spgemm_boolean_csr
-from repro.backends.common import spgemm_upper_bound
+from repro.backends.common import emit_csr, expansion_lengths, spgemm_upper_bound
+from repro.gpu.launch import grid_1d
 from repro.formats.csr import BoolCsr
-from repro.utils.arrays import is_sorted_unique, keys_from_coo, segment_ids
+from repro.utils.arrays import coo_from_keys, is_sorted_unique, keys_from_coo, segment_ids
 
 from .conftest import bool_mxm, random_dense
 
@@ -517,6 +519,188 @@ class TestUpperBound:
         b = BoolCsr.identity(3)
         ub = spgemm_upper_bound(a.rowptr, a.cols, b.rowptr)
         assert ub.tolist() == [0, 0, 0]
+
+
+def _diff_upper_bound(a_rowptr, a_cols, b_rowptr):
+    """The upper bound read off B's whole row-length array."""
+    per_entry = np.diff(b_rowptr.astype(np.int64))[a_cols.astype(np.int64)]
+    return np.array(
+        [per_entry[lo:hi].sum() for lo, hi in zip(a_rowptr[:-1], a_rowptr[1:])],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize(
+    "a_rows, a_density", [(0, 0.0), (7, 0.0), (3, 0.05), (40, 0.2), (40, 0.7)]
+)
+def test_upper_bound_matches_row_length_diff(a_rows, a_density):
+    """Gathered at A's columns (fewer A entries than B rows) or read off
+    B's row lengths, the upper bound equals the segmented sum over
+    ``np.diff`` of B's whole row pointer, also where B ends in empty
+    rows."""
+    rng = np.random.default_rng(a_rows + int(100 * a_density))
+    b = rng.random((30, 25)) < 0.3
+    b[22:] = False  # empty trailing rows
+    sa = BoolCsr.from_dense(rng.random((a_rows, 30)) < a_density)
+    sb = BoolCsr.from_dense(b)
+    ub = spgemm_upper_bound(sa.rowptr, sa.cols, sb.rowptr)
+    assert ub.dtype == np.int64
+    assert ub.tolist() == _diff_upper_bound(sa.rowptr, sa.cols, sb.rowptr).tolist()
+    lengths = expansion_lengths(sa.cols, sb.rowptr)
+    assert lengths.dtype == sb.rowptr.dtype
+    assert lengths.tolist() == np.diff(sb.rowptr.astype(np.int64))[sa.cols].tolist()
+
+
+def _per_bin_mask_reference(
+    device, stream, a_shape, a_rowptr, a_cols, b_shape, b_rowptr, b_cols,
+    *, bin_bounds=DEFAULT_BIN_BOUNDS, use_binning=True,
+):
+    """The dispatcher before the one-pass binning: one boolean mask per
+    bin and one ``_run_bin`` call per bin, empty bins included."""
+    ub = _diff_upper_bound(a_rowptr, a_cols, b_rowptr)
+    shared_slots = (
+        device.limits.shared_mem_per_block // 4
+    ) * device.limits.multiprocessor_count
+    chunk_keys = []
+
+    def _run_bin(rows_bin, bound, shared):
+        if rows_bin.size == 0:
+            return
+        ts = spgemm_hash._next_pow2((2 if not shared else 4) * max(1, bound))
+        if shared:
+            chunk_rows = max(64, shared_slots // ts)
+            table_buf = None
+        else:
+            chunk_rows = max(1, min(rows_bin.size, (1 << 24) // ts))
+            table_buf = device.arena.alloc((min(chunk_rows, rows_bin.size), ts), np.uint32)
+        block = device.limits.clamp_block(min(bound if bound else 32, 1024))
+        for lo in range(0, rows_bin.size, chunk_rows):
+            rows_chunk = rows_bin[lo : lo + chunk_rows]
+
+            def _kernel(config, rows_chunk=rows_chunk):
+                return spgemm_hash._process_chunk(
+                    rows_chunk, a_rowptr, a_cols, b_rowptr, b_cols
+                )
+
+            _kernel.__name__ = f"spgemm_hash_{'shared' if shared else 'global'}_b{bound or 'max'}"
+            chunk_keys.append(stream.launch(_kernel, grid_1d(rows_chunk.size * block, block)))
+        if table_buf is not None:
+            table_buf.free()
+
+    nonzero_rows = np.nonzero(ub > 0)[0]
+    nz_ub = ub[nonzero_rows]
+    prev = 0
+    for bound in bin_bounds if use_binning else ():
+        _run_bin(nonzero_rows[(nz_ub > prev) & (nz_ub <= bound)], bound, shared=True)
+        prev = bound
+    big = nonzero_rows[nz_ub > prev]
+    if big.size:
+        _run_bin(big, int(ub[big].max()), shared=False)
+    keys = np.concatenate(chunk_keys) if chunk_keys else np.empty(0, np.uint64)
+    keys.sort(kind="stable")
+    buffers = emit_csr(device.arena, int(a_shape[0]), *coo_from_keys(keys))
+    return buffers[0].data, buffers[1].data, buffers
+
+
+def _operands_with_upper_bound(ub, seed):
+    """CSR operands ``A · B`` whose product upper bound is exactly ``ub``.
+
+    Row ``i`` of A holds one entry, on a B row of ``ub[i]`` random
+    columns; a zero is an empty A row or, for every other one, an entry
+    on an empty B row.  B's rows are the distinct lengths, shuffled."""
+    rng = np.random.default_rng(seed)
+    ub = np.asarray(ub, dtype=np.int64)
+    lengths = rng.permutation(np.unique(np.concatenate([ub, [0]])))
+    n = max(1, int(lengths.max()))
+    b_cols = [np.sort(rng.choice(n, int(length), replace=False)) for length in lengths]
+    b_rowptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.uint32)
+    which = {int(length): j for j, length in enumerate(lengths)}
+    has = (ub > 0) | (np.arange(ub.size) % 2 == 1)
+    a_cols = np.array([which[int(v)] for v in ub[has]], dtype=np.uint32)
+    a_rowptr = np.concatenate([[0], np.cumsum(has)]).astype(np.uint32)
+    return (
+        (ub.size, lengths.size), a_rowptr, a_cols,
+        (lengths.size, n), b_rowptr, np.concatenate(b_cols).astype(np.uint32),
+    )
+
+
+def _dispatch_record(spgemm, operands, **kwargs):
+    """``(name, grid, block, rows)`` per launch, arena alloc bytes in
+    order and the ``(rowptr, cols)`` output of one SpGEMM call."""
+    be = CuBoolBackend()
+    sizes, chunks = [], []
+    alloc = be.device.arena.alloc
+
+    def recording_alloc(shape, dtype):
+        buf = alloc(shape, dtype)
+        sizes.append(buf.nbytes)
+        return buf
+
+    def recording_chunk(rows_chunk, *args):
+        chunks.append(rows_chunk.tolist())
+        return process_chunk(rows_chunk, *args)
+
+    be.device.arena.alloc = recording_alloc
+    process_chunk = spgemm_hash._process_chunk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spgemm_hash, "_process_chunk", recording_chunk)
+        rowptr, cols, buffers = spgemm(be.device, be.stream, *operands, **kwargs)
+    out = (rowptr.tolist(), cols.tolist())
+    for buf in buffers:
+        buf.free()
+    be.device.arena.check_balanced()
+    launches = [
+        (r.kernel_name, r.config.grid, r.config.block, rows)
+        for r, rows in zip(be.stream.launches, chunks, strict=True)
+    ]
+    return launches, sizes, out
+
+
+def _ub_cases():
+    """Named ``ub`` generators over a bin configuration's bounds."""
+    def on_bounds(rng, bounds):
+        edges = [v for b in bounds for v in (b - 1, b, b + 1)] + [0, 1]
+        return rng.choice(np.array(edges), 150)
+
+    return {
+        "on_bounds": on_bounds,
+        "all_zero": lambda rng, bounds: np.zeros(60, np.int64),
+        "only_global": lambda rng, bounds: rng.integers(8193, 9000, 7),
+        "one_bin": lambda rng, bounds: rng.integers(33, 65, 120),
+        "mixed": lambda rng, bounds: np.where(
+            rng.random(200) < 0.05, rng.integers(8193, 8400, 200), rng.integers(0, 300, 200)
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_ub_cases()))
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"use_binning": False}, {"bin_bounds": (4, 8)}, {"bin_bounds": (128, 8192)}],
+    ids=["default", "no_binning", "bounds_4_8", "bounds_128_8192"],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_pass_binning_matches_per_bin_masks(case, kwargs, seed):
+    """Same launches (name, grid, block and the rows of each chunk, in
+    order), same arena allocs in order and the same output as the
+    per-bin-mask dispatcher, over random ``ub``."""
+    rng = np.random.default_rng(seed)
+    ub = _ub_cases()[case](rng, kwargs.get("bin_bounds", DEFAULT_BIN_BOUNDS))
+    operands = _operands_with_upper_bound(ub, seed)
+    assert spgemm_upper_bound(operands[1], operands[2], operands[4]).tolist() == list(ub)
+    got = _dispatch_record(spgemm_boolean_csr, operands, **kwargs)
+    want = _dispatch_record(_per_bin_mask_reference, operands, **kwargs)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+
+
+def test_one_pass_binning_on_an_empty_a():
+    """No rows, no entries: nothing launches and the output is empty."""
+    operands = _operands_with_upper_bound(np.zeros(0, np.int64), 3)
+    launches, sizes, (rowptr, cols) = _dispatch_record(spgemm_boolean_csr, operands)
+    assert launches == [] and rowptr == [0] and cols == []
+    assert _dispatch_record(_per_bin_mask_reference, operands)[1] == sizes
 
 
 class TestBinning:

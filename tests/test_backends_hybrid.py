@@ -565,6 +565,81 @@ class TestRoutingPinned:
             hb.estimate_costs("kron", a, b, (192, 192))
 
 
+class TestRouteShortcut:
+    """``_route`` skips the kernel table when the conversions alone price
+    the bit route out; the decision must be the full estimate's."""
+
+    N = 512
+
+    @staticmethod
+    def _operand(hb, shape, density, seed, bit_resident):
+        rng = np.random.default_rng(seed)
+        nnz = max(1, int(density * shape[0] * shape[1]))
+        rows, cols = rng.integers(0, shape[0], nnz), rng.integers(0, shape[1], nnz)
+        if bit_resident:
+            return hb._wrap_bit(BitMatrix.from_coo(rows, cols, shape))
+        return hb.matrix_from_coo(rows, cols, shape)
+
+    @pytest.mark.parametrize("small_arena", [False, True], ids=["arena", "small_arena"])
+    @pytest.mark.parametrize("scale", [0.01, 0.1, 0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("a_rows", [1, N], ids=["thin", "square"])
+    def test_shortcut_matches_full_estimate(self, a_rows, scale, small_arena, monkeypatch):
+        n = self.N
+        device = None
+        if small_arena:
+            device = Device(limits=DeviceLimits(global_mem_bytes=4 * 1024 * 1024))
+        hb = HybridBackend(inner=get_backend("cubool", device=device))
+        tables = []
+        real = HybridBackend._mxm_kernel
+        monkeypatch.setattr(
+            HybridBackend, "_mxm_kernel",
+            lambda self, a, b: tables.append(1) or real(self, a, b),
+        )
+        density = hybrid.CROSSOVER_DENSITY * scale
+        operands = {
+            (a_bit, b_bit): (
+                self._operand(hb, (a_rows, n), density, 1, a_bit),
+                self._operand(hb, (n, n), density, 2, b_bit),
+            )
+            for a_bit in (False, True)
+            for b_bit in (False, True)
+        }
+        mem = hb.device.arena
+        filler = None  # held: an unreferenced arena buffer frees itself
+        if small_arena:
+            filler = mem.alloc(int(mem.capacity_bytes * 0.88) - mem.live_bytes, np.uint8)
+        skipped = 0
+        for (a_bit, b_bit), (a, b) in operands.items():
+            for in_fixpoint in (False, True):
+                with hb.fixpoint() if in_fixpoint else contextlib.nullcontext():
+                    before = len(tables)
+                    route = hb._route("mxm", a, b)[0]
+                    skipped += len(tables) == before
+                    est = hb.estimate_costs("mxm", a, b)
+                    fits = hb._bit_fits(est.bit_bytes_needed)
+                    want = "bit" if est.winner == "bit" and fits else "sparse"
+                    assert route == want, (a_bit, b_bit, in_fixpoint)
+        assert filler is None or filler.nbytes > 0
+        if scale == 0.01:
+            # Far below the crossover, converting two sparse-resident
+            # operands already costs more than the sparse product.
+            assert skipped >= 2
+
+    def test_thin_frontier_against_sparse_adjacency_builds_no_table(self, monkeypatch):
+        """The serve path's shape: a few frontier rows times a large
+        sparse-resident label matrix goes sparse without the table."""
+        calls = []
+        monkeypatch.setattr(
+            HybridBackend, "_mxm_kernel", lambda self, a, b: calls.append(1)
+        )
+        hb = HybridBackend(inner=get_backend("cubool"))
+        frontier = self._operand(hb, (4, 16384), 0.0005, 3, False)
+        label = self._operand(hb, (16384, 16384), 0.0002, 4, False)
+        out = hb.mxm(frontier, label)
+        assert calls == [] and dict(hb.dispatch_counts["mxm"]) == {"sparse": 1}
+        assert out.resident == "sparse"
+
+
 class TestAutotune:
     """The autotuners and the unfused ablation arm are deleted (E11,
     E13): every spelling that asked for one is a ``TypeError``, not a

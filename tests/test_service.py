@@ -267,6 +267,37 @@ class TestPlanCache:
         assert cache.misses == 4  # a, b, c, b-again
         assert len(cache) == 2
 
+    def test_lost_compile_race_counts_a_race(self, monkeypatch):
+        """Two threads miss the same key and compile at once: the loser
+        keeps the incumbent plan and counts a race, so ``misses - races``
+        is the number of plans stored."""
+        import repro.service.plan_cache as plan_cache
+
+        canonical, compile_fn = plan_cache.PLAN_KINDS["rpq"]
+        both_missed = threading.Barrier(2, timeout=10.0)
+
+        def compile_after_both_missed(query, key=None):
+            both_missed.wait()
+            return compile_fn(query, key=key)
+
+        monkeypatch.setitem(
+            plan_cache.PLAN_KINDS, "rpq", (canonical, compile_after_both_missed)
+        )
+        cache = PlanCache(capacity=8)
+        got = []
+        threads = [
+            threading.Thread(target=lambda: got.append(cache.get("rpq", "a b*")))
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 2 and got[0] is got[1]
+        stats = cache.stats()
+        assert (stats["misses"], stats["races"], stats["entries"]) == (2, 1, 1)
+
     def test_prebuilt_nfa_bypasses_cache(self):
         from repro.automata.glushkov import glushkov_nfa
         from repro.automata.regex_parse import parse_regex
@@ -299,7 +330,8 @@ class TestPlanCache:
     def test_stats_shape(self):
         stats = PlanCache(capacity=4).stats()
         assert set(stats) == {
-            "entries", "capacity", "hits", "misses", "evictions", "hit_ratio",
+            "entries", "capacity", "hits", "misses", "evictions", "races",
+            "hit_ratio",
         }
 
 
@@ -566,9 +598,14 @@ class TestConcurrentStress:
             assert snap.counters["completed"] == n_clients * per_client
             assert snap.counters["submitted"] == n_clients * per_client
             # The repeating templates must be served from the plan cache:
-            # len(QUERIES) compilations for the whole run, no more.
-            assert snap.plan_cache["misses"] == len(QUERIES)
-            assert snap.plan_cache["hits"] == n_clients * per_client - len(QUERIES)
+            # one stored plan per template.  Two workers may compile the
+            # same template at once; the loser counts a miss and a race
+            # and reuses the incumbent, so only misses net of races are
+            # exact.
+            plans = snap.plan_cache
+            assert plans["entries"] == len(QUERIES)
+            assert plans["misses"] - plans["races"] == len(QUERIES)
+            assert plans["hits"] + plans["misses"] == n_clients * per_client
 
     def test_batching_actually_coalesces(self, graph):
         """Concurrent same-graph queries ride shared evaluations, and
