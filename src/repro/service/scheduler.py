@@ -8,7 +8,10 @@ The scheduler is the concurrency heart of the service tier:
   unbounded work (load shedding at the front door);
 * **worker pool** — N daemon threads drain the queue; every worker
   owns no state, so any worker can serve any request (the backends and
-  the device arena are already thread-safe);
+  the device arena are already thread-safe); while any pool runs, the
+  interpreter's switch interval is :data:`SWITCH_INTERVAL_S`, so a
+  request thread waits at most that long for the GIL behind a cold
+  evaluation;
 * **multi-query batching** — a worker dequeues up to ``max_batch``
   requests at once and coalesces same-graph queries of a kind whose
   :mod:`~repro.service.kinds` row has a ``batch`` evaluator (RPQ
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import queue
+import sys
 import threading
 import time
 from typing import TYPE_CHECKING
@@ -52,6 +56,43 @@ _SHUTDOWN = object()
 
 #: Process-wide query ids (itertools.count is atomic under the GIL).
 _TICKET_IDS = itertools.count(1)
+
+#: Longest a thread that wants the interpreter lock waits while another
+#: runs Python code, in seconds, while any scheduler has workers.
+#: CPython's default is 5 ms: a cold evaluation that releases the lock
+#: nowhere (small operands never reach numpy's lock-releasing loops)
+#: holds every cache hit and every wire hand-off up to that long.
+SWITCH_INTERVAL_S = 0.001
+
+_switch_lock = make_lock("scheduler._switch_lock")
+_switch_users = 0  # guarded-by: _switch_lock
+#: ``(interval found, interval set)`` while a pool holds the interval.
+_switch_saved: tuple[float, float] | None = None  # guarded-by: _switch_lock
+
+
+def _acquire_switch_interval() -> None:
+    """Shorten the interpreter's switch interval for one more scheduler
+    (never lengthen it); :func:`_release_switch_interval` undoes it."""
+    global _switch_users, _switch_saved
+    with _switch_lock:
+        if _switch_users == 0 and sys.getswitchinterval() > SWITCH_INTERVAL_S:
+            found = sys.getswitchinterval()
+            sys.setswitchinterval(SWITCH_INTERVAL_S)
+            _switch_saved = (found, sys.getswitchinterval())
+        _switch_users += 1
+
+
+def _release_switch_interval() -> None:
+    """The last scheduler out restores the interval it found, unless
+    something else has set another since."""
+    global _switch_users, _switch_saved
+    with _switch_lock:
+        _switch_users -= 1
+        if _switch_users == 0 and _switch_saved is not None:
+            found, ours = _switch_saved
+            if sys.getswitchinterval() == ours:
+                sys.setswitchinterval(found)
+            _switch_saved = None
 
 
 class QueryTicket:
@@ -175,6 +216,8 @@ class QueryScheduler:
             )
             for i in range(max(0, int(workers)))
         ]
+        if self._workers:
+            _acquire_switch_interval()
         for t in self._workers:
             t.start()
 
@@ -217,6 +260,8 @@ class QueryScheduler:
         if wait:
             for t in self._workers:
                 t.join()
+        if self._workers:
+            _release_switch_interval()
         self.stats.set_queue_depth(0)
 
     # -- worker loop -------------------------------------------------------

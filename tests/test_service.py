@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -23,6 +24,7 @@ from repro.service import (
     PlanCache,
     QueryService,
 )
+from repro.service import scheduler
 from repro.service.kinds import DIST, KINDS, REACH
 
 QUERIES = ("a b* c", "(a | b)+", "a (b c)*", "(a | c) b? c")
@@ -421,6 +423,27 @@ class TestServiceLifecycle:
             assert snap.plan_cache["misses"] == 1
             assert snap.graph_store["graphs"] == 1
             assert "service stats" in snap.render()
+
+    def test_worker_pools_shorten_the_switch_interval(self):
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(0.005)
+        try:
+            with QueryService(workers=0):
+                assert sys.getswitchinterval() == pytest.approx(0.005)
+            with QueryService(workers=1):
+                assert sys.getswitchinterval() == pytest.approx(scheduler.SWITCH_INTERVAL_S)
+                with QueryService(workers=2):
+                    pass
+                # The outer pool still runs.
+                assert sys.getswitchinterval() == pytest.approx(scheduler.SWITCH_INTERVAL_S)
+            assert sys.getswitchinterval() == pytest.approx(0.005)
+            # An interval already shorter is left as it is.
+            sys.setswitchinterval(0.0002)
+            with QueryService(workers=1):
+                assert sys.getswitchinterval() == pytest.approx(0.0002)
+            assert sys.getswitchinterval() == pytest.approx(0.0002)
+        finally:
+            sys.setswitchinterval(old)
 
     def test_submit_validates_before_admission(self, graph):
         with QueryService(workers=0) as service:

@@ -96,3 +96,8 @@ def test_verdict_rules():
     noisy = [1.0, 2.0, 1.0, 2.0]
     assert verdict(noisy, [1.6, 1.6, 1.6, 1.6], "lower", 0.1)[1] == "unresolved"
     assert verdict([5.0, 5.0], [4.0, 4.0], "higher", 0.1) == (0, "worse")
+    # The change's runs spread past the bound while the parent's do not,
+    # even when its median reads better.
+    steady = [1.0, 1.01, 0.99, 1.0]
+    assert verdict(steady, [0.7, 1.0, 0.7, 1.0], "lower", 0.1) == (3, "unsteady")
+    assert verdict(noisy, [1.0, 2.0, 1.0, 2.0], "lower", 0.1)[1] == "unresolved"

@@ -14,6 +14,10 @@ For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, how many pairs the working tree won (ties count
 for neither side) and a verdict:
 
+* ``unsteady`` — the working tree's interquartile range is wider than
+  the metric's ``bound`` (a fraction of the parent's median) and the
+  parent's is not: the working tree's runs spread too widely for any
+  other verdict to hold;
 * ``better`` — the working tree won at least nine tenths of the pairs
   and the medians differ, its way, by more than the parent's
   interquartile range (the rule a claimed gain must meet);
@@ -25,7 +29,7 @@ for neither side) and a verdict:
 
 Each run's values go to stderr as it finishes.  The exit status is 1
 when a run failed or reported failed operations, or a metric is
-``worse``; else 0.  Standard library only.
+``worse`` or ``unsteady``; else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -95,13 +99,16 @@ def verdict(parent: list[float], change: list[float], better: str,
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p_q1, p_med, p_q3 = quartiles(parent)
-    c_med = quartiles(change)[1]
+    c_q1, c_med, c_q3 = quartiles(change)
     gain = sign * (c_med - p_med)
+    spread = bound * abs(p_med)
+    if c_q3 - c_q1 > spread >= p_q3 - p_q1:
+        return wins, "unsteady"
     if wins >= math.ceil(WIN_SHARE * len(parent)) and gain > p_q3 - p_q1:
         return wins, "better"
-    if -gain > bound * abs(p_med):
+    if -gain > spread:
         return wins, "worse"
-    if p_q3 - p_q1 > bound * abs(p_med):
+    if p_q3 - p_q1 > spread:
         return wins, "unresolved"
     return wins, "flat"
 
@@ -111,7 +118,7 @@ def _fmt(value: float) -> str:
 
 
 def report(spec: dict, results: dict[str, list[dict]]) -> tuple[list[list[str]], bool]:
-    """The table rows and whether any metric is ``worse``."""
+    """The table rows and whether any metric is ``worse`` or ``unsteady``."""
     rows = [["metric", "parent q1/med/q3", "change q1/med/q3", "delta", "wins", "verdict"]]
     worse = False
     for metric in spec["end_to_end"]:
@@ -125,7 +132,7 @@ def report(spec: dict, results: dict[str, list[dict]]) -> tuple[list[list[str]],
             continue
         parent, change = [p for p, _ in paired], [c for _, c in paired]
         wins, word = verdict(parent, change, metric["better"], metric["bound"])
-        worse |= word == "worse"
+        worse |= word in ("worse", "unsteady")
         p_q, c_q = quartiles(parent), quartiles(change)
         delta = (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else 0.0
         rows.append([
